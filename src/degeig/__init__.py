@@ -2,9 +2,9 @@
 
 The positive spectrum of the degenerate pencil is computed by successive
 constrained Rayleigh-quotient minimization with energy-orthogonal deflation,
-cross-checked against a dense congruence solver and an independent shooting
-oracle, and supported by numerical verification of the weighted Hardy,
-Sobolev, and interpolation inequalities the method rests on.
+cross-checked against a dense generalized eigensolver and an independent
+shooting oracle, and supported by numerical verification of the weighted
+Hardy, Sobolev, and interpolation inequalities the method rests on.
 """
 
 from .assembly import (DiscreteOperatorPair, assemble_grid3d, assemble_radial,
@@ -16,9 +16,8 @@ from .inequalities import (CknParams, check_ckn_radial, check_hardy,
                            check_sobolev, critical_exponent, hardy_constant)
 from .mesh import Grid3D, RadialMesh, build_grid3d, build_radial_mesh
 from .oracle import ShootingResult, shoot, shooting_eigenvalue
-from .weights import (WeightSpec, borderline_log, borderline_log_value,
-                      compact_bump, gaussian_bump, indicator_ball, power_weight,
-                      sign_changing_ring, tabulated, verify_weight_split,
-                      weight_split, weight_value)
+from .weights import (WeightSpec, borderline_log, compact_bump, gaussian_bump,
+                      indicator_ball, sign_changing_ring, tabulated,
+                      verify_weight_split, weight_split, weight_value)
 
 __version__ = "0.1.0"

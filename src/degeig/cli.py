@@ -83,8 +83,12 @@ def _solve_claims(seq, dense_seq, growth):
     return claims
 
 
-def _golden_claim(path, seq, bound=1e-2):
-    """Compare the computed sequence against a shooting-oracle golden file."""
+def _golden_claim(path, seq, problem, bound=1e-2):
+    """Compare the computed sequence against a shooting-oracle golden file.
+
+    The claim fails when no certified entry was compared, or when a certified
+    entry was computed for another N, alpha, weight or R than this run.
+    """
     import json
 
     try:
@@ -92,13 +96,15 @@ def _golden_claim(path, seq, bound=1e-2):
             golden = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"golden file {path}: {exc}") from exc
-    refs = {int(e["n"]): float(e["lambda"]) for e in golden.get("entries", [])
-            if e.get("certified", False)}
-    worst = 0.0
-    for n, lam_ref in refs.items():
-        if n <= seq.count:
-            worst = max(worst, abs(seq.lambdas[n - 1] - lam_ref) / lam_ref)
-    return _claim(worst, bound)
+    entries = [e for e in golden.get("entries", []) if e.get("certified", False)]
+    ours = (problem.N, problem.alpha, problem.weight.name, getattr(problem.geometry, "R", None))
+    same_problem = all(
+        (e.get("N"), e.get("alpha"), e.get("weight"), e.get("R")) == ours for e in entries
+    )
+    errors = [abs(seq.lambdas[int(e["n"]) - 1] - float(e["lambda"])) / float(e["lambda"])
+              for e in entries if int(e["n"]) <= seq.count]
+    worst = max(errors, default=0.0)
+    return _claim(worst, bound, ok=bool(errors) and same_problem and worst <= bound)
 
 
 def _write_vectors_csv(path, pair, seq):
@@ -133,7 +139,7 @@ def cmd_solve(run, out_dir):
     growth = growth_diagnostics(seq, pair)
     claims = _solve_claims(seq, dense_seq, growth)
     if run.golden_path:
-        claims["golden_agreement_rel"] = _golden_claim(run.golden_path, seq)
+        claims["golden_agreement_rel"] = _golden_claim(run.golden_path, seq, run.problem)
     report = {
         "command": "solve",
         "problem": {

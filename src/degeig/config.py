@@ -2,7 +2,7 @@
 
 A configuration document is a nested key-value JSON file with a 'problem'
 section (dimension, exponent, weight, geometry, solver) and optional
-command sections (refinement ladder, profile batch, output directory, seed).
+command sections (refinement ladder, golden file, output directory, seed).
 Every preset is defined here in code so the full acceptance surface runs
 offline.
 """
@@ -82,7 +82,6 @@ class RunConfig:
     seed: int = 42
     out_dir: str = "out"
     ladder: list = field(default_factory=list)     # [{'M':..., 'R':...}, ...] for converge
-    profiles: list = field(default_factory=list)   # profile descriptors for check
     golden_path: str = None                        # oracle golden file to compare against
     export_matrices: bool = False
 
@@ -144,7 +143,7 @@ def geometry_from_dict(d):
 
 def solver_from_dict(d):
     d = d or {}
-    allowed = {"k", "tol", "max_iter", "deflation_tol", "dense_threshold", "seed", "restarts"}
+    allowed = {"k", "tol", "max_iter", "deflation_tol", "dense_threshold", "seed"}
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"problem.solver: unknown fields {sorted(unknown)}")
@@ -179,7 +178,6 @@ def run_config_from_dict(d):
         seed=int(d.get("seed", 42)),
         out_dir=str(d.get("out", "out")),
         ladder=list(d.get("ladder", [])),
-        profiles=list(d.get("profiles", [])),
         golden_path=d.get("golden"),
         export_matrices=bool(d.get("export_matrices", False)),
     )

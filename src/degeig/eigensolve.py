@@ -8,9 +8,11 @@ the previously found eigenvectors, which is the exact finite-dimensional
 analogue of minimizing the energy under a unit g-mass constraint and
 energy-orthogonality restrictions. B is never factorized.
 
-Two routes are provided: solve_dense (full spectrum through a symmetric
-congruence, the reference for small problems) and solve_successive (deflated
-Rayleigh-quotient iteration on sparse matrices).
+Two routes are provided: solve_dense (one generalized eigh call on the full
+spectrum, the reference for small problems) and solve_successive, which
+maximizes mu on the deflated pencil (P^T B P, A) one pair at a time: by one
+ARPACK call where a sparse LU of A fits (every radial mesh, cube grids up to
+29^3), by a CG-driven Ritz ascent on larger cube grids.
 """
 
 from dataclasses import dataclass, field
@@ -35,11 +37,10 @@ class SolverSettings:
 
     k: int = 6
     tol: float = 1e-9           # relative weak-form residual target
-    max_iter: int = 8000        # per eigenpair
+    max_iter: int = 8000        # per eigenpair: ARPACK restarts, or CG-route steps
     deflation_tol: float = 1e-14  # Ritz-basis degeneracy guard (A-norm relative)
     dense_threshold: int = 2000
     seed: int = 42
-    restarts: int = 8           # seeded retries before declaring exhaustion
 
     def validate(self):
         if self.k < 1:
@@ -57,13 +58,14 @@ class EigenSequence:
 
     vectors holds one B-normalized eigenvector per column. cross_energy and
     cross_mass are the Gram matrices in the energy and mass inner products;
-    their off-diagonals quantify deflation quality.
+    their off-diagonals quantify deflation quality. iterations counts, per
+    pair, operator applications on the ARPACK route, ascent and power steps
+    on the CG route, and 0 for the dense solve.
     """
 
     lambdas: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    b_norms: np.ndarray
     cross_energy: np.ndarray
     cross_mass: np.ndarray
     iterations: list
@@ -96,7 +98,7 @@ class EigenSequence:
                 "n": i + 1,
                 "lambda": float(self.lambdas[i]),
                 "residual": float(self.residuals[i]),
-                "b_norm": float(self.b_norms[i]),
+                "b_norm": float(self.cross_mass[i, i]),
                 "iterations": int(self.iterations[i]),
                 "converged": bool(self.converged[i]),
             }
@@ -193,7 +195,6 @@ def _finalize(pair, lambdas, vectors, iterations, converged, requested,
         lambdas=lambdas,
         vectors=vectors,
         residuals=resid,
-        b_norms=np.diag(cross_b).copy() if k else np.zeros(0),
         cross_energy=cross_a,
         cross_mass=cross_b,
         iterations=iterations,
@@ -207,29 +208,22 @@ def _finalize(pair, lambdas, vectors, iterations, converged, requested,
 
 
 def solve_dense(pair, k, dense_threshold=2000):
-    """Full-spectrum reference solve through a symmetric congruence.
+    """Full-spectrum reference solve of the pencil B v = mu A v.
 
-    A = L L^T turns the pencil into the symmetric matrix C = L^{-1} B L^{-T};
-    eigenvalues mu of C with mu > 0 are the reciprocals of the positive pencil
-    eigenvalues. Nonpositive directions are discarded. Returns the k smallest
-    positive lambda; fewer when the pencil has fewer positive eigenvalues
-    (reported, not fatal).
+    One generalized symmetric-definite eigh call; eigenvalues mu > 0 are the
+    reciprocals of the positive pencil eigenvalues, nonpositive directions
+    are discarded. Returns the k smallest positive lambda; fewer when the
+    pencil has fewer positive eigenvalues (reported, not fatal).
     """
     n = pair.order
     if n > dense_threshold:
         raise SolverError(f"dense solve refused at order {n} > {dense_threshold}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    Ad = pair.A.toarray()
-    Bd = pair.B.toarray()
     try:
-        L = sla.cholesky(Ad, lower=True)
+        mu, V = sla.eigh(pair.B.toarray(), pair.A.toarray())
     except sla.LinAlgError as exc:
         raise SolverError(f"energy matrix is not positive definite: {exc}") from exc
-    Y = sla.solve_triangular(L, Bd, lower=True)
-    C = sla.solve_triangular(L, Y.T, lower=True)
-    C = 0.5 * (C + C.T)
-    mu, V = sla.eigh(C)
     floor = 1e-12 * max(np.max(np.abs(mu)), np.finfo(float).tiny)
     pos = np.nonzero(mu > floor)[0][::-1]  # descending mu = ascending lambda
     warnings = []
@@ -237,33 +231,37 @@ def solve_dense(pair, k, dense_threshold=2000):
         warnings.append(
             f"pencil has only {pos.size} positive eigenvalues; {k} requested"
         )
-    take = pos[: min(k, pos.size)]
-    lambdas, vectors = [], []
-    for j in take:
-        y = V[:, j]
-        e = sla.solve_triangular(L, y, lower=True, trans="T")
-        e = e / np.sqrt(mu[j])  # unit g-mass: e^T B e = 1
-        vectors.append(e)
-        lambdas.append(float(e @ (pair.A @ e)))
-    vectors = np.column_stack(vectors) if lambdas else np.zeros((n, 0))
+    take = pos[:k]
+    E = V[:, take] / np.sqrt(mu[take])  # v^T A v = 1, so e^T B e = 1
+    lambdas = np.einsum("ij,ij->j", E, pair.A @ E)
     return _finalize(
-        pair, lambdas, vectors,
-        iterations=[0] * len(lambdas), converged=[True] * len(lambdas),
+        pair, lambdas, E,
+        iterations=[0] * take.size, converged=[True] * take.size,
         requested=k, exhausted=pos.size < k, method="dense", warnings=warnings,
     )
 
 
+def _factorizes(A):
+    """Whether a sparse LU of A fits; order x bandwidth bounds its fill."""
+    coo = A.tocoo()
+    bandwidth = int(np.max(np.abs(coo.row - coo.col), initial=1))
+    return A.shape[0] * bandwidth <= FACTOR_THRESHOLD
+
+
 def _linear_solver(pair):
-    """Exact-ish application of A^{-1}: sparse LU for moderate orders,
-    Jacobi-preconditioned CG above (memory-bound 3-d grids)."""
+    """Application of A^{-1} and whether it is an exact factorization.
+
+    Sparse LU where _factorizes allows it, Jacobi-preconditioned CG above
+    (memory-bound 3-d grids). Returns (solve, factored).
+    """
     A = pair.A.tocsc()
     n = A.shape[0]
-    if n <= FACTOR_THRESHOLD:
+    if _factorizes(A):
         try:
             lu = spla.splu(A)
         except RuntimeError as exc:
             raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
-        return lu.solve
+        return lu.solve, True
     M = sp.diags(1.0 / A.diagonal())
     state = {"x0": None}
 
@@ -275,7 +273,7 @@ def _linear_solver(pair):
         state["x0"] = x
         return x
 
-    return solve
+    return solve, False
 
 
 class _Deflator:
@@ -292,10 +290,11 @@ class _Deflator:
         self.norms = np.append(self.norms, e @ Ae)
 
     def __call__(self, v):
-        if self.norms.size == 0:
-            return v
-        coef = (self.avecs.T @ v) / self.norms
-        return v - self.vecs @ coef
+        return v - self.vecs @ ((self.avecs.T @ v) / self.norms)
+
+    def transpose(self, v):
+        """The adjoint projection P^T, so that P^T B P is symmetric."""
+        return v - self.avecs @ ((self.vecs.T @ v) / self.norms)
 
 
 def _ritz_step(A, B, basis_candidates, drop_tol):
@@ -328,7 +327,8 @@ def _ritz_step(A, B, basis_candidates, drop_tol):
 
 
 RITZ_FLOOR = 1e-6  # hand over to the polish phase below this residual
-FACTOR_THRESHOLD = 20000  # direct factorizations allowed up to this order
+FACTOR_THRESHOLD = 1.5e7  # direct factorizations allowed up to order x bandwidth
+EXHAUSTION_RTOL = 1e-12  # mu at or below this fraction of mu_1 is no positive eigenvalue
 
 
 def _quotient_state(A, B, u):
@@ -344,20 +344,43 @@ def _quotient_state(A, B, u):
     return Au, Bu, mu, res
 
 
-def _maximize_quotient(pair, solve, deflate, u0, settings):
-    """Drive one eigenpair: locally optimal ascent on mu = u^T B u / u^T A u.
+def _maximize_quotient(pair, solve, factored, deflate, u0, settings):
+    """Drive one eigenpair: maximize mu = u^T B u / u^T A u on the complement.
 
-    Phase 1 enriches the search space with the preconditioned direction
-    A^{-1} B u (re-deflated) and the previous iterate and takes the Ritz
-    vector of largest mu; this is fast but its rounding floor sits near
-    sqrt(machine eps) because the small Gram problem re-mixes noise
-    directions. Phase 2 therefore polishes with plain (shifted) power steps
-    u <- A^{-1} B u + sigma u, which only contract unwanted components; the
-    shift guards against a negative eigenvalue of larger magnitude when B is
-    indefinite. Convergence is declared on the relative weak-form residual.
+    With A factorized, one ARPACK call in the A inner product (mode 2) gives
+    the largest eigenvalue of the deflated pencil (P^T B P, A) to machine
+    precision, or raises ArpackNoConvergence after settings.max_iter restarts.
+
+    Otherwise a locally optimal ascent enriches the search space with the
+    preconditioned direction A^{-1} B u (re-deflated) and the previous
+    iterate and takes the Ritz vector of largest mu; this is fast but its
+    rounding floor sits near sqrt(machine eps) because the small Gram problem
+    re-mixes noise directions. Phase 2 therefore polishes with plain
+    (shifted) power steps u <- A^{-1} B u + sigma u, which only contract
+    unwanted components; the shift guards against a negative eigenvalue of
+    larger magnitude when B is indefinite. Convergence is declared on the
+    relative weak-form residual.
     """
     A, B = pair.A, pair.B
     u = deflate(np.asarray(u0, dtype=float))
+    if factored:
+        applications = 0
+
+        def apply(x):
+            nonlocal applications
+            applications += 1
+            return deflate.transpose(B @ deflate(x))
+
+        shape = (pair.order, pair.order)
+        _, vecs = spla.eigsh(
+            spla.LinearOperator(shape, matvec=apply, dtype=float), 1, M=A,
+            Minv=spla.LinearOperator(shape, matvec=solve, dtype=float),
+            which="LA", v0=u, maxiter=settings.max_iter,
+        )
+        u = deflate(vecs[:, 0])
+        _, _, mu, res = _quotient_state(A, B, u)
+        return mu, u, applications, res <= settings.tol, res
+
     Au = A @ u
     nrm = np.sqrt(max(u @ Au, 0.0))
     if nrm == 0.0 or not np.isfinite(nrm):
@@ -394,10 +417,8 @@ def _maximize_quotient(pair, solve, deflate, u0, settings):
     res0, mu0, u = best
     if mu0 <= 0.0:
         return mu0, u, it, res0 <= settings.tol, res0
-    if pair.order <= FACTOR_THRESHOLD:
-        return _refine_shift_invert(pair, deflate, u, mu0, res0, it, settings)
 
-    # large operators: noise-contracting power steps on A^{-1} B + sigma I
+    # noise-contracting power steps on A^{-1} B + sigma I
     indefinite = theta_min < -1e-12 * max(theta_max, 0.0)
     sigma = 1.05 * max(abs(theta_min), theta_max) if indefinite else 0.0
     best_res, best_mu, best_u = res0, mu0, u.copy()
@@ -423,88 +444,46 @@ def _maximize_quotient(pair, solve, deflate, u0, settings):
     return best_mu, best_u, it, best_res <= settings.tol, best_res
 
 
-def _refine_shift_invert(pair, deflate, u, mu0, res0, it, settings):
-    """Finish one eigenpair with shift-inverted power steps.
-
-    With s placed a relative 1e-3 below the eigenvalue estimate, the operator
-    (A - s B)^{-1} B contracts every unwanted component by roughly
-    (lambda - s)/(next distance), so a handful of steps reach the rounding
-    floor without the Ritz noise re-mixing. The factorization is cheap at
-    the orders this path accepts.
-    """
-    A, B = pair.A, pair.B
-    lam_est = 1.0 / mu0
-    best_res, best_mu, best_u = res0, mu0, u.copy()
-    for s_rel in (1e-3, 1e-2):
-        s = lam_est * (1.0 - s_rel)
-        try:
-            op = spla.splu((A - s * B).tocsc())
-        except RuntimeError:
-            continue
-        stale = 0
-        for _ in range(40):
-            if it >= settings.max_iter:
-                break
-            it += 1
-            w = deflate(op.solve(B @ u))
-            Aw = A @ w
-            nrm = np.sqrt(max(w @ Aw, 0.0))
-            if nrm == 0.0 or not np.isfinite(nrm):
-                break
-            u = w / nrm
-            _, _, mu, res = _quotient_state(A, B, u)
-            if res < best_res:
-                best_res, best_mu, best_u = res, mu, u.copy()
-                stale = 0
-            else:
-                stale += 1
-            if best_res <= settings.tol or stale >= 3:
-                break
-        if best_res <= settings.tol:
-            break
-        u = best_u.copy()
-    return best_mu, best_u, it, best_res <= settings.tol, best_res
-
-
 def solve_successive(pair, k=None, settings=None):
-    """Compute the k smallest positive eigenpairs by deflated quotient ascent.
+    """Compute the k smallest positive eigenpairs by deflated quotient maximization.
 
     For n = 1..k the quotient mu is maximized over the A-orthogonal
-    complement of the previous eigenvectors; a converged nonpositive mu is
-    retried from seeded restart vectors and, if persistent, reported as
-    exhaustion of the positive spectrum (a partial sequence, not an error).
-    Eigenvectors are normalized to unit g-mass, so lambda_n equals the energy
-    of e_n by construction; the ground mode is oriented nonnegatively.
+    complement of the previous eigenvectors, from the start vector seeded by
+    default_rng([seed, n, 0]). A maximum mu at or below EXHAUSTION_RTOL * mu_1
+    (mu <= 0 for the first pair) means the complement holds no positive
+    direction: the positive spectrum is exhausted and a partial sequence is
+    returned, not an error. Eigenvectors are normalized to unit g-mass, so
+    lambda_n equals the energy of e_n by construction; the ground mode is
+    oriented nonnegatively.
     """
     settings = settings or SolverSettings()
     if k is not None:
         settings = SolverSettings(**{**settings.__dict__, "k": k})
     settings.validate()
-    solve = _linear_solver(pair)
+    solve, factored = _linear_solver(pair)
     deflate = _Deflator(pair.order)
     lambdas, vectors, iterations, converged_flags = [], [], [], []
     warnings = []
     exhausted = False
     for n in range(settings.k):
-        outcome = None
-        for attempt in range(settings.restarts):
-            rng = np.random.default_rng([settings.seed, n, attempt])
-            u0 = rng.standard_normal(pair.order)
-            outcome = _maximize_quotient(pair, solve, deflate, u0, settings)
-            if outcome is not None and outcome[0] > 0.0:
-                break
-        if outcome is None or outcome[0] <= 0.0:
+        u0 = np.random.default_rng([settings.seed, n, 0]).standard_normal(pair.order)
+        try:
+            outcome = _maximize_quotient(pair, solve, factored, deflate, u0, settings)
+        except spla.ArpackNoConvergence as exc:
+            raise SolverError(
+                f"pair {n + 1}: ARPACK did not converge within {settings.max_iter} restarts"
+            ) from exc
+        floor = EXHAUSTION_RTOL / lambdas[0] if lambdas else 0.0
+        if outcome is None or outcome[0] <= floor:
             exhausted = True
             warnings.append(
-                f"no further positive eigenvalue found after {settings.restarts} restarts "
-                f"(found {len(lambdas)} of {settings.k})"
+                f"no further positive eigenvalue found (found {len(lambdas)} of {settings.k})"
             )
             break
         mu, u, iters, ok, res = outcome
         if not ok:
-            warnings.append(
-                f"pair {n + 1} hit the iteration cap at residual {res:.3e}"
-            )
+            stop = "stalled after ARPACK converged" if factored else "hit the iteration cap"
+            warnings.append(f"pair {n + 1} {stop} at residual {res:.3e} (tol {settings.tol:.0e})")
         bnorm = u @ (pair.B @ u)
         e = u / np.sqrt(bnorm)
         Ae = pair.A @ e

@@ -47,18 +47,6 @@ class RadialMesh:
         """Interior degrees of freedom: every node except the Dirichlet node r_M."""
         return self.nodes.size - 1
 
-    def scaled(self, factor):
-        """A copy with all radii multiplied by factor > 0."""
-        if factor <= 0:
-            raise MeshError("scale factor must be positive")
-        return RadialMesh(self.nodes * factor, self.q, self.dimension)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("index,r\n")
-            for i, r in enumerate(self.nodes):
-                fh.write(f"{i},{r:.17g}\n")
-
 
 def build_radial_mesh(R, M, q=1.0, dimension=3):
     """Graded partition of [0, R] into M elements with size ratio q >= 1.
@@ -128,13 +116,6 @@ class Grid3D:
         ax = self.axis[1:-1]
         X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
         return np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
-    def to_csv(self, path):
-        pts = self.interior_points()
-        with open(path, "w") as fh:
-            fh.write("x,y,z\n")
-            for x, y, z in pts:
-                fh.write(f"{x:.17g},{y:.17g},{z:.17g}\n")
 
 
 def build_grid3d(L, n):

@@ -89,11 +89,6 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, r_eps_factor=1e-6, segments=16,
     return float(y[0]), int(zeros), nfev
 
 
-def _count(N, alpha, g, R, lam, rtol, breakpoints=()):
-    miss, zeros, nfev = shoot(N, alpha, g, R, lam, rtol=rtol, breakpoints=breakpoints)
-    return miss, zeros, nfev
-
-
 def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
                         sweep_cap=200, rel_width=1e-10, rtol=1e-11,
                         breakpoints=()):
@@ -117,14 +112,14 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
 
     notes = []
     lam = lam_start
-    miss, zeros, ne = _count(N, alpha, g, R, lam, rtol, breakpoints)
+    miss, zeros, ne = shoot(N, alpha, g, R, lam, rtol=rtol, breakpoints=breakpoints)
     steps += ne
     sweep_counts = [zeros]
     # ensure the start is below the target count
     shrink = 0
     while zeros >= n and shrink < sweep_cap:
         lam /= growth**2
-        miss, zeros, ne = _count(N, alpha, g, R, lam, rtol, breakpoints)
+        miss, zeros, ne = shoot(N, alpha, g, R, lam, rtol=rtol, breakpoints=breakpoints)
         steps += ne
         shrink += 1
     if zeros >= n:
@@ -135,7 +130,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
     hi = None
     for _ in range(sweep_cap):
         lam *= growth
-        miss, zeros, ne = _count(N, alpha, g, R, lam, rtol, breakpoints)
+        miss, zeros, ne = shoot(N, alpha, g, R, lam, rtol=rtol, breakpoints=breakpoints)
         steps += ne
         sweep_counts.append(zeros)
         if zeros >= n:
@@ -151,7 +146,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
 
     while (hi - lo) > rel_width * hi:
         mid = 0.5 * (lo + hi)
-        miss, zeros, ne = _count(N, alpha, g, R, mid, rtol, breakpoints)
+        miss, zeros, ne = shoot(N, alpha, g, R, mid, rtol=rtol, breakpoints=breakpoints)
         steps += ne
         if zeros >= n:
             hi, miss_hi, count_hi = mid, miss, zeros

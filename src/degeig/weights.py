@@ -36,19 +36,6 @@ def _as_radii(r):
     return r
 
 
-def power_weight(x, alpha):
-    """The degenerate coefficient |x|^alpha, with value 0 at the origin.
-
-    x may be a point in R^N (1-d array) or a batch of points (2-d array,
-    one point per row).
-    """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1) if x.ndim >= 1 else np.abs(x)
-    return r**alpha
-
-
 def borderline_log_radial(r, N, alpha):
     """Radial form of the borderline weight r^(alpha-2) * log(2 + r^(2-alpha))^((alpha-2)/N).
 
@@ -65,13 +52,6 @@ def borderline_log_radial(r, N, alpha):
     rn = r[nz]
     out[nz] = rn ** (alpha - 2.0) * np.log(2.0 + rn ** (2.0 - alpha)) ** ((alpha - 2.0) / N)
     return float(out[0]) if scalar else out
-
-
-def borderline_log_value(x, N, alpha):
-    """Point evaluation of the borderline weight; x is a point in R^N."""
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1)
-    return borderline_log_radial(r, N, alpha)
 
 
 def _zero(r):

@@ -175,6 +175,49 @@ class TestSolveCommand:
         assert report["claims"]["golden_agreement_rel"]["ok"]
 
 
+    def _solve_with_golden(self, tmp_path, entries):
+        cfg = json.loads(open(small_config(tmp_path, **{"problem.solver.k": 2})).read())
+        golden_path = tmp_path / "golden.json"
+        golden_path.write_text(json.dumps({"entries": entries}))
+        cfg["golden"] = str(golden_path)
+        cfg_path = tmp_path / "with_golden.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "solve_golden")
+        code = main(["solve", "--config", str(cfg_path), "--out", out])
+        report = json.loads(open(os.path.join(out, "eigen_report.json")).read())
+        return code, report["claims"]["golden_agreement_rel"]
+
+    def test_golden_claim_fails_when_nothing_compared(self, tmp_path):
+        entry = {"N": 3, "alpha": 1.0, "weight": "gaussian", "R": 6.0, "n": 1,
+                 "lambda": 4.78, "certified": False}
+        code, claim = self._solve_with_golden(tmp_path, [entry])
+        assert code == 2
+        assert not claim["ok"]
+
+    def test_golden_claim_fails_for_another_problem(self, tmp_path):
+        # lambda_1 of this run, but recorded for R = 5
+        cfg = small_config(tmp_path, **{"problem.solver.k": 2})
+        out = str(tmp_path / "plain")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        report = json.loads(open(os.path.join(out, "eigen_report.json")).read())
+        lam1 = report["eigen"]["pairs"][0]["lambda"]
+        entry = {"N": 3, "alpha": 1.0, "weight": "gaussian", "R": 5.0, "n": 1,
+                 "lambda": lam1, "certified": True}
+        code, claim = self._solve_with_golden(tmp_path, [entry])
+        assert code == 2
+        assert not claim["ok"]
+        assert claim["value"] == 0.0
+
+    def test_five_dimensional_solve_meets_bounds(self, tmp_path):
+        cfg = small_config(tmp_path, **{"problem.N": 5, "problem.geometry.M": 2000,
+                                        "problem.solver.k": 6})
+        out = str(tmp_path / "n5")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        claims = json.loads(open(os.path.join(out, "eigen_report.json")).read())["claims"]
+        assert claims["max_residual"]["ok"]
+        assert claims["mass_orthonormality_gap"]["ok"]
+
+
 class TestOtherCommands:
     def test_converge_requires_three_rungs(self, tmp_path):
         cfg = small_config(tmp_path, ladder=[{"M": 32, "R": 6.0}])

@@ -12,7 +12,7 @@ from degeig.eigensolve import (
     solve_dense,
     solve_successive,
 )
-from degeig.mesh import build_radial_mesh
+from degeig.mesh import build_radial_mesh, grading_for_span
 from degeig.weights import gaussian_bump, sign_changing_ring
 
 
@@ -137,12 +137,46 @@ class TestSuccessive:
         assert any("no further positive eigenvalue" in w for w in seq.warnings)
         assert_allclose(seq.lambdas, de.lambdas[: seq.count], rtol=1e-6)
 
-    def test_iteration_cap_flags_pair(self):
+    def test_iteration_cap_flags_pair(self, monkeypatch):
+        # the cap bites on the CG route; ARPACK converges within one restart here
+        import degeig.eigensolve as es
+
         mesh = build_radial_mesh(6.0, 64, 1.0)
         pair = assemble_radial(mesh, 3, 1.0, gaussian_bump())
-        seq = solve_successive(pair, 1, SolverSettings(k=1, tol=1e-9, max_iter=2))
+        monkeypatch.setattr(es, "FACTOR_THRESHOLD", 16)
+        seq = es.solve_successive(pair, 1, SolverSettings(k=1, tol=1e-9, max_iter=2))
         assert not seq.converged[0]
         assert any("iteration cap" in w for w in seq.warnings)
+
+    def test_arpack_no_convergence_names_pair(self, monkeypatch):
+        # ARPACK returns no unconverged vector, so the step fails outright
+        import degeig.eigensolve as es
+
+        def no_convergence(*args, **kwargs):
+            raise es.spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        mesh = build_radial_mesh(6.0, 64, 1.0)
+        pair = assemble_radial(mesh, 3, 1.0, gaussian_bump())
+        monkeypatch.setattr(es.spla, "eigsh", no_convergence)
+        with pytest.raises(SolverError, match="pair 1"):
+            es.solve_successive(pair, 2)
+
+    def test_route_chosen_by_fill(self):
+        from degeig.assembly import assemble_grid3d
+        from degeig.eigensolve import _factorizes
+        from degeig.mesh import build_grid3d
+
+        mesh = build_radial_mesh(6.0, 32768, 1.0)
+        assert _factorizes(assemble_radial(mesh, 3, 1.0, gaussian_bump()).A)
+        assert _factorizes(assemble_grid3d(build_grid3d(6.0, 29), 1.0, gaussian_bump()).A)
+        assert not _factorizes(assemble_grid3d(build_grid3d(6.0, 31), 1.0, gaussian_bump()).A)
+
+    def test_large_radial_order_factorized(self):
+        mesh = build_radial_mesh(6.0, 32768, grading_for_span(32768, 1e4))
+        pair = assemble_radial(mesh, 3, 1.0, gaussian_bump())
+        seq = solve_successive(pair, 2)
+        assert seq.count == 2
+        assert np.all(seq.residuals <= 1e-8)
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -218,7 +252,7 @@ class TestGrowthDiagnostics:
 
         empty = EigenSequence(
             lambdas=np.zeros(0), vectors=np.zeros((gaussian_pair_512.order, 0)),
-            residuals=np.zeros(0), b_norms=np.zeros(0),
+            residuals=np.zeros(0),
             cross_energy=np.zeros((0, 0)), cross_mass=np.zeros((0, 0)),
             iterations=[], converged=[], requested=1, exhausted=True,
             method="successive",

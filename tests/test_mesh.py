@@ -41,25 +41,10 @@ class TestRadialMesh:
         with pytest.raises(MeshError):
             build_radial_mesh(1.0, 10, 0.9)
 
-    def test_scaled(self):
-        mesh = build_radial_mesh(2.0, 16, 1.1)
-        half = mesh.scaled(0.5)
-        assert_allclose(half.nodes, 0.5 * mesh.nodes)
-        with pytest.raises(MeshError):
-            mesh.scaled(0.0)
-
     def test_dof_count_excludes_boundary(self):
         mesh = build_radial_mesh(1.0, 32, 1.0)
         assert mesh.num_dofs == 32
         assert mesh.num_elements == 32
-
-    def test_csv_export(self, tmp_path):
-        mesh = build_radial_mesh(1.0, 8, 1.0)
-        path = tmp_path / "mesh.csv"
-        mesh.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "index,r"
-        assert len(lines) == 10
 
     def test_grading_for_span(self):
         q = grading_for_span(512, 1e4)
@@ -99,11 +84,3 @@ class TestGrid3D:
         for c in interior:
             assert np.isclose(ax, c + grid.hs, atol=1e-15).any()
             assert np.isclose(ax, c - grid.hs, atol=1e-15).any()
-
-    def test_csv_export(self, tmp_path):
-        grid = build_grid3d(1.0, 9)
-        path = tmp_path / "grid.csv"
-        grid.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "x,y,z"
-        assert len(lines) == 7**3 + 1

@@ -8,11 +8,9 @@ from degeig.weights import (
     WeightSpec,
     borderline_log,
     borderline_log_radial,
-    borderline_log_value,
     compact_bump,
     gaussian_bump,
     indicator_ball,
-    power_weight,
     sign_changing_ring,
     tabulated,
     tabulated_from_csv,
@@ -22,31 +20,15 @@ from degeig.weights import (
 )
 
 
-class TestPowerWeight:
-    def test_zero_at_origin(self):
-        assert power_weight(np.zeros(3), 1.0) == 0.0
-
-    def test_unit_sphere(self):
-        x = np.array([0.0, 1.0, 0.0])
-        assert power_weight(x, 1.5) == 1.0
-
-    def test_direct_evaluation(self):
-        assert_allclose(power_weight(np.array([2.0, 0.0, 0.0]), 0.5), np.sqrt(2.0), rtol=1e-15)
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            power_weight(np.ones(3), 2.5)
-
-
 class TestBorderlineLog:
     def test_value_at_origin_is_one(self):
-        assert borderline_log_value(np.zeros(3), 3, 1.0) == 1.0
+        assert borderline_log_radial(0.0, 3, 1.0) == 1.0
         assert borderline_log_radial(0.0, 3, 1.5) == 1.0
 
     def test_unit_radius_value(self):
         # r^(a-2) * log(2 + r^(2-a))^((a-2)/N) at r = 1, N = 3, a = 1
         expected = np.log(3.0) ** (-1.0 / 3.0)
-        got = borderline_log_value(np.array([1.0, 0.0, 0.0]), 3, 1.0)
+        got = borderline_log_radial(1.0, 3, 1.0)
         assert_allclose(got, expected, rtol=1e-14)
         assert_allclose(got, 0.9691370, rtol=1e-6)
 
