@@ -3,8 +3,10 @@
 Solves -(r^(alpha+N-1) u')' = lambda g(r) r^(N-1) u on (0, R) with u(R) = 0 by
 adaptive integration of the first-order system in (u, v), v = r^(alpha+N-1) u'
 being the weighted flux. The n-th eigenvalue is bracketed by sweeping lambda
-until the interior zero count of u reaches n, then bisected. This path shares
-nothing with the matrix solvers and serves as their golden reference.
+until the interior zero count of u reaches n, then narrowed by a secant on
+the terminal miss u(R) with bisection as its safeguard, and certified by the
+count transition and miss sign change across the final bracket. This path
+shares nothing with the matrix solvers and serves as their golden reference.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ class ShootingResult:
     lam: float
     index: int            # interior zeros of the converged mode (= n - 1)
     bracket: tuple        # (lambda_lo, lambda_hi), miss changes sign across it
-    steps: int            # total right-hand-side evaluations
+    steps: int            # right-hand-side evaluations made by this call
     miss: float           # |u(R)| at the returned lambda
     certified: bool
     note: str = ""
@@ -91,18 +93,37 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, r_eps_factor=1e-6, segments=16,
 
 def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
                         sweep_cap=200, rel_width=1e-10, rtol=1e-11,
-                        breakpoints=()):
-    """Bracket and bisect the n-th radial eigenvalue (n >= 1).
+                        breakpoints=(), shots=None):
+    """Bracket and refine the n-th radial eigenvalue (n >= 1).
 
-    Sweeps lambda geometrically until the zero count reaches n, bisects the
+    Sweeps lambda geometrically until the zero count reaches n, narrows the
     count transition n-1 -> n to the requested relative width, and certifies
     the result by the terminal-value sign change across the final bracket.
+    While the bracket is certifiable (counts n-1 and n, opposite misses) the
+    step is Illinois regula falsi on the terminal miss; otherwise, and after
+    any step that failed to halve the bracket, it is a bisection step.
     For sign-changing g the count need not be monotone; an uncertified result
     carries a note instead of a guarantee.
+
+    shots memoizes shoot() by lambda for one problem (the same N, alpha, g,
+    R, rtol and breakpoints): calls for n = 1..k that share the dict share
+    one sweep, each reporting in steps only the evaluations it made.
     """
     if n < 1:
         raise ValueError("mode number n must be >= 1")
+    if shots is None:
+        shots = {}
     steps = 0
+
+    def at(lam):
+        nonlocal steps
+        if lam not in shots:
+            miss, zeros, nfev = shoot(N, alpha, g, R, lam, rtol=rtol,
+                                      breakpoints=breakpoints)
+            shots[lam] = (miss, zeros)
+            steps += nfev
+        return shots[lam]
+
     if lam_start is None:
         sample = np.geomspace(1e-3 * R, R, 64)
         gmax = float(np.max(np.abs(g(sample))))
@@ -112,15 +133,13 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
 
     notes = []
     lam = lam_start
-    miss, zeros, ne = shoot(N, alpha, g, R, lam, rtol=rtol, breakpoints=breakpoints)
-    steps += ne
+    miss, zeros = at(lam)
     sweep_counts = [zeros]
     # ensure the start is below the target count
     shrink = 0
     while zeros >= n and shrink < sweep_cap:
         lam /= growth**2
-        miss, zeros, ne = shoot(N, alpha, g, R, lam, rtol=rtol, breakpoints=breakpoints)
-        steps += ne
+        miss, zeros = at(lam)
         shrink += 1
     if zeros >= n:
         raise NoBracketError(
@@ -130,8 +149,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
     hi = None
     for _ in range(sweep_cap):
         lam *= growth
-        miss, zeros, ne = shoot(N, alpha, g, R, lam, rtol=rtol, breakpoints=breakpoints)
-        steps += ne
+        miss, zeros = at(lam)
         sweep_counts.append(zeros)
         if zeros >= n:
             hi, miss_hi, count_hi = lam, miss, zeros
@@ -144,14 +162,34 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
     if np.any(np.diff(sweep_counts) < 0):
         notes.append("zero count non-monotone along the sweep (sign-changing weight?)")
 
+    # Illinois: the secant runs through (lo, f_lo) and (hi, f_hi); an end kept
+    # by two successive secant steps has its f halved, so the next secant
+    # point lands past the root and both ends close in
+    f_lo, f_hi = miss_lo, miss_hi
+    moved = 0   # end replaced by the last secant step: -1 lo, +1 hi
+    halved = True
     while (hi - lo) > rel_width * hi:
-        mid = 0.5 * (lo + hi)
-        miss, zeros, ne = shoot(N, alpha, g, R, mid, rtol=rtol, breakpoints=breakpoints)
-        steps += ne
+        width = hi - lo
+        lam = 0.5 * (lo + hi)
+        secant = halved and count_lo == n - 1 and count_hi == n and miss_lo * miss_hi < 0.0
+        if secant:
+            # keep off the ends: a guess on top of a converged end would leave
+            # the other end where it is
+            nudge = 0.5 * rel_width * hi
+            guess = hi - f_hi * width / (f_hi - f_lo)
+            lam = min(max(guess, lo + nudge), hi - nudge)
+        miss, zeros = at(lam)
         if zeros >= n:
-            hi, miss_hi, count_hi = mid, miss, zeros
+            if secant and moved == 1:
+                f_lo *= 0.5
+            hi, miss_hi, count_hi, f_hi = lam, miss, zeros, miss
         else:
-            lo, miss_lo, count_lo = mid, miss, zeros
+            if secant and moved == -1:
+                f_hi *= 0.5
+            lo, miss_lo, count_lo, f_lo = lam, miss, zeros, miss
+        if secant:
+            moved = 1 if zeros >= n else -1
+        halved = (hi - lo) <= 0.5 * width
 
     certified = (count_lo == n - 1) and (count_hi == n) and (miss_lo * miss_hi < 0.0)
     if not certified:
@@ -172,10 +210,19 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
 
 
 def radial_weight_callable(spec):
-    """Adapt a WeightSpec to the scalar radial callable the oracle expects."""
+    """Adapt a WeightSpec to the radial callable the oracle expects.
+
+    A float radius (numpy's float64 included: solve_ivp passes one per
+    right-hand-side evaluation) goes to the spec's scalar evaluator when it
+    has one; arrays, and weights without one, go through weight_value.
+    """
     from .weights import weight_value
 
+    scalar = spec.scalar
+
     def g(r):
+        if scalar is not None and isinstance(r, float):
+            return scalar(r)
         return weight_value(spec, r)
 
     return g

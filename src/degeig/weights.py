@@ -58,13 +58,23 @@ def _zero(r):
     return np.zeros_like(np.asarray(r, dtype=float))
 
 
+def _check_radius(r):
+    """The scalar form of _as_radii's sign check."""
+    if r < 0.0:
+        raise ValueError("radii must be nonnegative")
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """A radial weight with its explicit admissibility split.
 
     The three evaluators are pointwise nonnegative and vectorized over radii.
     verified_split is False for data-driven weights whose split cannot be
-    checked beyond the sampled range.
+    checked beyond the sampled range. scalar, when set, is g itself at one
+    float radius: bit-identical to weight_value, raising the same error for a
+    negative radius, but free of the array conversions; the shooting oracle
+    calls it once per right-hand-side evaluation. Only weights defined on all
+    radii (r_max = inf) carry one.
     """
 
     name: str
@@ -76,6 +86,7 @@ class WeightSpec:
     r_min: float = 0.0     # evaluable range; nontrivial only for tabulated data
     r_max: float = np.inf
     jumps: tuple = ()      # discontinuity radii (adaptive integrators split there)
+    scalar: Callable = None
 
 
 def weight_split(spec, r):
@@ -109,10 +120,15 @@ def gaussian_bump(amplitude=1.0, width=1.0):
         r = _as_radii(r)
         return amplitude * np.exp(-((r / width) ** 2))
 
+    def scalar(r):
+        _check_radius(r)
+        return amplitude * np.exp(-((r / width) ** 2))
+
     return WeightSpec(
         name="gaussian",
         g_integrable=g1,
         params={"amplitude": amplitude, "width": width},
+        scalar=scalar,
     )
 
 
@@ -129,10 +145,16 @@ def compact_bump(radius=1.0, amplitude=1.0):
         out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
         return out[0] if np.ndim(r) == 0 else out
 
+    def scalar(r):
+        _check_radius(r)
+        s2 = (r / radius) ** 2
+        return amplitude * np.exp(1.0 - 1.0 / (1.0 - s2)) if s2 < 1.0 else 0.0
+
     return WeightSpec(
         name="compact-bump",
         g_integrable=g1,
         params={"radius": radius, "amplitude": amplitude},
+        scalar=scalar,
     )
 
 
@@ -159,6 +181,16 @@ def sign_changing_ring(inner=1.0, outer=2.0, pos_amplitude=1.0, neg_amplitude=-0
         r = _as_radii(r)
         return neg * ((r >= outer) & (r < shell_out)).astype(float)
 
+    pos_value, neg_value = float(pos_amplitude), -float(neg)
+
+    def scalar(r):
+        _check_radius(r)
+        if inner <= r < outer:
+            return pos_value
+        if outer <= r < shell_out:
+            return neg_value
+        return 0.0
+
     return WeightSpec(
         name="ring",
         g_decaying=g2,
@@ -170,6 +202,7 @@ def sign_changing_ring(inner=1.0, outer=2.0, pos_amplitude=1.0, neg_amplitude=-0
             "neg_amplitude": -neg,
         },
         jumps=(inner, outer, shell_out),
+        scalar=scalar,
     )
 
 
@@ -182,8 +215,12 @@ def indicator_ball(radius=1.0):
         r = _as_radii(r)
         return (r < radius).astype(float)
 
+    def scalar(r):
+        _check_radius(r)
+        return 1.0 if r < radius else 0.0
+
     return WeightSpec(name="ball", g_integrable=g1, params={"radius": radius},
-                      jumps=(radius,))
+                      jumps=(radius,), scalar=scalar)
 
 
 def borderline_log(N, alpha):
@@ -194,10 +231,20 @@ def borderline_log(N, alpha):
     def g2(r):
         return borderline_log_radial(r, N, alpha)
 
+    # np.power, not the float ** operator: libm pow differs from numpy's
+    # array power in the last ulp at some radii
+    def scalar(r):
+        _check_radius(r)
+        if r == 0.0:
+            return 1.0
+        return np.power(r, alpha - 2.0) * np.power(
+            np.log(2.0 + np.power(r, 2.0 - alpha)), (alpha - 2.0) / N)
+
     return WeightSpec(
         name="borderline-log",
         g_decaying=g2,
         params={"N": N, "alpha": alpha},
+        scalar=scalar,
     )
 
 

@@ -208,6 +208,39 @@ class TestSolveCommand:
         assert not claim["ok"]
         assert claim["value"] == 0.0
 
+    def test_grid_triple_passes_cluster_claim(self, tmp_path):
+        # the octahedral triple on the cube grid is one cluster whose members
+        # may differ by rounding in either direction; it is a correct result
+        cfg = small_config(
+            tmp_path,
+            **{"problem.geometry": {"mode": "grid3d", "L": 6.0, "n": 11},
+               "problem.solver.k": 5},
+        )
+        out = str(tmp_path / "grid")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        report = json.loads(open(os.path.join(out, "eigen_report.json")).read())
+        assert [2, 3, 4] in report["eigen"]["clusters"]
+        claim = report["claims"]["positive_increasing_across_clusters"]
+        assert claim["ok"] and claim["value"] > claim["bound"]
+
+    def test_cluster_claim_conditions(self):
+        from types import SimpleNamespace
+
+        from degeig.cli import _increasing_across_clusters
+        from degeig.eigensolve import _detect_clusters
+
+        def claim(lams, radial):
+            lam = np.array(lams)
+            seq = SimpleNamespace(lambdas=lam, clusters=_detect_clusters(lam))
+            return _increasing_across_clusters(seq, radial)["ok"]
+
+        triple = [1.0, 2.0, 2.0 * (1.0 - 2e-16), 2.0, 3.0]
+        assert claim(triple, radial=False)
+        assert not claim(triple, radial=True)     # radial eigenvalues are simple
+        assert not claim([1.0, 2.0, 1.5], radial=False)   # a real decrease
+        assert not claim([-1.0, 2.0], radial=True)
+        assert claim([4.0], radial=True)
+
     def test_five_dimensional_solve_meets_bounds(self, tmp_path):
         cfg = small_config(tmp_path, **{"problem.N": 5, "problem.geometry.M": 2000,
                                         "problem.solver.k": 6})

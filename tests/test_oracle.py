@@ -1,7 +1,12 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from degeig import oracle
+from degeig.cli import main
 from degeig.oracle import (
     NoBracketError,
     OracleError,
@@ -117,3 +122,87 @@ class TestShootingEigenvalue:
             res = shooting_eigenvalue(5, 0.7, g, 6.0, n)
             assert res.certified
             assert abs(res.lam - fem[n - 1]) / res.lam <= 5e-3
+
+
+def replay_refinement(lams, results, n):
+    """Check the bracket updates of one shooting_eigenvalue call.
+
+    lams/results are its shots in order. Past the sweep, a step must be the
+    midpoint of the bracket unless the bracket has counts (n-1, n) with
+    opposite misses and the previous step halved it. Returns the number of
+    non-midpoint (secant) steps.
+    """
+    first_hi = next(i for i, (_, z) in enumerate(results) if z >= n)
+    lo, (miss_lo, count_lo) = lams[first_hi - 1], results[first_hi - 1]
+    hi, (miss_hi, count_hi) = lams[first_hi], results[first_hi]
+    halved, secants = True, 0
+    for lam, (miss, zeros) in zip(lams[first_hi + 1:], results[first_hi + 1:]):
+        assert lo < lam < hi
+        certifiable = count_lo == n - 1 and count_hi == n and miss_lo * miss_hi < 0.0
+        if not (halved and certifiable):
+            assert lam == 0.5 * (lo + hi)
+        else:
+            secants += lam != 0.5 * (lo + hi)
+        width = hi - lo
+        if zeros >= n:
+            hi, miss_hi, count_hi = lam, miss, zeros
+        else:
+            lo, miss_lo, count_lo = lam, miss, zeros
+        halved = (hi - lo) <= 0.5 * width
+    return secants
+
+
+class TestRefinement:
+    @staticmethod
+    def record(monkeypatch, shoot_fn):
+        lams, results = [], []
+
+        def recorded(N, alpha, g, R, lam, **kwargs):
+            miss, zeros, nfev = shoot_fn(N, alpha, g, R, lam, **kwargs)
+            lams.append(lam)
+            results.append((miss, zeros))
+            return miss, zeros, nfev
+
+        monkeypatch.setattr(oracle, "shoot", recorded)
+        return lams, results
+
+    def test_certifiable_bracket_takes_secant_steps(self, monkeypatch):
+        # smooth miss with one root; the count steps 0 -> 1 across it
+        lams, results = self.record(
+            monkeypatch, lambda *a, **k: (0.7 - a[4] ** 2, int(a[4] ** 2 > 0.7), 1))
+        res = shooting_eigenvalue(3, 1.0, unit_weight, 1.0, 1)
+        assert res.certified
+        assert abs(res.lam - np.sqrt(0.7)) <= 1e-10 * res.lam
+        assert replay_refinement(lams, results, 1) >= 3
+
+    def test_uncertifiable_bracket_bisects(self, monkeypatch):
+        # the count jumps 0 -> 2 across the root, so the bracket never has
+        # counts (0, 1): every refinement step is a bisection step
+        lams, results = self.record(
+            monkeypatch, lambda *a, **k: (0.7 - a[4] ** 2, 2 * int(a[4] ** 2 > 0.7), 1))
+        res = shooting_eigenvalue(3, 1.0, unit_weight, 1.0, 1)
+        assert not res.certified
+        assert "bracket uncertified" in res.note
+        assert replay_refinement(lams, results, 1) == 0
+        assert res.bracket[1] - res.bracket[0] <= 1e-10 * res.bracket[1]
+
+    def test_oracle_command_shares_one_sweep(self, monkeypatch, tmp_path):
+        # gaussian N=3 alpha=1 R=6, k=3, run the way `degeig oracle` runs it
+        lams, results = self.record(monkeypatch, shoot)
+        cfg = tmp_path / "oracle.json"
+        cfg.write_text(json.dumps({"problem": {
+            "N": 3, "alpha": 1.0, "weight": {"kind": "gaussian"},
+            "geometry": {"mode": "radial", "R": 6.0, "M": 512},
+            "solver": {"k": 3}}}))
+        out = str(tmp_path / "gold")
+        assert main(["oracle", "--config", str(cfg), "--out", out]) == 0
+        entries = json.loads(open(os.path.join(out, "golden.json")).read())["entries"]
+        assert [e["n"] for e in entries] == [1, 2, 3]
+        assert all(e["certified"] for e in entries)
+        assert len(lams) <= 80
+        assert len(set(lams)) == len(lams)   # no lambda shot twice
+
+        g = radial_weight_callable(gaussian_bump())
+        alone = shooting_eigenvalue(3, 1.0, g, 6.0, 2)
+        assert alone.certified
+        assert abs(alone.lam - entries[1]["lambda"]) <= 1e-10 * entries[1]["lambda"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from degeig.oracle import radial_weight_callable
 from degeig.weights import (
     CATALOGUE,
     WeightDomainError,
@@ -162,3 +163,43 @@ class TestConstructorValidation:
             borderline_log(2, 1.0)
         with pytest.raises(ValueError):
             tabulated([0.0, 1.0], [1.0, 2.0], rule="spline")
+
+
+class TestScalarEvaluator:
+    @pytest.mark.parametrize(
+        "name, N, alpha",
+        [(name, 3, 1.0) for name in sorted(CATALOGUE)]
+        + [("borderline-log", 3, 0.5), ("borderline-log", 3, 1.5), ("borderline-log", 5, 0.7)],
+    )
+    def test_bitwise_equal_to_weight_value(self, name, N, alpha):
+        spec = CATALOGUE[name](N, alpha)
+        assert spec.scalar is not None
+        # r = 0, each jump radius exactly and the float just below it
+        edges = [0.0, *spec.jumps, *np.nextafter(spec.jumps, 0.0)]
+        radii = np.concatenate([np.linspace(0.0, 8.0, 10001), np.geomspace(1e-9, 1e3, 10000),
+                                edges])
+        want = np.array([weight_value(spec, r) for r in radii])
+        got = np.array([spec.scalar(r) for r in radii.tolist()], dtype=float)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # what the integrator sees: numpy float64 radii through the oracle adapter
+        g = radial_weight_callable(spec)
+        through = np.array([g(r) for r in radii[::97]], dtype=float)
+        assert np.array_equal(through.view(np.int64), want[::97].view(np.int64))
+
+    def test_negative_radius_raises(self):
+        for name in CATALOGUE:
+            spec = CATALOGUE[name](3, 1.0)
+            with pytest.raises(ValueError):
+                spec.scalar(-1e-3)
+            with pytest.raises(ValueError):
+                radial_weight_callable(spec)(np.float64(-1e-3))
+
+    def test_tabulated_has_no_scalar_and_keeps_range_check(self):
+        spec = tabulated([0.0, 1.0, 2.0], [1.0, 0.5, -0.25])
+        assert spec.scalar is None
+        g = radial_weight_callable(spec)
+        assert g(np.float64(1.5)) == weight_value(spec, 1.5)
+        with pytest.raises(WeightDomainError):
+            g(2.5)
+        with pytest.raises(WeightDomainError):
+            g(np.float64(2.5))
