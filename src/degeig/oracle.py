@@ -33,7 +33,7 @@ class ShootingResult:
     index: int            # interior zeros of the converged mode (= n - 1)
     bracket: tuple        # (lambda_lo, lambda_hi), miss changes sign across it
     steps: int            # right-hand-side evaluations made by this call
-    miss: float           # |u(R)| at the returned lambda
+    miss: float           # |u(R)| at the bracket's lower end, lambda_lo
     certified: bool
     note: str = ""
 

@@ -116,13 +116,15 @@ def gaussian_bump(amplitude=1.0, width=1.0):
     if amplitude <= 0 or width <= 0:
         raise ValueError("gaussian_bump needs positive amplitude and width")
 
+    # s * s, not s ** 2: a 0-d power calls libm pow, which may differ in the last ulp
     def g1(r):
-        r = _as_radii(r)
-        return amplitude * np.exp(-((r / width) ** 2))
+        s = _as_radii(r) / width
+        return amplitude * np.exp(-(s * s))
 
     def scalar(r):
         _check_radius(r)
-        return amplitude * np.exp(-((r / width) ** 2))
+        s = r / width
+        return amplitude * np.exp(-(s * s))
 
     return WeightSpec(
         name="gaussian",
@@ -139,7 +141,8 @@ def compact_bump(radius=1.0, amplitude=1.0):
 
     def g1(r):
         r = _as_radii(r)
-        s2 = np.atleast_1d((r / radius) ** 2)
+        s = np.atleast_1d(r / radius)
+        s2 = s * s
         out = np.zeros_like(s2)
         inside = s2 < 1.0
         out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
@@ -147,7 +150,8 @@ def compact_bump(radius=1.0, amplitude=1.0):
 
     def scalar(r):
         _check_radius(r)
-        s2 = (r / radius) ** 2
+        s = r / radius
+        s2 = s * s
         return amplitude * np.exp(1.0 - 1.0 / (1.0 - s2)) if s2 < 1.0 else 0.0
 
     return WeightSpec(

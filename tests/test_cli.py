@@ -133,6 +133,11 @@ class TestSolveCommand:
         cfg = small_config(tmp_path, **{"problem.alpha": 2.5})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("field", ["restarts", "deflation_tol"])
+    def test_removed_solver_field_is_config_error(self, tmp_path, field):
+        cfg = small_config(tmp_path, **{f"problem.solver.{field}": 1e-14})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
     def test_missing_config(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path / "x")]) == 1
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 1

@@ -186,7 +186,7 @@ class TestSuccessive:
 
     def test_large_operator_branch_indefinite(self, monkeypatch):
         # force the iterative-solve path meant for grids too big to factorize
-        # (CG inner solves, shifted power polish) on an indefinite pencil
+        # (LOBPCG preconditioned by inexact CG) on an indefinite pencil
         import degeig.eigensolve as es
 
         mesh = build_radial_mesh(6.0, 128, 1.0)
@@ -196,6 +196,24 @@ class TestSuccessive:
         seq = es.solve_successive(pair, 3, SolverSettings(k=3, tol=1e-8, max_iter=30000))
         assert np.all(seq.residuals <= 1e-8)
         assert_allclose(seq.lambdas, ref, rtol=1e-6)
+
+    def test_lobpcg_route_converges_on_ring_grid(self, monkeypatch):
+        # the sign-changing ring on a cube grid, with its double eigenvalue:
+        # every pair converges within the cap on the CG route and agrees
+        # with the LU route
+        import degeig.eigensolve as es
+        from degeig.assembly import assemble_grid3d
+        from degeig.mesh import build_grid3d
+
+        pair = assemble_grid3d(build_grid3d(6.0, 19), 1.0, sign_changing_ring())
+        settings = SolverSettings(k=4, tol=1e-9, max_iter=400)
+        ref = es.solve_successive(pair, 4, settings).lambdas
+        monkeypatch.setattr(es, "FACTOR_THRESHOLD", 16)
+        seq = es.solve_successive(pair, 4, settings)
+        assert all(seq.converged)
+        assert not seq.warnings
+        assert np.all(seq.residuals <= 1e-9)
+        assert_allclose(seq.lambdas, ref, rtol=1e-8)
 
 
 class TestVariationalStructure:

@@ -181,6 +181,9 @@ class TestScalarEvaluator:
         want = np.array([weight_value(spec, r) for r in radii])
         got = np.array([spec.scalar(r) for r in radii.tolist()], dtype=float)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # and the array evaluation that assembles the matrices
+        whole = weight_value(spec, radii)
+        assert np.array_equal(whole.view(np.int64), want.view(np.int64))
         # what the integrator sees: numpy float64 radii through the oracle adapter
         g = radial_weight_callable(spec)
         through = np.array([g(r) for r in radii[::97]], dtype=float)
