@@ -1,8 +1,8 @@
 """degeig: eigenvalues of -div(|x|^alpha grad u) = lambda g(x) u on truncated domains.
 
-The positive spectrum of the degenerate pencil is computed by successive
-constrained Rayleigh-quotient minimization with energy-orthogonal deflation,
-cross-checked against a dense generalized eigensolver and an independent
+The positive spectrum of the degenerate pencil is computed as its successive
+constrained Rayleigh-quotient minimizers, which one block eigensolver call
+finds together, cross-checked against a dense generalized eigensolver and an independent
 shooting oracle, and supported by numerical verification of the weighted
 Hardy, Sobolev, and interpolation inequalities the method rests on.
 """

@@ -1,19 +1,18 @@
-"""Positive eigenpairs of the pencil A e = lambda B e by successive minimization.
+"""Positive eigenpairs of the pencil A e = lambda B e as the top of (B, A).
 
 A is the (SPD after Dirichlet elimination) energy matrix, B the g-weighted
-mass matrix, possibly indefinite. The eigenvalues of interest are the
-positive ones; they are found in increasing order by maximizing the inverse
-quotient mu(u) = (u^T B u) / (u^T A u) over the A-orthogonal complement of
-the previously found eigenvectors, which is the exact finite-dimensional
-analogue of minimizing the energy under a unit g-mass constraint and
-energy-orthogonality restrictions. B is never factorized.
+mass matrix, possibly indefinite. The paper's e_n minimizes the energy under
+a unit g-mass constraint, energy-orthogonally to e_1..e_{n-1}; equivalently
+it maximizes mu(u) = (u^T B u) / (u^T A u) there. By Courant-Fischer these
+successive maximizers are the eigenvectors of the k largest mu = 1/lambda of
+B v = mu A v, so one block eigensolver call finds all k and nothing is
+deflated step by step. B is never factorized.
 
-Two routes are provided: solve_dense (one generalized eigh call on the full
-spectrum, the reference for small problems) and solve_successive, which
-maximizes mu on the deflated pencil (P^T B P, A) one pair at a time with one
-scipy call per pair: ARPACK where a sparse LU of A fits (every radial mesh,
-cube grids up to 29^3), LOBPCG preconditioned by inexact Jacobi-CG solves on
-larger cube grids.
+Two routes are provided: solve_dense (one generalized eigh call for the top
+k mu, the reference for small problems) and solve_successive (one ARPACK call
+in the A inner product where a sparse LU of A fits: every radial mesh, cube
+grids up to 29^3; one LOBPCG call preconditioned by inexact Jacobi-CG solves
+on larger cube grids).
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ class SolverSettings:
 
     k: int = 6
     tol: float = 1e-9           # relative weak-form residual target
-    max_iter: int = 8000        # per eigenpair: ARPACK restarts or LOBPCG iterations
+    max_iter: int = 8000        # per solve: ARPACK restarts or LOBPCG iterations
     dense_threshold: int = 2000
     seed: int = 42
 
@@ -58,9 +57,10 @@ class EigenSequence:
 
     vectors holds one B-normalized eigenvector per column. cross_energy and
     cross_mass are the Gram matrices in the energy and mass inner products;
-    their off-diagonals quantify deflation quality. iterations counts, per
-    pair, applications of the deflated operator P^T B P (0 for the dense
-    solve).
+    their off-diagonals quantify orthogonality. iterations holds, per pair,
+    the number of applications of B (one per vector) made by the block call
+    that produced the pair, so every pair of one solve reports the same
+    count (0 for the dense solve).
     """
 
     lambdas: np.ndarray
@@ -208,12 +208,13 @@ def _finalize(pair, lambdas, vectors, iterations, converged, requested,
 
 
 def solve_dense(pair, k, dense_threshold=2000):
-    """Full-spectrum reference solve of the pencil B v = mu A v.
+    """Top-k reference solve of the pencil B v = mu A v.
 
-    One generalized symmetric-definite eigh call; eigenvalues mu > 0 are the
-    reciprocals of the positive pencil eigenvalues, nonpositive directions
-    are discarded. Returns the k smallest positive lambda; fewer when the
-    pencil has fewer positive eigenvalues (reported, not fatal).
+    One generalized symmetric-definite eigh call that computes only the k
+    largest mu and their vectors; mu > 0 are the reciprocals of the smallest
+    positive pencil eigenvalues, nonpositive directions are discarded.
+    Returns the k smallest positive lambda; fewer when the pencil has fewer
+    positive eigenvalues (reported, not fatal).
     """
     n = pair.order
     if n > dense_threshold:
@@ -221,7 +222,8 @@ def solve_dense(pair, k, dense_threshold=2000):
     if k < 1:
         raise ValueError("k must be >= 1")
     try:
-        mu, V = sla.eigh(pair.B.toarray(), pair.A.toarray())
+        mu, V = sla.eigh(pair.B.toarray(), pair.A.toarray(),
+                         subset_by_index=[max(n - k, 0), n - 1])
     except sla.LinAlgError as exc:
         raise SolverError(f"energy matrix is not positive definite: {exc}") from exc
     floor = 1e-12 * max(np.max(np.abs(mu)), np.finfo(float).tiny)
@@ -231,12 +233,11 @@ def solve_dense(pair, k, dense_threshold=2000):
         warnings.append(
             f"pencil has only {pos.size} positive eigenvalues; {k} requested"
         )
-    take = pos[:k]
-    E = V[:, take] / np.sqrt(mu[take])  # v^T A v = 1, so e^T B e = 1
+    E = V[:, pos] / np.sqrt(mu[pos])  # v^T A v = 1, so e^T B e = 1
     lambdas = np.einsum("ij,ij->j", E, pair.A @ E)
     return _finalize(
         pair, lambdas, E,
-        iterations=[0] * take.size, converged=[True] * take.size,
+        iterations=[0] * pos.size, converged=[True] * pos.size,
         requested=k, exhausted=pos.size < k, method="dense", warnings=warnings,
     )
 
@@ -273,27 +274,6 @@ def _linear_solver(pair):
     return solve, False
 
 
-class _Deflator:
-    """A-orthogonal projection against the accumulated eigenvectors."""
-
-    def __init__(self, order):
-        self.vecs = np.zeros((order, 0))
-        self.avecs = np.zeros((order, 0))
-        self.norms = np.zeros(0)
-
-    def add(self, e, Ae):
-        self.vecs = np.column_stack([self.vecs, e])
-        self.avecs = np.column_stack([self.avecs, Ae])
-        self.norms = np.append(self.norms, e @ Ae)
-
-    def __call__(self, v):
-        return v - self.vecs @ ((self.avecs.T @ v) / self.norms)
-
-    def transpose(self, v):
-        """The adjoint projection P^T, so that P^T B P is symmetric."""
-        return v - self.avecs @ ((self.vecs.T @ v) / self.norms)
-
-
 FACTOR_THRESHOLD = 1.5e7  # direct factorizations allowed up to order x bandwidth
 EXHAUSTION_RTOL = 1e-12  # mu at or below this fraction of mu_1 is no positive eigenvalue
 
@@ -311,31 +291,32 @@ def _quotient_state(A, B, u):
     return mu, res
 
 
-def _maximize_quotient(pair, solve, factored, deflate, u0, settings):
-    """Drive one eigenpair: maximize mu = u^T B u / u^T A u on the complement.
+def _maximize_quotient(pair, solve, factored, m, settings):
+    """Maximize mu = u^T B u / u^T A u over m-dimensional subspaces in one call.
 
-    One scipy call finds the largest eigenvalue of the deflated pencil
-    (P^T B P, A). With A factorized it is ARPACK in the A inner product
-    (mode 2), which raises ArpackNoConvergence after settings.max_iter
-    restarts. Otherwise it is LOBPCG preconditioned by the inexact CG solve,
-    for at most settings.max_iter iterations. Deflation lives in the operator,
-    so the eigenvectors already found are zero-quotient directions of it.
-    Convergence is decided on the relative weak-form residual.
+    By Courant-Fischer the maximizers are the m largest eigenpairs of the
+    pencil (B, A). With A factorized, one ARPACK call in the A inner product
+    (mode 2) finds them and raises ArpackNoConvergence after settings.max_iter
+    restarts; otherwise one block LOBPCG call preconditioned by the inexact CG
+    solve runs for at most settings.max_iter iterations. Column n of the start
+    block is seeded by default_rng([seed, n, 0]); ARPACK takes column 0.
+    Returns the Ritz vectors as columns and the number of applications of B.
     """
     A, B = pair.A, pair.B
-    u = deflate(np.asarray(u0, dtype=float))
     applications = 0
 
-    def apply(x):  # LOBPCG passes (n, 1) columns
+    def apply(X):
         nonlocal applications
-        applications += 1
-        return deflate.transpose(B @ deflate(np.ravel(x)))
+        applications += 1 if X.ndim == 1 else X.shape[1]
+        return B @ X
 
     shape = (pair.order, pair.order)
-    op = spla.LinearOperator(shape, matvec=apply, dtype=float)
+    op = spla.LinearOperator(shape, matvec=apply, matmat=apply, dtype=float)
     inv = spla.LinearOperator(shape, matvec=solve, dtype=float)
+    X0 = np.column_stack([np.random.default_rng([settings.seed, n, 0])
+                          .standard_normal(pair.order) for n in range(m)])
     if factored:
-        _, vecs = spla.eigsh(op, 1, M=A, Minv=inv, which="LA", v0=u,
+        _, vecs = spla.eigsh(op, m, M=A, Minv=inv, which="LA", v0=X0[:, 0],
                              maxiter=settings.max_iter)
     else:
         # LOBPCG's tol is absolute; 1e-2 * tol left the relative residual
@@ -343,64 +324,69 @@ def _maximize_quotient(pair, solve, factored, deflate, u0, settings):
         # because solve_successive reports an unconverged pair itself.
         with catch_warnings():
             simplefilter("ignore", UserWarning)
-            _, vecs = spla.lobpcg(op, u[:, None], B=A, M=inv, largest=True,
+            _, vecs = spla.lobpcg(op, X0, B=A, M=inv, largest=True,
                                   tol=1e-2 * settings.tol, maxiter=settings.max_iter)
-    u = deflate(vecs[:, 0])
-    mu, res = _quotient_state(A, B, u)
-    return mu, u, applications, res <= settings.tol, res
+    return vecs, applications
 
 
 def solve_successive(pair, k=None, settings=None):
-    """Compute the k smallest positive eigenpairs by deflated quotient maximization.
+    """Compute the k smallest positive eigenpairs as the k largest mu of (B, A).
 
-    For n = 1..k the quotient mu is maximized over the A-orthogonal
-    complement of the previous eigenvectors, from the start vector seeded by
-    default_rng([seed, n, 0]). A maximum mu at or below EXHAUSTION_RTOL * mu_1
-    (mu <= 0 for the first pair) means the complement holds no positive
-    direction: the positive spectrum is exhausted and a partial sequence is
-    returned, not an error. Eigenvectors are normalized to unit g-mass, so
-    lambda_n equals the energy of e_n by construction; the ground mode is
-    oriented nonnegatively.
+    One _maximize_quotient call asks for min(k, order - 1) pairs (ARPACK
+    needs fewer than the order); each returned pair is then judged on its
+    own. A pair with mu at or below EXHAUSTION_RTOL * mu_1 (mu <= 0 for the
+    first) proves the positive spectrum exhausted: it and all below it are
+    dropped, giving a partial sequence, not an error. A kept pair is
+    converged when its relative weak-form residual is within tol.
+    Eigenvectors are normalized to unit g-mass, so lambda_n equals the energy
+    of e_n by construction; the ground mode is oriented nonnegatively.
     """
     settings = settings or SolverSettings()
     if k is not None:
         settings = SolverSettings(**{**settings.__dict__, "k": k})
     settings.validate()
+    m = min(settings.k, pair.order - 1)
+    if m < 1:
+        raise SolverError("the successive solve needs an order of at least 2")
     solve, factored = _linear_solver(pair)
-    deflate = _Deflator(pair.order)
-    lambdas, vectors, iterations, converged_flags = [], [], [], []
+    try:
+        vecs, applications = _maximize_quotient(pair, solve, factored, m, settings)
+    except spla.ArpackNoConvergence as exc:
+        done = len(exc.eigenvalues)
+        raise SolverError(
+            f"pair {done + 1}: ARPACK did not converge within {settings.max_iter} "
+            f"restarts ({done} of {m} pairs converged)"
+        ) from exc
+    states = [_quotient_state(pair.A, pair.B, vecs[:, j]) for j in range(vecs.shape[1])]
+    lambdas, vectors, converged_flags = [], [], []
     warnings = []
     exhausted = False
-    for n in range(settings.k):
-        u0 = np.random.default_rng([settings.seed, n, 0]).standard_normal(pair.order)
-        try:
-            mu, u, iters, ok, res = _maximize_quotient(
-                pair, solve, factored, deflate, u0, settings)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(
-                f"pair {n + 1}: ARPACK did not converge within {settings.max_iter} restarts"
-            ) from exc
-        floor = EXHAUSTION_RTOL / lambdas[0] if lambdas else 0.0
-        if mu <= floor:
+    for j in sorted(range(len(states)), key=lambda j: -states[j][0]):
+        n = len(lambdas) + 1
+        mu, res = states[j]
+        if mu <= (EXHAUSTION_RTOL / lambdas[0] if lambdas else 0.0):
             exhausted = True
             warnings.append(
-                f"no further positive eigenvalue found (found {len(lambdas)} of {settings.k})"
+                f"no further positive eigenvalue found (found {n - 1} of {settings.k})"
             )
             break
+        ok = res <= settings.tol
         if not ok:
             stop = "stalled after ARPACK converged" if factored else "hit the iteration cap"
-            warnings.append(f"pair {n + 1} {stop} at residual {res:.3e} (tol {settings.tol:.0e})")
-        bnorm = u @ (pair.B @ u)
-        e = u / np.sqrt(bnorm)
-        Ae = pair.A @ e
-        lambdas.append(float(e @ Ae))
+            warnings.append(f"pair {n} {stop} at residual {res:.3e} (tol {settings.tol:.0e})")
+        u = vecs[:, j]
+        e = u / np.sqrt(u @ (pair.B @ u))
+        lambdas.append(float(e @ (pair.A @ e)))
         vectors.append(e)
-        iterations.append(iters)
         converged_flags.append(ok)
-        deflate.add(e, Ae)
+    if m < settings.k and not exhausted:
+        warnings.append(
+            f"k = {settings.k} capped at order - 1 = {m}: the block eigensolver "
+            f"returns fewer pairs than the order, so pair {m + 1} was not computed"
+        )
     vectors = np.column_stack(vectors) if lambdas else np.zeros((pair.order, 0))
     return _finalize(
-        pair, lambdas, vectors, iterations, converged_flags,
+        pair, lambdas, vectors, [applications] * len(lambdas), converged_flags,
         requested=settings.k, exhausted=exhausted, method="successive",
         warnings=warnings,
     )

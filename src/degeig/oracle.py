@@ -3,10 +3,11 @@
 Solves -(r^(alpha+N-1) u')' = lambda g(r) r^(N-1) u on (0, R) with u(R) = 0 by
 adaptive integration of the first-order system in (u, v), v = r^(alpha+N-1) u'
 being the weighted flux. The n-th eigenvalue is bracketed by sweeping lambda
-until the interior zero count of u reaches n, then narrowed by a secant on
-the terminal miss u(R) with bisection as its safeguard, and certified by the
-count transition and miss sign change across the final bracket. This path
-shares nothing with the matrix solvers and serves as their golden reference.
+upward from the weighted-Hardy lower bound of lambda_1 until the interior
+zero count of u reaches n, then narrowed by a secant on the terminal miss
+u(R) with bisection as its safeguard, and certified by the count transition
+and miss sign change across the final bracket. This path shares nothing with
+the matrix solvers and serves as their golden reference.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .inequalities import hardy_constant
 from .quadrature import fixed_quad
 
 RESCALE_LIMIT = 1e120  # rescale the state when it grows past this
@@ -125,11 +127,14 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
         return shots[lam]
 
     if lam_start is None:
+        # weighted Hardy: integral g u^2 <= sup(g+ r^(2-alpha)) * C_H * energy,
+        # so lambda_1 >= 1 / (C_H sup g+ r^(2-alpha)); a sample that reads the
+        # sup low only starts higher, which the shrink loop below corrects
         sample = np.geomspace(1e-3 * R, R, 64)
-        gmax = float(np.max(np.abs(g(sample))))
-        if gmax == 0.0:
-            raise OracleError("weight vanishes on the sampled domain")
-        lam_start = 1e-3 / (gmax * R ** (2.0 - alpha))
+        peak = float(np.max(np.maximum(g(sample), 0.0) * sample ** (2.0 - alpha)))
+        if peak == 0.0:
+            raise NoBracketError("the weight has no positive part on the sampled domain")
+        lam_start = 1.0 / (hardy_constant(N, alpha) * peak)
 
     notes = []
     lam = lam_start

@@ -129,6 +129,26 @@ class TestSolveCommand:
         r2 = strip_meta(os.path.join(out2, "eigen_report.json"))
         assert r1 == r2
 
+    def test_deterministic_reports_across_processes(self, tmp_path):
+        # ring M=8192 k=24, each run in its own interpreter: the reports must
+        # agree outside meta, which a per-pair ARPACK loop did not achieve
+        import subprocess
+        import sys
+
+        import degeig
+
+        cfg = small_config(tmp_path, **{
+            "problem.weight.kind": "ring", "problem.geometry.M": 8192,
+            "problem.solver.k": 24})
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(degeig.__file__))}
+        reports = []
+        for run in ("a", "b"):
+            out = str(tmp_path / run)
+            subprocess.run([sys.executable, "-m", "degeig.cli", "solve", "--config", cfg,
+                            "--out", out], env=env, check=True, capture_output=True)
+            reports.append(strip_meta(os.path.join(out, "eigen_report.json")))
+        assert reports[0] == reports[1]
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = small_config(tmp_path, **{"problem.alpha": 2.5})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1

@@ -62,6 +62,29 @@ class TestDense:
         with pytest.raises(SolverError):
             solve_dense(pair, 1)
 
+    def test_top_k_between_positive_count_and_order(self):
+        # ring M=64 has 12 positive pairs: k=40 asks for more than exist but
+        # fewer than the order, so the top-40 call must still find all 12
+        mesh = build_radial_mesh(6.0, 64, 1.0)
+        pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
+        full = solve_dense(pair, pair.order)
+        seq = solve_dense(pair, 40)
+        assert full.count == 12
+        assert seq.count == full.count
+        assert seq.exhausted and full.exhausted
+        assert_allclose(seq.lambdas, full.lambdas, rtol=1e-12)
+
+    def test_one_eigh_call(self, monkeypatch):
+        import degeig.eigensolve as es
+
+        calls = []
+        real = es.sla.eigh
+        monkeypatch.setattr(es.sla, "eigh", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+        pair = assemble_radial(build_radial_mesh(6.0, 96, 1.09), 3, 1.0, gaussian_bump())
+        assert solve_dense(pair, 5).count == 5
+        assert len(calls) == 1
+        assert calls[0]["subset_by_index"] == [pair.order - 5, pair.order - 1]
+
     def test_cluster_detection(self):
         pair = toy_pair(np.eye(3), np.diag([1.0, 1.0, 0.5]))
         seq = solve_dense(pair, 3)
@@ -161,6 +184,38 @@ class TestSuccessive:
         with pytest.raises(SolverError, match="pair 1"):
             es.solve_successive(pair, 2)
 
+    def test_real_arpack_no_convergence_is_solver_error(self):
+        # one restart is too few for 24 ring pairs on M=512
+        mesh = build_radial_mesh(6.0, 512, grading_for_span(512, 1e4))
+        pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
+        with pytest.raises(SolverError, match="did not converge within 1 restarts"):
+            solve_successive(pair, 24, SolverSettings(k=24, max_iter=1))
+
+    @pytest.mark.parametrize("factor_threshold", [None, 16])
+    def test_one_eigensolver_call_for_all_pairs(self, monkeypatch, factor_threshold):
+        import degeig.eigensolve as es
+
+        name = "eigsh" if factor_threshold is None else "lobpcg"
+        if factor_threshold is not None:
+            monkeypatch.setattr(es, "FACTOR_THRESHOLD", factor_threshold)
+        calls = []
+        real = getattr(es.spla, name)
+        monkeypatch.setattr(es.spla, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        pair = assemble_radial(build_radial_mesh(6.0, 128, 1.0), 3, 1.0, gaussian_bump())
+        seq = es.solve_successive(pair, 4, SolverSettings(k=4, tol=1e-8, max_iter=2000))
+        assert seq.count == 4 and all(seq.converged)
+        assert len(calls) == 1
+        assert len(set(seq.iterations)) == 1 and seq.iterations[0] > 0
+
+    def test_k_at_least_order_warns_of_cap(self):
+        # ARPACK needs fewer pairs than the order; every pair is positive here,
+        # so the missing one cannot be told apart from exhaustion and is named
+        pair = toy_pair(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.eye(5))
+        seq = solve_successive(pair, 7)
+        assert_allclose(seq.lambdas, [1.0, 2.0, 3.0, 4.0], rtol=1e-12)
+        assert not seq.exhausted
+        assert any("capped at order - 1 = 4" in w for w in seq.warnings)
+
     def test_route_chosen_by_fill(self):
         from degeig.assembly import assemble_grid3d
         from degeig.eigensolve import _factorizes
@@ -196,6 +251,19 @@ class TestSuccessive:
         seq = es.solve_successive(pair, 3, SolverSettings(k=3, tol=1e-8, max_iter=30000))
         assert np.all(seq.residuals <= 1e-8)
         assert_allclose(seq.lambdas, ref, rtol=1e-6)
+
+    def test_lu_route_converges_on_ring_grid(self):
+        # the double eigenvalue 6.0936 of the ring on grid 19^3: a per-pair
+        # ARPACK loop left its first member at residual 2.0e-9
+        from degeig.assembly import assemble_grid3d
+        from degeig.mesh import build_grid3d
+
+        pair = assemble_grid3d(build_grid3d(6.0, 19), 1.0, sign_changing_ring())
+        seq = solve_successive(pair, 4, SolverSettings(k=4, tol=1e-9, max_iter=400))
+        assert seq.count == 4
+        assert all(seq.converged)
+        assert not seq.warnings
+        assert np.all(seq.residuals <= 1e-9)
 
     def test_lobpcg_route_converges_on_ring_grid(self, monkeypatch):
         # the sign-changing ring on a cube grid, with its double eigenvalue:

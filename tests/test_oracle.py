@@ -14,7 +14,7 @@ from degeig.oracle import (
     shoot,
     shooting_eigenvalue,
 )
-from degeig.weights import gaussian_bump
+from degeig.weights import CATALOGUE, gaussian_bump
 
 
 def unit_weight(r):
@@ -124,19 +124,31 @@ class TestShootingEigenvalue:
             assert abs(res.lam - fem[n - 1]) / res.lam <= 5e-3
 
 
-def replay_refinement(lams, results, n):
+def replay_refinement(lams, results, n, growth=1.6):
     """Check the bracket updates of one shooting_eigenvalue call.
 
-    lams/results are its shots in order. Past the sweep, a step must be the
-    midpoint of the bracket unless the bracket has counts (n-1, n) with
-    opposite misses and the previous step halved it. Returns the number of
-    non-midpoint (secant) steps.
+    lams/results are its shots in order, the first at the sweep start. The
+    sweep is replayed on the recorded shots (shrink by growth^2 while the
+    count is n or more, then grow by growth until it is), which gives the
+    bracket it ends on and the number of distinct lambdas it shot. Past the
+    sweep, a step must be the midpoint of the bracket unless the bracket has
+    counts (n-1, n) with opposite misses and the previous step halved it.
+    Returns the number of non-midpoint (secant) steps.
     """
-    first_hi = next(i for i, (_, z) in enumerate(results) if z >= n)
-    lo, (miss_lo, count_lo) = lams[first_hi - 1], results[first_hi - 1]
-    hi, (miss_hi, count_hi) = lams[first_hi], results[first_hi]
+    shots = dict(zip(lams, results))
+    lam = lams[0]
+    swept = {lam}
+    while shots[lam][1] >= n:
+        lam /= growth**2
+        swept.add(lam)
+    while shots[lam][1] < n:
+        lo = lam
+        lam *= growth
+        swept.add(lam)
+    hi = lam
+    (miss_lo, count_lo), (miss_hi, count_hi) = shots[lo], shots[hi]
     halved, secants = True, 0
-    for lam, (miss, zeros) in zip(lams[first_hi + 1:], results[first_hi + 1:]):
+    for lam, (miss, zeros) in zip(lams[len(swept):], results[len(swept):]):
         assert lo < lam < hi
         certifiable = count_lo == n - 1 and count_hi == n and miss_lo * miss_hi < 0.0
         if not (halved and certifiable):
@@ -186,6 +198,18 @@ class TestRefinement:
         assert replay_refinement(lams, results, 1) == 0
         assert res.bracket[1] - res.bracket[0] <= 1e-10 * res.bracket[1]
 
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    def test_sweep_starts_within_a_decade_below_lambda1(self, monkeypatch, name):
+        # the weighted-Hardy start is a lower bound of lambda_1 (count 0) and,
+        # on the catalogue weights, not far below it
+        spec = CATALOGUE[name](3, 1.0)
+        lams, results = self.record(monkeypatch, shoot)
+        res = shooting_eigenvalue(3, 1.0, radial_weight_callable(spec), 6.0, 1,
+                                  breakpoints=spec.jumps)
+        assert res.certified
+        assert results[0][1] == 0
+        assert lams[0] >= res.lam / 10
+
     def test_oracle_command_shares_one_sweep(self, monkeypatch, tmp_path):
         # gaussian N=3 alpha=1 R=6, k=3, run the way `degeig oracle` runs it
         lams, results = self.record(monkeypatch, shoot)
@@ -199,7 +223,7 @@ class TestRefinement:
         entries = json.loads(open(os.path.join(out, "golden.json")).read())["entries"]
         assert [e["n"] for e in entries] == [1, 2, 3]
         assert all(e["certified"] for e in entries)
-        assert len(lams) <= 80
+        assert len(lams) <= 60
         assert len(set(lams)) == len(lams)   # no lambda shot twice
 
         g = radial_weight_callable(gaussian_bump())
