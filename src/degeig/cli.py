@@ -127,22 +127,15 @@ def _golden_claim(path, seq, problem, bound=1e-2):
 
 
 def _write_vectors_csv(path, pair, seq):
-    k = seq.count
-    headers = ["e%d" % (i + 1) for i in range(k)]
+    headers = ["e%d" % (i + 1) for i in range(seq.count)]
     if pair.mode == "radial":
         nodes = pair.geometry.nodes
-        rows = []
-        for i, r in enumerate(nodes):
-            vals = [seq.vectors[i, j] if i < pair.order else 0.0 for j in range(k)]
-            rows.append([r] + vals)
-        write_csv(path, ["r"] + headers, rows)
+        padded = np.zeros((nodes.size, seq.count))  # the Dirichlet node is zero
+        padded[:pair.order] = seq.vectors
+        write_csv(path, ["r"] + headers, np.column_stack([nodes, padded]))
     else:
-        pts = pair.dof_positions
-        rows = [
-            list(pts[i]) + [seq.vectors[i, j] for j in range(k)]
-            for i in range(pair.order)
-        ]
-        write_csv(path, ["x", "y", "z"] + headers, rows)
+        write_csv(path, ["x", "y", "z"] + headers,
+                  np.column_stack([pair.dof_positions, seq.vectors]))
 
 
 def cmd_solve(run, out_dir):
@@ -174,6 +167,7 @@ def cmd_solve(run, out_dir):
         "diagnostics": {
             "dense": dense_seq.to_report() if dense_seq is not None else None,
             "seed": run.seed,
+            "residual_floors": [float(f) for f in seq.residual_floors],
         },
         "meta": run_meta(),
     }

@@ -11,8 +11,8 @@ deflated step by step. B is never factorized.
 Two routes are provided: solve_dense (one generalized eigh call for the top
 k mu, the reference for small problems) and solve_successive (one ARPACK call
 in the A inner product where a sparse LU of A fits: every radial mesh, cube
-grids up to 29^3; one LOBPCG call preconditioned by inexact Jacobi-CG solves
-on larger cube grids).
+grids up to 29^3; one LOBPCG call preconditioned by inexact CG solves on
+larger cube grids, each CG preconditioned by a geometric multigrid V-cycle).
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +60,8 @@ class EigenSequence:
     their off-diagonals quantify orthogonality. iterations holds, per pair,
     the number of applications of B (one per vector) made by the block call
     that produced the pair, so every pair of one solve reports the same
-    count (0 for the dense solve).
+    count (0 for the dense solve). residual_floors holds, per pair, the
+    rounding floor of its residual (_residual_floors).
     """
 
     lambdas: np.ndarray
@@ -75,6 +76,7 @@ class EigenSequence:
     method: str
     clusters: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    residual_floors: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def count(self):
@@ -173,8 +175,26 @@ def _order_inside_clusters(lambdas, vectors, clusters):
     return order
 
 
-def _finalize(pair, lambdas, vectors, iterations, converged, requested,
-              exhausted, method, warnings=None):
+def _residual_floors(pair, lambdas, vectors, AV):
+    """Rounding floor of each relative residual, eps ||(|A| + lambda |B|) |e|||/||A e||.
+
+    The size of the rounding error in evaluating A e - lambda B e: a residual
+    near it cannot be reduced by further iteration.
+    """
+    absV = np.abs(vectors)
+    F = abs(pair.A) @ absV + (abs(pair.B) @ absV) * lambdas
+    return np.finfo(float).eps * np.linalg.norm(F, axis=0) / np.linalg.norm(AV, axis=0)
+
+
+def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method,
+              warnings=(), tol=None, factored=True):
+    """Order, orient and measure the pairs; judge them against tol if given.
+
+    A pair is converged when its relative residual is within tol (always
+    without tol). An unconverged pair is warned about as at its rounding
+    floor when its residual is within FLOOR_MARGIN of it, otherwise by the
+    route's stopping reason; pair warnings precede the given ones.
+    """
     lambdas = np.asarray(lambdas, dtype=float)
     k = lambdas.size
     vectors = np.asarray(vectors, dtype=float).reshape(pair.order, k) if k else np.zeros((pair.order, 0))
@@ -182,28 +202,35 @@ def _finalize(pair, lambdas, vectors, iterations, converged, requested,
     order = _order_inside_clusters(lambdas, vectors, clusters)
     lambdas = lambdas[order]
     vectors = vectors[:, order]
-    iterations = [iterations[i] for i in order]
-    converged = [converged[i] for i in order]
     for i in range(k):
         vectors[:, i] = _fix_sign(pair, vectors[:, i], first_mode=(i == 0))
     AV = pair.A @ vectors if k else vectors
     BV = pair.B @ vectors if k else vectors
-    cross_a = vectors.T @ AV
-    cross_b = vectors.T @ BV
     resid = np.array([residual(pair, lambdas[i], vectors[:, i]) for i in range(k)])
+    floors = _residual_floors(pair, lambdas, vectors, AV) if k else np.zeros(0)
+    converged = [tol is None or bool(r <= tol) for r in resid]
+    stop = "stalled after ARPACK converged" if factored else "hit the iteration cap"
+    pair_warnings = [
+        f"pair {i + 1} is at its rounding floor: residual {resid[i]:.3e} is "
+        f"{resid[i] / floors[i]:.1f} times the floor {floors[i]:.3e} (tol {tol:.0e})"
+        if resid[i] <= FLOOR_MARGIN * floors[i] else
+        f"pair {i + 1} {stop} at residual {resid[i]:.3e} (tol {tol:.0e})"
+        for i in range(k) if not converged[i]
+    ]
     return EigenSequence(
         lambdas=lambdas,
         vectors=vectors,
         residuals=resid,
-        cross_energy=cross_a,
-        cross_mass=cross_b,
-        iterations=iterations,
+        cross_energy=vectors.T @ AV,
+        cross_mass=vectors.T @ BV,
+        iterations=[applications] * k,
         converged=converged,
         requested=requested,
         exhausted=exhausted,
         method=method,
-        clusters=_detect_clusters(lambdas),
-        warnings=warnings or [],
+        clusters=clusters,
+        warnings=pair_warnings + list(warnings),
+        residual_floors=floors,
     )
 
 
@@ -235,11 +262,8 @@ def solve_dense(pair, k, dense_threshold=2000):
         )
     E = V[:, pos] / np.sqrt(mu[pos])  # v^T A v = 1, so e^T B e = 1
     lambdas = np.einsum("ij,ij->j", E, pair.A @ E)
-    return _finalize(
-        pair, lambdas, E,
-        iterations=[0] * pos.size, converged=[True] * pos.size,
-        requested=k, exhausted=pos.size < k, method="dense", warnings=warnings,
-    )
+    return _finalize(pair, lambdas, E, 0, requested=k, exhausted=pos.size < k,
+                     method="dense", warnings=warnings)
 
 
 def _factorizes(A):
@@ -249,21 +273,78 @@ def _factorizes(A):
     return A.shape[0] * bandwidth <= FACTOR_THRESHOLD
 
 
+def _interpolation(shape):
+    """Linear interpolation onto the dof array of this shape from the one
+    halved along every axis, as a sparse matrix.
+
+    The tensor product of the 1-D rule: fine point 2j+1 takes coarse point j
+    with weight 1, its neighbours 2j and 2j+2 with weight 1/2. Dofs are
+    raveled in C order, as interior_points orders them. Returns (P, coarse
+    shape).
+    """
+    P = sp.identity(1, format="csr")
+    for s in shape:
+        j = np.arange(s // 2)
+        rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+        keep = rows < s
+        vals = np.repeat([1.0, 0.5, 0.5], j.size)
+        P1 = sp.csr_matrix((vals[keep], (rows[keep], np.tile(j, 3)[keep])),
+                           shape=(s, j.size))
+        P = sp.kron(P, P1, format="csr")
+    return P, tuple(s // 2 for s in shape)
+
+
+def _vcycle(A, shape):
+    """Symmetric multigrid V-cycle for A as a LinearOperator.
+
+    Coarse operators are Galerkin products P^T A P of _interpolation, so no
+    level is rediscretized. Each level smooths with SMOOTHING_SWEEPS damped
+    Jacobi sweeps before and after its coarse correction; the coarsest
+    (order at most COARSEST_ORDER) is solved exactly with a dense inverse.
+    Pre- and post-smoothing mirror each other, so the cycle is a fixed SPD
+    operator and a valid CG preconditioner.
+    """
+    order = A.shape[0]
+    levels = []
+    while A.shape[0] > COARSEST_ORDER:
+        P, shape = _interpolation(shape)
+        levels.append((A, SMOOTHING_WEIGHT / A.diagonal(), P))
+        A = (P.T @ A @ P).tocsr()
+    inv = np.linalg.inv(A.toarray())
+    inv = 0.5 * (inv + inv.T)
+
+    def cycle(b, level=0):
+        if level == len(levels):
+            return inv @ b
+        A, d, P = levels[level]
+        x = d * b
+        for _ in range(SMOOTHING_SWEEPS - 1):
+            x += d * (b - A @ x)
+        x += P @ cycle(P.T @ (b - A @ x), level + 1)
+        for _ in range(SMOOTHING_SWEEPS):
+            x += d * (b - A @ x)
+        return x
+
+    return spla.LinearOperator((order, order), matvec=cycle, dtype=float)
+
+
 def _linear_solver(pair):
     """Application of A^{-1}, exact or approximate, and which of the two.
 
     Sparse LU where _factorizes allows it. Above (memory-bound 3-d grids) an
-    inexact preconditioner: Jacobi-preconditioned CG to relative residual 0.1.
-    Returns (solve, factored).
+    inexact solve: CG to relative residual 0.1, preconditioned by one
+    multigrid V-cycle (_vcycle) over the dof array, (n - 2)^3 on the cube
+    grid and 1-D otherwise. Returns (solve, factored).
     """
-    A = pair.A.tocsc()
+    A = pair.A
     if _factorizes(A):
         try:
-            lu = spla.splu(A)
+            lu = spla.splu(A.tocsc())
         except RuntimeError as exc:
             raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
         return lu.solve, True
-    M = sp.diags(1.0 / A.diagonal())
+    shape = (pair.geometry.n - 2,) * 3 if pair.mode == "grid3d" else (pair.order,)
+    M = _vcycle(A, shape)
 
     def solve(b):
         x, info = spla.cg(A, b, rtol=0.1, atol=0.0, M=M)
@@ -275,20 +356,11 @@ def _linear_solver(pair):
 
 
 FACTOR_THRESHOLD = 1.5e7  # direct factorizations allowed up to order x bandwidth
+COARSEST_ORDER = 200  # the multigrid hierarchy solves this order and below densely
+SMOOTHING_WEIGHT = 0.8  # damped Jacobi
+SMOOTHING_SWEEPS = 2  # before and after each coarse correction
 EXHAUSTION_RTOL = 1e-12  # mu at or below this fraction of mu_1 is no positive eigenvalue
-
-
-def _quotient_state(A, B, u):
-    Au = A @ u
-    Bu = B @ u
-    mu = (u @ Bu) / (u @ Au)
-    if mu > 0.0:
-        nAu = np.linalg.norm(Au)
-        res = np.linalg.norm(Au - Bu / mu) / nAu if nAu > 0 else np.inf
-    else:
-        nBu = np.linalg.norm(Bu)
-        res = np.linalg.norm(Bu - mu * Au) / max(nBu, np.finfo(float).tiny)
-    return mu, res
+FLOOR_MARGIN = 10.0  # a residual within this factor of its rounding floor is at the floor
 
 
 def _maximize_quotient(pair, solve, factored, m, settings):
@@ -357,28 +429,21 @@ def solve_successive(pair, k=None, settings=None):
             f"pair {done + 1}: ARPACK did not converge within {settings.max_iter} "
             f"restarts ({done} of {m} pairs converged)"
         ) from exc
-    states = [_quotient_state(pair.A, pair.B, vecs[:, j]) for j in range(vecs.shape[1])]
-    lambdas, vectors, converged_flags = [], [], []
+    masses = [u @ (pair.B @ u) for u in vecs.T]
+    mus = [b / (u @ (pair.A @ u)) for b, u in zip(masses, vecs.T)]
+    lambdas, vectors = [], []
     warnings = []
     exhausted = False
-    for j in sorted(range(len(states)), key=lambda j: -states[j][0]):
-        n = len(lambdas) + 1
-        mu, res = states[j]
-        if mu <= (EXHAUSTION_RTOL / lambdas[0] if lambdas else 0.0):
+    for j in sorted(range(len(mus)), key=lambda j: -mus[j]):
+        if mus[j] <= (EXHAUSTION_RTOL / lambdas[0] if lambdas else 0.0):
             exhausted = True
             warnings.append(
-                f"no further positive eigenvalue found (found {n - 1} of {settings.k})"
+                f"no further positive eigenvalue found (found {len(lambdas)} of {settings.k})"
             )
             break
-        ok = res <= settings.tol
-        if not ok:
-            stop = "stalled after ARPACK converged" if factored else "hit the iteration cap"
-            warnings.append(f"pair {n} {stop} at residual {res:.3e} (tol {settings.tol:.0e})")
-        u = vecs[:, j]
-        e = u / np.sqrt(u @ (pair.B @ u))
+        e = vecs[:, j] / np.sqrt(masses[j])
         lambdas.append(float(e @ (pair.A @ e)))
         vectors.append(e)
-        converged_flags.append(ok)
     if m < settings.k and not exhausted:
         warnings.append(
             f"k = {settings.k} capped at order - 1 = {m}: the block eigensolver "
@@ -386,9 +451,9 @@ def solve_successive(pair, k=None, settings=None):
         )
     vectors = np.column_stack(vectors) if lambdas else np.zeros((pair.order, 0))
     return _finalize(
-        pair, lambdas, vectors, [applications] * len(lambdas), converged_flags,
-        requested=settings.k, exhausted=exhausted, method="successive",
-        warnings=warnings,
+        pair, lambdas, vectors, applications, requested=settings.k,
+        exhausted=exhausted, method="successive", warnings=warnings,
+        tol=settings.tol, factored=factored,
     )
 
 
@@ -417,7 +482,7 @@ class GrowthReport:
     plus_mass_values: np.ndarray  # integral of g^+ f_n^2
     identity_gaps: np.ndarray     # |1/lambda_n - integral g f_n^2|
     bound_margins: np.ndarray     # integral g^+ f_n^2 - 1/lambda_n
-    strictly_increasing: bool
+    strictly_increasing: bool     # each cluster lies above the previous one
     ratios: np.ndarray            # lambda_n / lambda_1
 
     def to_dict(self):
@@ -447,7 +512,8 @@ def growth_diagnostics(seq, pair):
         mass_vals[i] = f @ (pair.B @ f)
         plus_vals[i] = mass_plus_inner(pair, f)
     inv = 1.0 / lam
-    increasing = bool(np.all(np.diff(lam) > CLUSTER_RTOL * lam[1:])) if seq.count > 1 else True
+    starts = np.array([c[0] for c in seq.clusters[1:]], dtype=int)
+    increasing = bool(np.all(np.diff(lam)[starts - 1] > CLUSTER_RTOL * lam[starts]))
     return GrowthReport(
         lambdas=lam.copy(),
         unit_energy=unit_energy,

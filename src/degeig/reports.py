@@ -66,13 +66,13 @@ def run_meta():
 
 
 def write_csv(path, header, rows):
-    """CSV with a header row; floats printed with 17 significant digits."""
-    def cell(v):
-        if isinstance(v, (float, np.floating)):
-            return "%.17g" % v
-        return str(v)
+    """CSV with a header row; every value printed with 17 significant digits.
 
+    The rows are converted to one float table and formatted in one call, so
+    an integral value such as a mesh size prints as an integer ("%.17g").
+    """
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+        fh.write(line * len(table) % tuple(table.ravel().tolist()))

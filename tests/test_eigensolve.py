@@ -283,6 +283,78 @@ class TestSuccessive:
         assert np.all(seq.residuals <= 1e-9)
         assert_allclose(seq.lambdas, ref, rtol=1e-8)
 
+    def test_stall_at_rounding_floor_named(self):
+        # on the graded M=32768 mesh ARPACK pairs stop above tol at their
+        # rounding floor eps ||(|A| + lambda |B|) |e||| / ||A e||; the
+        # warning says so, and the pair still counts as unconverged
+        mesh = build_radial_mesh(6.0, 32768, grading_for_span(32768, 1e4))
+        pair = assemble_radial(mesh, 3, 1.0, gaussian_bump())
+        seq = solve_successive(pair, 2)
+        assert seq.residual_floors.shape == (2,)
+        stalled = [i for i in range(2) if not seq.converged[i]]
+        assert stalled, "expected a pair above tol 1e-9 on this mesh"
+        for i in stalled:
+            assert seq.residuals[i] <= 10.0 * seq.residual_floors[i]
+            assert any(w.startswith(f"pair {i + 1} is at its rounding floor") for w in seq.warnings)
+        assert not any("stalled after ARPACK" in w for w in seq.warnings)
+
+
+def _grid_pair(n):
+    from degeig.assembly import assemble_grid3d
+    from degeig.mesh import build_grid3d
+
+    return assemble_grid3d(build_grid3d(6.0, n), 1.0, gaussian_bump())
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("kind", ["grid", "radial"])
+    def test_vcycle_symmetric_positive(self, monkeypatch, kind):
+        # a coarse cutoff of 8 gives several levels on both dof shapes
+        import degeig.eigensolve as es
+
+        monkeypatch.setattr(es, "COARSEST_ORDER", 8)
+        if kind == "grid":
+            pair, shape = _grid_pair(15), (13, 13, 13)
+        else:
+            mesh = build_radial_mesh(6.0, 64, 1.0)
+            pair, shape = assemble_radial(mesh, 3, 1.0, gaussian_bump()), (64,)
+        M = es._vcycle(pair.A.tocsr(), shape)
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((pair.order, 8))
+        X[:, 0] = (-1.0) ** np.arange(pair.order)  # highest frequency the smoother sees
+        MX = np.column_stack([M.matvec(x) for x in X.T])
+        G = X.T @ MX
+        assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
+        assert np.all(np.diag(G) > 0.0)
+        if kind == "radial":
+            dense = np.column_stack([M.matvec(e) for e in np.eye(pair.order)])
+            assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
+            assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+
+    @pytest.mark.parametrize("n, k", [(21, 6), (31, 2), (41, 1)])
+    def test_cg_iterations_per_inner_solve_flat(self, monkeypatch, n, k):
+        # one V-cycle preconditioner brings inner CG to relative residual 0.1
+        # in at most two iterations at every grid size (Jacobi: 9 to 21)
+        import degeig.eigensolve as es
+
+        pair = _grid_pair(n)
+        settings = SolverSettings(k=k, tol=1e-9, max_iter=400)
+        ref = es.solve_successive(pair, k, settings).lambdas if n == 21 else None
+        if n == 21:
+            monkeypatch.setattr(es, "FACTOR_THRESHOLD", 16)
+        calls, iters = [], []
+        real = es.spla.cg
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, callback=lambda x: iters.append(1), **kwargs)
+
+        monkeypatch.setattr(es.spla, "cg", counted)
+        seq = es.solve_successive(pair, k, settings)
+        assert calls and len(iters) / len(calls) <= 2.0
+        if ref is not None:
+            assert_allclose(seq.lambdas, ref, rtol=1e-8)
+
 
 class TestVariationalStructure:
     def test_quotient_scale_invariance(self, gaussian_pair_512, rng):
@@ -332,6 +404,20 @@ class TestGrowthDiagnostics:
         # integral of g^+ f^2 strictly exceeds 1/lambda when g^- is active
         assert np.all(rep.bound_margins >= -1e-12)
         assert rep.to_dict()["strictly_increasing"]
+
+    def test_strictly_increasing_judged_across_clusters(self):
+        # a rounding-level dip inside the octahedral triple is no decrease;
+        # equal values in separate clusters are
+        from dataclasses import replace
+
+        pair = _grid_pair(11)
+        seq = solve_successive(pair, 5)
+        assert seq.clusters == [[0], [1], [2, 3, 4]]
+        lam = seq.lambdas.copy()
+        lam[3] = np.nextafter(lam[2], 0.0)
+        assert growth_diagnostics(replace(seq, lambdas=lam), pair).strictly_increasing
+        apart = replace(seq, lambdas=lam, clusters=[[0], [1], [2], [3], [4]])
+        assert not growth_diagnostics(apart, pair).strictly_increasing
 
     def test_empty_sequence_rejected(self, gaussian_pair_512):
         from degeig.eigensolve import EigenSequence

@@ -36,6 +36,22 @@ class TestJsonWriter:
         write_csv(path, ["a", "b"], [[1, 2.0 / 3.0]])
         assert path.read_text() == "a,b\n1,0.66666666666666663\n"
 
+    def test_csv_matches_per_cell_formatting(self, tmp_path):
+        # the one-call table writer prints what formatting cell by cell
+        # ("%.17g" for floats, str for ints) printed
+        def per_cell(header, rows):
+            def cell(v):
+                return "%.17g" % v if isinstance(v, (float, np.floating)) else str(v)
+            return "".join(",".join(map(cell, row)) + "\n" for row in [header] + rows)
+
+        rows = [[-0.0, 0.1, 1e-300], [1e300, 128, np.float64(2.0 / 3.0)],
+                [np.float64(-0.0), 32768, -1.5e-17]]
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_text() == per_cell(["a", "b", "c"], rows)
+        write_csv(path, ["a", "b", "c"], np.array(rows, dtype=float))
+        assert path.read_text() == per_cell(["a", "b", "c"], rows)
+
 
 class TestQuadrature:
     def test_power_law_on_many_decades(self):
