@@ -8,8 +8,9 @@ successive maximizers are the eigenvectors of the k largest mu = 1/lambda of
 B v = mu A v, so one block eigensolver call finds all k and nothing is
 deflated step by step. B is never factorized.
 
-Two routes are provided: solve_dense (one generalized eigh call for the top
-k mu, the reference for small problems) and solve_successive (one ARPACK call
+Two routes are provided: solve_dense (the reference for small problems: a
+Cholesky congruence C = U^{-T} B U^{-1} formed in A's band storage, then one
+standard eigh call for the top k mu of C) and solve_successive (one ARPACK call
 in the A inner product where a sparse LU of A fits: every radial mesh, cube
 grids up to 29^3; one LOBPCG call preconditioned by inexact CG solves on
 larger cube grids, each CG preconditioned by a geometric multigrid V-cycle).
@@ -187,13 +188,14 @@ def _residual_floors(pair, lambdas, vectors, AV):
 
 
 def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method,
-              warnings=(), tol=None, factored=True):
+              warnings=(), tol=None, stop=None):
     """Order, orient and measure the pairs; judge them against tol if given.
 
     A pair is converged when its relative residual is within tol (always
     without tol). An unconverged pair is warned about as at its rounding
-    floor when its residual is within FLOOR_MARGIN of it, otherwise by the
-    route's stopping reason; pair warnings precede the given ones.
+    floor when its residual is within FLOOR_MARGIN of it, otherwise by stop,
+    the reason the eigensolver call stopped; pair warnings precede the given
+    ones.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     k = lambdas.size
@@ -209,7 +211,6 @@ def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method
     resid = np.array([residual(pair, lambdas[i], vectors[:, i]) for i in range(k)])
     floors = _residual_floors(pair, lambdas, vectors, AV) if k else np.zeros(0)
     converged = [tol is None or bool(r <= tol) for r in resid]
-    stop = "stalled after ARPACK converged" if factored else "hit the iteration cap"
     pair_warnings = [
         f"pair {i + 1} is at its rounding floor: residual {resid[i]:.3e} is "
         f"{resid[i] / floors[i]:.1f} times the floor {floors[i]:.3e} (tol {tol:.0e})"
@@ -234,11 +235,30 @@ def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method
     )
 
 
+def _bandwidth(A):
+    """Largest |i - j| over the stored entries of A, at least 1."""
+    coo = A.tocoo()
+    return int(np.max(np.abs(coo.row - coo.col), initial=1))
+
+
+def _band_solve(U, X, trans):
+    """U^{-1} X (trans "N") or U^{-T} X (trans "T") for the banded upper
+    triangular U, overwriting X when it is a Fortran-ordered float array."""
+    X, info = sla.lapack.dtbtrs(U, X, trans=trans, overwrite_b=1)
+    if info != 0:
+        raise SolverError(f"banded triangular solve failed (info={info})")
+    return X
+
+
 def solve_dense(pair, k, dense_threshold=2000):
     """Top-k reference solve of the pencil B v = mu A v.
 
-    One generalized symmetric-definite eigh call that computes only the k
-    largest mu and their vectors; mu > 0 are the reciprocals of the smallest
+    An explicit Cholesky congruence in A's band storage (Golub-Van Loan,
+    Matrix Computations, 8.7): A = U^T U by a banded Cholesky, C =
+    U^{-T} B U^{-1} by two banded triangular solves against a dense copy of B,
+    one standard eigh call for the k largest mu of C, and e = U^{-1} w. A is
+    never densified: the work is O(n^2 w) for bandwidth w and the dense
+    arrays are B's copy and C. mu > 0 are the reciprocals of the smallest
     positive pencil eigenvalues, nonpositive directions are discarded.
     Returns the k smallest positive lambda; fewer when the pencil has fewer
     positive eigenvalues (reported, not fatal).
@@ -248,11 +268,20 @@ def solve_dense(pair, k, dense_threshold=2000):
         raise SolverError(f"dense solve refused at order {n} > {dense_threshold}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    w = _bandwidth(pair.A)
+    upper = sp.triu(pair.A, format="coo")
+    band = np.zeros((w + 1, n))
+    band[w + upper.row - upper.col, upper.col] = upper.data
     try:
-        mu, V = sla.eigh(pair.B.toarray(), pair.A.toarray(),
-                         subset_by_index=[max(n - k, 0), n - 1])
+        U = sla.cholesky_banded(band, check_finite=False)
     except sla.LinAlgError as exc:
         raise SolverError(f"energy matrix is not positive definite: {exc}") from exc
+    X = _band_solve(U, pair.B.toarray(order="F"), "T")  # U^{-T} B
+    C = _band_solve(U, X.T, "T")  # U^{-T} (U^{-T} B)^T = U^{-T} B U^{-1}
+    del X
+    mu, W = sla.eigh(C, subset_by_index=[max(n - k, 0), n - 1],
+                     overwrite_a=True, check_finite=False)
+    V = _band_solve(U, W, "N")  # v = U^{-1} w, so v^T A v = w^T w = 1
     floor = 1e-12 * max(np.max(np.abs(mu)), np.finfo(float).tiny)
     pos = np.nonzero(mu > floor)[0][::-1]  # descending mu = ascending lambda
     warnings = []
@@ -268,9 +297,7 @@ def solve_dense(pair, k, dense_threshold=2000):
 
 def _factorizes(A):
     """Whether a sparse LU of A fits; order x bandwidth bounds its fill."""
-    coo = A.tocoo()
-    bandwidth = int(np.max(np.abs(coo.row - coo.col), initial=1))
-    return A.shape[0] * bandwidth <= FACTOR_THRESHOLD
+    return A.shape[0] * _bandwidth(A) <= FACTOR_THRESHOLD
 
 
 def _interpolation(shape):
@@ -372,7 +399,8 @@ def _maximize_quotient(pair, solve, factored, m, settings):
     restarts; otherwise one block LOBPCG call preconditioned by the inexact CG
     solve runs for at most settings.max_iter iterations. Column n of the start
     block is seeded by default_rng([seed, n, 0]); ARPACK takes column 0.
-    Returns the Ritz vectors as columns and the number of applications of B.
+    Returns the Ritz vectors as columns, the number of applications of B and
+    the reason the call stopped, which names an unconverged pair's warning.
     """
     A, B = pair.A, pair.B
     applications = 0
@@ -390,15 +418,28 @@ def _maximize_quotient(pair, solve, factored, m, settings):
     if factored:
         _, vecs = spla.eigsh(op, m, M=A, Minv=inv, which="LA", v0=X0[:, 0],
                              maxiter=settings.max_iter)
-    else:
-        # LOBPCG's tol is absolute; 1e-2 * tol left the relative residual
-        # below tol on every cube-grid case measured. Its warnings are muted
-        # because solve_successive reports an unconverged pair itself.
-        with catch_warnings():
-            simplefilter("ignore", UserWarning)
-            _, vecs = spla.lobpcg(op, X0, B=A, M=inv, largest=True,
-                                  tol=1e-2 * settings.tol, maxiter=settings.max_iter)
-    return vecs, applications
+        return vecs, applications, "stalled after ARPACK converged"
+    iterations = 0
+
+    def precondition(R):
+        nonlocal iterations
+        iterations += 1  # LOBPCG preconditions its residual block once per iteration
+        return inv(R)
+
+    # LOBPCG's tol is absolute; 1e-2 * tol leaves the relative residual below
+    # tol on most cube-grid cases, not all (grid 21^3, k = 6, seed 1). Its
+    # warnings are muted because _finalize reports an unconverged pair itself.
+    # Its residual history cannot tell the cap from an early stop: it is cut
+    # at the best iterate, which may be far from the last.
+    with catch_warnings():
+        simplefilter("ignore", UserWarning)
+        _, vecs = spla.lobpcg(op, X0, B=A, M=precondition, largest=True,
+                              tol=1e-2 * settings.tol, maxiter=settings.max_iter)
+    # the loop runs iterations 0..max_iter unless every pair met the tolerance
+    if iterations > settings.max_iter:
+        return vecs, applications, "hit the iteration cap"
+    return vecs, applications, (f"met LOBPCG's tolerance after {iterations} of "
+                                f"{settings.max_iter} iterations and stopped")
 
 
 def solve_successive(pair, k=None, settings=None):
@@ -422,7 +463,7 @@ def solve_successive(pair, k=None, settings=None):
         raise SolverError("the successive solve needs an order of at least 2")
     solve, factored = _linear_solver(pair)
     try:
-        vecs, applications = _maximize_quotient(pair, solve, factored, m, settings)
+        vecs, applications, stop = _maximize_quotient(pair, solve, factored, m, settings)
     except spla.ArpackNoConvergence as exc:
         done = len(exc.eigenvalues)
         raise SolverError(
@@ -453,18 +494,8 @@ def solve_successive(pair, k=None, settings=None):
     return _finalize(
         pair, lambdas, vectors, applications, requested=settings.k,
         exhausted=exhausted, method="successive", warnings=warnings,
-        tol=settings.tol, factored=factored,
+        tol=settings.tol, stop=stop,
     )
-
-
-def sign_changes(u, rel=1e-6):
-    """Number of sign alternations among significantly nonzero entries."""
-    u = np.asarray(u, dtype=float)
-    top = np.max(np.abs(u))
-    if top == 0.0:
-        return 0
-    signs = np.sign(u[np.abs(u) > rel * top])
-    return int(np.count_nonzero(np.diff(signs) != 0))
 
 
 @dataclass

@@ -8,7 +8,6 @@ from degeig.eigensolve import (
     SolverSettings,
     growth_diagnostics,
     residual,
-    sign_changes,
     solve_dense,
     solve_successive,
 )
@@ -18,6 +17,16 @@ from degeig.weights import gaussian_bump, sign_changing_ring
 
 def toy_pair(A, B):
     return DiscreteOperatorPair.from_matrices(np.asarray(A, float), np.asarray(B, float))
+
+
+def sign_changes(u, rel=1e-6):
+    """Number of sign alternations among significantly nonzero entries."""
+    u = np.asarray(u, dtype=float)
+    top = np.max(np.abs(u))
+    if top == 0.0:
+        return 0
+    signs = np.sign(u[np.abs(u) > rel * top])
+    return int(np.count_nonzero(np.diff(signs) != 0))
 
 
 class TestDense:
@@ -84,6 +93,53 @@ class TestDense:
         assert solve_dense(pair, 5).count == 5
         assert len(calls) == 1
         assert calls[0]["subset_by_index"] == [pair.order - 5, pair.order - 1]
+
+    @pytest.mark.parametrize("kind, bandwidth", [("ring", 1), ("grid", 81), ("toy", 11)])
+    def test_banded_congruence_matches_generalized_eigh(self, kind, bandwidth):
+        # one code path for every bandwidth: radial, cube grid 11^3, dense toy;
+        # the reference is a generalized eigh of the densified pencil
+        import scipy.linalg as sla
+        from degeig.eigensolve import _bandwidth
+
+        if kind == "ring":
+            pair = assemble_radial(build_radial_mesh(6.0, 256, 1.0), 3, 1.0, sign_changing_ring())
+        elif kind == "grid":
+            pair = _grid_pair(11)
+        else:
+            rng = np.random.default_rng(8)
+            X = rng.standard_normal((12, 12))
+            B = rng.standard_normal((12, 12))
+            pair = toy_pair(X @ X.T + 12 * np.eye(12), 0.5 * (B + B.T))
+        assert _bandwidth(pair.A) == bandwidth
+        k = 4 if kind == "toy" else 6
+        mu = sla.eigh(pair.B.toarray(), pair.A.toarray(), eigvals_only=True)
+        ref = np.sort(1.0 / mu[mu > 0])[:k]
+        seq = solve_dense(pair, k)
+        assert seq.count == ref.size
+        assert_allclose(seq.lambdas, ref, rtol=1e-12)
+        assert np.all(seq.residuals <= 1e-10)
+
+    def test_peak_memory_two_dense_arrays(self):
+        # a copy of B and the congruence C: no dense A, no copies inside eigh
+        import tracemalloc
+
+        pair = assemble_radial(build_radial_mesh(6.0, 1000, 1.0), 3, 1.0, gaussian_bump())
+        n = pair.order
+        tracemalloc.start()
+        try:
+            seq = solve_dense(pair, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.count == 6
+        assert peak <= 2.5 * n * n * 8
+
+    def test_failed_triangular_solve_is_solver_error(self, monkeypatch):
+        import degeig.eigensolve as es
+
+        monkeypatch.setattr(es.sla.lapack, "dtbtrs", lambda U, X, **kw: (X, 2))
+        with pytest.raises(SolverError, match="triangular solve failed"):
+            solve_dense(toy_pair(np.diag([1.0, 4.0]), np.eye(2)), 1)
 
     def test_cluster_detection(self):
         pair = toy_pair(np.eye(3), np.diag([1.0, 1.0, 0.5]))
@@ -170,6 +226,22 @@ class TestSuccessive:
         seq = es.solve_successive(pair, 1, SolverSettings(k=1, tol=1e-9, max_iter=2))
         assert not seq.converged[0]
         assert any("iteration cap" in w for w in seq.warnings)
+
+    def test_early_lobpcg_stop_named(self, monkeypatch):
+        # with seed 1 LOBPCG meets its own tolerance after 79 of 400
+        # iterations, leaving pairs 4 and 5 near 1.8e-9: no cap was hit
+        import degeig.eigensolve as es
+
+        pair = _grid_pair(21)
+        monkeypatch.setattr(es, "FACTOR_THRESHOLD", 16)
+        seq = es.solve_successive(pair, 6, SolverSettings(k=6, tol=1e-9, max_iter=400, seed=1))
+        stalled = [i for i in range(6) if not seq.converged[i]]
+        assert stalled, "expected a pair above tol 1e-9 on this grid"
+        assert len(seq.warnings) == len(stalled)
+        for i, w in zip(stalled, seq.warnings):
+            assert w.startswith(f"pair {i + 1} met LOBPCG's tolerance after ")
+            assert "of 400 iterations" in w
+        assert not any("iteration cap" in w for w in seq.warnings)
 
     def test_arpack_no_convergence_names_pair(self, monkeypatch):
         # ARPACK returns no unconverged vector, so the step fails outright
