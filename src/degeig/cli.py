@@ -15,8 +15,8 @@ import numpy as np
 from .assembly import (AssemblyError, assemble_grid3d, assemble_radial,
                        energy_inner, export_coo, hardy_inner)
 from .config import ConfigError, PRESETS, load_config, load_preset
-from .eigensolve import (CLUSTER_RTOL, SolverError, growth_diagnostics,
-                         solve_dense, solve_successive)
+from .eigensolve import (CLUSTER_RTOL, DENSE_THRESHOLD, SolverError,
+                         growth_diagnostics, solve_dense, solve_successive)
 from .inequalities import (CknParams, check_ckn_radial, check_hardy,
                            check_sobolev, critical_exponent,
                            dilation_quotient_spread, gaussian_profile,
@@ -141,13 +141,12 @@ def _write_vectors_csv(path, pair, seq):
 def cmd_solve(run, out_dir):
     pair = _assemble(run.problem)
     settings = run.problem.solver
-    settings.seed = run.seed
-    seq = solve_successive(pair, settings=settings)
+    seq = solve_successive(pair, settings=settings, seed=run.seed)
     if seq.count == 0:
         raise SolverError("no positive eigenvalues found in the discrete pencil")
     dense_seq = None
-    if pair.order <= settings.dense_threshold:
-        dense_seq = solve_dense(pair, settings.k, settings.dense_threshold)
+    if pair.order <= DENSE_THRESHOLD:
+        dense_seq = solve_dense(pair, settings.k)
     growth = growth_diagnostics(seq, pair)
     claims = _solve_claims(seq, dense_seq, growth, pair.mode == "radial")
     if run.golden_path:
@@ -216,9 +215,7 @@ def cmd_converge(run, out_dir):
         )
         mesh = geom.build(problem.N)
         pair = assemble_radial(mesh, problem.N, problem.alpha, problem.weight)
-        settings = problem.solver
-        settings.seed = run.seed
-        seq = solve_successive(pair, settings=settings)
+        seq = solve_successive(pair, settings=problem.solver, seed=run.seed)
         lam = seq.lambdas[:k]
         lambdas.append(lam)
         slack = max(0.0, _hardy_slack(pair, 50, run.seed) - 1.0)

@@ -143,7 +143,7 @@ def geometry_from_dict(d):
 
 def solver_from_dict(d):
     d = d or {}
-    allowed = {"k", "tol", "max_iter", "dense_threshold", "seed"}
+    allowed = {"k", "tol", "max_iter"}
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"problem.solver: unknown fields {sorted(unknown)}")

@@ -8,12 +8,12 @@ successive maximizers are the eigenvectors of the k largest mu = 1/lambda of
 B v = mu A v, so one block eigensolver call finds all k and nothing is
 deflated step by step. B is never factorized.
 
-Two routes are provided: solve_dense (the reference for small problems: a
+Two routes are provided: solve_dense (the reference up to DENSE_THRESHOLD: a
 Cholesky congruence C = U^{-T} B U^{-1} formed in A's band storage, then one
-standard eigh call for the top k mu of C) and solve_successive (one ARPACK call
-in the A inner product where a sparse LU of A fits: every radial mesh, cube
-grids up to 29^3; one LOBPCG call preconditioned by inexact CG solves on
-larger cube grids, each CG preconditioned by a geometric multigrid V-cycle).
+standard eigh call for the top k mu of C) and solve_successive (one call per
+geometry: ARPACK with a sparse LU of A on radial and explicit pencils; block
+LOBPCG on cube grids, which keeps the symmetry-forced multiplicities that
+single-vector Lanczos can skip, preconditioned by V-cycle-preconditioned CG).
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +27,7 @@ import scipy.sparse as sp
 from .assembly import mass_plus_inner, volume_integral
 
 CLUSTER_RTOL = 1e-9  # eigenvalues closer than this (relatively) form a cluster
+DENSE_THRESHOLD = 2000  # solve_dense refuses larger orders
 
 
 class SolverError(RuntimeError):
@@ -35,13 +36,12 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverSettings:
-    """Iteration controls for the successive solver."""
+    """Iteration controls for the successive solver; max_iter caps ARPACK's
+    restarts (radial, explicit pencils) or LOBPCG's iterations (cube grids)."""
 
     k: int = 6
     tol: float = 1e-9           # relative weak-form residual target
-    max_iter: int = 8000        # per solve: ARPACK restarts or LOBPCG iterations
-    dense_threshold: int = 2000
-    seed: int = 42
+    max_iter: int = 400         # per solve; a stalled LOBPCG pair runs to it
 
     def validate(self):
         if self.k < 1:
@@ -250,7 +250,7 @@ def _band_solve(U, X, trans):
     return X
 
 
-def solve_dense(pair, k, dense_threshold=2000):
+def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
     """Top-k reference solve of the pencil B v = mu A v.
 
     An explicit Cholesky congruence in A's band storage (Golub-Van Loan,
@@ -293,11 +293,6 @@ def solve_dense(pair, k, dense_threshold=2000):
     lambdas = np.einsum("ij,ij->j", E, pair.A @ E)
     return _finalize(pair, lambdas, E, 0, requested=k, exhausted=pos.size < k,
                      method="dense", warnings=warnings)
-
-
-def _factorizes(A):
-    """Whether a sparse LU of A fits; order x bandwidth bounds its fill."""
-    return A.shape[0] * _bandwidth(A) <= FACTOR_THRESHOLD
 
 
 def _interpolation(shape):
@@ -355,34 +350,6 @@ def _vcycle(A, shape):
     return spla.LinearOperator((order, order), matvec=cycle, dtype=float)
 
 
-def _linear_solver(pair):
-    """Application of A^{-1}, exact or approximate, and which of the two.
-
-    Sparse LU where _factorizes allows it. Above (memory-bound 3-d grids) an
-    inexact solve: CG to relative residual 0.1, preconditioned by one
-    multigrid V-cycle (_vcycle) over the dof array, (n - 2)^3 on the cube
-    grid and 1-D otherwise. Returns (solve, factored).
-    """
-    A = pair.A
-    if _factorizes(A):
-        try:
-            lu = spla.splu(A.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
-        return lu.solve, True
-    shape = (pair.geometry.n - 2,) * 3 if pair.mode == "grid3d" else (pair.order,)
-    M = _vcycle(A, shape)
-
-    def solve(b):
-        x, info = spla.cg(A, b, rtol=0.1, atol=0.0, M=M)
-        if info < 0:
-            raise SolverError(f"inner CG broke down (info={info})")
-        return x
-
-    return solve, False
-
-
-FACTOR_THRESHOLD = 1.5e7  # direct factorizations allowed up to order x bandwidth
 COARSEST_ORDER = 200  # the multigrid hierarchy solves this order and below densely
 SMOOTHING_WEIGHT = 0.8  # damped Jacobi
 SMOOTHING_SWEEPS = 2  # before and after each coarse correction
@@ -390,17 +357,21 @@ EXHAUSTION_RTOL = 1e-12  # mu at or below this fraction of mu_1 is no positive e
 FLOOR_MARGIN = 10.0  # a residual within this factor of its rounding floor is at the floor
 
 
-def _maximize_quotient(pair, solve, factored, m, settings):
+def _maximize_quotient(pair, m, settings, seed):
     """Maximize mu = u^T B u / u^T A u over m-dimensional subspaces in one call.
 
     By Courant-Fischer the maximizers are the m largest eigenpairs of the
-    pencil (B, A). With A factorized, one ARPACK call in the A inner product
-    (mode 2) finds them and raises ArpackNoConvergence after settings.max_iter
-    restarts; otherwise one block LOBPCG call preconditioned by the inexact CG
-    solve runs for at most settings.max_iter iterations. Column n of the start
-    block is seeded by default_rng([seed, n, 0]); ARPACK takes column 0.
-    Returns the Ritz vectors as columns, the number of applications of B and
-    the reason the call stopped, which names an unconverged pair's warning.
+    pencil (B, A), and the geometry alone picks the call. Radial and explicit
+    pencils: one ARPACK call in the A inner product (mode 2) with a sparse LU
+    of A, raising ArpackNoConvergence after settings.max_iter restarts. Cube
+    grids: one block LOBPCG call of at most settings.max_iter iterations, as
+    single-vector Lanczos can skip members of the cube's symmetry-forced
+    multiplicities; it is preconditioned by CG on A to relative residual 0.1,
+    each CG preconditioned by one V-cycle (_vcycle) over the (n - 2)^3 dofs.
+    Column n of the start block is seeded by default_rng([seed, n, 0]);
+    ARPACK takes column 0. Returns the Ritz vectors as columns, the number of
+    applications of B and the reason the call stopped, which names an
+    unconverged pair's warning.
     """
     A, B = pair.A, pair.B
     applications = 0
@@ -412,19 +383,29 @@ def _maximize_quotient(pair, solve, factored, m, settings):
 
     shape = (pair.order, pair.order)
     op = spla.LinearOperator(shape, matvec=apply, matmat=apply, dtype=float)
-    inv = spla.LinearOperator(shape, matvec=solve, dtype=float)
-    X0 = np.column_stack([np.random.default_rng([settings.seed, n, 0])
+    X0 = np.column_stack([np.random.default_rng([seed, n, 0])
                           .standard_normal(pair.order) for n in range(m)])
-    if factored:
+    if pair.mode != "grid3d":
+        try:
+            lu = spla.splu(A.tocsc())
+        except RuntimeError as exc:
+            raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
+        inv = spla.LinearOperator(shape, matvec=lu.solve, dtype=float)
         _, vecs = spla.eigsh(op, m, M=A, Minv=inv, which="LA", v0=X0[:, 0],
                              maxiter=settings.max_iter)
         return vecs, applications, "stalled after ARPACK converged"
+    vcycle = _vcycle(A, (pair.geometry.n - 2,) * 3)
     iterations = 0
 
     def precondition(R):
         nonlocal iterations
         iterations += 1  # LOBPCG preconditions its residual block once per iteration
-        return inv(R)
+        X = np.empty_like(R)
+        for j, r in enumerate(R.T):
+            X[:, j], info = spla.cg(A, r, rtol=0.1, atol=0.0, M=vcycle)
+            if info < 0:
+                raise SolverError(f"inner CG broke down (info={info})")
+        return X
 
     # LOBPCG's tol is absolute; 1e-2 * tol leaves the relative residual below
     # tol on most cube-grid cases, not all (grid 21^3, k = 6, seed 1). Its
@@ -442,12 +423,13 @@ def _maximize_quotient(pair, solve, factored, m, settings):
                                 f"{settings.max_iter} iterations and stopped")
 
 
-def solve_successive(pair, k=None, settings=None):
+def solve_successive(pair, k=None, settings=None, seed=42):
     """Compute the k smallest positive eigenpairs as the k largest mu of (B, A).
 
-    One _maximize_quotient call asks for min(k, order - 1) pairs (ARPACK
-    needs fewer than the order); each returned pair is then judged on its
-    own. A pair with mu at or below EXHAUSTION_RTOL * mu_1 (mu <= 0 for the
+    One _maximize_quotient call (ARPACK on radial and explicit pencils,
+    block LOBPCG on cube grids) asks for min(k, order - 1) pairs from a start
+    block drawn from seed; each returned pair is then judged on its own. A
+    pair with mu at or below EXHAUSTION_RTOL * mu_1 (mu <= 0 for the
     first) proves the positive spectrum exhausted: it and all below it are
     dropped, giving a partial sequence, not an error. A kept pair is
     converged when its relative weak-form residual is within tol.
@@ -461,9 +443,8 @@ def solve_successive(pair, k=None, settings=None):
     m = min(settings.k, pair.order - 1)
     if m < 1:
         raise SolverError("the successive solve needs an order of at least 2")
-    solve, factored = _linear_solver(pair)
     try:
-        vecs, applications, stop = _maximize_quotient(pair, solve, factored, m, settings)
+        vecs, applications, stop = _maximize_quotient(pair, m, settings, seed)
     except spla.ArpackNoConvergence as exc:
         done = len(exc.eigenvalues)
         raise SolverError(

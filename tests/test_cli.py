@@ -153,7 +153,7 @@ class TestSolveCommand:
         cfg = small_config(tmp_path, **{"problem.alpha": 2.5})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
-    @pytest.mark.parametrize("field", ["restarts", "deflation_tol"])
+    @pytest.mark.parametrize("field", ["restarts", "deflation_tol", "dense_threshold", "seed"])
     def test_removed_solver_field_is_config_error(self, tmp_path, field):
         cfg = small_config(tmp_path, **{f"problem.solver.{field}": 1e-14})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
@@ -247,6 +247,23 @@ class TestSolveCommand:
         assert [2, 3, 4] in report["eigen"]["clusters"]
         claim = report["claims"]["positive_increasing_across_clusters"]
         assert claim["ok"] and claim["value"] > claim["bound"]
+
+    def test_grid_solve_skips_no_multiplicity_member(self, tmp_path):
+        # ring grid 15^3: lambda_5..lambda_7 are a triple at 7.109271694 (the
+        # dense route with its threshold raised to the order 2197); single-
+        # vector Lanczos returned two members and lambda_8 = 7.257848 as lambda_7
+        cfg = small_config(
+            tmp_path,
+            **{"problem.weight": {"kind": "ring"},
+               "problem.geometry": {"mode": "grid3d", "L": 6.0, "n": 15},
+               "problem.solver.k": 7},
+        )
+        out = str(tmp_path / "ring15")
+        assert main(["solve", "--config", cfg, "--out", out, "--seed", "42"]) == 0
+        report = json.loads(open(os.path.join(out, "eigen_report.json")).read())
+        lam7 = report["eigen"]["pairs"][6]["lambda"]
+        assert abs(lam7 - 7.109271694125) <= 1e-8 * 7.109271694125
+        assert [4, 5, 6] in report["eigen"]["clusters"]
 
     def test_cluster_claim_conditions(self):
         from types import SimpleNamespace

@@ -62,9 +62,11 @@ class TestDense:
             assert_allclose(e @ (pair.A @ e), seq.lambdas[j], rtol=1e-12)
 
     def test_order_threshold(self):
-        pair = toy_pair(np.eye(3), np.eye(3))
-        with pytest.raises(SolverError):
-            solve_dense(pair, 1, dense_threshold=2)
+        import scipy.sparse as sp
+
+        pair = DiscreteOperatorPair.from_matrices(sp.identity(2001), sp.identity(2001))
+        with pytest.raises(SolverError, match="refused at order 2001 > 2000"):
+            solve_dense(pair, 1)
 
     def test_not_spd_rejected(self):
         pair = toy_pair(np.diag([1.0, -1.0]), np.eye(2))
@@ -216,25 +218,17 @@ class TestSuccessive:
         assert any("no further positive eigenvalue" in w for w in seq.warnings)
         assert_allclose(seq.lambdas, de.lambdas[: seq.count], rtol=1e-6)
 
-    def test_iteration_cap_flags_pair(self, monkeypatch):
-        # the cap bites on the CG route; ARPACK converges within one restart here
-        import degeig.eigensolve as es
-
-        mesh = build_radial_mesh(6.0, 64, 1.0)
-        pair = assemble_radial(mesh, 3, 1.0, gaussian_bump())
-        monkeypatch.setattr(es, "FACTOR_THRESHOLD", 16)
-        seq = es.solve_successive(pair, 1, SolverSettings(k=1, tol=1e-9, max_iter=2))
+    def test_iteration_cap_flags_pair(self):
+        # two LOBPCG iterations leave the ground pair of grid 11^3 above tol
+        seq = solve_successive(_grid_pair(11), 1, SolverSettings(k=1, tol=1e-9, max_iter=2))
         assert not seq.converged[0]
         assert any("iteration cap" in w for w in seq.warnings)
 
-    def test_early_lobpcg_stop_named(self, monkeypatch):
+    def test_early_lobpcg_stop_named(self):
         # with seed 1 LOBPCG meets its own tolerance after 79 of 400
         # iterations, leaving pairs 4 and 5 near 1.8e-9: no cap was hit
-        import degeig.eigensolve as es
-
         pair = _grid_pair(21)
-        monkeypatch.setattr(es, "FACTOR_THRESHOLD", 16)
-        seq = es.solve_successive(pair, 6, SolverSettings(k=6, tol=1e-9, max_iter=400, seed=1))
+        seq = solve_successive(pair, 6, SolverSettings(k=6, tol=1e-9, max_iter=400), seed=1)
         stalled = [i for i in range(6) if not seq.converged[i]]
         assert stalled, "expected a pair above tol 1e-9 on this grid"
         assert len(seq.warnings) == len(stalled)
@@ -263,18 +257,19 @@ class TestSuccessive:
         with pytest.raises(SolverError, match="did not converge within 1 restarts"):
             solve_successive(pair, 24, SolverSettings(k=24, max_iter=1))
 
-    @pytest.mark.parametrize("factor_threshold", [None, 16])
-    def test_one_eigensolver_call_for_all_pairs(self, monkeypatch, factor_threshold):
+    @pytest.mark.parametrize("kind", ["radial", "grid"])
+    def test_one_eigensolver_call_for_all_pairs(self, monkeypatch, kind):
         import degeig.eigensolve as es
 
-        name = "eigsh" if factor_threshold is None else "lobpcg"
-        if factor_threshold is not None:
-            monkeypatch.setattr(es, "FACTOR_THRESHOLD", factor_threshold)
+        name = "eigsh" if kind == "radial" else "lobpcg"
         calls = []
         real = getattr(es.spla, name)
         monkeypatch.setattr(es.spla, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        pair = assemble_radial(build_radial_mesh(6.0, 128, 1.0), 3, 1.0, gaussian_bump())
-        seq = es.solve_successive(pair, 4, SolverSettings(k=4, tol=1e-8, max_iter=2000))
+        if kind == "radial":
+            pair = assemble_radial(build_radial_mesh(6.0, 128, 1.0), 3, 1.0, gaussian_bump())
+        else:
+            pair = _grid_pair(11)
+        seq = es.solve_successive(pair, 4, SolverSettings(k=4, tol=1e-8))
         assert seq.count == 4 and all(seq.converged)
         assert len(calls) == 1
         assert len(set(seq.iterations)) == 1 and seq.iterations[0] > 0
@@ -288,15 +283,23 @@ class TestSuccessive:
         assert not seq.exhausted
         assert any("capped at order - 1 = 4" in w for w in seq.warnings)
 
-    def test_route_chosen_by_fill(self):
-        from degeig.assembly import assemble_grid3d
-        from degeig.eigensolve import _factorizes
-        from degeig.mesh import build_grid3d
+    def test_route_chosen_by_geometry(self, monkeypatch):
+        # radial and explicit pencils: one LU and one ARPACK call, whatever
+        # the order; cube grids: one LOBPCG call and no factorization
+        import degeig.eigensolve as es
 
-        mesh = build_radial_mesh(6.0, 32768, 1.0)
-        assert _factorizes(assemble_radial(mesh, 3, 1.0, gaussian_bump()).A)
-        assert _factorizes(assemble_grid3d(build_grid3d(6.0, 29), 1.0, gaussian_bump()).A)
-        assert not _factorizes(assemble_grid3d(build_grid3d(6.0, 31), 1.0, gaussian_bump()).A)
+        calls = []
+        for name in ("splu", "eigsh", "lobpcg"):
+            real = getattr(es.spla, name)
+            monkeypatch.setattr(es.spla, name, lambda *a, _name=name, _real=real, **kw:
+                                calls.append(_name) or _real(*a, **kw))
+        radial = assemble_radial(build_radial_mesh(6.0, 32768, 1.0), 3, 1.0, gaussian_bump())
+        toy = toy_pair(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.eye(5))
+        for pair, expected in ((radial, ["splu", "eigsh"]), (toy, ["splu", "eigsh"]),
+                               (_grid_pair(11), ["lobpcg"])):
+            calls.clear()
+            assert es.solve_successive(pair, 2).count == 2
+            assert calls == expected
 
     def test_large_radial_order_factorized(self):
         mesh = build_radial_mesh(6.0, 32768, grading_for_span(32768, 1e4))
@@ -311,49 +314,63 @@ class TestSuccessive:
         with pytest.raises(ValueError):
             SolverSettings(tol=-1.0).validate()
 
-    def test_large_operator_branch_indefinite(self, monkeypatch):
-        # force the iterative-solve path meant for grids too big to factorize
-        # (LOBPCG preconditioned by inexact CG) on an indefinite pencil
-        import degeig.eigensolve as es
-
-        mesh = build_radial_mesh(6.0, 128, 1.0)
-        pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
+    def test_large_operator_branch_indefinite(self):
+        # the grid route (LOBPCG preconditioned by inexact CG) on the
+        # indefinite ring pencil, against the dense reference
+        pair = _grid_pair(11, sign_changing_ring())
         ref = solve_dense(pair, 3).lambdas
-        monkeypatch.setattr(es, "FACTOR_THRESHOLD", 16)
-        seq = es.solve_successive(pair, 3, SolverSettings(k=3, tol=1e-8, max_iter=30000))
+        seq = solve_successive(pair, 3, SolverSettings(k=3, tol=1e-8))
         assert np.all(seq.residuals <= 1e-8)
         assert_allclose(seq.lambdas, ref, rtol=1e-6)
 
-    def test_lu_route_converges_on_ring_grid(self):
-        # the double eigenvalue 6.0936 of the ring on grid 19^3: a per-pair
-        # ARPACK loop left its first member at residual 2.0e-9
-        from degeig.assembly import assemble_grid3d
-        from degeig.mesh import build_grid3d
-
-        pair = assemble_grid3d(build_grid3d(6.0, 19), 1.0, sign_changing_ring())
-        seq = solve_successive(pair, 4, SolverSettings(k=4, tol=1e-9, max_iter=400))
+    def test_lobpcg_route_converges_on_ring_grid(self):
+        # the ring on grid 19^3, with its double eigenvalue 6.0936 (a per-pair
+        # ARPACK loop left its first member at residual 2.0e-9): every pair
+        # converges within the cap and agrees with ARPACK on an LU of A
+        pair = _grid_pair(19, sign_changing_ring())
+        seq = solve_successive(pair, 4, SolverSettings(k=4, tol=1e-9))
         assert seq.count == 4
         assert all(seq.converged)
         assert not seq.warnings
         assert np.all(seq.residuals <= 1e-9)
+        assert_allclose(seq.lambdas, _lu_lambdas(pair, 4), rtol=1e-8)
 
-    def test_lobpcg_route_converges_on_ring_grid(self, monkeypatch):
-        # the sign-changing ring on a cube grid, with its double eigenvalue:
-        # every pair converges within the cap on the CG route and agrees
-        # with the LU route
-        import degeig.eigensolve as es
-        from degeig.assembly import assemble_grid3d
-        from degeig.mesh import build_grid3d
-
-        pair = assemble_grid3d(build_grid3d(6.0, 19), 1.0, sign_changing_ring())
-        settings = SolverSettings(k=4, tol=1e-9, max_iter=400)
-        ref = es.solve_successive(pair, 4, settings).lambdas
-        monkeypatch.setattr(es, "FACTOR_THRESHOLD", 16)
-        seq = es.solve_successive(pair, 4, settings)
+    def test_lu_route_converges_on_ring_grid(self):
+        # the same ring 19^3 matrices wrapped as an explicit pencil take the
+        # LU route (one ARPACK call with an LU of A): its double eigenvalue
+        # 6.0936 converges whole and agrees with the grid route
+        pair = _grid_pair(19, sign_changing_ring())
+        explicit = DiscreteOperatorPair.from_matrices(pair.A, pair.B)
+        settings = SolverSettings(k=4, tol=1e-9)
+        seq = solve_successive(explicit, 4, settings)
+        assert seq.count == 4
         assert all(seq.converged)
         assert not seq.warnings
         assert np.all(seq.residuals <= 1e-9)
-        assert_allclose(seq.lambdas, ref, rtol=1e-8)
+        assert_allclose(seq.lambdas[2], seq.lambdas[3], rtol=1e-9)
+        assert_allclose(seq.lambdas, solve_successive(pair, 4, settings).lambdas, rtol=1e-8)
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_grid_multiplicity_kept_whole(self, seed):
+        # lambda_3..lambda_5 of grid 9^3 are the octahedral triple; single-
+        # vector Lanczos returned two of its members and lambda_6 as lambda_5
+        pair = _grid_pair(9)
+        ref = solve_dense(pair, 5)
+        seq = solve_successive(pair, 5, seed=seed)
+        assert ref.clusters == [[0], [1], [2, 3, 4]]
+        assert seq.clusters == ref.clusters
+        assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
+
+    def test_block_above_a_fifth_of_smallest_grid(self):
+        # grid 9^3 is the smallest (order 343); a block of 70 vectors leaves
+        # LOBPCG fewer than 5 dofs per vector, so it solves densely inside
+        # the call, after no iteration
+        pair = _grid_pair(9)
+        ref = solve_dense(pair, 70)
+        seq = solve_successive(pair, 70)
+        assert seq.iterations[0] == pair.order
+        assert all(seq.converged)
+        assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
 
     def test_stall_at_rounding_floor_named(self):
         # on the graded M=32768 mesh ARPACK pairs stop above tol at their
@@ -371,37 +388,37 @@ class TestSuccessive:
         assert not any("stalled after ARPACK" in w for w in seq.warnings)
 
 
-def _grid_pair(n):
+def _grid_pair(n, weight=None):
     from degeig.assembly import assemble_grid3d
     from degeig.mesh import build_grid3d
 
-    return assemble_grid3d(build_grid3d(6.0, n), 1.0, gaussian_bump())
+    return assemble_grid3d(build_grid3d(6.0, n), 1.0, weight or gaussian_bump())
+
+
+def _lu_lambdas(pair, k):
+    """The k smallest positive lambda from one ARPACK call with an LU of A."""
+    import scipy.sparse.linalg as spla
+
+    lu = spla.splu(pair.A.tocsc())
+    Minv = spla.LinearOperator(pair.A.shape, matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(pair.order)
+    mu = spla.eigsh(pair.B, k, M=pair.A, Minv=Minv, which="LA", v0=v0,
+                    return_eigenvectors=False)
+    return np.sort(1.0 / mu)
 
 
 class TestMultigrid:
-    @pytest.mark.parametrize("kind", ["grid", "radial"])
-    def test_vcycle_symmetric_positive(self, monkeypatch, kind):
-        # a coarse cutoff of 8 gives several levels on both dof shapes
+    def test_vcycle_symmetric_positive(self, monkeypatch):
+        # a coarse cutoff of 8 gives four levels on the 13^3 dof array; the
+        # whole operator is formed, one column per unit vector
         import degeig.eigensolve as es
 
         monkeypatch.setattr(es, "COARSEST_ORDER", 8)
-        if kind == "grid":
-            pair, shape = _grid_pair(15), (13, 13, 13)
-        else:
-            mesh = build_radial_mesh(6.0, 64, 1.0)
-            pair, shape = assemble_radial(mesh, 3, 1.0, gaussian_bump()), (64,)
-        M = es._vcycle(pair.A.tocsr(), shape)
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((pair.order, 8))
-        X[:, 0] = (-1.0) ** np.arange(pair.order)  # highest frequency the smoother sees
-        MX = np.column_stack([M.matvec(x) for x in X.T])
-        G = X.T @ MX
-        assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
-        assert np.all(np.diag(G) > 0.0)
-        if kind == "radial":
-            dense = np.column_stack([M.matvec(e) for e in np.eye(pair.order)])
-            assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
-            assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+        pair = _grid_pair(15)
+        M = es._vcycle(pair.A.tocsr(), (13, 13, 13))
+        dense = np.column_stack([M.matvec(e) for e in np.eye(pair.order)])
+        assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
 
     @pytest.mark.parametrize("n, k", [(21, 6), (31, 2), (41, 1)])
     def test_cg_iterations_per_inner_solve_flat(self, monkeypatch, n, k):
@@ -411,9 +428,7 @@ class TestMultigrid:
 
         pair = _grid_pair(n)
         settings = SolverSettings(k=k, tol=1e-9, max_iter=400)
-        ref = es.solve_successive(pair, k, settings).lambdas if n == 21 else None
-        if n == 21:
-            monkeypatch.setattr(es, "FACTOR_THRESHOLD", 16)
+        ref = _lu_lambdas(pair, k) if n == 21 else None
         calls, iters = [], []
         real = es.spla.cg
 
