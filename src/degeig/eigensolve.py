@@ -324,7 +324,8 @@ def _vcycle(A, shape):
     Jacobi sweeps before and after its coarse correction; the coarsest
     (order at most COARSEST_ORDER) is solved exactly with a dense inverse.
     Pre- and post-smoothing mirror each other, so the cycle is a fixed SPD
-    operator and a valid CG preconditioner.
+    operator and a valid CG preconditioner. It applies to a vector or, column
+    by column, to an (order, m) block.
     """
     order = A.shape[0]
     levels = []
@@ -339,6 +340,8 @@ def _vcycle(A, shape):
         if level == len(levels):
             return inv @ b
         A, d, P = levels[level]
+        if b.ndim == 2:
+            d = d[:, None]  # a block: one column per right-hand side
         x = d * b
         for _ in range(SMOOTHING_SWEEPS - 1):
             x += d * (b - A @ x)
@@ -347,7 +350,8 @@ def _vcycle(A, shape):
             x += d * (b - A @ x)
         return x
 
-    return spla.LinearOperator((order, order), matvec=cycle, dtype=float)
+    return spla.LinearOperator((order, order), matvec=cycle, matmat=cycle,
+                               dtype=float)
 
 
 COARSEST_ORDER = 200  # the multigrid hierarchy solves this order and below densely

@@ -4,16 +4,18 @@ Solves -(r^(alpha+N-1) u')' = lambda g(r) r^(N-1) u on (0, R) with u(R) = 0 by
 adaptive integration of the first-order system in (u, v), v = r^(alpha+N-1) u'
 being the weighted flux. The n-th eigenvalue is bracketed by sweeping lambda
 upward from the weighted-Hardy lower bound of lambda_1 until the interior
-zero count of u reaches n, then narrowed by a secant on the terminal miss
-u(R) with bisection as its safeguard, and certified by the count transition
-and miss sign change across the final bracket. This path shares nothing with
-the matrix solvers and serves as their golden reference.
+zero count of u reaches n, then narrowed by one Brent root search on the
+terminal miss u(R) (bisection on the count where no sign change certifies the
+bracket), and certified by the count transition and miss sign change across
+the final bracket. This path shares nothing with the matrix solvers and
+serves as their golden reference.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .inequalities import hardy_constant
 from .quadrature import fixed_quad
@@ -40,17 +42,18 @@ class ShootingResult:
     note: str = ""
 
 
-def shoot(N, alpha, g, R, lam, rtol=1e-11, r_eps_factor=1e-6, segments=16,
-          breakpoints=()):
-    """Integrate the radial system from r_eps to R; return (miss, zero_count).
+def shoot(N, alpha, g, R, lam, rtol=1e-11, r_eps_factor=1e-6, breakpoints=()):
+    """Integrate the radial system from r_eps to R; return (miss, zero_count, nfev).
 
     Starts at r_eps = r_eps_factor * R with u = 1 and the series-consistent
     flux v(r_eps) = -lambda * integral_0^r_eps g t^(N-1) dt, the first-order
-    behavior of the solution that is regular at the degenerate origin. The
-    state is renormalized whenever it overflows; only the sign structure of u
-    matters. Pass the weight's discontinuity radii as breakpoints so the
-    adaptive integrator never steps across a jump. Returns u(R) and the count
-    of interior sign changes.
+    behavior of the solution that is regular at the degenerate origin. Each
+    smooth piece of the weight is one adaptive DOP853 integration: pass the
+    weight's discontinuity radii as breakpoints so the integrator never steps
+    across a jump. The state is renormalized whenever max(|u|, |v|) reaches
+    RESCALE_LIMIT, and the piece continues from there; only the sign
+    structure of u matters. Returns u(R), the count of interior sign changes
+    and the number of right-hand-side evaluations.
     """
     if R <= 0.0:
         raise OracleError("R must be positive")
@@ -66,30 +69,37 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, r_eps_factor=1e-6, segments=16,
     def crossing(r, y):
         return y[0]
 
-    # straddle each jump with a skipped sliver so no segment ever evaluates
+    def overflow(r, y):
+        return max(abs(y[0]), abs(y[1])) - RESCALE_LIMIT
+
+    overflow.terminal = True
+
+    # straddle each jump with a skipped sliver so no piece ever evaluates
     # the weight on both sides of a discontinuity; (u, v) is continuous there
     nudge = 1e-13
     cuts = []
     for c in breakpoints:
         if r0 < c < R:
             cuts.extend([c * (1.0 - nudge), c * (1.0 + nudge)])
-    edges = np.unique(np.concatenate([np.geomspace(r0, R, segments + 1), cuts]))
+    edges = np.unique(np.concatenate([[r0, R], cuts]))
     y = np.array([1.0, v0])
     zeros = 0
     nfev = 0
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a <= 3.0 * nudge * b:
             continue  # the sliver across a jump: carry the state over
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol,
-                        atol=1e-30, events=crossing, dense_output=False)
-        if not sol.success:
-            raise OracleError(f"integration failed on [{a:g}, {b:g}]: {sol.message}")
-        nfev += sol.nfev
-        zeros += len(sol.t_events[0])
-        y = sol.y[:, -1].copy()
-        peak = max(abs(y[0]), abs(y[1]))
-        if peak > RESCALE_LIMIT:
-            y /= peak
+        while True:
+            sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol,
+                            atol=1e-30, events=(crossing, overflow))
+            if not sol.success:
+                raise OracleError(f"integration failed on [{a:g}, {b:g}]: {sol.message}")
+            nfev += sol.nfev
+            zeros += len(sol.t_events[0])
+            y = sol.y[:, -1].copy()
+            if sol.status != 1:
+                break
+            y /= max(abs(y[0]), abs(y[1]))  # overflow: rescale, go on
+            a = sol.t[-1]
     return float(y[0]), int(zeros), nfev
 
 
@@ -101,9 +111,11 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
     Sweeps lambda geometrically until the zero count reaches n, narrows the
     count transition n-1 -> n to the requested relative width, and certifies
     the result by the terminal-value sign change across the final bracket.
-    While the bracket is certifiable (counts n-1 and n, opposite misses) the
-    step is Illinois regula falsi on the terminal miss; otherwise, and after
-    any step that failed to halve the bracket, it is a bisection step.
+    Once the bracket is certifiable (counts n-1 and n, opposite misses), one
+    Brent root search (scipy's brentq) on the terminal miss narrows it, and
+    the final bracket is the tightest pair of shots around its root with
+    count n-1 below and n above. An uncertifiable bracket, or one Brent left
+    wider than rel_width, is bisected on the count.
     For sign-changing g the count need not be monotone; an uncertified result
     carries a note instead of a guarantee.
 
@@ -167,36 +179,29 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
     if np.any(np.diff(sweep_counts) < 0):
         notes.append("zero count non-monotone along the sweep (sign-changing weight?)")
 
-    # Illinois: the secant runs through (lo, f_lo) and (hi, f_hi); an end kept
-    # by two successive secant steps has its f halved, so the next secant
-    # point lands past the root and both ends close in
-    f_lo, f_hi = miss_lo, miss_hi
-    moved = 0   # end replaced by the last secant step: -1 lo, +1 hi
-    halved = True
+    def certifiable():
+        return count_lo == n - 1 and count_hi == n and miss_lo * miss_hi < 0.0
+
+    brent = True
     while (hi - lo) > rel_width * hi:
-        width = hi - lo
+        if brent and certifiable():
+            brent = False  # one Brent call per bracket; bisection finishes
+            root = brentq(lambda lam: at(lam)[0], lo, hi, xtol=1e-300,
+                          rtol=max(rel_width, 4.0 * np.finfo(float).eps),
+                          disp=False)
+            inside = [lam for lam in shots if lo <= lam <= hi]
+            lo = max(lam for lam in inside if lam <= root and shots[lam][1] == n - 1)
+            hi = min(lam for lam in inside if lam >= root and shots[lam][1] == n)
+            (miss_lo, count_lo), (miss_hi, count_hi) = shots[lo], shots[hi]
+            continue
         lam = 0.5 * (lo + hi)
-        secant = halved and count_lo == n - 1 and count_hi == n and miss_lo * miss_hi < 0.0
-        if secant:
-            # keep off the ends: a guess on top of a converged end would leave
-            # the other end where it is
-            nudge = 0.5 * rel_width * hi
-            guess = hi - f_hi * width / (f_hi - f_lo)
-            lam = min(max(guess, lo + nudge), hi - nudge)
         miss, zeros = at(lam)
         if zeros >= n:
-            if secant and moved == 1:
-                f_lo *= 0.5
-            hi, miss_hi, count_hi, f_hi = lam, miss, zeros, miss
+            hi, miss_hi, count_hi = lam, miss, zeros
         else:
-            if secant and moved == -1:
-                f_hi *= 0.5
-            lo, miss_lo, count_lo, f_lo = lam, miss, zeros, miss
-        if secant:
-            moved = 1 if zeros >= n else -1
-        halved = (hi - lo) <= 0.5 * width
+            lo, miss_lo, count_lo = lam, miss, zeros
 
-    certified = (count_lo == n - 1) and (count_hi == n) and (miss_lo * miss_hi < 0.0)
+    certified = certifiable()
     if not certified:
         notes.append(
             f"bracket uncertified: counts ({count_lo}, {count_hi}), "

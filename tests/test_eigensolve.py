@@ -420,6 +420,20 @@ class TestMultigrid:
         assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
         assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
 
+    @pytest.mark.parametrize("coarsest", [200, 8])
+    def test_vcycle_applies_to_blocks(self, monkeypatch, coarsest):
+        # grid 11^3 has 9^3 dofs: two levels at the default cutoff, three at 8
+        import degeig.eigensolve as es
+
+        monkeypatch.setattr(es, "COARSEST_ORDER", coarsest)
+        pair = _grid_pair(11)
+        M = es._vcycle(pair.A.tocsr(), (9, 9, 9))
+        X = np.random.default_rng(3).standard_normal((pair.order, 3))
+        columns = np.column_stack([M @ x for x in X.T])
+        assert_allclose(M @ X, columns, rtol=1e-13, atol=1e-13 * np.abs(columns).max())
+        assert_allclose(M.matvec(X[:, :1]), columns[:, :1], rtol=1e-13,
+                        atol=1e-13 * np.abs(columns).max())
+
     @pytest.mark.parametrize("n, k", [(21, 6), (31, 2), (41, 1)])
     def test_cg_iterations_per_inner_solve_flat(self, monkeypatch, n, k):
         # one V-cycle preconditioner brings inner CG to relative residual 0.1

@@ -44,6 +44,15 @@ class TestShoot:
         assert np.all(np.diff(counts) >= 0)
         assert counts[-1] > counts[0]
 
+    def test_overflow_inside_one_piece_is_rescaled(self):
+        # g = -1 at lambda = 1e6: u grows like exp(1000 r) and leaves the float
+        # range well inside one smooth piece; the terminal rescale event keeps
+        # the state finite, so the shot ends with a miss and no zeros
+        neg = lambda r: -np.ones_like(np.asarray(r, dtype=float))
+        miss, zeros, _ = shoot(3, 1.0, neg, 6.0, 1e6)
+        assert np.isfinite(miss)
+        assert zeros == 0
+
     def test_invalid_inputs(self):
         with pytest.raises(OracleError):
             shoot(3, 2.5, unit_weight, 1.0, 1.0)
@@ -131,9 +140,10 @@ def replay_refinement(lams, results, n, growth=1.6):
     sweep is replayed on the recorded shots (shrink by growth^2 while the
     count is n or more, then grow by growth until it is), which gives the
     bracket it ends on and the number of distinct lambdas it shot. Past the
-    sweep, a step must be the midpoint of the bracket unless the bracket has
-    counts (n-1, n) with opposite misses and the previous step halved it.
-    Returns the number of non-midpoint (secant) steps.
+    sweep, every shot must lie strictly inside the current bracket, and a
+    shot taken while the bracket is not certifiable (counts (n-1, n) with
+    opposite misses) must be its midpoint. Returns the final bracket and the
+    number of refinement shots.
     """
     shots = dict(zip(lams, results))
     lam = lams[0]
@@ -147,32 +157,29 @@ def replay_refinement(lams, results, n, growth=1.6):
         swept.add(lam)
     hi = lam
     (miss_lo, count_lo), (miss_hi, count_hi) = shots[lo], shots[hi]
-    halved, secants = True, 0
-    for lam, (miss, zeros) in zip(lams[len(swept):], results[len(swept):]):
+    refinement = list(zip(lams[len(swept):], results[len(swept):]))
+    for lam, (miss, zeros) in refinement:
         assert lo < lam < hi
-        certifiable = count_lo == n - 1 and count_hi == n and miss_lo * miss_hi < 0.0
-        if not (halved and certifiable):
+        if not (count_lo == n - 1 and count_hi == n and miss_lo * miss_hi < 0.0):
             assert lam == 0.5 * (lo + hi)
-        else:
-            secants += lam != 0.5 * (lo + hi)
-        width = hi - lo
         if zeros >= n:
             hi, miss_hi, count_hi = lam, miss, zeros
         else:
             lo, miss_lo, count_lo = lam, miss, zeros
-        halved = (hi - lo) <= 0.5 * width
-    return secants
+    return (lo, hi), len(refinement)
 
 
 class TestRefinement:
     @staticmethod
-    def record(monkeypatch, shoot_fn):
+    def record(monkeypatch, shoot_fn, nfevs=None):
         lams, results = [], []
 
         def recorded(N, alpha, g, R, lam, **kwargs):
             miss, zeros, nfev = shoot_fn(N, alpha, g, R, lam, **kwargs)
             lams.append(lam)
             results.append((miss, zeros))
+            if nfevs is not None:
+                nfevs.append(nfev)
             return miss, zeros, nfev
 
         monkeypatch.setattr(oracle, "shoot", recorded)
@@ -185,7 +192,11 @@ class TestRefinement:
         res = shooting_eigenvalue(3, 1.0, unit_weight, 1.0, 1)
         assert res.certified
         assert abs(res.lam - np.sqrt(0.7)) <= 1e-10 * res.lam
-        assert replay_refinement(lams, results, 1) >= 3
+        bracket, refined = replay_refinement(lams, results, 1)
+        assert res.bracket == bracket
+        assert res.bracket[1] - res.bracket[0] <= 1e-10 * res.bracket[1]
+        # bisection from the sweep's bracket would need about 33 shots
+        assert refined <= 12
 
     def test_uncertifiable_bracket_bisects(self, monkeypatch):
         # the count jumps 0 -> 2 across the root, so the bracket never has
@@ -195,7 +206,8 @@ class TestRefinement:
         res = shooting_eigenvalue(3, 1.0, unit_weight, 1.0, 1)
         assert not res.certified
         assert "bracket uncertified" in res.note
-        assert replay_refinement(lams, results, 1) == 0
+        bracket, _ = replay_refinement(lams, results, 1)
+        assert res.bracket == bracket
         assert res.bracket[1] - res.bracket[0] <= 1e-10 * res.bracket[1]
 
     @pytest.mark.parametrize("name", sorted(CATALOGUE))
@@ -212,7 +224,8 @@ class TestRefinement:
 
     def test_oracle_command_shares_one_sweep(self, monkeypatch, tmp_path):
         # gaussian N=3 alpha=1 R=6, k=3, run the way `degeig oracle` runs it
-        lams, results = self.record(monkeypatch, shoot)
+        nfevs = []
+        lams, results = self.record(monkeypatch, shoot, nfevs)
         cfg = tmp_path / "oracle.json"
         cfg.write_text(json.dumps({"problem": {
             "N": 3, "alpha": 1.0, "weight": {"kind": "gaussian"},
@@ -223,8 +236,9 @@ class TestRefinement:
         entries = json.loads(open(os.path.join(out, "golden.json")).read())["entries"]
         assert [e["n"] for e in entries] == [1, 2, 3]
         assert all(e["certified"] for e in entries)
-        assert len(lams) <= 60
+        assert len(lams) <= 30
         assert len(set(lams)) == len(lams)   # no lambda shot twice
+        assert sum(nfevs) <= 27000           # summed steps of n = 1..3
 
         g = radial_weight_callable(gaussian_bump())
         alone = shooting_eigenvalue(3, 1.0, g, 6.0, 2)
