@@ -37,6 +37,20 @@ def _symmetrized(mat):
     return ((mat + mat.T) * 0.5).tocsr()
 
 
+def _csr(vals, base, offsets, shape, keep=True):
+    """CSR matrix from fixed per-row slots, with no COO staging.
+
+    Slot j of row i holds vals[i, j] in column base[i] + offsets[j]; slots
+    outside keep or outside the column range are dropped. The offsets
+    increase, so every row comes out sorted. base is int32 (orders below
+    2^31), which scipy keeps without a copy.
+    """
+    cols = base[:, None] + np.asarray(offsets, dtype=np.int32)
+    keep = keep & (cols >= 0) & (cols < shape[1])
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=shape)
+
+
 class DiscreteOperatorPair:
     """Assembled operators sharing one degree-of-freedom numbering.
 
@@ -176,26 +190,12 @@ def assemble_radial(mesh, N, alpha, spec):
     p = alpha + N
     moment = omega * (nodes[1:] ** p - nodes[:-1] ** p) / p  # integral of r^(p-1) per element
     s = moment / h**2
-    rows, cols, vals = [], [], []
-    idx = np.arange(M)
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(s)  # phi_i' * phi_i' on element i
-    left = idx[1:]  # element i also couples node i+1 when it is a dof
-    rows.append(left)
-    cols.append(left)
-    vals.append(s[:-1])
-    rows.append(idx[:-1])
-    cols.append(left)
-    vals.append(-s[:-1])
-    rows.append(left)
-    cols.append(idx[:-1])
-    vals.append(-s[:-1])
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof),
-    )
-    A = _symmetrized(A)
+    # element i couples node i to node i + 1, which is a dof unless i = M - 1,
+    # so A is tridiagonal and exactly symmetric as built
+    left = np.concatenate([[0.0], s[:-1]])  # element i - 1 as seen from node i
+    A = _csr(np.column_stack([-left, s + left, -s]), np.arange(M, dtype=np.int32),
+             [-1, 0, 1], (ndof, ndof))
+    A.eliminate_zeros()  # s underflows to 0 near r = 0 on steeply graded meshes
 
     # shared volume quadrature: Gauss points per element
     gx, gw = gauss_rule(MASS_GAUSS_ORDER)
@@ -210,21 +210,12 @@ def assemble_radial(mesh, N, alpha, spec):
     # interpolation from dofs to quadrature points
     G = MASS_GAUSS_ORDER
     nq = M * G
-    phi_left = ((nodes[1:, None] - qr) / h[:, None]).ravel()
-    phi_right = ((qr - nodes[:-1, None]) / h[:, None]).ravel()
-    q_index = np.arange(nq)
-    elem_of_q = q_index // G
-    erows = [q_index]
-    ecols = [elem_of_q]
-    evals = [phi_left]
-    inner = elem_of_q < M - 1  # right node of the last element is the boundary
-    erows.append(q_index[inner])
-    ecols.append(elem_of_q[inner] + 1)
-    evals.append(phi_right[inner])
-    E = sp.coo_matrix(
-        (np.concatenate(evals), (np.concatenate(erows), np.concatenate(ecols))),
-        shape=(nq, ndof),
-    ).tocsr()
+    # point q lies in element q // G and sees the hats of its left and right
+    # node; the last element's right node is the boundary node, which is no
+    # dof, so its column is out of range
+    E = _csr((np.stack([nodes[1:, None] - qr, qr - nodes[:-1, None]], axis=-1)
+              / h[:, None, None]).reshape(nq, 2),
+             np.arange(nq, dtype=np.int32) // G, [0, 1], (nq, ndof))
 
     w_flat = qw.ravel()
     B = _symmetrized(E.T @ sp.diags(w_flat * g_q) @ E)
@@ -265,6 +256,48 @@ def origin_cell_kernel_integral(hs, alpha):
     return 6.0 * a / (alpha + 1.0) * surf
 
 
+def _grid_stiffness(grid, alpha):
+    """The 7-point flux matrix of assemble_grid3d, exactly symmetric as built.
+
+    A function of its own so that its face and slot arrays are freed before
+    the rest of the pair is built.
+    """
+    n = grid.n
+    m = n - 2  # interior nodes per axis; dofs ravel the m^3 of them in C order
+    hs = grid.hs
+    ax = grid.axis
+    o = (n - 1) // 2 - 1  # the origin's interior index along each axis
+    lower, upper = [], []  # per axis, each dof's face toward -x_axis and +x_axis
+    for axis in range(3):
+        # the n - 1 faces normal to this axis on each line of interior nodes;
+        # face t joins node t to node t + 1, i.e. interior nodes t - 1 and t
+        coords = [ax[1:-1]] * 3
+        coords[axis] = 0.5 * (ax[:-1] + ax[1:])
+        c = hs * _sym_norm(np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)) ** alpha
+        origin_faces = [o] * 3
+        origin_faces[axis] = slice(o, o + 2)
+        c[tuple(origin_faces)] = hs * hs**alpha / (alpha + 1.0)
+        cut = [slice(None)] * 3
+        cut[axis] = slice(0, m)
+        lower.append(c[tuple(cut)])
+        cut[axis] = slice(1, m + 1)
+        upper.append(c[tuple(cut)])
+    # sorted accumulation keeps the diagonal exactly symmetric under
+    # coordinate permutations of the grid
+    diag = np.sort(np.stack(lower + upper, axis=-1), axis=-1).sum(axis=-1)
+    # each row's seven slots in column order: -x0, -x1, -x2, the dof, +x2, +x1, +x0;
+    # a neighbour on the boundary is no dof
+    vals = np.stack([-lower[0], -lower[1], -lower[2], diag,
+                     -upper[2], -upper[1], -upper[0]], axis=-1).reshape(-1, 7)
+    keep = np.ones((m, m, m, 7), dtype=bool)
+    keep[0, :, :, 0] = keep[:, 0, :, 1] = keep[:, :, 0, 2] = False
+    keep[:, :, -1, 4] = keep[:, -1, :, 5] = keep[-1, :, :, 6] = False
+    A = _csr(vals, np.arange(m**3, dtype=np.int32), [-m * m, -m, -1, 0, 1, m, m * m],
+             (m**3, m**3), keep.reshape(-1, 7))
+    A.eliminate_zeros()  # hs^(1 + alpha) underflows for a tiny L; such entries are not stored
+    return A
+
+
 def assemble_grid3d(grid, alpha, spec):
     """7-point flux discretization on the cube grid (N = 3 only).
 
@@ -276,50 +309,9 @@ def assemble_grid3d(grid, alpha, spec):
     """
     if not 0.0 < alpha < 2.0:
         raise AssemblyError("alpha must lie in (0, 2)")
-    n = grid.n
+    A = _grid_stiffness(grid, alpha)
+
     hs = grid.hs
-    ax = grid.axis
-    origin_flat = ((n - 1) // 2 * n + (n - 1) // 2) * n + (n - 1) // 2
-
-    dof_index = -np.ones((n, n, n), dtype=np.int64)
-    dof_index[1:-1, 1:-1, 1:-1] = np.arange(grid.num_interior).reshape(
-        (n - 2, n - 2, n - 2)
-    )
-    dof_flat = dof_index.ravel()
-
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    coords = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
-    rows, cols, vals = [], [], []
-    face = np.zeros((grid.num_interior, 6))  # per-node face coefficients
-    strides = (n * n, n, 1)
-    for axis in range(3):
-        sl = [slice(None)] * 3
-        sl[axis] = slice(0, n - 1)
-        p = np.arange(n**3).reshape((n, n, n))[tuple(sl)].ravel()
-        q = p + strides[axis]
-        mids = 0.5 * (coords[p] + coords[q])
-        c = hs * _sym_norm(mids) ** alpha
-        incident_origin = (p == origin_flat) | (q == origin_flat)
-        c[incident_origin] = hs * hs**alpha / (alpha + 1.0)
-        dp, dq = dof_flat[p], dof_flat[q]
-        both = (dp >= 0) & (dq >= 0)
-        face[dp[dp >= 0], 2 * axis] = c[dp >= 0]
-        face[dq[dq >= 0], 2 * axis + 1] = c[dq >= 0]
-        rows.extend([dp[both], dq[both]])
-        cols.extend([dq[both], dp[both]])
-        vals.extend([-c[both], -c[both]])
-    rows.append(np.arange(grid.num_interior))
-    cols.append(np.arange(grid.num_interior))
-    # sorted accumulation keeps the diagonal exactly symmetric under
-    # coordinate permutations of the grid
-    vals.append(np.sort(face, axis=1).sum(axis=1))
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.num_interior, grid.num_interior),
-    )
-    A = _symmetrized(A)
-
     pts = grid.interior_points()
     radii = _sym_norm(pts)
     cell = hs**3

@@ -28,6 +28,7 @@ from .assembly import mass_plus_inner, volume_integral
 
 CLUSTER_RTOL = 1e-9  # eigenvalues closer than this (relatively) form a cluster
 DENSE_THRESHOLD = 2000  # solve_dense refuses larger orders
+TRANSPOSE_BLOCK = 128  # square blocks swapped by _transpose_in_place
 
 
 class SolverError(RuntimeError):
@@ -250,6 +251,25 @@ def _band_solve(U, X, trans):
     return X
 
 
+def _transpose_in_place(X):
+    """Replace the square array X by its transpose without a second n^2 array.
+
+    Off-diagonal blocks are swapped through a block-sized buffer and diagonal
+    blocks transposed through a copy of themselves, so X keeps its memory
+    order (a Fortran-ordered X then holds X^T in Fortran order).
+    """
+    n, block = X.shape[0], TRANSPOSE_BLOCK
+    for i in range(0, n, block):
+        a = slice(i, i + block)
+        X[a, a] = X[a, a].T.copy()
+        for j in range(i + block, n, block):
+            b = slice(j, j + block)
+            upper = X[a, b].copy()
+            X[a, b] = X[b, a].T
+            X[b, a] = upper.T
+    return X
+
+
 def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
     """Top-k reference solve of the pencil B v = mu A v.
 
@@ -257,9 +277,11 @@ def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
     Matrix Computations, 8.7): A = U^T U by a banded Cholesky, C =
     U^{-T} B U^{-1} by two banded triangular solves against a dense copy of B,
     one standard eigh call for the k largest mu of C, and e = U^{-1} w. A is
-    never densified: the work is O(n^2 w) for bandwidth w and the dense
-    arrays are B's copy and C. mu > 0 are the reciprocals of the smallest
-    positive pencil eigenvalues, nonpositive directions are discarded.
+    never densified: the work is O(n^2 w) for bandwidth w, and C is formed
+    and diagonalized in the one n^2 buffer that holds B's dense copy (X =
+    U^{-T} B is transposed in place between the solves). mu > 0 are the
+    reciprocals of the smallest positive pencil eigenvalues, nonpositive
+    directions are discarded.
     Returns the k smallest positive lambda; fewer when the pencil has fewer
     positive eigenvalues (reported, not fatal).
     """
@@ -270,15 +292,16 @@ def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
         raise ValueError("k must be >= 1")
     w = _bandwidth(pair.A)
     upper = sp.triu(pair.A, format="coo")
-    band = np.zeros((w + 1, n))
+    band = np.zeros((w + 1, n), order="F")  # LAPACK band storage, factored in place
     band[w + upper.row - upper.col, upper.col] = upper.data
+    del upper
     try:
-        U = sla.cholesky_banded(band, check_finite=False)
+        U = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise SolverError(f"energy matrix is not positive definite: {exc}") from exc
     X = _band_solve(U, pair.B.toarray(order="F"), "T")  # U^{-T} B
-    C = _band_solve(U, X.T, "T")  # U^{-T} (U^{-T} B)^T = U^{-T} B U^{-1}
-    del X
+    # U^{-T} (U^{-T} B)^T = U^{-T} B U^{-1}; X.T alone would be copied to Fortran order
+    C = _band_solve(U, _transpose_in_place(X), "T")
     mu, W = sla.eigh(C, subset_by_index=[max(n - k, 0), n - 1],
                      overwrite_a=True, check_finite=False)
     V = _band_solve(U, W, "N")  # v = U^{-1} w, so v^T A v = w^T w = 1
@@ -331,7 +354,9 @@ def _vcycle(A, shape):
     levels = []
     while A.shape[0] > COARSEST_ORDER:
         P, shape = _interpolation(shape)
-        levels.append((A, SMOOTHING_WEIGHT / A.diagonal(), P))
+        # the restriction is stored once, as P.T builds a new CSC view per use;
+        # the Galerkin product keeps P.T, as the CSR copy would round it differently
+        levels.append((A, SMOOTHING_WEIGHT / A.diagonal(), P, P.T.tocsr()))
         A = (P.T @ A @ P).tocsr()
     inv = np.linalg.inv(A.toarray())
     inv = 0.5 * (inv + inv.T)
@@ -339,13 +364,13 @@ def _vcycle(A, shape):
     def cycle(b, level=0):
         if level == len(levels):
             return inv @ b
-        A, d, P = levels[level]
+        A, d, P, R = levels[level]
         if b.ndim == 2:
             d = d[:, None]  # a block: one column per right-hand side
         x = d * b
         for _ in range(SMOOTHING_SWEEPS - 1):
             x += d * (b - A @ x)
-        x += P @ cycle(P.T @ (b - A @ x), level + 1)
+        x += P @ cycle(R @ (b - A @ x), level + 1)
         for _ in range(SMOOTHING_SWEEPS):
             x += d * (b - A @ x)
         return x
@@ -455,8 +480,8 @@ def solve_successive(pair, k=None, settings=None, seed=42):
             f"pair {done + 1}: ARPACK did not converge within {settings.max_iter} "
             f"restarts ({done} of {m} pairs converged)"
         ) from exc
-    masses = [u @ (pair.B @ u) for u in vecs.T]
-    mus = [b / (u @ (pair.A @ u)) for b, u in zip(masses, vecs.T)]
+    masses = [u @ b for u, b in zip(vecs.T, (pair.B @ vecs).T)]
+    mus = [mass / (u @ a) for mass, u, a in zip(masses, vecs.T, (pair.A @ vecs).T)]
     lambdas, vectors = [], []
     warnings = []
     exhausted = False

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 
+CSV_BLOCK_ROWS = 4096  # rows formatted per call by write_csv
+
 
 def format_float(x):
     if np.isnan(x):
@@ -68,11 +70,15 @@ def run_meta():
 def write_csv(path, header, rows):
     """CSV with a header row; every value printed with 17 significant digits.
 
-    The rows are converted to one float table and formatted in one call, so
-    an integral value such as a mesh size prints as an integer ("%.17g").
+    The rows are converted to one float table, so an integral value such as a
+    mesh size prints as an integer ("%.17g"). The table is formatted
+    CSV_BLOCK_ROWS rows per call, which keeps the Python floats and the text
+    of only one block alive at a time.
     """
     table = np.asarray(rows, dtype=float)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(line * len(table) % tuple(table.ravel().tolist()))
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))

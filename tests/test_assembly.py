@@ -271,3 +271,126 @@ class TestErrorsAndExport:
         assert volume_integral(pair, np.ones(3)) == 3.0
         with pytest.raises(AssemblyError):
             mass_plus_inner(pair, np.ones(3))
+
+
+def _pair_bytes(pair):
+    """Bytes held by the arrays and sparse matrices of an assembled pair."""
+    total = 0
+    for mat in (pair.A, pair.B, pair.H, pair.interp):
+        total += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    for arr in (pair.quad_radii, pair.quad_weights, pair.g_quad, pair.gplus_quad,
+                pair.dof_positions):
+        total += arr.nbytes
+    return total
+
+
+def _assemble(kind, n):
+    if kind == "grid":
+        return assemble_grid3d(build_grid3d(6.0, n), 1.0, gaussian_bump())
+    spec = sign_changing_ring() if kind == "ring" else gaussian_bump()
+    return assemble_radial(build_radial_mesh(6.0, n, 1.0), 3, 1.0, spec)
+
+
+def _coo_reference(pair):
+    """A (and the radial E) staged through COO triples and symmetrized, the
+    way assembly built them before it wrote CSR directly."""
+    import scipy.sparse as sp
+
+    from degeig.assembly import _sym_norm, _symmetrized
+
+    if pair.mode == "radial":
+        nodes, h = pair.geometry.nodes, pair.geometry.element_sizes
+        M, p = h.size, pair.alpha + pair.N
+        s = sphere_area(pair.N) * (nodes[1:] ** p - nodes[:-1] ** p) / p / h**2
+        i = np.arange(M - 1)
+        A = sp.coo_matrix((np.concatenate([s, s[:-1], -s[:-1], -s[:-1]]),
+                           (np.concatenate([np.arange(M), i + 1, i, i + 1]),
+                            np.concatenate([np.arange(M), i + 1, i + 1, i]))), shape=(M, M))
+        G = pair.quad_radii.size // M
+        qr = pair.quad_radii.reshape(M, G)
+        q = np.arange(M * G)
+        inner = q // G < M - 1
+        E = sp.coo_matrix((np.concatenate([((nodes[1:, None] - qr) / h[:, None]).ravel(),
+                                           ((qr - nodes[:-1, None]) / h[:, None]).ravel()[inner]]),
+                           (np.concatenate([q, q[inner]]),
+                            np.concatenate([q // G, q[inner] // G + 1]))), shape=(M * G, M))
+        return _symmetrized(A), E.tocsr()
+    grid, alpha = pair.geometry, pair.alpha
+    n, hs = grid.n, grid.hs
+    dof = -np.ones((n, n, n), dtype=np.int64)
+    dof[1:-1, 1:-1, 1:-1] = np.arange(pair.order).reshape((n - 2,) * 3)
+    dof = dof.ravel()
+    X, Y, Z = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij")
+    coords = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    origin = ((n - 1) // 2 * n + (n - 1) // 2) * n + (n - 1) // 2
+    rows, cols, vals = [], [], []
+    face = np.zeros((pair.order, 6))
+    for axis, stride in enumerate((n * n, n, 1)):
+        cut = [slice(None)] * 3
+        cut[axis] = slice(0, n - 1)
+        a = np.arange(n**3).reshape((n, n, n))[tuple(cut)].ravel()
+        b = a + stride
+        c = hs * _sym_norm(0.5 * (coords[a] + coords[b])) ** alpha
+        c[(a == origin) | (b == origin)] = hs * hs**alpha / (alpha + 1.0)
+        da, db = dof[a], dof[b]
+        both = (da >= 0) & (db >= 0)
+        face[da[da >= 0], 2 * axis] = c[da >= 0]
+        face[db[db >= 0], 2 * axis + 1] = c[db >= 0]
+        rows += [da[both], db[both]]
+        cols += [db[both], da[both]]
+        vals += [-c[both], -c[both]]
+    rows.append(np.arange(pair.order))
+    cols.append(np.arange(pair.order))
+    vals.append(np.sort(face, axis=1).sum(axis=1))
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(pair.order, pair.order))
+    return _symmetrized(A), pair.interp
+
+
+def _same_csr(X, Y):
+    return all(np.array_equal(getattr(X, f), getattr(Y, f)) for f in ("data", "indices", "indptr"))
+
+
+class TestDirectAssembly:
+    @pytest.mark.parametrize("kind, n", [("grid", 15), ("ring", 512), ("gaussian", 512)])
+    def test_stiffness_symmetric_as_built(self, monkeypatch, kind, n):
+        # A is exactly symmetric without the (A + A^T) / 2 pass, which only
+        # the E^T diag E products of radial B and H still take, and A and E
+        # equal, bit for bit, their COO-staged and symmetrized reference
+        import degeig.assembly as assembly
+
+        symmetrized = []
+        real = assembly._symmetrized
+        monkeypatch.setattr(assembly, "_symmetrized",
+                            lambda mat: symmetrized.append(real(mat)) or symmetrized[-1])
+        pair = _assemble(kind, n)
+        assert (pair.A - pair.A.T).nnz == 0
+        assert not any(mat is pair.A for mat in symmetrized)
+        assert len(symmetrized) == (0 if kind == "grid" else 2)
+        monkeypatch.undo()
+        A, E = _coo_reference(pair)
+        assert _same_csr(pair.A, A) and _same_csr(pair.interp, E)
+
+    @pytest.mark.parametrize("kind, n, bound", [("grid", 31, 1.5), ("ring", 8192, 2.25)])
+    def test_assembly_peak_near_live_size(self, kind, n, bound):
+        # no COO staging and no symmetrizing copy of A: the grid's transient
+        # was 4.3x its live size (31^3), the radial one 2.6x (M = 8192)
+        import tracemalloc
+
+        _assemble(kind, n)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            pair = _assemble(kind, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * _pair_bytes(pair)
+
+    def test_underflowed_stiffness_entry_not_stored(self):
+        # N = 5 on a graded mesh: r^(alpha + N) underflows near r = 0; those
+        # entries are left out, as the symmetrizing sum of the reference does
+        pair = assemble_radial(build_radial_mesh(6.0, 513, 1.3), 5, 1.2, gaussian_bump())
+        assert pair.A.nnz < 3 * pair.order - 2
+        assert np.all(pair.A.data != 0.0)
+        A, E = _coo_reference(pair)
+        assert _same_csr(pair.A, A) and _same_csr(pair.interp, E)

@@ -121,11 +121,16 @@ class TestDense:
         assert_allclose(seq.lambdas, ref, rtol=1e-12)
         assert np.all(seq.residuals <= 1e-10)
 
-    def test_peak_memory_two_dense_arrays(self):
-        # a copy of B and the congruence C: no dense A, no copies inside eigh
+    @pytest.mark.parametrize("kind", ["radial", "grid"])
+    def test_peak_memory_one_dense_array(self, kind):
+        # B's dense copy becomes C in place: no dense A, no transposed copy
+        # of U^{-T} B, no copy inside eigh; the band of A adds (w + 1) n
         import tracemalloc
 
-        pair = assemble_radial(build_radial_mesh(6.0, 1000, 1.0), 3, 1.0, gaussian_bump())
+        if kind == "radial":
+            pair = assemble_radial(build_radial_mesh(6.0, 1000, 1.0), 3, 1.0, gaussian_bump())
+        else:
+            pair = _grid_pair(11)  # order 729, bandwidth 81
         n = pair.order
         tracemalloc.start()
         try:
@@ -134,7 +139,18 @@ class TestDense:
         finally:
             tracemalloc.stop()
         assert seq.count == 6
-        assert peak <= 2.5 * n * n * 8
+        assert peak <= 1.25 * n * n * 8
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 1000])
+    def test_transpose_in_place(self, n):
+        # block edges of the default block (128) and of 256 are both crossed
+        from degeig.eigensolve import _transpose_in_place
+
+        X = np.asfortranarray(np.random.default_rng(n).standard_normal((n, n)))
+        ref = X.T.copy()
+        out = _transpose_in_place(X)
+        assert out is X and X.flags.f_contiguous
+        assert np.array_equal(X, ref)
 
     def test_failed_triangular_solve_is_solver_error(self, monkeypatch):
         import degeig.eigensolve as es

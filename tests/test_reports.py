@@ -52,6 +52,32 @@ class TestJsonWriter:
         write_csv(path, ["a", "b", "c"], np.array(rows, dtype=float))
         assert path.read_text() == per_cell(["a", "b", "c"], rows)
 
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
+    def test_csv_blocks_match_one_shot(self, tmp_path, monkeypatch, n):
+        # row counts around one block of 4096: the blocked writer prints the
+        # bytes of one "%.17g" format call over the whole table
+        import degeig.reports as reports
+
+        monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 4096)
+        table = np.random.default_rng(n).standard_normal((n, 3)) * 10.0 ** np.arange(-150, 150, 100)
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], table)
+        one_shot = "%.17g,%.17g,%.17g\n" * n % tuple(table.ravel().tolist())
+        assert path.read_text() == "a,b,c\n" + one_shot
+
+    def test_csv_writer_needs_less_than_the_table(self, tmp_path):
+        # one whole-table tolist() and string cost about 7x the table
+        import tracemalloc
+
+        table = np.random.default_rng(5).standard_normal((40000, 6))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", list("abcdef"), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes
+
 
 class TestQuadrature:
     def test_power_law_on_many_decades(self):
