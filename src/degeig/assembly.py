@@ -28,10 +28,6 @@ def sphere_area(N):
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def ball_volume(N, R):
-    return sphere_area(N) * R**N / N
-
-
 def _symmetrized(mat):
     mat = mat.tocsr()
     return ((mat + mat.T) * 0.5).tocsr()

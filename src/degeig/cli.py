@@ -14,8 +14,8 @@ import numpy as np
 
 from .assembly import (AssemblyError, assemble_grid3d, assemble_radial,
                        energy_inner, export_coo, hardy_inner)
-from .config import ConfigError, PRESETS, load_config, load_preset
-from .eigensolve import (CLUSTER_RTOL, DENSE_THRESHOLD, SolverError,
+from .config import ConfigError, PRESETS, load_config, load_preset, weight_from_dict
+from .eigensolve import (CLUSTER_RTOL, DENSE_THRESHOLD, SolverError, cluster_gaps,
                          growth_diagnostics, solve_dense, solve_successive)
 from .inequalities import (CknParams, check_ckn_radial, check_hardy,
                            check_sobolev, critical_exponent,
@@ -32,6 +32,7 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 FMT = "%.17g"
+GOLDEN_RTOL = 1e-2  # bound of the golden claim on the relative lambda error
 
 
 def _assemble(problem):
@@ -59,9 +60,7 @@ def _increasing_across_clusters(seq, radial):
     lambda_1 and the relative gaps between clusters.
     """
     lam = seq.lambdas
-    gaps = np.diff(lam) / lam[1:]
-    between = np.zeros(gaps.size, dtype=bool)
-    between[[c[0] - 1 for c in seq.clusters[1:]]] = True
+    gaps, between = cluster_gaps(seq)
     simple = not radial or all(len(c) == 1 for c in seq.clusters)
     return {
         "value": float(min(lam.min(), gaps[between].min(initial=np.inf))),
@@ -102,7 +101,7 @@ def _solve_claims(seq, dense_seq, growth, radial):
     return claims
 
 
-def _golden_claim(path, seq, problem, bound=1e-2):
+def _golden_claim(path, seq, problem):
     """Compare the computed sequence against a shooting-oracle golden file.
 
     The claim fails when no certified entry was compared, or when a certified
@@ -123,7 +122,7 @@ def _golden_claim(path, seq, problem, bound=1e-2):
     errors = [abs(seq.lambdas[int(e["n"]) - 1] - float(e["lambda"])) / float(e["lambda"])
               for e in entries if int(e["n"]) <= seq.count]
     worst = max(errors, default=0.0)
-    return _claim(worst, bound, ok=bool(errors) and same_problem and worst <= bound)
+    return _claim(worst, GOLDEN_RTOL, ok=bool(errors) and same_problem and worst <= GOLDEN_RTOL)
 
 
 def _write_vectors_csv(path, pair, seq):
@@ -162,7 +161,7 @@ def cmd_solve(run, out_dir):
         },
         "claims": claims,
         "eigen": seq.to_report(),
-        "growth": growth.to_dict(),
+        "growth": growth,
         "diagnostics": {
             "dense": dense_seq.to_report() if dense_seq is not None else None,
             "seed": run.seed,
@@ -207,20 +206,14 @@ def cmd_converge(run, out_dir):
     rows = []
     lambdas = []
     slacks = []
-    for rung in run.ladder:
-        geom_args = {"R": rung.get("R", problem.geometry.R), "M": int(rung["M"])}
-        geom = type(problem.geometry)(
-            R=geom_args["R"], M=geom_args["M"],
-            q=rung.get("q"), span=rung.get("span", problem.geometry.span),
-        )
-        mesh = geom.build(problem.N)
-        pair = assemble_radial(mesh, problem.N, problem.alpha, problem.weight)
+    for geom in run.rungs():
+        pair = assemble_radial(geom.build(problem.N), problem.N, problem.alpha, problem.weight)
         seq = solve_successive(pair, settings=problem.solver, seed=run.seed)
         lam = seq.lambdas[:k]
         lambdas.append(lam)
         slack = max(0.0, _hardy_slack(pair, 50, run.seed) - 1.0)
         slacks.append(slack)
-        rows.append([geom_args["M"], geom_args["R"]] + list(lam) + [slack])
+        rows.append([geom.M, geom.R] + list(lam) + [slack])
     counts = min(l.size for l in lambdas)
     orders = {}
     diffs_decreasing = {}
@@ -250,10 +243,6 @@ def cmd_converge(run, out_dir):
     return EXIT_OK
 
 
-def _default_profiles(R):
-    return [smooth_bump(R / 4.0), poly_bump(R / 3.0), gaussian_profile(R / 10.0, cutoff=4.0)]
-
-
 def cmd_check(run, out_dir):
     problem = run.problem
     if problem.geometry.mode != "radial":
@@ -261,7 +250,7 @@ def cmd_check(run, out_dir):
     pair = _assemble(problem)
     N, alpha = problem.N, problem.alpha
     R = problem.geometry.R
-    profiles = _default_profiles(R)
+    profiles = [smooth_bump(R / 4.0), poly_bump(R / 3.0), gaussian_profile(R / 10.0, cutoff=4.0)]
     radii = pair.dof_positions
     hardy_reports = []
     sobolev_reports = []
@@ -353,8 +342,8 @@ def cmd_oracle(run, out_dir):
 
 def cmd_catalogue(N, alpha, out_dir=None):
     rows = []
-    for name, builder in CATALOGUE.items():
-        spec = builder(N, alpha)
+    for name in CATALOGUE:
+        spec = weight_from_dict({"kind": name}, N, alpha)
         rep = verify_weight_split(spec, N, alpha)
         parts = []
         if rep.g1_norm_estimate > 0:
@@ -371,7 +360,7 @@ def cmd_catalogue(N, alpha, out_dir=None):
             f"  decay: {decay}, L^(N/(2-alpha)): {lq}  overall: {rep.overall}"
         )
         print(line)
-        rows.append(rep.to_dict())
+        rows.append(rep)
     if out_dir:
         write_json(os.path.join(out_dir, "catalogue.json"),
                    {"N": N, "alpha": alpha, "weights": rows, "meta": run_meta()})

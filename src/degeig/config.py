@@ -7,14 +7,14 @@ Every preset is defined here in code so the full acceptance surface runs
 offline.
 """
 
+import inspect
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import weights as W
 from .eigensolve import SolverSettings
-from .mesh import build_grid3d, build_radial_mesh, grading_for_span
+from .mesh import MeshError, build_grid3d, build_radial_mesh, grading_for_span
 
 
 class ConfigError(ValueError):
@@ -36,8 +36,9 @@ class RadialGeometry:
     def grading(self):
         return self.q if self.q is not None else grading_for_span(self.M, self.span)
 
-    def build(self, dimension):
-        return build_radial_mesh(self.R, self.M, self.grading(), dimension)
+    def build(self, N):
+        """The mesh, the same for every dimension N."""
+        return build_radial_mesh(self.R, self.M, self.grading())
 
 
 @dataclass
@@ -47,9 +48,9 @@ class Grid3DGeometry:
 
     mode = "grid3d"
 
-    def build(self, dimension):
-        if dimension != 3:
-            raise ConfigError("problem.geometry: the grid mode is 3-d only")
+    def build(self, N):
+        if N != 3:
+            raise MeshError("grid mode requires N = 3")
         return build_grid3d(self.L, self.n)
 
 
@@ -58,7 +59,6 @@ class ProblemConfig:
     N: int
     alpha: float
     weight: W.WeightSpec
-    weight_dict: dict
     geometry: object
     solver: SolverSettings
 
@@ -67,12 +67,10 @@ class ProblemConfig:
             raise ConfigError("problem.N: dimension must be an integer >= 3")
         if not 0.0 < self.alpha < 2.0:
             raise ConfigError("problem.alpha: the exponent must lie in the open interval (0, 2)")
-        try:
+        with _reading("problem.solver"):
             self.solver.validate()
-        except ValueError as exc:
-            raise ConfigError(f"problem.solver: {exc}") from exc
-        if isinstance(self.geometry, Grid3DGeometry) and self.N != 3:
-            raise ConfigError("problem.geometry: grid mode requires N = 3")
+        with _reading("problem.geometry"):
+            self.geometry.build(self.N)
         return self
 
 
@@ -85,101 +83,133 @@ class RunConfig:
     golden_path: str = None                        # oracle golden file to compare against
     export_matrices: bool = False
 
+    def rungs(self):
+        """The ladder's geometries: the problem's, with each rung's fields."""
+        return [replace(self.problem.geometry, **rung) for rung in self.ladder]
+
     def validate(self):
-        self.problem.validate()
-        if self.ladder:
-            sizes = [r["M"] for r in self.ladder]
-            if any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
-                raise ConfigError("ladder: mesh sizes must be strictly increasing")
+        sizes = [rung["M"] for rung in self.ladder]
+        if any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
+            raise ConfigError("ladder: mesh sizes must be strictly increasing")
+        if self.problem.geometry.mode == "radial":
+            for i, geometry in enumerate(self.rungs()):
+                with _reading(f"ladder[{i}]"):
+                    geometry.build(self.problem.N)
         return self
 
 
-def weight_from_dict(d, N, alpha):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("problem.weight: expected an object with a 'kind' field")
-    kind = d["kind"]
+@contextmanager
+def _reading(where):
+    """Report a bad value met while reading section `where` as a ConfigError."""
     try:
-        if kind == "gaussian":
-            return W.gaussian_bump(d.get("amplitude", 1.0), d.get("width", 1.0))
-        if kind == "compact-bump":
-            return W.compact_bump(d.get("radius", 1.0), d.get("amplitude", 1.0))
-        if kind == "ring":
-            return W.sign_changing_ring(
-                d.get("inner", 1.0), d.get("outer", 2.0),
-                d.get("pos_amplitude", 1.0), d.get("neg_amplitude", -0.5),
-            )
-        if kind == "ball":
-            return W.indicator_ball(d.get("radius", 1.0))
-        if kind == "borderline-log":
-            return W.borderline_log(N, alpha)
-        if kind == "tabulated":
-            if "csv" in d:
-                return W.tabulated_from_csv(d["csv"], d.get("rule", "linear"))
-            return W.tabulated(
-                np.asarray(d["radii"], float), np.asarray(d["values"], float),
-                d.get("rule", "linear"),
-            )
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"problem.weight: {exc}") from exc
-    raise ConfigError(f"problem.weight.kind: unknown weight '{kind}'")
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _integer(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _as_given(value):
+    return value
+
+
+def _fields(d, where, schema, required=()):
+    """The fields of section `where`, each converted by schema[name].
+
+    An unknown field, a missing required one or a value its converter refuses
+    is a ConfigError naming the field.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = set(d) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    for name in required:
+        if name not in d:
+            raise ConfigError(f"{where}.{name}: required field missing")
+    converted = {}
+    for name, value in d.items():
+        with _reading(f"{where}.{name}"):
+            converted[name] = schema[name](value)
+    return converted
+
+
+def _schema(cls):
+    """Converters for the fields of the dataclass cls, by their annotated types."""
+    return {f.name: {int: _integer, float: _number}[f.type] for f in fields(cls)}
+
+
+def _settings(cls, d, where):
+    """The dataclass cls from section `where`; a field without a default is required."""
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    return cls(**_fields(d, where, _schema(cls), required))
+
+
+def weight_from_dict(d, N, alpha):
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind is None:
+        raise ConfigError("problem.weight: expected an object with a 'kind' field")
+    if not isinstance(kind, str) or kind not in W.WEIGHTS:
+        raise ConfigError(f"problem.weight.kind: unknown weight '{kind}'")
+    builder = W.tabulated_from_csv if kind == "tabulated" and "csv" in d else W.WEIGHTS[kind]
+    params = inspect.signature(builder).parameters
+    problem = {name: value for name, value in (("N", N), ("alpha", alpha)) if name in params}
+    own = [name for name in params if name not in problem]
+    values = _fields(d, "problem.weight", dict.fromkeys(["kind", *own], _as_given),
+                     [name for name in own if params[name].default is params[name].empty])
+    del values["kind"]
+    with _reading("problem.weight"):
+        return builder(**values, **problem)
 
 
 def geometry_from_dict(d):
-    if not isinstance(d, dict) or "mode" not in d:
+    modes = {cls.mode: cls for cls in (RadialGeometry, Grid3DGeometry)}
+    mode = d.get("mode") if isinstance(d, dict) else None
+    if mode is None:
         raise ConfigError("problem.geometry: expected an object with a 'mode' field")
-    mode = d["mode"]
-    try:
-        if mode == "radial":
-            return RadialGeometry(
-                R=float(d["R"]), M=int(d["M"]), q=d.get("q"),
-                span=float(d.get("span", DEFAULT_GRADING_SPAN)),
-            )
-        if mode == "grid3d":
-            return Grid3DGeometry(L=float(d["L"]), n=int(d["n"]))
-    except KeyError as exc:
-        raise ConfigError(f"problem.geometry: missing field {exc}") from exc
-    raise ConfigError(f"problem.geometry.mode: unknown mode '{mode}'")
-
-
-def solver_from_dict(d):
-    d = d or {}
-    allowed = {"k", "tol", "max_iter"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"problem.solver: unknown fields {sorted(unknown)}")
-    return SolverSettings(**d)
+    if not isinstance(mode, str) or mode not in modes:
+        raise ConfigError(f"problem.geometry.mode: unknown mode '{mode}'")
+    return _settings(modes[mode], {k: v for k, v in d.items() if k != "mode"},
+                     "problem.geometry")
 
 
 def problem_from_dict(d):
-    if not isinstance(d, dict):
-        raise ConfigError("problem: expected an object")
-    for fieldname in ("N", "alpha", "weight", "geometry"):
-        if fieldname not in d:
-            raise ConfigError(f"problem.{fieldname}: required field missing")
-    N = d["N"]
-    alpha = d["alpha"]
-    if not isinstance(N, int):
-        raise ConfigError("problem.N: dimension must be an integer >= 3")
+    d = _fields(d, "problem", {"N": _integer, "alpha": _number, "weight": _as_given,
+                               "geometry": _as_given, "solver": _as_given},
+                ("N", "alpha", "weight", "geometry"))
     return ProblemConfig(
-        N=N,
-        alpha=float(alpha),
-        weight=weight_from_dict(d["weight"], N, float(alpha)),
-        weight_dict=dict(d["weight"]),
+        N=d["N"],
+        alpha=d["alpha"],
+        weight=weight_from_dict(d["weight"], d["N"], d["alpha"]),
         geometry=geometry_from_dict(d["geometry"]),
-        solver=solver_from_dict(d.get("solver")),
+        solver=_settings(SolverSettings, d.get("solver") or {}, "problem.solver"),
     ).validate()
 
 
 def run_config_from_dict(d):
-    if not isinstance(d, dict) or "problem" not in d:
-        raise ConfigError("config: expected an object with a 'problem' section")
+    d = _fields(d, "config", {"problem": _as_given, "seed": _integer, "out": str,
+                              "ladder": list, "golden": str, "export_matrices": bool},
+                ("problem",))
     run = RunConfig(
         problem=problem_from_dict(d["problem"]),
-        seed=int(d.get("seed", 42)),
-        out_dir=str(d.get("out", "out")),
-        ladder=list(d.get("ladder", [])),
+        seed=d.get("seed", 42),
+        out_dir=d.get("out", "out"),
+        ladder=[_fields(rung, f"ladder[{i}]", _schema(RadialGeometry), ("M",))
+                for i, rung in enumerate(d.get("ladder", []))],
         golden_path=d.get("golden"),
-        export_matrices=bool(d.get("export_matrices", False)),
+        export_matrices=d.get("export_matrices", False),
     )
     return run.validate()
 

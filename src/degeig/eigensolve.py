@@ -85,16 +85,7 @@ class EigenSequence:
         return int(self.lambdas.size)
 
     def max_cross_energy(self):
-        if self.count < 2:
-            return 0.0
-        off = self.cross_energy - np.diag(np.diag(self.cross_energy))
-        return float(np.max(np.abs(off)))
-
-    def max_cross_mass(self):
-        if self.count < 2:
-            return 0.0
-        off = self.cross_mass - np.diag(np.diag(self.cross_mass))
-        return float(np.max(np.abs(off)))
+        return _max_off_diagonal(self.cross_energy)
 
     def to_report(self):
         pairs = [
@@ -115,28 +106,48 @@ class EigenSequence:
             "exhausted": bool(self.exhausted),
             "pairs": pairs,
             "max_cross_energy": self.max_cross_energy(),
-            "max_cross_mass": self.max_cross_mass(),
+            "max_cross_mass": _max_off_diagonal(self.cross_mass),
             "clusters": [list(map(int, c)) for c in self.clusters],
             "warnings": list(self.warnings),
         }
 
 
-def residual(pair, lam, e):
-    """Relative weak-form residual ||A e - lambda B e|| / ||A e||."""
-    e = np.asarray(e, dtype=float)
-    Ae = pair.A @ e
+def _max_off_diagonal(gram):
+    """Largest |entry| off the diagonal of a Gram matrix, 0 below order 2."""
+    if gram.shape[0] < 2:
+        return 0.0
+    return float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+
+
+def cluster_gaps(seq):
+    """Relative gaps (lambda_{i+1} - lambda_i) / lambda_{i+1} of a sequence,
+    and the mask of the gaps that lie between two clusters, not inside one."""
+    lam = seq.lambdas
+    gaps = np.diff(lam) / lam[1:]
+    between = np.zeros(gaps.size, dtype=bool)
+    between[[c[0] - 1 for c in seq.clusters[1:]]] = True
+    return gaps, between
+
+
+def _relative_residual(Ae, Be, lam):
     nrm = np.linalg.norm(Ae)
     if nrm == 0.0:
         return np.inf
-    return float(np.linalg.norm(Ae - lam * (pair.B @ e)) / nrm)
+    return float(np.linalg.norm(Ae - lam * Be) / nrm)
 
 
-def _first_significant_index(e, rel=1e-8):
+def residual(pair, lam, e):
+    """Relative weak-form residual ||A e - lambda B e|| / ||A e||."""
+    e = np.asarray(e, dtype=float)
+    return _relative_residual(pair.A @ e, pair.B @ e, lam)
+
+
+def _first_significant_index(e):
     mags = np.abs(e)
     top = mags.max()
     if top == 0.0:
         return 0
-    idx = np.nonzero(mags > rel * top)[0]
+    idx = np.nonzero(mags > 1e-8 * top)[0]
     return int(idx[0]) if idx.size else 0
 
 
@@ -181,10 +192,14 @@ def _residual_floors(pair, lambdas, vectors, AV):
     """Rounding floor of each relative residual, eps ||(|A| + lambda |B|) |e|||/||A e||.
 
     The size of the rounding error in evaluating A e - lambda B e: a residual
-    near it cannot be reduced by further iteration.
+    near it cannot be reduced by further iteration. |A| and |B| share A's and
+    B's index arrays, so only the values are copied.
     """
+    def magnitude(M):
+        return type(M)((np.abs(M.data), M.indices, M.indptr), shape=M.shape)
+
     absV = np.abs(vectors)
-    F = abs(pair.A) @ absV + (abs(pair.B) @ absV) * lambdas
+    F = magnitude(pair.A) @ absV + (magnitude(pair.B) @ absV) * lambdas
     return np.finfo(float).eps * np.linalg.norm(F, axis=0) / np.linalg.norm(AV, axis=0)
 
 
@@ -209,7 +224,7 @@ def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method
         vectors[:, i] = _fix_sign(pair, vectors[:, i], first_mode=(i == 0))
     AV = pair.A @ vectors if k else vectors
     BV = pair.B @ vectors if k else vectors
-    resid = np.array([residual(pair, lambdas[i], vectors[:, i]) for i in range(k)])
+    resid = np.array([_relative_residual(AV[:, i], BV[:, i], lambdas[i]) for i in range(k)])
     floors = _residual_floors(pair, lambdas, vectors, AV) if k else np.zeros(0)
     converged = [tol is None or bool(r <= tol) for r in resid]
     pair_warnings = [
@@ -452,22 +467,20 @@ def _maximize_quotient(pair, m, settings, seed):
                                 f"{settings.max_iter} iterations and stopped")
 
 
-def solve_successive(pair, k=None, settings=None, seed=42):
+def solve_successive(pair, settings=None, seed=42):
     """Compute the k smallest positive eigenpairs as the k largest mu of (B, A).
 
     One _maximize_quotient call (ARPACK on radial and explicit pencils,
-    block LOBPCG on cube grids) asks for min(k, order - 1) pairs from a start
-    block drawn from seed; each returned pair is then judged on its own. A
-    pair with mu at or below EXHAUSTION_RTOL * mu_1 (mu <= 0 for the
-    first) proves the positive spectrum exhausted: it and all below it are
-    dropped, giving a partial sequence, not an error. A kept pair is
+    block LOBPCG on cube grids) asks for min(k, order - 1) pairs, k =
+    settings.k, from a start block drawn from seed; each returned pair is
+    then judged on its own. A pair with mu at or below EXHAUSTION_RTOL * mu_1
+    (mu <= 0 for the first) proves the positive spectrum exhausted: it and
+    all below it are dropped, giving a partial sequence, not an error. A kept pair is
     converged when its relative weak-form residual is within tol.
     Eigenvectors are normalized to unit g-mass, so lambda_n equals the energy
     of e_n by construction; the ground mode is oriented nonnegatively.
     """
     settings = settings or SolverSettings()
-    if k is not None:
-        settings = SolverSettings(**{**settings.__dict__, "k": k})
     settings.validate()
     m = min(settings.k, pair.order - 1)
     if m < 1:
@@ -526,18 +539,6 @@ class GrowthReport:
     strictly_increasing: bool     # each cluster lies above the previous one
     ratios: np.ndarray            # lambda_n / lambda_1
 
-    def to_dict(self):
-        return {
-            "lambdas": [float(x) for x in self.lambdas],
-            "unit_energy": [float(x) for x in self.unit_energy],
-            "mass_values": [float(x) for x in self.mass_values],
-            "plus_mass_values": [float(x) for x in self.plus_mass_values],
-            "identity_gaps": [float(x) for x in self.identity_gaps],
-            "bound_margins": [float(x) for x in self.bound_margins],
-            "strictly_increasing": bool(self.strictly_increasing),
-            "ratios": [float(x) for x in self.ratios],
-        }
-
 
 def growth_diagnostics(seq, pair):
     """Tabulate the rescaled-mode identities and the growth trend of lambda_n."""
@@ -553,8 +554,7 @@ def growth_diagnostics(seq, pair):
         mass_vals[i] = f @ (pair.B @ f)
         plus_vals[i] = mass_plus_inner(pair, f)
     inv = 1.0 / lam
-    starts = np.array([c[0] for c in seq.clusters[1:]], dtype=int)
-    increasing = bool(np.all(np.diff(lam)[starts - 1] > CLUSTER_RTOL * lam[starts]))
+    gaps, between = cluster_gaps(seq)
     return GrowthReport(
         lambdas=lam.copy(),
         unit_energy=unit_energy,
@@ -562,6 +562,6 @@ def growth_diagnostics(seq, pair):
         plus_mass_values=plus_vals,
         identity_gaps=np.abs(inv - mass_vals),
         bound_margins=plus_vals - inv,
-        strictly_increasing=increasing,
+        strictly_increasing=bool(np.all(gaps[between] > CLUSTER_RTOL)),
         ratios=lam / lam[0],
     )

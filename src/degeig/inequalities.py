@@ -16,24 +16,26 @@ import numpy as np
 from .assembly import energy_inner, hardy_inner, lp_norm, sphere_area
 from .quadrature import radial_integral
 
-DEFAULT_SLACK = 1e-3  # discrete-check headroom; shrinks under mesh refinement
+HARDY_SLACK = 1e-3  # discrete Hardy-check headroom; shrinks under mesh refinement
+REDUCTION_RTOL = 1e-8  # agreement of the general quotient with a specialized one
 
 
-def critical_exponent(N, alpha):
-    """The weighted critical exponent 2N/(N-2+alpha)."""
+def _check_exponents(N, alpha):
     if N < 3:
         raise ValueError("N must be >= 3")
     if not 0.0 <= alpha < 2.0:
         raise ValueError("alpha must lie in [0, 2)")
+
+
+def critical_exponent(N, alpha):
+    """The weighted critical exponent 2N/(N-2+alpha)."""
+    _check_exponents(N, alpha)
     return 2.0 * N / (N - 2.0 + alpha)
 
 
 def hardy_constant(N, alpha):
     """The admissible constant (2/(N-2+alpha))^2 of the weighted Hardy inequality."""
-    if N < 3:
-        raise ValueError("N must be >= 3")
-    if not 0.0 <= alpha < 2.0:
-        raise ValueError("alpha must lie in [0, 2)")
+    _check_exponents(N, alpha)
     return (2.0 / (N - 2.0 + alpha)) ** 2
 
 
@@ -82,7 +84,7 @@ class RadialProfile:
     breakpoints: tuple = ()
 
 
-def smooth_bump(support=1.0, name=None):
+def smooth_bump(support=1.0):
     """C-infinity bump exp(1 - 1/(1 - (r/S)^2)) supported in r < S."""
     S = float(support)
 
@@ -106,10 +108,10 @@ def smooth_bump(support=1.0, name=None):
         )
         return out
 
-    return RadialProfile(name or f"bump(S={S:g})", val, der, S)
+    return RadialProfile(f"bump(S={S:g})", val, der, S)
 
 
-def poly_bump(support=1.0, name=None):
+def poly_bump(support=1.0):
     """C^1 profile (1 - (r/S)^2)^2 inside r < S."""
     S = float(support)
 
@@ -123,10 +125,10 @@ def poly_bump(support=1.0, name=None):
         s2 = (r / S) ** 2
         return np.where(s2 < 1.0, -4.0 * r / S**2 * (1.0 - np.minimum(s2, 1.0)), 0.0)
 
-    return RadialProfile(name or f"polybump(S={S:g})", val, der, S)
+    return RadialProfile(f"polybump(S={S:g})", val, der, S)
 
 
-def gaussian_profile(sigma=1.0, cutoff=5.0, name=None):
+def gaussian_profile(sigma=1.0, cutoff=5.0):
     """Gaussian shifted to vanish at r = cutoff * sigma (kink there is immaterial)."""
     S = cutoff * sigma
     floor = np.exp(-(cutoff**2))
@@ -139,10 +141,10 @@ def gaussian_profile(sigma=1.0, cutoff=5.0, name=None):
         r = np.asarray(r, dtype=float)
         return np.where(r < S, -2.0 * r / sigma**2 * np.exp(-((r / sigma) ** 2)), 0.0)
 
-    return RadialProfile(name or f"gauss(sigma={sigma:g})", val, der, S, breakpoints=(S,))
+    return RadialProfile(f"gauss(sigma={sigma:g})", val, der, S, breakpoints=(S,))
 
 
-def hardy_near_optimizer(N, alpha, eps, name=None):
+def hardy_near_optimizer(N, alpha, eps):
     """Capped power profile r^(-(N-2+alpha)/2 + eps), cut off smoothly on [1, 2].
 
     As eps decreases to 0 the Hardy quotient of this family increases toward
@@ -172,28 +174,20 @@ def hardy_near_optimizer(N, alpha, eps, name=None):
         out[mid] = -np.pi * np.cos(phase) * np.sin(phase)
         return out
 
-    return RadialProfile(
-        name or f"hardy-cap(eps={eps:g})", val, der, 2.0, breakpoints=(1.0,)
-    )
+    return RadialProfile(f"hardy-cap(eps={eps:g})", val, der, 2.0, breakpoints=(1.0,))
 
 
-def _piecewise_radial(f, r_lo, pieces):
-    total = 0.0
-    lo = r_lo
-    for hi in pieces:
+def _profile_integral(profile, f):
+    # the deep lower cutoff 1e-60 S keeps slowly integrable power profiles
+    # (exponents barely above -1) accurate while their pointwise powers stay
+    # inside IEEE range; geometric panels make the extra decades cheap
+    S = profile.support
+    total, lo = 0.0, S * 1e-60
+    for hi in sorted(set(list(profile.breakpoints) + [S])):
         if hi > lo:
             total += radial_integral(f, lo, hi, order=24, panels_per_decade=10)
             lo = hi
     return total
-
-
-def _profile_integral(profile, f, r_lo_factor=1e-60):
-    # the deep lower cutoff keeps slowly integrable power profiles
-    # (exponents barely above -1) accurate while their pointwise powers stay
-    # inside IEEE range; geometric panels make the extra decades cheap
-    S = profile.support
-    pieces = sorted(set(list(profile.breakpoints) + [S]))
-    return _piecewise_radial(f, S * r_lo_factor, pieces)
 
 
 def hardy_quotient_radial(profile, N, alpha):
@@ -234,12 +228,6 @@ def ckn_sides_radial(params, N, profile):
     return left ** (p / q), right
 
 
-def ckn_quotient_radial(params, N, profile):
-    """General interpolation-inequality quotient for admissible (p, a, b, q)."""
-    left, right = ckn_sides_radial(params, N, profile)
-    return left / right
-
-
 @dataclass
 class InequalityReport:
     """Per-test-function quotients with the reference constant when one exists."""
@@ -262,15 +250,11 @@ class InequalityReport:
         )
 
     @property
-    def quotients(self):
-        return [e["quotient"] for e in self.entries if e["quotient"] is not None]
-
-    @property
     def passed(self):
         return all(e["verdict"] in ("pass", "finite quotient recorded") for e in self.entries)
 
     def to_dict(self):
-        qs = self.quotients
+        qs = [e["quotient"] for e in self.entries if e["quotient"] is not None]
         return {
             "kind": self.kind,
             "reference_constant": self.reference_constant,
@@ -282,7 +266,7 @@ class InequalityReport:
         }
 
 
-def check_hardy(pair, u, slack=DEFAULT_SLACK, label="vector"):
+def check_hardy(pair, u, label="vector"):
     """Discrete Hardy check: kernel form against the constant times the energy."""
     const = hardy_constant(pair.N, pair.alpha)
     report = InequalityReport(kind="hardy", reference_constant=const)
@@ -293,8 +277,8 @@ def check_hardy(pair, u, slack=DEFAULT_SLACK, label="vector"):
     left = hardy_inner(pair, u)
     right = const * energy_inner(pair, u)
     quotient = left / right
-    verdict = "pass" if left <= right * (1.0 + slack) else "fail"
-    report.add(label, left, right, quotient, right * (1.0 + slack) - left, verdict)
+    verdict = "pass" if left <= right * (1.0 + HARDY_SLACK) else "fail"
+    report.add(label, left, right, quotient, right * (1.0 + HARDY_SLACK) - left, verdict)
     return report
 
 
@@ -317,34 +301,28 @@ def sobolev_quotient_discrete(pair, u):
     return lp_norm(pair, u, ts) ** 2 / energy_inner(pair, u)
 
 
-def dilation_quotient_spread(pair, profile, ts=(0.5, 1.0, 2.0)):
-    """Sobolev quotients of the dilated family u_t(x) = u(t x) on one mesh.
+def dilation_quotient_spread(pair, profile):
+    """Sobolev quotients of the dilated family u_t(x) = u(t x) on one mesh, t = 0.5, 1, 2.
 
     The exponent balance makes the quotient exactly dilation-invariant in the
-    continuum; here each dilate is resampled at the mesh nodes, so the spread
-    measures interpolation consistency. The profile must stay supported
-    inside the truncated domain for every t.
+    continuum; here each dilate is resampled at the mesh nodes, so the spread,
+    relative to the quotient at t = 1, measures interpolation consistency. The
+    profile must stay supported inside the truncated domain for every t.
     """
     if pair.mode != "radial":
         raise ValueError("dilation check runs on radial pairs")
-    t_min = min(ts)
-    if profile.support / t_min > pair.geometry.R * (1.0 + 1e-12):
+    if profile.support / 0.5 > pair.geometry.R * (1.0 + 1e-12):
         raise ValueError(
-            f"profile support {profile.support:g}/{t_min:g} exceeds the domain R = {pair.geometry.R:g}"
+            f"profile support {profile.support:g}/0.5 exceeds the domain R = {pair.geometry.R:g}"
         )
     radii = pair.dof_positions
-    quotients = {}
-    for t in ts:
-        u_t = profile.value(t * radii)
-        quotients[t] = sobolev_quotient_discrete(pair, u_t)
+    quotients = {t: sobolev_quotient_discrete(pair, profile.value(t * radii))
+                 for t in (0.5, 1.0, 2.0)}
     vals = np.array(list(quotients.values()))
-    spread = float((vals.max() - vals.min()) / quotients[1.0]) if 1.0 in quotients else float(
-        (vals.max() - vals.min()) / vals.mean()
-    )
-    return {"quotients": quotients, "spread": spread}
+    return {"quotients": quotients, "spread": float((vals.max() - vals.min()) / quotients[1.0])}
 
 
-def check_ckn_radial(params, N, profile, slack=1e-8):
+def check_ckn_radial(params, N, profile):
     """Quotient of the general inequality on one radial profile.
 
     When the parameters sit at the Hardy point (p = q = 2, b = a + 1) or the
@@ -353,32 +331,21 @@ def check_ckn_radial(params, N, profile, slack=1e-8):
     integrands follow different code paths, so this validates the parameter
     mapping.
     """
-    validate_ckn(params, N)
     left, right = ckn_sides_radial(params, N, profile)
     quotient = left / right
     report = InequalityReport(kind="ckn")
-    reference = None
     verdict = "finite quotient recorded"
     alpha = -2.0 * params.a
-    at_hardy = (
-        abs(params.p - 2.0) < 1e-14
-        and abs(params.q - 2.0) < 1e-14
-        and abs(params.b - (params.a + 1.0)) < 1e-14
-        and 0.0 <= alpha < 2.0
-    )
-    at_sobolev = (
-        abs(params.p - 2.0) < 1e-14 and abs(params.b) < 1e-14 and 0.0 <= alpha < 2.0
-    )
+    at_p2 = abs(params.p - 2.0) < 1e-14 and 0.0 <= alpha < 2.0
+    at_hardy = at_p2 and abs(params.q - 2.0) < 1e-14 and abs(params.b - (params.a + 1.0)) < 1e-14
+    if at_hardy or (at_p2 and abs(params.b) < 1e-14):
+        kind, specialized = (("hardy", hardy_quotient_radial) if at_hardy
+                             else ("sobolev", sobolev_quotient_radial))
+        reference = specialized(profile, N, alpha)
+        agreement = abs(quotient - reference) / reference
+        verdict = "pass" if agreement <= REDUCTION_RTOL else "fail"
+        report.notes.append(f"{kind} reduction agreement {agreement:.3e}")
     if at_hardy:
-        reference = hardy_quotient_radial(profile, N, alpha)
         report.reference_constant = hardy_constant(N, alpha)
-        agreement = abs(quotient - reference) / reference
-        verdict = "pass" if agreement <= slack else "fail"
-        report.notes.append(f"hardy reduction agreement {agreement:.3e}")
-    elif at_sobolev:
-        reference = sobolev_quotient_radial(profile, N, alpha)
-        agreement = abs(quotient - reference) / reference
-        verdict = "pass" if agreement <= slack else "fail"
-        report.notes.append(f"sobolev reduction agreement {agreement:.3e}")
     report.add(profile.name, left, right, quotient, np.nan, verdict)
     return report

@@ -20,15 +20,13 @@ class RadialMesh:
     coefficient r^alpha is resolved where it vanishes. q = 1 is uniform.
     """
 
-    def __init__(self, nodes, q, dimension=3):
+    def __init__(self, nodes):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.size < 9:
             raise MeshError("radial mesh needs at least 8 elements")
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise MeshError("radial nodes must start at 0 and increase strictly")
         self.nodes = nodes
-        self.q = float(q)
-        self.dimension = int(dimension)
 
     @property
     def R(self):
@@ -42,13 +40,8 @@ class RadialMesh:
     def element_sizes(self):
         return np.diff(self.nodes)
 
-    @property
-    def num_dofs(self):
-        """Interior degrees of freedom: every node except the Dirichlet node r_M."""
-        return self.nodes.size - 1
 
-
-def build_radial_mesh(R, M, q=1.0, dimension=3):
+def build_radial_mesh(R, M, q=1.0):
     """Graded partition of [0, R] into M elements with size ratio q >= 1.
 
     For q > 1 the first element has size R (q - 1) / (q^M - 1); for q = 1 the
@@ -67,7 +60,7 @@ def build_radial_mesh(R, M, q=1.0, dimension=3):
         powers = np.power(q, np.arange(M + 1, dtype=float))
         nodes = R * (powers - 1.0) / (powers[-1] - 1.0)
         nodes[-1] = R
-    return RadialMesh(nodes, q, dimension)
+    return RadialMesh(nodes)
 
 
 def grading_for_span(M, span):
@@ -100,16 +93,8 @@ class Grid3D:
         self.axis[(n - 1) // 2] = 0.0  # exact origin node
 
     @property
-    def num_nodes(self):
-        return self.n**3
-
-    @property
     def num_interior(self):
         return (self.n - 2) ** 3
-
-    @property
-    def num_dofs(self):
-        return self.num_interior
 
     def interior_points(self):
         """Coordinates of interior nodes, ordered by (ix, iy, iz) raveling."""

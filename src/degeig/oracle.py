@@ -21,6 +21,9 @@ from .inequalities import hardy_constant
 from .quadrature import fixed_quad
 
 RESCALE_LIMIT = 1e120  # rescale the state when it grows past this
+R_EPS_FACTOR = 1e-6  # integration starts at r_eps = R_EPS_FACTOR * R
+SWEEP_GROWTH = 1.6  # ratio of successive lambdas in the sweep
+REL_WIDTH = 1e-10  # relative width each bracket is narrowed to
 
 
 class OracleError(RuntimeError):
@@ -42,10 +45,10 @@ class ShootingResult:
     note: str = ""
 
 
-def shoot(N, alpha, g, R, lam, rtol=1e-11, r_eps_factor=1e-6, breakpoints=()):
+def shoot(N, alpha, g, R, lam, rtol=1e-11, breakpoints=()):
     """Integrate the radial system from r_eps to R; return (miss, zero_count, nfev).
 
-    Starts at r_eps = r_eps_factor * R with u = 1 and the series-consistent
+    Starts at r_eps = R_EPS_FACTOR * R with u = 1 and the series-consistent
     flux v(r_eps) = -lambda * integral_0^r_eps g t^(N-1) dt, the first-order
     behavior of the solution that is regular at the degenerate origin. Each
     smooth piece of the weight is one adaptive DOP853 integration: pass the
@@ -59,7 +62,7 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, r_eps_factor=1e-6, breakpoints=()):
         raise OracleError("R must be positive")
     if not 0.0 < alpha < 2.0:
         raise OracleError("alpha must lie in (0, 2)")
-    r0 = r_eps_factor * R
+    r0 = R_EPS_FACTOR * R
     v0 = -lam * fixed_quad(lambda t: g(t) * t ** (N - 1), 0.0, r0, order=12)
     power = alpha + N - 1.0
 
@@ -103,19 +106,19 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, r_eps_factor=1e-6, breakpoints=()):
     return float(y[0]), int(zeros), nfev
 
 
-def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
-                        sweep_cap=200, rel_width=1e-10, rtol=1e-11,
+def shooting_eigenvalue(N, alpha, g, R, n, sweep_cap=200, rtol=1e-11,
                         breakpoints=(), shots=None):
     """Bracket and refine the n-th radial eigenvalue (n >= 1).
 
-    Sweeps lambda geometrically until the zero count reaches n, narrows the
-    count transition n-1 -> n to the requested relative width, and certifies
+    Sweeps lambda geometrically (ratio SWEEP_GROWTH) from the weighted-Hardy
+    lower bound of lambda_1 until the zero count reaches n, narrows the count
+    transition n-1 -> n to the relative width REL_WIDTH, and certifies
     the result by the terminal-value sign change across the final bracket.
     Once the bracket is certifiable (counts n-1 and n, opposite misses), one
     Brent root search (scipy's brentq) on the terminal miss narrows it, and
     the final bracket is the tightest pair of shots around its root with
     count n-1 below and n above. An uncertifiable bracket, or one Brent left
-    wider than rel_width, is bisected on the count.
+    wider than REL_WIDTH, is bisected on the count.
     For sign-changing g the count need not be monotone; an uncertified result
     carries a note instead of a guarantee.
 
@@ -138,15 +141,14 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
             steps += nfev
         return shots[lam]
 
-    if lam_start is None:
-        # weighted Hardy: integral g u^2 <= sup(g+ r^(2-alpha)) * C_H * energy,
-        # so lambda_1 >= 1 / (C_H sup g+ r^(2-alpha)); a sample that reads the
-        # sup low only starts higher, which the shrink loop below corrects
-        sample = np.geomspace(1e-3 * R, R, 64)
-        peak = float(np.max(np.maximum(g(sample), 0.0) * sample ** (2.0 - alpha)))
-        if peak == 0.0:
-            raise NoBracketError("the weight has no positive part on the sampled domain")
-        lam_start = 1.0 / (hardy_constant(N, alpha) * peak)
+    # weighted Hardy: integral g u^2 <= sup(g+ r^(2-alpha)) * C_H * energy,
+    # so lambda_1 >= 1 / (C_H sup g+ r^(2-alpha)); a sample that reads the
+    # sup low only starts higher, which the shrink loop below corrects
+    sample = np.geomspace(1e-3 * R, R, 64)
+    peak = float(np.max(np.maximum(g(sample), 0.0) * sample ** (2.0 - alpha)))
+    if peak == 0.0:
+        raise NoBracketError("the weight has no positive part on the sampled domain")
+    lam_start = 1.0 / (hardy_constant(N, alpha) * peak)
 
     notes = []
     lam = lam_start
@@ -155,7 +157,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
     # ensure the start is below the target count
     shrink = 0
     while zeros >= n and shrink < sweep_cap:
-        lam /= growth**2
+        lam /= SWEEP_GROWTH**2
         miss, zeros = at(lam)
         shrink += 1
     if zeros >= n:
@@ -165,7 +167,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
     lo, miss_lo, count_lo = lam, miss, zeros
     hi = None
     for _ in range(sweep_cap):
-        lam *= growth
+        lam *= SWEEP_GROWTH
         miss, zeros = at(lam)
         sweep_counts.append(zeros)
         if zeros >= n:
@@ -183,12 +185,11 @@ def shooting_eigenvalue(N, alpha, g, R, n, lam_start=None, growth=1.6,
         return count_lo == n - 1 and count_hi == n and miss_lo * miss_hi < 0.0
 
     brent = True
-    while (hi - lo) > rel_width * hi:
+    while (hi - lo) > REL_WIDTH * hi:
         if brent and certifiable():
             brent = False  # one Brent call per bracket; bisection finishes
             root = brentq(lambda lam: at(lam)[0], lo, hi, xtol=1e-300,
-                          rtol=max(rel_width, 4.0 * np.finfo(float).eps),
-                          disp=False)
+                          rtol=REL_WIDTH, disp=False)
             inside = [lam for lam in shots if lo <= lam <= hi]
             lo = max(lam for lam in inside if lam <= root and shots[lam][1] == n - 1)
             hi = min(lam for lam in inside if lam >= root and shots[lam][1] == n)

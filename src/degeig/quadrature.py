@@ -18,13 +18,6 @@ def gauss_rule(order):
     return _GAUSS_CACHE[order]
 
 
-def panel_points(r_lo, r_hi, panels):
-    """Geometric panel boundaries from r_lo to r_hi (r_lo > 0)."""
-    if r_lo <= 0.0:
-        raise ValueError("geometric panels need r_lo > 0")
-    return np.geomspace(r_lo, r_hi, panels + 1)
-
-
 def fixed_quad(f, a, b, order=20):
     """Gauss-Legendre integral of f over [a, b]."""
     x, w = gauss_rule(order)
@@ -33,8 +26,8 @@ def fixed_quad(f, a, b, order=20):
     return half * np.sum(w * f(mid + half * x))
 
 
-def radial_integral(f, r_lo, r_hi, order=20, panels_per_decade=6, min_panels=8):
-    """Integrate f over [r_lo, r_hi] on geometrically graded panels.
+def radial_integral(f, r_lo, r_hi, order=20, panels_per_decade=6):
+    """Integrate f over [r_lo, r_hi] on geometrically graded panels, at least 8.
 
     f must accept a numpy array of radii and return an array of values. The
     caller includes any measure factor (e.g. r^(N-1)) in f itself.
@@ -44,8 +37,8 @@ def radial_integral(f, r_lo, r_hi, order=20, panels_per_decade=6, min_panels=8):
     if r_lo <= 0.0:
         raise ValueError("radial_integral needs r_lo > 0; shift the lower end")
     decades = np.log10(r_hi / r_lo)
-    panels = max(min_panels, int(np.ceil(panels_per_decade * decades)))
-    edges = panel_points(r_lo, r_hi, panels)
+    panels = max(8, int(np.ceil(panels_per_decade * decades)))
+    edges = np.geomspace(r_lo, r_hi, panels + 1)
     x, w = gauss_rule(order)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * (edges[1:] - edges[:-1])

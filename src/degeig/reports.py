@@ -6,6 +6,7 @@ seed produce byte-identical files. Wall-clock information lives in a separate
 'meta' field, the single nondeterministic part of a report.
 """
 
+import dataclasses
 import json
 import time
 
@@ -35,6 +36,8 @@ def _serialize(obj, indent):
         return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

@@ -16,7 +16,7 @@ decade-sampled tail, and the norm verdicts compare per-decade increments of
 the quadrature estimate.
 """
 
-import csv
+from csv import reader
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,7 +81,6 @@ class WeightSpec:
     g_integrable: Callable = _zero
     g_decaying: Callable = _zero
     g_negative: Callable = _zero
-    params: dict = field(default_factory=dict)
     verified_split: bool = True
     r_min: float = 0.0     # evaluable range; nontrivial only for tabulated data
     r_max: float = np.inf
@@ -129,7 +128,6 @@ def gaussian_bump(amplitude=1.0, width=1.0):
     return WeightSpec(
         name="gaussian",
         g_integrable=g1,
-        params={"amplitude": amplitude, "width": width},
         scalar=scalar,
     )
 
@@ -157,7 +155,6 @@ def compact_bump(radius=1.0, amplitude=1.0):
     return WeightSpec(
         name="compact-bump",
         g_integrable=g1,
-        params={"radius": radius, "amplitude": amplitude},
         scalar=scalar,
     )
 
@@ -199,12 +196,6 @@ def sign_changing_ring(inner=1.0, outer=2.0, pos_amplitude=1.0, neg_amplitude=-0
         name="ring",
         g_decaying=g2,
         g_negative=gm,
-        params={
-            "inner": inner,
-            "outer": outer,
-            "pos_amplitude": pos_amplitude,
-            "neg_amplitude": -neg,
-        },
         jumps=(inner, outer, shell_out),
         scalar=scalar,
     )
@@ -223,8 +214,7 @@ def indicator_ball(radius=1.0):
         _check_radius(r)
         return 1.0 if r < radius else 0.0
 
-    return WeightSpec(name="ball", g_integrable=g1, params={"radius": radius},
-                      jumps=(radius,), scalar=scalar)
+    return WeightSpec(name="ball", g_integrable=g1, jumps=(radius,), scalar=scalar)
 
 
 def borderline_log(N, alpha):
@@ -244,15 +234,10 @@ def borderline_log(N, alpha):
         return np.power(r, alpha - 2.0) * np.power(
             np.log(2.0 + np.power(r, 2.0 - alpha)), (alpha - 2.0) / N)
 
-    return WeightSpec(
-        name="borderline-log",
-        g_decaying=g2,
-        params={"N": N, "alpha": alpha},
-        scalar=scalar,
-    )
+    return WeightSpec(name="borderline-log", g_decaying=g2, scalar=scalar)
 
 
-def tabulated(radii, values, rule="linear"):
+def tabulated(radii, values):
     """Weight interpolated from (radius, value) samples.
 
     The sign split is taken pointwise from the interpolated value and is
@@ -265,8 +250,6 @@ def tabulated(radii, values, rule="linear"):
         raise ValueError("tabulated needs matching 1-d radius/value arrays, >= 2 samples")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("tabulated radii must be strictly increasing")
-    if rule != "linear":
-        raise ValueError(f"unsupported interpolation rule '{rule}'")
     r_lo, r_hi = radii[0], radii[-1]
 
     def interp(r):
@@ -287,37 +270,41 @@ def tabulated(radii, values, rule="linear"):
         name="tabulated",
         g_integrable=g1,
         g_negative=gm,
-        params={"n_samples": int(radii.size), "r_lo": float(r_lo), "r_hi": float(r_hi),
-                "radii": radii, "values": values},
         verified_split=False,
         r_min=float(r_lo),
         r_max=float(r_hi),
     )
 
 
-def tabulated_from_csv(path, rule="linear"):
-    """Load a tabulated weight from a two-column CSV with header 'r,g'."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+def tabulated_from_csv(csv):
+    """Load a tabulated weight from the two-column CSV file csv, header 'r,g'."""
+    with open(csv, newline="") as fh:
+        lines = reader(fh)
+        header = next(lines, None)
         if header is None or [h.strip() for h in header[:2]] != ["r", "g"]:
-            raise ValueError(f"{path}: expected CSV header 'r,g'")
-        rows = [(float(row[0]), float(row[1])) for row in reader if row]
+            raise ValueError(f"{csv}: expected CSV header 'r,g'")
+        rows = [(float(row[0]), float(row[1])) for row in lines if row]
     if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two samples")
+        raise ValueError(f"{csv}: need at least two samples")
     radii, values = zip(*rows)
-    return tabulated(np.array(radii), np.array(values), rule=rule)
+    return tabulated(np.array(radii), np.array(values))
 
 
-# Builtin catalogue with default parameters, keyed by the names used in
-# configuration documents. borderline-log needs (N, alpha) at build time.
-CATALOGUE = {
-    "gaussian": lambda N, alpha: gaussian_bump(),
-    "compact-bump": lambda N, alpha: compact_bump(),
-    "ring": lambda N, alpha: sign_changing_ring(),
-    "ball": lambda N, alpha: indicator_ball(),
-    "borderline-log": lambda N, alpha: borderline_log(N, alpha),
+# The weight kinds of a configuration document and their builders. A
+# builder's keyword parameters are the fields of the weight document, except
+# N and alpha, which come from the problem; a tabulated weight given by a
+# "csv" field is built by tabulated_from_csv.
+WEIGHTS = {
+    "gaussian": gaussian_bump,
+    "compact-bump": compact_bump,
+    "ring": sign_changing_ring,
+    "ball": indicator_ball,
+    "borderline-log": borderline_log,
+    "tabulated": tabulated,
 }
+
+# The builtin weights: every kind built from its defaults alone
+CATALOGUE = tuple(kind for kind in WEIGHTS if kind != "tabulated")
 
 
 @dataclass
@@ -351,34 +338,6 @@ class WeightSplitReport:
     overall: str  # 'pass' | 'fail' | 'unverified'
     notes: list = field(default_factory=list)
 
-    def to_dict(self):
-        def probe_dict(p):
-            return {
-                "center": p.center,
-                "radii": list(map(float, p.radii)),
-                "values": list(map(float, p.values)),
-                "passed": bool(p.passed),
-            }
-
-        return {
-            "weight": self.weight,
-            "N": self.N,
-            "alpha": self.alpha,
-            "norm_exponent": self.norm_exponent,
-            "g1_norm_estimate": self.g1_norm_estimate,
-            "g1_norm_verdict": self.g1_norm_verdict,
-            "g2_norm_estimate": self.g2_norm_estimate,
-            "g2_norm_verdict": self.g2_norm_verdict,
-            "gplus_norm_estimate": self.gplus_norm_estimate,
-            "gplus_norm_verdict": self.gplus_norm_verdict,
-            "probes": [probe_dict(p) for p in self.probes],
-            "infinity": probe_dict(self.infinity),
-            "decay_pass": bool(self.decay_pass),
-            "positive_part_nonzero": bool(self.positive_part_nonzero),
-            "overall": self.overall,
-            "notes": list(self.notes),
-        }
-
 
 def _norm_estimate(f, s, N, r_lo, r_hi):
     """Per-decade L^s-norm^s increments of f on [r_lo, r_hi] and a verdict.
@@ -400,7 +359,7 @@ def _norm_estimate(f, s, N, r_lo, r_hi):
     return total ** (1.0 / s), verdict
 
 
-def _decreasing_to_zero(values, rel=1e-9):
+def _decreasing_to_zero(values):
     """True when the sequence decreases strictly (zero plateaus allowed)."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
@@ -409,12 +368,12 @@ def _decreasing_to_zero(values, rel=1e-9):
     for a, b in zip(values[:-1], values[1:]):
         if b <= tiny and a <= tiny:
             continue
-        if not b < a * (1.0 - rel):
+        if not b < a * (1.0 - 1e-9):
             return False
     return True
 
 
-def _decay_probe(spec, alpha, center, radii, sphere_samples=257):
+def _decay_probe(spec, alpha, center, radii):
     """Decay sequence of the decaying part at one probe center |y| = center.
 
     For radial g the supremum over the sphere |x - y| = r is the supremum of
@@ -429,7 +388,7 @@ def _decay_probe(spec, alpha, center, radii, sphere_samples=257):
     for r in r_small:
         lo, hi = abs(center - r), center + r
         lo = max(lo, 1e-300)
-        sample_r = np.geomspace(lo, hi, sphere_samples) if lo < hi else np.array([hi])
+        sample_r = np.geomspace(lo, hi, 257) if lo < hi else np.array([hi])
         sup = float(np.max(spec.g_decaying(sample_r)))
         vals.append(r ** (2.0 - alpha) * sup)
     vals = np.asarray(vals)
@@ -445,23 +404,13 @@ def _infinity_probe(spec, alpha, radii):
     return DecayProbe(center=np.inf, radii=radii, values=vals, passed=passed)
 
 
-def verify_weight_split(spec, N, alpha, radii=None, centers=None):
+def verify_weight_split(spec, N, alpha):
     """Sampled check of the weight-split hypotheses.
 
-    radii: strictly increasing sampling radii spanning at least 4 decades
-    (default 1e-6 .. 1e6). centers: probe-center radii |y| for the local
-    decay checks (default three generic nonzero points; the at-infinity
-    check always runs).
+    The weight is sampled at 25 radii from 1e-6 to 1e6; the local decay is
+    probed at the centers |y| = 0.5, 1 and 2, and at infinity.
     """
-    if radii is None:
-        radii = np.geomspace(1e-6, 1e6, 25)
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 5 or np.any(np.diff(radii) <= 0):
-        raise ValueError("sampling radii must be strictly increasing")
-    if np.log10(radii[-1] / radii[0]) < 4.0:
-        raise ValueError("sampling radii must span at least 4 decades")
-    if centers is None:
-        centers = (0.5, 1.0, 2.0)
+    radii = np.geomspace(1e-6, 1e6, 25)
 
     notes = []
     r_hi = min(radii[-1], spec.r_max)
@@ -481,7 +430,7 @@ def verify_weight_split(spec, N, alpha, radii=None, centers=None):
         notes.append("split unverifiable beyond sample range")
 
     probe_radii = radii[radii <= r_hi]
-    probes = [_decay_probe(spec, alpha, c, probe_radii) for c in centers]
+    probes = [_decay_probe(spec, alpha, c, probe_radii) for c in (0.5, 1.0, 2.0)]
     infinity = _infinity_probe(spec, alpha, probe_radii[probe_radii >= 1.0]
                                if np.any(probe_radii >= 1.0) else probe_radii)
     decay_pass = all(p.passed for p in probes) and infinity.passed

@@ -18,7 +18,7 @@ from degeig.eigensolve import (
 )
 from degeig.inequalities import (
     CknParams,
-    ckn_quotient_radial,
+    ckn_sides_radial,
     critical_exponent,
     dilation_quotient_spread,
     hardy_constant,
@@ -35,6 +35,12 @@ from degeig.weights import borderline_log, borderline_log_radial, gaussian_bump,
 from conftest import ALPHAS, preset_pair
 
 PRESET_KEYS = [(w, a) for w in ("gaussian", "ring") for a in ALPHAS]
+
+
+def ckn_quotient_radial(params, N, profile):
+    """General interpolation-inequality quotient for admissible (p, a, b, q)."""
+    left, right = ckn_sides_radial(params, N, profile)
+    return left / right
 
 
 def report(num, ok, desc):
@@ -125,7 +131,7 @@ def test_criterion_07_dense_iterative_equivalence(solved_512, dense_512):
 
     for spec in (indicator_ball(), compact_bump()):
         pair = assemble_radial(preset_mesh(512), 3, 1.0, spec)
-        it = solve_successive(pair, 6)
+        it = solve_successive(pair, SolverSettings(k=6))
         de = solve_dense(pair, 6)
         worst = max(worst, np.max(np.abs(it.lambdas - de.lambdas) / de.lambdas))
     report(7, worst <= 1e-6, f"successive vs dense agreement {worst:.2e} <= 1e-6 "

@@ -8,7 +8,6 @@ from degeig.assembly import (
     DiscreteOperatorPair,
     assemble_grid3d,
     assemble_radial,
-    ball_volume,
     energy_inner,
     export_coo,
     hardy_inner,
@@ -25,6 +24,10 @@ from degeig.quadrature import radial_integral
 from degeig.weights import gaussian_bump, indicator_ball, sign_changing_ring, tabulated
 
 OMEGA3 = 4.0 * np.pi
+
+
+def ball_volume(N, R):
+    return sphere_area(N) * R**N / N
 
 
 def uniform_pair(M=64, R=2.0, alpha=1.0, spec=None):

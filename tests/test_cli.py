@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,53 @@ class TestConfig:
                     }
                 }
             )
+
+
+    @pytest.mark.parametrize("overrides, named", [
+        pytest.param({"ladder": [{"R": 6.0}, {"M": 64}, {"M": 96}]}, "ladder[0].M",
+                     id="rung-without-M"),
+        pytest.param({"problem.geometry.R": -6}, "R must be positive", id="negative-R"),
+        pytest.param({"problem.geometry": {"mode": "grid3d", "L": 6.0, "n": 10}},
+                     "odd node count n", id="even-grid-n"),
+        pytest.param({"problem.geometry.R": "six"}, "problem.geometry.R", id="string-R"),
+        pytest.param({"seed": "x"}, "config.seed", id="string-seed"),
+        pytest.param({"problem.solver.k": "6"}, "problem.solver.k", id="string-k"),
+        pytest.param({"problem.solver.tol": [1e-9]}, "problem.solver.tol", id="list-tol"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "values": [1.0, 2.0]}},
+                     "problem.weight.radii", id="tabulated-without-radii"),
+        pytest.param({"problem.weight": {"kind": "gaussian", "width": "wide"}},
+                     "problem.weight", id="string-width"),
+        pytest.param({"problem.weight": {"kind": "gaussian", "widht": 3.0}}, "widht",
+                     id="misspelled-weight-field"),
+        pytest.param({"problem.geometry.spna": 10}, "spna", id="misspelled-geometry-field"),
+        pytest.param({"ladder": [{"M": 4}, {"M": 64}, {"M": 96}]}, "ladder[0]",
+                     id="rung-too-coarse"),
+        pytest.param({"ladder": [{"M": 32}, {"M": 64, "spna": 10}, {"M": 96}]}, "spna",
+                     id="misspelled-rung-field"),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides, named):
+        # each was a traceback or a silent default before; now exit 1 naming the field
+        cfg = small_config(tmp_path, **overrides)
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            run_config_from_dict(json.loads(open(cfg).read()))
+
+    def test_ladder_rungs_inherit_q_and_span(self, tmp_path):
+        # the rung equal to the problem's mesh reproduces solve's lambda_1 bit for bit
+        cfg = small_config(tmp_path, **{
+            "problem.geometry": {"mode": "radial", "R": 6.0, "M": 64, "q": 1.0},
+            "problem.solver.k": 2,
+            "ladder": [{"M": 32}, {"M": 64}, {"M": 96}]})
+        solve_out, converge_out = str(tmp_path / "solve"), str(tmp_path / "converge")
+        assert main(["solve", "--config", cfg, "--out", solve_out]) == 0
+        assert main(["converge", "--config", cfg, "--out", converge_out]) == 0
+        report = json.loads(open(os.path.join(solve_out, "eigen_report.json")).read())
+        rows = open(os.path.join(converge_out, "converge.csv")).read().split("\n")
+        rung = rows[2].split(",")
+        assert rung[0] == "64"
+        assert float(rung[2]) == report["eigen"]["pairs"][0]["lambda"]
 
 
 class TestSolveCommand:

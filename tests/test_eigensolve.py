@@ -190,11 +190,45 @@ class TestResidual:
         assert_allclose(residual(pair, lam * (1 + delta), e), expected, rtol=1e-10)
 
 
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_sequence_residuals_and_floors_bitwise(self, grid, gaussian_pair_512):
+        # _finalize measures each pair from the block products it forms once;
+        # the residuals and rounding floors keep the bits of residual() and of
+        # eps ||(|A| + lambda |B|) |e||| / ||A e|| with abs() copies of A and B
+        pair = _grid_pair(11) if grid else gaussian_pair_512
+        seq = solve_successive(pair, SolverSettings(k=4))
+        for i in range(seq.count):
+            assert seq.residuals[i] == residual(pair, seq.lambdas[i], seq.vectors[:, i])
+        absV = np.abs(seq.vectors)
+        F = abs(pair.A) @ absV + (abs(pair.B) @ absV) * seq.lambdas
+        floors = (np.finfo(float).eps * np.linalg.norm(F, axis=0)
+                  / np.linalg.norm(pair.A @ seq.vectors, axis=0))
+        assert np.array_equal(seq.residual_floors, floors)
+
+    def test_floors_copy_no_index_array(self):
+        # |A| and |B| share A's and B's index arrays: at grid 41^3 the peak is
+        # A's values plus a few vectors (abs() copies made it 6.1 MB, not 4.2)
+        import tracemalloc
+
+        from degeig.eigensolve import _residual_floors
+
+        pair = _grid_pair(41)
+        V = np.random.default_rng(0).standard_normal((pair.order, 1))
+        AV = pair.A @ V
+        tracemalloc.start()
+        try:
+            _residual_floors(pair, np.array([5.0]), V, AV)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pair.A.data.nbytes + 4 * V.nbytes
+
+
 class TestSuccessive:
     def test_matches_dense_small(self):
         mesh = build_radial_mesh(6.0, 96, 1.09)
         pair = assemble_radial(mesh, 3, 1.0, gaussian_bump())
-        it = solve_successive(pair, 5)
+        it = solve_successive(pair, SolverSettings(k=5))
         de = solve_dense(pair, 5)
         assert_allclose(it.lambdas, de.lambdas, rtol=1e-6)
         assert np.all(it.residuals <= 1e-8)
@@ -202,7 +236,7 @@ class TestSuccessive:
     def test_indefinite_matches_dense(self):
         mesh = build_radial_mesh(6.0, 96, 1.09)
         pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
-        it = solve_successive(pair, 5)
+        it = solve_successive(pair, SolverSettings(k=5))
         de = solve_dense(pair, 5)
         assert_allclose(it.lambdas, de.lambdas, rtol=1e-6)
 
@@ -228,7 +262,7 @@ class TestSuccessive:
         de = solve_dense(pair, 16)
         n_pos = de.count
         assert n_pos < 16
-        seq = solve_successive(pair, n_pos + 3)
+        seq = solve_successive(pair, SolverSettings(k=n_pos + 3))
         assert seq.exhausted
         assert seq.count == n_pos
         assert any("no further positive eigenvalue" in w for w in seq.warnings)
@@ -236,7 +270,7 @@ class TestSuccessive:
 
     def test_iteration_cap_flags_pair(self):
         # two LOBPCG iterations leave the ground pair of grid 11^3 above tol
-        seq = solve_successive(_grid_pair(11), 1, SolverSettings(k=1, tol=1e-9, max_iter=2))
+        seq = solve_successive(_grid_pair(11), SolverSettings(k=1, tol=1e-9, max_iter=2))
         assert not seq.converged[0]
         assert any("iteration cap" in w for w in seq.warnings)
 
@@ -244,7 +278,7 @@ class TestSuccessive:
         # with seed 1 LOBPCG meets its own tolerance after 79 of 400
         # iterations, leaving pairs 4 and 5 near 1.8e-9: no cap was hit
         pair = _grid_pair(21)
-        seq = solve_successive(pair, 6, SolverSettings(k=6, tol=1e-9, max_iter=400), seed=1)
+        seq = solve_successive(pair, SolverSettings(k=6, tol=1e-9, max_iter=400), seed=1)
         stalled = [i for i in range(6) if not seq.converged[i]]
         assert stalled, "expected a pair above tol 1e-9 on this grid"
         assert len(seq.warnings) == len(stalled)
@@ -264,14 +298,14 @@ class TestSuccessive:
         pair = assemble_radial(mesh, 3, 1.0, gaussian_bump())
         monkeypatch.setattr(es.spla, "eigsh", no_convergence)
         with pytest.raises(SolverError, match="pair 1"):
-            es.solve_successive(pair, 2)
+            es.solve_successive(pair, SolverSettings(k=2))
 
     def test_real_arpack_no_convergence_is_solver_error(self):
         # one restart is too few for 24 ring pairs on M=512
         mesh = build_radial_mesh(6.0, 512, grading_for_span(512, 1e4))
         pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
         with pytest.raises(SolverError, match="did not converge within 1 restarts"):
-            solve_successive(pair, 24, SolverSettings(k=24, max_iter=1))
+            solve_successive(pair, SolverSettings(k=24, max_iter=1))
 
     @pytest.mark.parametrize("kind", ["radial", "grid"])
     def test_one_eigensolver_call_for_all_pairs(self, monkeypatch, kind):
@@ -285,7 +319,7 @@ class TestSuccessive:
             pair = assemble_radial(build_radial_mesh(6.0, 128, 1.0), 3, 1.0, gaussian_bump())
         else:
             pair = _grid_pair(11)
-        seq = es.solve_successive(pair, 4, SolverSettings(k=4, tol=1e-8))
+        seq = es.solve_successive(pair, SolverSettings(k=4, tol=1e-8))
         assert seq.count == 4 and all(seq.converged)
         assert len(calls) == 1
         assert len(set(seq.iterations)) == 1 and seq.iterations[0] > 0
@@ -294,7 +328,7 @@ class TestSuccessive:
         # ARPACK needs fewer pairs than the order; every pair is positive here,
         # so the missing one cannot be told apart from exhaustion and is named
         pair = toy_pair(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.eye(5))
-        seq = solve_successive(pair, 7)
+        seq = solve_successive(pair, SolverSettings(k=7))
         assert_allclose(seq.lambdas, [1.0, 2.0, 3.0, 4.0], rtol=1e-12)
         assert not seq.exhausted
         assert any("capped at order - 1 = 4" in w for w in seq.warnings)
@@ -314,13 +348,13 @@ class TestSuccessive:
         for pair, expected in ((radial, ["splu", "eigsh"]), (toy, ["splu", "eigsh"]),
                                (_grid_pair(11), ["lobpcg"])):
             calls.clear()
-            assert es.solve_successive(pair, 2).count == 2
+            assert es.solve_successive(pair, SolverSettings(k=2)).count == 2
             assert calls == expected
 
     def test_large_radial_order_factorized(self):
         mesh = build_radial_mesh(6.0, 32768, grading_for_span(32768, 1e4))
         pair = assemble_radial(mesh, 3, 1.0, gaussian_bump())
-        seq = solve_successive(pair, 2)
+        seq = solve_successive(pair, SolverSettings(k=2))
         assert seq.count == 2
         assert np.all(seq.residuals <= 1e-8)
 
@@ -335,7 +369,7 @@ class TestSuccessive:
         # indefinite ring pencil, against the dense reference
         pair = _grid_pair(11, sign_changing_ring())
         ref = solve_dense(pair, 3).lambdas
-        seq = solve_successive(pair, 3, SolverSettings(k=3, tol=1e-8))
+        seq = solve_successive(pair, SolverSettings(k=3, tol=1e-8))
         assert np.all(seq.residuals <= 1e-8)
         assert_allclose(seq.lambdas, ref, rtol=1e-6)
 
@@ -344,7 +378,7 @@ class TestSuccessive:
         # ARPACK loop left its first member at residual 2.0e-9): every pair
         # converges within the cap and agrees with ARPACK on an LU of A
         pair = _grid_pair(19, sign_changing_ring())
-        seq = solve_successive(pair, 4, SolverSettings(k=4, tol=1e-9))
+        seq = solve_successive(pair, SolverSettings(k=4, tol=1e-9))
         assert seq.count == 4
         assert all(seq.converged)
         assert not seq.warnings
@@ -358,13 +392,13 @@ class TestSuccessive:
         pair = _grid_pair(19, sign_changing_ring())
         explicit = DiscreteOperatorPair.from_matrices(pair.A, pair.B)
         settings = SolverSettings(k=4, tol=1e-9)
-        seq = solve_successive(explicit, 4, settings)
+        seq = solve_successive(explicit, settings)
         assert seq.count == 4
         assert all(seq.converged)
         assert not seq.warnings
         assert np.all(seq.residuals <= 1e-9)
         assert_allclose(seq.lambdas[2], seq.lambdas[3], rtol=1e-9)
-        assert_allclose(seq.lambdas, solve_successive(pair, 4, settings).lambdas, rtol=1e-8)
+        assert_allclose(seq.lambdas, solve_successive(pair, settings).lambdas, rtol=1e-8)
 
     @pytest.mark.parametrize("seed", [1, 42])
     def test_grid_multiplicity_kept_whole(self, seed):
@@ -372,7 +406,7 @@ class TestSuccessive:
         # vector Lanczos returned two of its members and lambda_6 as lambda_5
         pair = _grid_pair(9)
         ref = solve_dense(pair, 5)
-        seq = solve_successive(pair, 5, seed=seed)
+        seq = solve_successive(pair, SolverSettings(k=5), seed=seed)
         assert ref.clusters == [[0], [1], [2, 3, 4]]
         assert seq.clusters == ref.clusters
         assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
@@ -383,7 +417,7 @@ class TestSuccessive:
         # the call, after no iteration
         pair = _grid_pair(9)
         ref = solve_dense(pair, 70)
-        seq = solve_successive(pair, 70)
+        seq = solve_successive(pair, SolverSettings(k=70))
         assert seq.iterations[0] == pair.order
         assert all(seq.converged)
         assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
@@ -394,7 +428,7 @@ class TestSuccessive:
         # warning says so, and the pair still counts as unconverged
         mesh = build_radial_mesh(6.0, 32768, grading_for_span(32768, 1e4))
         pair = assemble_radial(mesh, 3, 1.0, gaussian_bump())
-        seq = solve_successive(pair, 2)
+        seq = solve_successive(pair, SolverSettings(k=2))
         assert seq.residual_floors.shape == (2,)
         stalled = [i for i in range(2) if not seq.converged[i]]
         assert stalled, "expected a pair above tol 1e-9 on this mesh"
@@ -467,7 +501,7 @@ class TestMultigrid:
             return real(*args, callback=lambda x: iters.append(1), **kwargs)
 
         monkeypatch.setattr(es.spla, "cg", counted)
-        seq = es.solve_successive(pair, k, settings)
+        seq = es.solve_successive(pair, settings)
         assert calls and len(iters) / len(calls) <= 2.0
         if ref is not None:
             assert_allclose(seq.lambdas, ref, rtol=1e-8)
@@ -520,7 +554,7 @@ class TestGrowthDiagnostics:
         rep = growth_diagnostics(solved_512[("ring", 1.0)], pair)
         # integral of g^+ f^2 strictly exceeds 1/lambda when g^- is active
         assert np.all(rep.bound_margins >= -1e-12)
-        assert rep.to_dict()["strictly_increasing"]
+        assert rep.strictly_increasing
 
     def test_strictly_increasing_judged_across_clusters(self):
         # a rounding-level dip inside the octahedral triple is no decrease;
@@ -528,7 +562,7 @@ class TestGrowthDiagnostics:
         from dataclasses import replace
 
         pair = _grid_pair(11)
-        seq = solve_successive(pair, 5)
+        seq = solve_successive(pair, SolverSettings(k=5))
         assert seq.clusters == [[0], [1], [2, 3, 4]]
         lam = seq.lambdas.copy()
         lam[3] = np.nextafter(lam[2], 0.0)

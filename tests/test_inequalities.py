@@ -9,7 +9,7 @@ from degeig.inequalities import (
     check_ckn_radial,
     check_hardy,
     check_sobolev,
-    ckn_quotient_radial,
+    ckn_sides_radial,
     critical_exponent,
     dilation_quotient_spread,
     hardy_constant,
@@ -21,6 +21,12 @@ from degeig.inequalities import (
     sobolev_quotient_radial,
     validate_ckn,
 )
+
+
+def ckn_quotient_radial(params, N, profile):
+    """General interpolation-inequality quotient for admissible (p, a, b, q)."""
+    left, right = ckn_sides_radial(params, N, profile)
+    return left / right
 
 
 class TestConstants:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from degeig import oracle
 from degeig.cli import main
+from degeig.config import weight_from_dict
 from degeig.oracle import (
     NoBracketError,
     OracleError,
@@ -214,7 +215,7 @@ class TestRefinement:
     def test_sweep_starts_within_a_decade_below_lambda1(self, monkeypatch, name):
         # the weighted-Hardy start is a lower bound of lambda_1 (count 0) and,
         # on the catalogue weights, not far below it
-        spec = CATALOGUE[name](3, 1.0)
+        spec = weight_from_dict({"kind": name}, 3, 1.0)
         lams, results = self.record(monkeypatch, shoot)
         res = shooting_eigenvalue(3, 1.0, radial_weight_callable(spec), 6.0, 1,
                                   breakpoints=spec.jumps)

@@ -79,6 +79,64 @@ class TestJsonWriter:
         assert peak <= table.nbytes
 
 
+def _growth_dict(rep):
+    # the field-by-field conversion GrowthReport.to_dict made before the
+    # serializer wrote dataclasses itself
+    return {
+        "lambdas": [float(x) for x in rep.lambdas],
+        "unit_energy": [float(x) for x in rep.unit_energy],
+        "mass_values": [float(x) for x in rep.mass_values],
+        "plus_mass_values": [float(x) for x in rep.plus_mass_values],
+        "identity_gaps": [float(x) for x in rep.identity_gaps],
+        "bound_margins": [float(x) for x in rep.bound_margins],
+        "strictly_increasing": bool(rep.strictly_increasing),
+        "ratios": [float(x) for x in rep.ratios],
+    }
+
+
+def _split_dict(rep):
+    # the same for WeightSplitReport.to_dict and its probe_dict
+    def probe_dict(p):
+        return {"center": p.center, "radii": list(map(float, p.radii)),
+                "values": list(map(float, p.values)), "passed": bool(p.passed)}
+
+    return {
+        "weight": rep.weight, "N": rep.N, "alpha": rep.alpha,
+        "norm_exponent": rep.norm_exponent,
+        "g1_norm_estimate": rep.g1_norm_estimate, "g1_norm_verdict": rep.g1_norm_verdict,
+        "g2_norm_estimate": rep.g2_norm_estimate, "g2_norm_verdict": rep.g2_norm_verdict,
+        "gplus_norm_estimate": rep.gplus_norm_estimate,
+        "gplus_norm_verdict": rep.gplus_norm_verdict,
+        "probes": [probe_dict(p) for p in rep.probes],
+        "infinity": probe_dict(rep.infinity),
+        "decay_pass": bool(rep.decay_pass),
+        "positive_part_nonzero": bool(rep.positive_part_nonzero),
+        "overall": rep.overall,
+        "notes": list(rep.notes),
+    }
+
+
+class TestDataclassReports:
+    def test_growth_report_text_unchanged(self, gaussian_pair_512, gaussian_seq_512):
+        from degeig.eigensolve import growth_diagnostics
+
+        rep = growth_diagnostics(gaussian_seq_512, gaussian_pair_512)
+        assert dumps(rep) == dumps(_growth_dict(rep))
+        assert list(json.loads(dumps(rep))) == list(_growth_dict(rep))
+
+    @pytest.mark.parametrize("kind", ["ring", "borderline-log", "tabulated"])
+    def test_weight_split_report_text_unchanged(self, kind):
+        from degeig.config import weight_from_dict
+        from degeig.weights import verify_weight_split
+
+        doc = {"kind": kind}
+        if kind == "tabulated":
+            doc.update(radii=[0.0, 1.0, 4.0], values=[1.0, -0.5, 0.0])
+        rep = verify_weight_split(weight_from_dict(doc, 3, 1.0), 3, 1.0)
+        assert dumps(rep) == dumps(_split_dict(rep))
+        assert list(json.loads(dumps(rep))) == list(_split_dict(rep))
+
+
 class TestQuadrature:
     def test_power_law_on_many_decades(self):
         # integral of r^(-0.5) over [1e-8, 1] = 2 (1 - 1e-4)
