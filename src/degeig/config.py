@@ -11,6 +11,7 @@ import inspect
 import json
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Optional
 
 from . import weights as W
 from .eigensolve import SolverSettings
@@ -28,7 +29,7 @@ DEFAULT_GRADING_SPAN = 1e4  # element dynamic range h_max / h_1 of graded meshes
 class RadialGeometry:
     R: float
     M: int
-    q: float = None          # explicit grading factor; wins over span
+    q: Optional[float] = None  # explicit grading factor; wins over span
     span: float = DEFAULT_GRADING_SPAN
 
     mode = "radial"
@@ -84,8 +85,10 @@ class RunConfig:
     export_matrices: bool = False
 
     def rungs(self):
-        """The ladder's geometries: the problem's, with each rung's fields."""
-        return [replace(self.problem.geometry, **rung) for rung in self.ladder]
+        """The ladder's geometries: the problem's, with each rung's fields. A
+        rung that sets span but not q is graded by its span."""
+        return [replace(self.problem.geometry, **({"q": None, **rung} if "span" in rung else rung))
+                for rung in self.ladder]
 
     def validate(self):
         sizes = [rung["M"] for rung in self.ladder]
@@ -109,31 +112,38 @@ def _reading(where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _integer(value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _typed(types, what, convert=None):
+    """A converter that refuses a value not of `types` (a JSON true or false is
+    only a bool) and returns the value, passed through convert if given."""
+    def check(value):
+        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+            raise ValueError(f"expected {what}, got {value!r}")
+        return convert(value) if convert else value
+    return check
 
 
-def _number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+# The converter of each field type; a field of type object takes any value
+_CONVERTERS = {
+    object: lambda value: value,
+    int: _typed((int,), "an integer"),
+    float: _typed((int, float), "a number", float),
+    Optional[float]: _typed((int, float, type(None)), "a number or null",
+                            lambda value: None if value is None else float(value)),
+    str: _typed((str,), "a string"),
+    bool: _typed((bool,), "true or false"),
+    list: _typed((list,), "a list"),
+}
 
 
-def _as_given(value):
-    return value
-
-
-def _fields(d, where, schema, required=()):
-    """The fields of section `where`, each converted by schema[name].
+def _fields(d, where, types, required=()):
+    """The fields of section `where`, each converted by the converter of its type.
 
     An unknown field, a missing required one or a value its converter refuses
     is a ConfigError naming the field.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object")
-    unknown = set(d) - set(schema)
+    unknown = set(d) - set(types)
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
     for name in required:
@@ -142,19 +152,14 @@ def _fields(d, where, schema, required=()):
     converted = {}
     for name, value in d.items():
         with _reading(f"{where}.{name}"):
-            converted[name] = schema[name](value)
+            converted[name] = _CONVERTERS[types[name]](value)
     return converted
-
-
-def _schema(cls):
-    """Converters for the fields of the dataclass cls, by their annotated types."""
-    return {f.name: {int: _integer, float: _number}[f.type] for f in fields(cls)}
 
 
 def _settings(cls, d, where):
     """The dataclass cls from section `where`; a field without a default is required."""
     required = [f.name for f in fields(cls) if f.default is MISSING]
-    return cls(**_fields(d, where, _schema(cls), required))
+    return cls(**_fields(d, where, {f.name: f.type for f in fields(cls)}, required))
 
 
 def weight_from_dict(d, N, alpha):
@@ -163,11 +168,13 @@ def weight_from_dict(d, N, alpha):
         raise ConfigError("problem.weight: expected an object with a 'kind' field")
     if not isinstance(kind, str) or kind not in W.WEIGHTS:
         raise ConfigError(f"problem.weight.kind: unknown weight '{kind}'")
-    builder = W.tabulated_from_csv if kind == "tabulated" and "csv" in d else W.WEIGHTS[kind]
+    builder = W.weight_builder(d)
     params = inspect.signature(builder).parameters
     problem = {name: value for name, value in (("N", N), ("alpha", alpha)) if name in params}
     own = [name for name in params if name not in problem]
-    values = _fields(d, "problem.weight", dict.fromkeys(["kind", *own], _as_given),
+    types = {name: object if params[name].annotation is params[name].empty
+             else params[name].annotation for name in own}
+    values = _fields(d, "problem.weight", {"kind": object, **types},
                      [name for name in own if params[name].default is params[name].empty])
     del values["kind"]
     with _reading("problem.weight"):
@@ -186,8 +193,8 @@ def geometry_from_dict(d):
 
 
 def problem_from_dict(d):
-    d = _fields(d, "problem", {"N": _integer, "alpha": _number, "weight": _as_given,
-                               "geometry": _as_given, "solver": _as_given},
+    d = _fields(d, "problem", {"N": int, "alpha": float, "weight": object, "geometry": object,
+                               "solver": object},
                 ("N", "alpha", "weight", "geometry"))
     return ProblemConfig(
         N=d["N"],
@@ -199,14 +206,15 @@ def problem_from_dict(d):
 
 
 def run_config_from_dict(d):
-    d = _fields(d, "config", {"problem": _as_given, "seed": _integer, "out": str,
-                              "ladder": list, "golden": str, "export_matrices": bool},
+    d = _fields(d, "config", {"problem": object, "seed": int, "out": str, "ladder": list,
+                              "golden": str, "export_matrices": bool},
                 ("problem",))
     run = RunConfig(
         problem=problem_from_dict(d["problem"]),
         seed=d.get("seed", 42),
         out_dir=d.get("out", "out"),
-        ladder=[_fields(rung, f"ladder[{i}]", _schema(RadialGeometry), ("M",))
+        ladder=[_fields(rung, f"ladder[{i}]", {f.name: f.type for f in fields(RadialGeometry)},
+                        ("M",))
                 for i, rung in enumerate(d.get("ladder", []))],
         golden_path=d.get("golden"),
         export_matrices=d.get("export_matrices", False),

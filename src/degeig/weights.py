@@ -110,7 +110,7 @@ def weight_positive_part(spec, r):
     return gi + gd
 
 
-def gaussian_bump(amplitude=1.0, width=1.0):
+def gaussian_bump(amplitude: float = 1.0, width: float = 1.0):
     """Positive Gaussian weight; rapid decay puts it wholly in the integrable part."""
     if amplitude <= 0 or width <= 0:
         raise ValueError("gaussian_bump needs positive amplitude and width")
@@ -132,7 +132,7 @@ def gaussian_bump(amplitude=1.0, width=1.0):
     )
 
 
-def compact_bump(radius=1.0, amplitude=1.0):
+def compact_bump(radius: float = 1.0, amplitude: float = 1.0):
     """Smooth compactly supported positive weight (mollifier profile)."""
     if amplitude <= 0 or radius <= 0:
         raise ValueError("compact_bump needs positive amplitude and radius")
@@ -159,7 +159,8 @@ def compact_bump(radius=1.0, amplitude=1.0):
     )
 
 
-def sign_changing_ring(inner=1.0, outer=2.0, pos_amplitude=1.0, neg_amplitude=-0.5):
+def sign_changing_ring(inner: float = 1.0, outer: float = 2.0, pos_amplitude: float = 1.0,
+                       neg_amplitude: float = -0.5):
     """Indicator ring weight: +pos on [inner, outer), negative on the adjacent shell.
 
     The negative shell [outer, 2*outer - inner) has the same width as the
@@ -201,7 +202,7 @@ def sign_changing_ring(inner=1.0, outer=2.0, pos_amplitude=1.0, neg_amplitude=-0
     )
 
 
-def indicator_ball(radius=1.0):
+def indicator_ball(radius: float = 1.0):
     """Indicator of the ball of given radius, assigned wholly to the integrable part."""
     if radius <= 0:
         raise ValueError("indicator_ball needs a positive radius")
@@ -276,7 +277,7 @@ def tabulated(radii, values):
     )
 
 
-def tabulated_from_csv(csv):
+def tabulated_from_csv(csv: str):
     """Load a tabulated weight from the two-column CSV file csv, header 'r,g'."""
     with open(csv, newline="") as fh:
         lines = reader(fh)
@@ -292,8 +293,8 @@ def tabulated_from_csv(csv):
 
 # The weight kinds of a configuration document and their builders. A
 # builder's keyword parameters are the fields of the weight document, except
-# N and alpha, which come from the problem; a tabulated weight given by a
-# "csv" field is built by tabulated_from_csv.
+# N and alpha, which come from the problem; a parameter annotated float or
+# str takes only a value of that type.
 WEIGHTS = {
     "gaussian": gaussian_bump,
     "compact-bump": compact_bump,
@@ -305,6 +306,14 @@ WEIGHTS = {
 
 # The builtin weights: every kind built from its defaults alone
 CATALOGUE = tuple(kind for kind in WEIGHTS if kind != "tabulated")
+
+
+def weight_builder(doc):
+    """The builder of the weight document doc, a dict with a known "kind"; a
+    tabulated weight given by a "csv" field is read by tabulated_from_csv."""
+    if doc["kind"] == "tabulated" and "csv" in doc:
+        return tabulated_from_csv
+    return WEIGHTS[doc["kind"]]
 
 
 @dataclass

@@ -12,6 +12,7 @@ from degeig.config import (
     load_preset,
     run_config_from_dict,
 )
+from degeig.mesh import grading_for_span
 
 
 def small_config(tmp_path, **overrides):
@@ -130,6 +131,17 @@ class TestConfig:
                      id="rung-too-coarse"),
         pytest.param({"ladder": [{"M": 32}, {"M": 64, "spna": 10}, {"M": 96}]}, "spna",
                      id="misspelled-rung-field"),
+        pytest.param({"problem.weight": {"kind": "gaussian", "amplitude": True}},
+                     "problem.weight.amplitude", id="boolean-amplitude"),
+        pytest.param({"problem.weight": {"kind": "ring", "neg_amplitude": True}},
+                     "problem.weight.neg_amplitude", id="boolean-neg-amplitude"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "csv": 0}},
+                     "problem.weight.csv", id="numeric-csv"),
+        pytest.param({"export_matrices": "false"}, "config.export_matrices",
+                     id="string-export-matrices"),
+        pytest.param({"out": 5}, "config.out", id="numeric-out"),
+        pytest.param({"golden": 5}, "config.golden", id="numeric-golden"),
+        pytest.param({"ladder": {"M": 32}}, "config.ladder", id="object-ladder"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides, named):
         # each was a traceback or a silent default before; now exit 1 naming the field
@@ -154,6 +166,19 @@ class TestConfig:
         rung = rows[2].split(",")
         assert rung[0] == "64"
         assert float(rung[2]) == report["eigen"]["pairs"][0]["lambda"]
+        # a rung that sets span but not q is graded by its span
+        doc = json.loads(open(cfg).read())
+        doc["ladder"] = [{"M": 32}, {"M": 64, "span": 100.0}, {"M": 96, "q": 1.01, "span": 100.0},
+                         {"M": 128, "q": None}]
+        rungs = run_config_from_dict(doc).rungs()
+        assert [(g.q, g.span) for g in rungs] == [
+            (1.0, 1e4), (None, 100.0), (1.01, 100.0), (None, 1e4)]
+        assert rungs[1].grading() == grading_for_span(64, 100.0) != 1.0
+
+    def test_null_q_means_span(self, tmp_path):
+        cfg = small_config(tmp_path, **{"problem.geometry.q": None})
+        geometry = run_config_from_dict(json.loads(open(cfg).read())).problem.geometry
+        assert geometry.q is None and geometry.grading() == grading_for_span(96, 1e4)
 
 
 class TestSolveCommand:

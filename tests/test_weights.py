@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from degeig.config import weight_from_dict
+from degeig.config import ConfigError, weight_from_dict
 from degeig.oracle import radial_weight_callable
 from degeig.reports import dumps
 from degeig.weights import (
@@ -109,6 +109,17 @@ class TestTabulated:
         bad.write_text("radius,value\n0,1\n1,2\n")
         with pytest.raises(ValueError):
             tabulated_from_csv(bad)
+
+    def test_document_given_by_csv_or_inline(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("r,g\n0,1.5\n1,0.5\n2,-0.25\n")
+        from_csv = weight_from_dict({"kind": "tabulated", "csv": str(path)}, 3, 1.0)
+        inline = weight_from_dict(
+            {"kind": "tabulated", "radii": [0, 1, 2], "values": [1.5, 0.5, -0.25]}, 3, 1.0)
+        r = np.linspace(0.0, 2.0, 9)
+        assert np.array_equal(weight_value(from_csv, r), weight_value(inline, r))
+        with pytest.raises(ConfigError, match="unknown fields"):  # csv and inline are exclusive
+            weight_from_dict({"kind": "tabulated", "csv": str(path), "radii": [0, 1]}, 3, 1.0)
 
 
 class TestVerifySplit:

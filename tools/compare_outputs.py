@@ -1,11 +1,12 @@
 """Compare every output of two degeig source trees, byte for byte outside `meta`.
 
-    python3 tools/compare_outputs.py OLD_TREE NEW_TREE [--seed 42] [--work DIR]
+    python3 tools/compare_outputs.py OLD_TREE NEW_TREE [--work DIR]
 
 Each tree is a checkout with the package under src/. The commands are every
 case of NEW_TREE's perfbench/workloads.py, with the config and arguments the
-benchmark gives them, plus `catalogue --out` and `solve --export-matrices` on
-one radial and one grid 13^3 problem. Each command runs once against each
+benchmark gives them and the seed every workload config carries, plus
+`catalogue --out` and `solve --export-matrices` on one radial and one grid
+13^3 problem. Each command runs once against each
 tree, in its own process with one BLAS thread. The report's `meta` field (its
 only nondeterministic part) is dropped before comparing.
 
@@ -23,6 +24,7 @@ import sys
 import tempfile
 
 CONFIG, OUT = "<config>", "<out>"  # placeholders in a command's argv
+SEED = 42  # the seed of every workload config
 
 
 def load_workloads(tree):
@@ -33,7 +35,7 @@ def load_workloads(tree):
     return module
 
 
-def commands(workloads, seed):
+def commands(workloads):
     """[(name, config document or None, argv)] for every command; argv holds
     CONFIG and OUT where the config path and the output directory go."""
     out = []
@@ -44,12 +46,12 @@ def commands(workloads, seed):
                 continue
             source = ["--preset", case.preset] if case.preset else ["--config", CONFIG]
             out.append((case.id, case.config(),
-                        [case.command, *source, "--out", OUT, "--seed", str(seed)]))
+                        [case.command, *source, "--out", OUT, "--seed", str(SEED)]))
     out.append(("catalogue-out", None, ["catalogue", "--N", "3", "--alpha", "1.0", "--out", OUT]))
     for name, problem in (("export-radial", workloads.radial("gaussian", 1.0, 512, 6)),
                           ("export-grid13", workloads.grid(13, 4))):
-        out.append((name, {"problem": problem, "seed": seed},
-                    ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(seed),
+        out.append((name, {"problem": problem, "seed": SEED},
+                    ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED),
                      "--export-matrices"]))
     return out
 
@@ -96,12 +98,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
     parser.add_argument("new")
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--work", default=None, help="scratch directory (default: a temporary one)")
     args = parser.parse_args()
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
     differing, compared = [], 0
-    for name, doc, argv in commands(load_workloads(args.new), args.seed):
+    for name, doc, argv in commands(load_workloads(args.new)):
         (rc_old, out_old, dir_old), (rc_new, out_new, dir_new) = (
             run(tree, os.path.join(work, side, name), doc, argv)
             for side, tree in (("old", args.old), ("new", args.new)))
