@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -417,6 +418,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "catalogue":
+            if args.N < 3:
+                raise ConfigError(f"--N {args.N}: the catalogue needs N >= 3")
+            if not 0.0 < args.alpha < 2.0:
+                raise ConfigError(f"--alpha {args.alpha}: the catalogue needs alpha in (0, 2)")
             if args.out:
                 os.makedirs(args.out, exist_ok=True)
             return cmd_catalogue(args.N, args.alpha, args.out)
@@ -443,5 +448,15 @@ def main(argv=None):
         return EXIT_IO
 
 
-if __name__ == "__main__":
+def run():
+    """Entry point of the `degeig` script and of `python -m degeig.cli`.
+
+    Every module is imported by now; gc.freeze() moves their objects out of
+    the collector's reach, so the collections at interpreter exit skip them.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

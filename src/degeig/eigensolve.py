@@ -5,18 +5,32 @@ mass matrix, possibly indefinite. The paper's e_n minimizes the energy under
 a unit g-mass constraint, energy-orthogonally to e_1..e_{n-1}; equivalently
 it maximizes mu(u) = (u^T B u) / (u^T A u) there. By Courant-Fischer these
 successive maximizers are the eigenvectors of the k largest mu = 1/lambda of
-B v = mu A v, so one block eigensolver call finds all k and nothing is
-deflated step by step. B is never factorized.
+B v = mu A v, so block eigensolver calls find all k and nothing is deflated
+step by step. B is never factorized.
 
 Two routes are provided: solve_dense (the reference up to DENSE_THRESHOLD: a
 Cholesky congruence C = U^{-T} B U^{-1} formed in A's band storage, then one
-standard eigh call for the top k mu of C) and solve_successive (one call per
-geometry: ARPACK with a sparse LU of A on radial and explicit pencils; block
-LOBPCG on cube grids, which keeps the symmetry-forced multiplicities that
-single-vector Lanczos can skip, preconditioned by V-cycle-preconditioned CG).
+standard eigh call for the top k mu of C, on the full pencil of either
+geometry) and solve_successive: one ARPACK call with a sparse LU of A on
+radial and explicit pencils, and on cube grids one block LOBPCG call per
+parity sector, preconditioned by V-cycle-preconditioned CG. A block, unlike
+single-vector Lanczos, keeps every member of a multiplicity.
+
+Every weight is radial and the grid centered, so A and B commute with the
+mirrors (x, y, z) -> (+-x, +-y, +-z) and the pencil splits into sectors of
+vectors even (e) or odd (o) in each axis. Axis permutations leave four
+distinct ones (SECTORS): eee, oee, ooe and ooo, with 1, 3, 3 and 1 members
+(oee, eoe, eeo), so each triple is one computed pair. lambda_1 is simple and
+its eigenvector lies in eee: A has nonpositive off-diagonals and B is
+diagonal, so A - lambda_1 B is a positive semidefinite irreducible Z-matrix,
+and by Perron-Frobenius its null vector is positive, hence even in every
+axis. So eee asks for k pairs and a sector of w members for ceil((k - 1) / w),
+which together hold the k largest mu; a sector asking for none is skipped.
+Each pair of a grid solve reports its member's label as its sector.
 """
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
@@ -38,11 +52,13 @@ class SolverError(RuntimeError):
 @dataclass
 class SolverSettings:
     """Iteration controls for the successive solver; max_iter caps ARPACK's
-    restarts (radial, explicit pencils) or LOBPCG's iterations (cube grids)."""
+    restarts (radial, explicit pencils) or, on cube grids, the iterations of
+    each parity sector's LOBPCG call (so a solve may run up to four times
+    max_iter iterations in all)."""
 
     k: int = 6
     tol: float = 1e-9           # relative weak-form residual target
-    max_iter: int = 400         # per solve; a stalled LOBPCG pair runs to it
+    max_iter: int = 400         # per call; a stalled LOBPCG pair runs to it
 
     def validate(self):
         if self.k < 1:
@@ -61,9 +77,12 @@ class EigenSequence:
     cross_mass are the Gram matrices in the energy and mass inner products;
     their off-diagonals quantify orthogonality. iterations holds, per pair,
     the number of applications of B (one per vector) made by the block call
-    that produced the pair, so every pair of one solve reports the same
-    count (0 for the dense solve). residual_floors holds, per pair, the
-    rounding floor of its residual (_residual_floors).
+    that produced the pair: one count per solve off the cube grid, one per
+    parity sector on it (0 for the dense solve). residual_floors holds, per
+    pair, the rounding floor of its residual (_residual_floors). sectors
+    holds, per pair of a cube-grid successive solve, its parity sector: a
+    letter per axis, "e" for even and "o" for odd under that axis's mirror;
+    it is None elsewhere, and the report then has no sector field.
     """
 
     lambdas: np.ndarray
@@ -79,6 +98,7 @@ class EigenSequence:
     clusters: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     residual_floors: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    sectors: list = None
 
     @property
     def count(self):
@@ -99,6 +119,9 @@ class EigenSequence:
             }
             for i in range(self.count)
         ]
+        if self.sectors is not None:
+            for p, sector in zip(pairs, self.sectors):
+                p["sector"] = sector
         return {
             "method": self.method,
             "requested": self.requested,
@@ -204,14 +227,16 @@ def _residual_floors(pair, lambdas, vectors, AV):
 
 
 def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method,
-              warnings=(), tol=None, stop=None):
+              warnings=(), tol=None, stops=None, sectors=None):
     """Order, orient and measure the pairs; judge them against tol if given.
 
-    A pair is converged when its relative residual is within tol (always
-    without tol). An unconverged pair is warned about as at its rounding
-    floor when its residual is within FLOOR_MARGIN of it, otherwise by stop,
-    the reason the eigensolver call stopped; pair warnings precede the given
-    ones.
+    applications, stops and sectors (if given) hold one entry per pair, in
+    the order of lambdas, and are reordered with the pairs. A pair is
+    converged when its relative residual is within tol (always without tol).
+    An unconverged pair is warned about as at its rounding floor when its
+    residual is within FLOOR_MARGIN of it, otherwise by its stop entry, the
+    reason the eigensolver call that produced it stopped; pair warnings
+    precede the given ones.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     k = lambdas.size
@@ -220,6 +245,7 @@ def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method
     order = _order_inside_clusters(lambdas, vectors, clusters)
     lambdas = lambdas[order]
     vectors = vectors[:, order]
+    applications = [applications[i] for i in order]
     for i in range(k):
         vectors[:, i] = _fix_sign(pair, vectors[:, i], first_mode=(i == 0))
     AV = pair.A @ vectors if k else vectors
@@ -231,7 +257,7 @@ def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method
         f"pair {i + 1} is at its rounding floor: residual {resid[i]:.3e} is "
         f"{resid[i] / floors[i]:.1f} times the floor {floors[i]:.3e} (tol {tol:.0e})"
         if resid[i] <= FLOOR_MARGIN * floors[i] else
-        f"pair {i + 1} {stop} at residual {resid[i]:.3e} (tol {tol:.0e})"
+        f"pair {i + 1} {stops[order[i]]} at residual {resid[i]:.3e} (tol {tol:.0e})"
         for i in range(k) if not converged[i]
     ]
     return EigenSequence(
@@ -240,7 +266,7 @@ def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method
         residuals=resid,
         cross_energy=vectors.T @ AV,
         cross_mass=vectors.T @ BV,
-        iterations=[applications] * k,
+        iterations=applications,
         converged=converged,
         requested=requested,
         exhausted=exhausted,
@@ -248,6 +274,7 @@ def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method
         clusters=clusters,
         warnings=pair_warnings + list(warnings),
         residual_floors=floors,
+        sectors=None if sectors is None else [sectors[i] for i in order],
     )
 
 
@@ -329,46 +356,51 @@ def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
         )
     E = V[:, pos] / np.sqrt(mu[pos])  # v^T A v = 1, so e^T B e = 1
     lambdas = np.einsum("ij,ij->j", E, pair.A @ E)
-    return _finalize(pair, lambdas, E, 0, requested=k, exhausted=pos.size < k,
+    return _finalize(pair, lambdas, E, [0] * pos.size, requested=k, exhausted=pos.size < k,
                      method="dense", warnings=warnings)
 
 
-def _interpolation(shape):
+def _interpolation(shape, mirrored):
     """Linear interpolation onto the dof array of this shape from the one
     halved along every axis, as a sparse matrix.
 
     The tensor product of the 1-D rule: fine point 2j+1 takes coarse point j
-    with weight 1, its neighbours 2j and 2j+2 with weight 1/2. Dofs are
-    raveled in C order, as interior_points orders them. Returns (P, coarse
-    shape).
+    with weight 1, its neighbours 2j and 2j+2 with weight 1/2. On a mirrored
+    axis (an even axis of a parity sector, _mirror_basis) fine point 0 is the
+    mirror plane, whose outer neighbour is the image of fine point 1, so it
+    takes coarse point 0 with weight 1 in nodal values, 1/sqrt(2) in the
+    sector's orthonormal coordinates. Dofs are raveled in C order, as
+    interior_points orders them. Returns (P, coarse shape).
     """
     P = sp.identity(1, format="csr")
-    for s in shape:
+    for s, mirror in zip(shape, mirrored):
         j = np.arange(s // 2)
         rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
         keep = rows < s
         vals = np.repeat([1.0, 0.5, 0.5], j.size)
+        if mirror and j.size:
+            vals[j.size] = np.sqrt(0.5)  # row 0 from coarse point 0
         P1 = sp.csr_matrix((vals[keep], (rows[keep], np.tile(j, 3)[keep])),
                            shape=(s, j.size))
         P = sp.kron(P, P1, format="csr")
     return P, tuple(s // 2 for s in shape)
 
 
-def _vcycle(A, shape):
+def _vcycle(A, shape, mirrored):
     """Symmetric multigrid V-cycle for A as a LinearOperator.
 
-    Coarse operators are Galerkin products P^T A P of _interpolation, so no
-    level is rediscretized. Each level smooths with SMOOTHING_SWEEPS damped
-    Jacobi sweeps before and after its coarse correction; the coarsest
-    (order at most COARSEST_ORDER) is solved exactly with a dense inverse.
-    Pre- and post-smoothing mirror each other, so the cycle is a fixed SPD
-    operator and a valid CG preconditioner. It applies to a vector or, column
-    by column, to an (order, m) block.
+    Coarse operators are Galerkin products P^T A P of _interpolation (with
+    the given mirrored axes), so no level is rediscretized. Each level
+    smooths with SMOOTHING_SWEEPS damped Jacobi sweeps before and after its
+    coarse correction; the coarsest (order at most COARSEST_ORDER) is solved
+    exactly with a dense inverse. Pre- and post-smoothing mirror each other,
+    so the cycle is a fixed SPD operator and a valid CG preconditioner. It
+    applies to a vector or, column by column, to an (order, m) block.
     """
     order = A.shape[0]
     levels = []
     while A.shape[0] > COARSEST_ORDER:
-        P, shape = _interpolation(shape)
+        P, shape = _interpolation(shape, mirrored)
         # the restriction is stored once, as P.T builds a new CSC view per use;
         # the Galerkin product keeps P.T, as the CSR copy would round it differently
         levels.append((A, SMOOTHING_WEIGHT / A.diagonal(), P, P.T.tocsr()))
@@ -399,25 +431,61 @@ SMOOTHING_WEIGHT = 0.8  # damped Jacobi
 SMOOTHING_SWEEPS = 2  # before and after each coarse correction
 EXHAUSTION_RTOL = 1e-12  # mu at or below this fraction of mu_1 is no positive eigenvalue
 FLOOR_MARGIN = 10.0  # a residual within this factor of its rounding floor is at the floor
+# the distinct parity sectors of the cube grid, one per orbit of the axis
+# permutations, a letter per axis (e: even, o: odd under its mirror); the
+# first holds lambda_1 (see _sector_maximizers)
+SECTORS = ("eee", "oee", "ooe", "ooo")
 
 
-def _maximize_quotient(pair, m, settings, seed):
-    """Maximize mu = u^T B u / u^T A u over m-dimensional subspaces in one call.
+def _mirror_basis(c, parity):
+    """Orthonormal basis of the even ("e") or odd ("o") vectors on one axis
+    of 2c + 1 interior nodes under the mirror i -> 2c - i, as a sparse
+    (2c + 1, c + 1) or (2c + 1, c) matrix.
 
-    By Courant-Fischer the maximizers are the m largest eigenpairs of the
-    pencil (B, A), and the geometry alone picks the call. Radial and explicit
-    pencils: one ARPACK call in the A inner product (mode 2) with a sparse LU
-    of A, raising ArpackNoConvergence after settings.max_iter restarts. Cube
-    grids: one block LOBPCG call of at most settings.max_iter iterations, as
-    single-vector Lanczos can skip members of the cube's symmetry-forced
-    multiplicities; it is preconditioned by CG on A to relative residual 0.1,
-    each CG preconditioned by one V-cycle (_vcycle) over the (n - 2)^3 dofs.
-    Column n of the start block is seeded by default_rng([seed, n, 0]);
-    ARPACK takes column 0. Returns the Ritz vectors as columns, the number of
-    applications of B and the reason the call stopped, which names an
-    unconverged pair's warning.
+    Column j holds the node pair at distance j from the center c (even: j =
+    0..c, the center alone for j = 0) or j + 1 (odd: the center is zero), with
+    weights +-1/sqrt(2); the sector's dofs are ordered by that distance.
     """
-    A, B = pair.A, pair.B
+    j = np.arange(c + 1) if parity == "e" else np.arange(1, c + 1)
+    w = np.where(j == 0, 1.0, np.sqrt(0.5))
+    sign = 1.0 if parity == "e" else -1.0
+    rows = np.concatenate([c + j, c - j[j > 0]])
+    cols = np.concatenate([np.arange(j.size), np.nonzero(j > 0)[0]])
+    vals = np.concatenate([w, sign * w[j > 0]])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * c + 1, j.size))
+
+
+def _sector_members(label):
+    """The sectors an axis permutation carries the sector label to, with the
+    permutation: a (transpose axes, label) list starting with label itself."""
+    members = {}
+    for axes in permutations(range(3)):
+        members.setdefault("".join(label[a] for a in axes), axes)
+    return [(axes, name) for name, axes in members.items()]
+
+
+def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
+    """The m largest mu of B v = mu A v, B diagonal, by one block LOBPCG call.
+
+    The call runs at most settings.max_iter iterations and is preconditioned
+    by CG on A to relative residual 0.1, each CG preconditioned by one
+    V-cycle (_vcycle) over the dof array of this shape, with these mirrored
+    axes. Column n of the start block is seeded by default_rng([seed, n,
+    sector]). A block of more than a third of B's rank is solved densely
+    (at most DENSE_THRESHOLD dofs), counted as one application of B per dof
+    as LOBPCG counts its own dense solve. Returns the
+    Ritz vectors as columns, the number of applications of B and the reason
+    the call stopped.
+    """
+    order = A.shape[0]
+    if 3 * m > np.count_nonzero(B.diagonal()) and order <= DENSE_THRESHOLD:
+        # the eigenvectors of the nonzero mu lie in A^{-1} range(B): past a
+        # third of B's rank, LOBPCG's basis of the block, its preconditioned
+        # residuals and its search directions turns singular and the call
+        # breaks down (ring weight, grid 9^3)
+        _, vecs = sla.eigh(B.toarray(), A.toarray(), subset_by_index=[order - m, order - 1],
+                           check_finite=False)
+        return vecs, order, "was solved densely"
     applications = 0
 
     def apply(X):
@@ -425,20 +493,10 @@ def _maximize_quotient(pair, m, settings, seed):
         applications += 1 if X.ndim == 1 else X.shape[1]
         return B @ X
 
-    shape = (pair.order, pair.order)
-    op = spla.LinearOperator(shape, matvec=apply, matmat=apply, dtype=float)
-    X0 = np.column_stack([np.random.default_rng([seed, n, 0])
-                          .standard_normal(pair.order) for n in range(m)])
-    if pair.mode != "grid3d":
-        try:
-            lu = spla.splu(A.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
-        inv = spla.LinearOperator(shape, matvec=lu.solve, dtype=float)
-        _, vecs = spla.eigsh(op, m, M=A, Minv=inv, which="LA", v0=X0[:, 0],
-                             maxiter=settings.max_iter)
-        return vecs, applications, "stalled after ARPACK converged"
-    vcycle = _vcycle(A, (pair.geometry.n - 2,) * 3)
+    op = spla.LinearOperator((order, order), matvec=apply, matmat=apply, dtype=float)
+    X0 = np.column_stack([np.random.default_rng([seed, n, sector]).standard_normal(order)
+                          for n in range(m)])
+    vcycle = _vcycle(A, shape, mirrored)
     iterations = 0
 
     def precondition(R):
@@ -452,10 +510,10 @@ def _maximize_quotient(pair, m, settings, seed):
         return X
 
     # LOBPCG's tol is absolute; 1e-2 * tol leaves the relative residual below
-    # tol on most cube-grid cases, not all (grid 21^3, k = 6, seed 1). Its
-    # warnings are muted because _finalize reports an unconverged pair itself.
-    # Its residual history cannot tell the cap from an early stop: it is cut
-    # at the best iterate, which may be far from the last.
+    # tol on most cube-grid cases, not all. Its warnings are muted because
+    # _finalize reports an unconverged pair itself. Its residual history
+    # cannot tell the cap from an early stop: it is cut at the best iterate,
+    # which may be far from the last.
     with catch_warnings():
         simplefilter("ignore", UserWarning)
         _, vecs = spla.lobpcg(op, X0, B=A, M=precondition, largest=True,
@@ -467,16 +525,99 @@ def _maximize_quotient(pair, m, settings, seed):
                                 f"{settings.max_iter} iterations and stopped")
 
 
+def _sector_maximizers(pair, m, settings, seed):
+    """The m largest mu of the cube-grid pencil, one call per parity sector.
+
+    The count rule of the module docstring sets each sector's ask, capped at
+    its count of positive B entries (its count of positive mu, by
+    Sylvester's law of inertia). A sector's pencil is S^T A S, S^T B S for S
+    the Kronecker product of the orthonormal 1-D mirror bases
+    (_mirror_basis), so LOBPCG's absolute tolerance means what it means on
+    the full grid. Column n of sector s's start block (s its index in
+    SECTORS) is seeded by default_rng([seed, n, s]). Returns the leading
+    maximizers on the full grid as columns (m, unless the sectors hold
+    fewer positive mu), each a sector vector carried to a member by an axis
+    permutation, and per column the applications of B and the stop reason
+    of its call and its member's label.
+    """
+    A, B = pair.A, pair.B
+    c = (pair.geometry.n - 3) // 2
+    found = []  # (mu, basis S, sector vector, axes, applications, stop, member label)
+    for index, label in enumerate(SECTORS):
+        members = _sector_members(label)
+        bases = [_mirror_basis(c, parity) for parity in label]
+        shape = tuple(b.shape[1] for b in bases)
+        ask = m if index == 0 else -(-(m - 1) // len(members))
+        if ask < 1:
+            continue
+        S = sp.kron(sp.kron(bases[0], bases[1]), bases[2], format="csr")
+        Bs = (S.T @ B @ S).tocsr()
+        ask = min(ask, np.count_nonzero(Bs.diagonal() > 0.0))
+        if ask < 1:
+            continue
+        As = (S.T @ A @ S).tocsr()
+        vecs, applications, stop = _lobpcg(As, Bs, shape, [p == "e" for p in label],
+                                           ask, settings, seed, index)
+        mus = np.einsum("ij,ij->j", vecs, Bs @ vecs) / np.einsum("ij,ij->j", vecs, As @ vecs)
+        for mu, v in zip(mus, vecs.T):
+            found += [(mu, S, v, axes, applications, stop, name) for axes, name in members]
+    found = sorted(found, key=lambda f: -f[0])[:m]  # stable: members stay in order
+    full = (2 * c + 1,) * 3
+    vecs = np.zeros((pair.order, len(found)))
+    for j, (_, S, v, axes, *_) in enumerate(found):
+        vecs[:, j] = (S @ v).reshape(full).transpose(axes).ravel()
+    return vecs, [f[4] for f in found], [f[5] for f in found], [f[6] for f in found]
+
+
+def _maximize_quotient(pair, m, settings, seed):
+    """Maximize mu = u^T B u / u^T A u over m-dimensional subspaces.
+
+    By Courant-Fischer the maximizers are the m largest eigenpairs of the
+    pencil (B, A), and the geometry alone picks the call. Radial and explicit
+    pencils: one ARPACK call in the A inner product (mode 2) with a sparse LU
+    of A, started from default_rng([seed, 0, 0]), raising ArpackNoConvergence
+    after settings.max_iter restarts. Cube grids: one block LOBPCG call per
+    parity sector (_sector_maximizers), as single-vector Lanczos can skip
+    members of the cube's symmetry-forced multiplicities. Returns the m
+    maximizers as columns and, per column, the number of applications of B
+    made by the call that produced it and the reason that call stopped
+    (which names an unconverged pair's warning); then the columns' parity
+    sectors on cube grids, None elsewhere.
+    """
+    if pair.mode == "grid3d":
+        return _sector_maximizers(pair, m, settings, seed)
+    A, B = pair.A, pair.B
+    applications = 0
+
+    def apply(X):
+        nonlocal applications
+        applications += 1 if X.ndim == 1 else X.shape[1]
+        return B @ X
+
+    shape = (pair.order, pair.order)
+    op = spla.LinearOperator(shape, matvec=apply, matmat=apply, dtype=float)
+    try:
+        lu = spla.splu(A.tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
+    inv = spla.LinearOperator(shape, matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng([seed, 0, 0]).standard_normal(pair.order)
+    _, vecs = spla.eigsh(op, m, M=A, Minv=inv, which="LA", v0=v0, maxiter=settings.max_iter)
+    return vecs, [applications] * m, ["stalled after ARPACK converged"] * m, None
+
+
 def solve_successive(pair, settings=None, seed=42):
     """Compute the k smallest positive eigenpairs as the k largest mu of (B, A).
 
-    One _maximize_quotient call (ARPACK on radial and explicit pencils,
-    block LOBPCG on cube grids) asks for min(k, order - 1) pairs, k =
-    settings.k, from a start block drawn from seed; each returned pair is
-    then judged on its own. A pair with mu at or below EXHAUSTION_RTOL * mu_1
-    (mu <= 0 for the first) proves the positive spectrum exhausted: it and
-    all below it are dropped, giving a partial sequence, not an error. A kept pair is
-    converged when its relative weak-form residual is within tol.
+    One _maximize_quotient call (ARPACK on radial and explicit pencils, one
+    block LOBPCG call per parity sector on cube grids) asks for min(k,
+    order - 1) pairs, k = settings.k, from start blocks drawn from seed;
+    each returned pair is then judged on its own. A pair with mu at or below
+    EXHAUSTION_RTOL * mu_1 (mu <= 0 for the first) proves the positive
+    spectrum exhausted: it and all below it are dropped, giving a partial
+    sequence, not an error; so do fewer returned pairs than asked for. A
+    kept pair is converged when its relative weak-form residual is within
+    tol.
     Eigenvectors are normalized to unit g-mass, so lambda_n equals the energy
     of e_n by construction; the ground mode is oriented nonnegatively.
     """
@@ -486,7 +627,7 @@ def solve_successive(pair, settings=None, seed=42):
     if m < 1:
         raise SolverError("the successive solve needs an order of at least 2")
     try:
-        vecs, applications, stop = _maximize_quotient(pair, m, settings, seed)
+        vecs, applications, stops, sectors = _maximize_quotient(pair, m, settings, seed)
     except spla.ArpackNoConvergence as exc:
         done = len(exc.eigenvalues)
         raise SolverError(
@@ -495,19 +636,20 @@ def solve_successive(pair, settings=None, seed=42):
         ) from exc
     masses = [u @ b for u, b in zip(vecs.T, (pair.B @ vecs).T)]
     mus = [mass / (u @ a) for mass, u, a in zip(masses, vecs.T, (pair.A @ vecs).T)]
-    lambdas, vectors = [], []
+    lambdas, vectors, kept = [], [], []
     warnings = []
-    exhausted = False
     for j in sorted(range(len(mus)), key=lambda j: -mus[j]):
         if mus[j] <= (EXHAUSTION_RTOL / lambdas[0] if lambdas else 0.0):
-            exhausted = True
-            warnings.append(
-                f"no further positive eigenvalue found (found {len(lambdas)} of {settings.k})"
-            )
             break
         e = vecs[:, j] / np.sqrt(masses[j])
         lambdas.append(float(e @ (pair.A @ e)))
         vectors.append(e)
+        kept.append(j)
+    exhausted = len(lambdas) < m
+    if exhausted:
+        warnings.append(
+            f"no further positive eigenvalue found (found {len(lambdas)} of {settings.k})"
+        )
     if m < settings.k and not exhausted:
         warnings.append(
             f"k = {settings.k} capped at order - 1 = {m}: the block eigensolver "
@@ -515,9 +657,10 @@ def solve_successive(pair, settings=None, seed=42):
         )
     vectors = np.column_stack(vectors) if lambdas else np.zeros((pair.order, 0))
     return _finalize(
-        pair, lambdas, vectors, applications, requested=settings.k,
+        pair, lambdas, vectors, [applications[j] for j in kept], requested=settings.k,
         exhausted=exhausted, method="successive", warnings=warnings,
-        tol=settings.tol, stop=stop,
+        tol=settings.tol, stops=[stops[j] for j in kept],
+        sectors=None if sectors is None else [sectors[j] for j in kept],
     )
 
 

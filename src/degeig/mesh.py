@@ -76,7 +76,8 @@ class Grid3D:
     """Uniform tensor grid on [-L, L]^3 with odd node count per axis.
 
     Oddness puts the origin exactly on a node, so the singular cell of the
-    coefficient is centered. Boundary nodes carry the Dirichlet condition;
+    coefficient is centered, and the nodes are placed exactly symmetrically
+    about it, so the assembled pencil commutes with the axis mirrors. Boundary nodes carry the Dirichlet condition;
     the interior index set excludes them.
     """
 
@@ -89,8 +90,10 @@ class Grid3D:
         self.L = float(L)
         self.n = n
         self.hs = 2.0 * L / (n - 1)
-        self.axis = np.linspace(-L, L, n)
-        self.axis[(n - 1) // 2] = 0.0  # exact origin node
+        # hs (i - c) for the center index c: the origin is exactly a node and
+        # the axis exactly antisymmetric, so mirrored nodes carry mirrored
+        # coordinates bit for bit
+        self.axis = self.hs * (np.arange(n) - (n - 1) // 2)
 
     @property
     def num_interior(self):

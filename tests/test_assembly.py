@@ -233,6 +233,20 @@ class TestGrid3D:
         A = pair.A.toarray()
         assert np.array_equal(P @ A @ P.T, A)
 
+    @pytest.mark.parametrize("L, n, alpha", [(1.0, 9, 0.3), (6.0, 15, 1.0), (3.7, 21, 1.7)])
+    @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
+    def test_pencil_invariant_under_cube_symmetries(self, L, n, alpha, weight):
+        # the axis is hs (i - c), exactly antisymmetric, so every reflection
+        # x_a -> -x_a and every swap of two axes maps A and B onto themselves
+        # bit for bit: P A P^T == A and P B P^T == B
+        pair = assemble_grid3d(build_grid3d(L, n), alpha, weight())
+        idx = np.arange(pair.order).reshape((n - 2,) * 3)
+        for perm in (idx[::-1], idx[:, ::-1], idx[:, :, ::-1],
+                     idx.transpose(1, 0, 2), idx.transpose(2, 1, 0), idx.transpose(0, 2, 1)):
+            p = perm.ravel()
+            for M in (pair.A, pair.B):
+                assert (M[p][:, p] != M).nnz == 0
+
     def test_lumped_mass_and_quadrature_agree(self, rng):
         grid = build_grid3d(1.0, 9)
         unit = assemble_grid3d(grid, 1.0, indicator_ball(10.0))

@@ -321,6 +321,22 @@ class TestSolveCommand:
         claim = report["claims"]["positive_increasing_across_clusters"]
         assert claim["ok"] and claim["value"] > claim["bound"]
 
+    def test_pair_sector_reported_on_grid_only(self, tmp_path):
+        # each grid pair names its parity sector (the ground pair is even in
+        # every axis); radial pairs carry no sector field
+        grid = small_config(tmp_path, **{"problem.geometry": {"mode": "grid3d", "L": 6.0, "n": 11},
+                                         "problem.solver.k": 5})
+        out = str(tmp_path / "grid")
+        assert main(["solve", "--config", grid, "--out", out]) == 0
+        pairs = json.loads(open(os.path.join(out, "eigen_report.json")).read())["eigen"]["pairs"]
+        assert pairs[0]["sector"] == "eee"
+        assert sorted(p["sector"] for p in pairs[2:]) == ["eeo", "eoe", "oee"]
+        radial = small_config(tmp_path)
+        out = str(tmp_path / "radial")
+        assert main(["solve", "--config", radial, "--out", out]) == 0
+        report = json.loads(open(os.path.join(out, "eigen_report.json")).read())
+        assert not any("sector" in p for p in report["eigen"]["pairs"])
+
     def test_grid_solve_skips_no_multiplicity_member(self, tmp_path):
         # ring grid 15^3: lambda_5..lambda_7 are a triple at 7.109271694 (the
         # dense route with its threshold raised to the order 2197); single-
@@ -425,6 +441,19 @@ class TestOtherCommands:
         assert "diverges" in out
         assert "decay: pass" in out
 
+    @pytest.mark.parametrize("args, flag", [(["--N", "2"], "--N"),
+                                            (["--alpha", "2.5"], "--alpha"),
+                                            (["--alpha", "0"], "--alpha"),
+                                            (["--alpha", "nan"], "--alpha")])
+    def test_catalogue_rejects_flags_outside_the_paper(self, tmp_path, capsys, args, flag):
+        # N >= 3 and 0 < alpha < 2 are checked before any verdict is printed
+        out = str(tmp_path / "cat")
+        assert main(["catalogue", *args, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {flag} ")
+        assert not os.path.exists(os.path.join(out, "catalogue.json"))
+
     def test_preset_solves(self, tmp_path):
         # preset geometry reduced through --config is not possible; use a real preset
         out = str(tmp_path / "preset")
@@ -433,3 +462,47 @@ class TestOtherCommands:
         report = json.loads(open(os.path.join(out, "eigen_report.json")).read())
         lams = [p["lambda"] for p in report["eigen"]["pairs"]]
         assert all(np.diff(lams) > 0.0)
+
+
+class TestEntryPoints:
+    """`python -m degeig.cli` and the `degeig` script both go through run()."""
+
+    @staticmethod
+    def _script_entry():
+        """The `degeig` line of pyproject.toml's [project.scripts]."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as fh:
+            scripts = fh.read().partition("[project.scripts]")[2]
+        return re.search(r'^degeig = "([^"]+)"$', scripts, re.M).group(1)
+
+    def test_script_entry_is_run(self):
+        assert self._script_entry() == "degeig.cli:run"
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("args, code", [(["catalogue", "--N", "3", "--alpha", "1.0"], 0),
+                                            (["catalogue", "--N", "2"], 1),
+                                            (["solve", "--preset", "no-such-preset"], 1)])
+    def test_same_output_and_exit_code_as_main(self, tmp_path, capsys, entry, args, code):
+        import subprocess
+        import sys
+
+        import degeig
+
+        module, function = self._script_entry().split(":")
+        launch = {
+            "module": [sys.executable, "-m", "degeig.cli"],
+            # what the generated console script does
+            "script": [sys.executable, "-c",
+                       f"import sys; from {module} import {function}; sys.exit({function}())"],
+        }[entry]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(degeig.__file__))}
+        out_sub, out_main = str(tmp_path / "sub"), str(tmp_path / "main")
+        done = subprocess.run([*launch, *args, "--out", out_sub], env=env, capture_output=True,
+                              text=True)
+        assert main([*args, "--out", out_main]) == code
+        captured = capsys.readouterr()
+        assert done.returncode == code
+        assert (done.stdout, done.stderr) == (captured.out, captured.err)
+        if code == 0:
+            assert strip_meta(os.path.join(out_sub, "catalogue.json")) == \
+                strip_meta(os.path.join(out_main, "catalogue.json"))

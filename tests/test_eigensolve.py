@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from degeig.assembly import DiscreteOperatorPair, assemble_radial, mass_inner
@@ -269,22 +270,35 @@ class TestSuccessive:
         assert_allclose(seq.lambdas, de.lambdas[: seq.count], rtol=1e-6)
 
     def test_iteration_cap_flags_pair(self):
-        # two LOBPCG iterations leave the ground pair of grid 11^3 above tol
-        seq = solve_successive(_grid_pair(11), SolverSettings(k=1, tol=1e-9, max_iter=2))
-        assert not seq.converged[0]
-        assert any("iteration cap" in w for w in seq.warnings)
+        # the cap applies to each sector's LOBPCG call: two iterations leave
+        # the pairs of grid 11^3 above tol in every sector that was solved
+        seq = solve_successive(_grid_pair(11), SolverSettings(k=5, tol=1e-9, max_iter=2))
+        assert set(seq.sectors) == {"eee", "oee", "eoe", "eeo"}
+        stalled = [i for i in range(seq.count) if not seq.converged[i]]
+        assert {seq.sectors[i] for i in stalled} == set(seq.sectors)
+        assert len(seq.warnings) == len(stalled)
+        for i, w in zip(stalled, seq.warnings):
+            assert w.startswith(f"pair {i + 1} hit the iteration cap at residual ")
 
-    def test_early_lobpcg_stop_named(self):
-        # with seed 1 LOBPCG meets its own tolerance after 79 of 400
-        # iterations, leaving pairs 4 and 5 near 1.8e-9: no cap was hit
-        pair = _grid_pair(21)
-        seq = solve_successive(pair, SolverSettings(k=6, tol=1e-9, max_iter=400), seed=1)
+    def test_early_lobpcg_stop_named(self, monkeypatch):
+        # a sector call that meets LOBPCG's own (absolute) tolerance stops
+        # before the cap, and a pair it leaves above the relative tol is named
+        # by that stop, not by the cap. At the default tolerance no seed of
+        # 1-8 stops so on grids 11^3-27^3 (k <= 10), so the calls here run at
+        # a tolerance 1000 times looser
+        import degeig.eigensolve as es
+
+        real = es.spla.lobpcg
+        monkeypatch.setattr(es.spla, "lobpcg",
+                            lambda *a, tol, **kw: real(*a, tol=1e3 * tol, **kw))
+        seq = es.solve_successive(_grid_pair(15), SolverSettings(k=6, tol=1e-9, max_iter=400))
         stalled = [i for i in range(6) if not seq.converged[i]]
         assert stalled, "expected a pair above tol 1e-9 on this grid"
         assert len(seq.warnings) == len(stalled)
         for i, w in zip(stalled, seq.warnings):
-            assert w.startswith(f"pair {i + 1} met LOBPCG's tolerance after ")
-            assert "of 400 iterations" in w
+            head = f"pair {i + 1} met LOBPCG's tolerance after "
+            assert w.startswith(head)
+            assert int(w[len(head):].split()[0]) < 400 and "of 400 iterations" in w
         assert not any("iteration cap" in w for w in seq.warnings)
 
     def test_arpack_no_convergence_names_pair(self, monkeypatch):
@@ -309,20 +323,35 @@ class TestSuccessive:
 
     @pytest.mark.parametrize("kind", ["radial", "grid"])
     def test_one_eigensolver_call_for_all_pairs(self, monkeypatch, kind):
+        # radial: one ARPACK call returns every pair. Grid: one LOBPCG call
+        # per parity sector returns every pair of that sector and of the
+        # sectors its axis permutations reach; each pair reports the B
+        # applications of the call that produced it
         import degeig.eigensolve as es
 
         name = "eigsh" if kind == "radial" else "lobpcg"
-        calls = []
+        calls = []  # the order of each call's operator
         real = getattr(es.spla, name)
-        monkeypatch.setattr(es.spla, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        monkeypatch.setattr(es.spla, name,
+                            lambda op, *a, **kw: calls.append(op.shape[0]) or real(op, *a, **kw))
         if kind == "radial":
             pair = assemble_radial(build_radial_mesh(6.0, 128, 1.0), 3, 1.0, gaussian_bump())
         else:
             pair = _grid_pair(11)
         seq = es.solve_successive(pair, SolverSettings(k=4, tol=1e-8))
         assert seq.count == 4 and all(seq.converged)
-        assert len(calls) == 1
-        assert len(set(seq.iterations)) == 1 and seq.iterations[0] > 0
+        if kind == "radial":
+            assert len(calls) == 1
+            assert len(set(seq.iterations)) == 1 and seq.iterations[0] > 0
+            return
+        # k = 4 asks eee for 4 pairs, each other sector for ceil(3 / members),
+        # each on its own dofs: (c + 1) per even axis, c per odd, c = 4
+        assert calls == [125, 100, 80, 64]
+        assert seq.sectors[0] == "eee"
+        by_sector = {}
+        for sector, count in zip(seq.sectors, seq.iterations):
+            by_sector.setdefault(_orbit(sector), set()).add(count)
+        assert all(len(counts) == 1 and min(counts) > 0 for counts in by_sector.values())
 
     def test_k_at_least_order_warns_of_cap(self):
         # ARPACK needs fewer pairs than the order; every pair is positive here,
@@ -335,7 +364,8 @@ class TestSuccessive:
 
     def test_route_chosen_by_geometry(self, monkeypatch):
         # radial and explicit pencils: one LU and one ARPACK call, whatever
-        # the order; cube grids: one LOBPCG call and no factorization
+        # the order; cube grids: one LOBPCG call per parity sector (k = 2
+        # asks each of the four for a pair) and no factorization
         import degeig.eigensolve as es
 
         calls = []
@@ -346,7 +376,7 @@ class TestSuccessive:
         radial = assemble_radial(build_radial_mesh(6.0, 32768, 1.0), 3, 1.0, gaussian_bump())
         toy = toy_pair(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.eye(5))
         for pair, expected in ((radial, ["splu", "eigsh"]), (toy, ["splu", "eigsh"]),
-                               (_grid_pair(11), ["lobpcg"])):
+                               (_grid_pair(11), ["lobpcg"] * 4)):
             calls.clear()
             assert es.solve_successive(pair, SolverSettings(k=2)).count == 2
             assert calls == expected
@@ -403,24 +433,32 @@ class TestSuccessive:
     @pytest.mark.parametrize("seed", [1, 42])
     def test_grid_multiplicity_kept_whole(self, seed):
         # lambda_3..lambda_5 of grid 9^3 are the octahedral triple; single-
-        # vector Lanczos returned two of its members and lambda_6 as lambda_5
+        # vector Lanczos returned two of its members and lambda_6 as lambda_5.
+        # The sector route returns it whole: one member from each of the
+        # sectors oee, eoe and eeo
         pair = _grid_pair(9)
         ref = solve_dense(pair, 5)
         seq = solve_successive(pair, SolverSettings(k=5), seed=seed)
         assert ref.clusters == [[0], [1], [2, 3, 4]]
         assert seq.clusters == ref.clusters
         assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
+        assert sorted(seq.sectors[2:]) == ["eeo", "eoe", "oee"]
+        assert seq.sectors[:2] == ["eee", "eee"]
 
     def test_block_above_a_fifth_of_smallest_grid(self):
-        # grid 9^3 is the smallest (order 343); a block of 70 vectors leaves
-        # LOBPCG fewer than 5 dofs per vector, so it solves densely inside
-        # the call, after no iteration
+        # grid 9^3 is the smallest (order 343): k = 70 asks each parity
+        # sector for a block above a third of its order (eee 64 of 64, oee
+        # and ooe 23 of 48 and 36, ooo 27 of 27), so every sector is solved
+        # densely, counted as one application of B per sector dof
         pair = _grid_pair(9)
         ref = solve_dense(pair, 70)
         seq = solve_successive(pair, SolverSettings(k=70))
-        assert seq.iterations[0] == pair.order
+        orders = {"eee": 64, "oee": 48, "ooe": 36, "ooo": 27}
+        assert seq.iterations == [orders[_orbit(s)] for s in seq.sectors]
+        assert set(map(_orbit, seq.sectors)) == set(orders)
         assert all(seq.converged)
         assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
+        assert seq.clusters == ref.clusters
 
     def test_stall_at_rounding_floor_named(self):
         # on the graded M=32768 mesh ARPACK pairs stop above tol at their
@@ -436,6 +474,121 @@ class TestSuccessive:
             assert seq.residuals[i] <= 10.0 * seq.residual_floors[i]
             assert any(w.startswith(f"pair {i + 1} is at its rounding floor") for w in seq.warnings)
         assert not any("stalled after ARPACK" in w for w in seq.warnings)
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("n", [9, 11, 13])
+    @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
+    def test_matches_full_grid_dense(self, n, weight):
+        # the sector route against the full-grid dense reference: the same
+        # lambda, the same clusters, the same exhaustion
+        pair = _grid_pair(n, weight())
+        for k in (1, 5, 6, 20):
+            ref = solve_dense(pair, k)
+            seq = solve_successive(pair, SolverSettings(k=k))
+            assert seq.count == ref.count and seq.exhausted == ref.exhausted
+            assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
+            assert seq.clusters == ref.clusters
+            assert all(seq.converged)
+
+    def test_sector_asks_at_most_its_positive_count(self, monkeypatch):
+        # by Sylvester's law of inertia a sector has as many positive mu as
+        # positive B entries. The ring on grid 11^3 has 18 positive
+        # eigenvalues, so k = 30 exhausts every sector: none is asked for
+        # more than it has, and the shortfall is reported as exhaustion
+        import degeig.eigensolve as es
+
+        asked = []
+        real = es._lobpcg
+
+        def recording(A, B, shape, mirrored, m, *args):
+            asked.append((m, np.count_nonzero(B.diagonal() > 0.0)))
+            return real(A, B, shape, mirrored, m, *args)
+
+        monkeypatch.setattr(es, "_lobpcg", recording)
+        seq = es.solve_successive(_grid_pair(11, sign_changing_ring()), SolverSettings(k=30))
+        assert seq.exhausted and seq.count == 18 and all(seq.converged)
+        assert asked and all(m == positive for m, positive in asked)
+        assert any("found 18 of 30" in w for w in seq.warnings)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_low_rank_sector_solved_densely(self, seed):
+        # the ring on grid 9^3 leaves eee 7 nonzero B entries of 64, and a
+        # block of 3 pairs there made LOBPCG break down after 2 iterations
+        # on seeds 2, 4, 5 and 6 (pair 1 stopped at residual 6e-3 to 2e-2);
+        # such a sector is solved densely
+        pair = _grid_pair(9, sign_changing_ring())
+        seq = solve_successive(pair, SolverSettings(k=6), seed=seed)
+        assert all(seq.converged) and not seq.warnings
+        assert_allclose(seq.lambdas, solve_dense(pair, 6).lambdas, rtol=1e-8)
+
+    @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
+    def test_ground_vector_positive_and_even(self, weight):
+        # Perron-Frobenius: A - lambda_1 B is a singular irreducible M-matrix,
+        # so lambda_1 is simple with a positive, hence mirror-even, vector
+        pair = _grid_pair(15, weight())
+        seq = solve_successive(pair, SolverSettings(k=3))
+        assert seq.sectors[0] == "eee"
+        e1 = seq.vectors[:, 0]
+        assert e1.min() > 0.0
+        u = e1.reshape((13,) * 3)
+        for mirrored in (u[::-1], u[:, ::-1], u[:, :, ::-1]):
+            assert np.array_equal(mirrored, u)
+
+    def test_triple_members_are_axis_permutations(self):
+        # the triple's three members are one computed sector vector carried
+        # to oee, eoe and eeo by axis permutations: bit for bit as the
+        # maximizers come out, and up to the sign and rounding of the
+        # unit-mass normalization in the solved sequence
+        from itertools import combinations, permutations
+
+        import degeig.eigensolve as es
+
+        def carried(u, v, equal):
+            return any(equal(v, u.transpose(axes)) for axes in permutations(range(3)))
+
+        def rounding(u, v):
+            sign = np.sign(np.sum(u * v))
+            return np.allclose(u, sign * v, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+        pair = _grid_pair(11)
+        vecs, _, _, sectors = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        members = [vecs[:, j].reshape((9,) * 3) for j, s in enumerate(sectors) if s != "eee"]
+        assert sorted(s for s in sectors if s != "eee") == ["eeo", "eoe", "oee"]
+        assert all(carried(u, v, np.array_equal) for u, v in combinations(members, 2))
+        seq = solve_successive(pair, SolverSettings(k=5))
+        assert seq.clusters[2] == [2, 3, 4]
+        members = [seq.vectors[:, j].reshape((9,) * 3) for j in (2, 3, 4)]
+        assert all(carried(u, v, rounding) for u, v in combinations(members, 2))
+
+    def test_sector_vcycle_symmetric_positive(self, monkeypatch):
+        # on a parity sector's own dof array (grid 17^3, oee: 7 x 8 x 8
+        # dofs) with mirrored interpolation, the V-cycle is still a fixed
+        # SPD operator
+        import degeig.eigensolve as es
+
+        monkeypatch.setattr(es, "COARSEST_ORDER", 8)
+        pair = _grid_pair(17)
+        bases = [es._mirror_basis(7, p) for p in "oee"]
+        S = sp.kron(sp.kron(bases[0], bases[1]), bases[2], format="csr")
+        M = es._vcycle((S.T @ pair.A @ S).tocsr(), (7, 8, 8), (False, True, True))
+        dense = np.column_stack([M.matvec(e) for e in np.eye(S.shape[1])])
+        assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+
+    def test_mirror_basis_orthonormal_and_complete(self):
+        # the even and odd bases of one axis are orthonormal and together
+        # span every vector on its 2c + 1 nodes
+        from degeig.eigensolve import _mirror_basis
+
+        for c in (3, 4, 7):
+            Q = sp.hstack([_mirror_basis(c, "e"), _mirror_basis(c, "o")]).toarray()
+            assert_allclose(Q.T @ Q, np.eye(2 * c + 1), atol=1e-15)
+
+
+def _orbit(sector):
+    """The parity sector of SECTORS that an axis permutation carries sector to."""
+    return "".join(sorted(sector, reverse=True))
 
 
 def _grid_pair(n, weight=None):
@@ -465,7 +618,7 @@ class TestMultigrid:
 
         monkeypatch.setattr(es, "COARSEST_ORDER", 8)
         pair = _grid_pair(15)
-        M = es._vcycle(pair.A.tocsr(), (13, 13, 13))
+        M = es._vcycle(pair.A.tocsr(), (13, 13, 13), (False,) * 3)
         dense = np.column_stack([M.matvec(e) for e in np.eye(pair.order)])
         assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
         assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
@@ -477,7 +630,7 @@ class TestMultigrid:
 
         monkeypatch.setattr(es, "COARSEST_ORDER", coarsest)
         pair = _grid_pair(11)
-        M = es._vcycle(pair.A.tocsr(), (9, 9, 9))
+        M = es._vcycle(pair.A.tocsr(), (9, 9, 9), (False,) * 3)
         X = np.random.default_rng(3).standard_normal((pair.order, 3))
         columns = np.column_stack([M @ x for x in X.T])
         assert_allclose(M @ X, columns, rtol=1e-13, atol=1e-13 * np.abs(columns).max())

@@ -77,6 +77,13 @@ class TestGrid3D:
         pts = grid.interior_points()
         assert np.any(np.all(pts == 0.0, axis=1))
 
+    @pytest.mark.parametrize("L, n", [(3.0, 13), (6.0, 31), (6.0, 41), (0.7, 61)])
+    def test_axis_mirror_exact(self, L, n):
+        # node i sits at hs (i - c): exactly antisymmetric about the center
+        grid = build_grid3d(L, n)
+        assert np.array_equal(grid.axis, -grid.axis[::-1])
+        assert_allclose(grid.axis[[0, -1]], [-L, L], rtol=1e-15)
+
     def test_interior_nodes_have_six_axis_neighbors(self):
         grid = build_grid3d(1.0, 9)
         ax = grid.axis
