@@ -31,7 +31,7 @@ Each pair of a grid solve reports its member's label as its sector.
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from warnings import catch_warnings, simplefilter
+from warnings import catch_warnings, simplefilter, warn_explicit
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,6 +43,12 @@ from .assembly import mass_plus_inner, volume_integral
 CLUSTER_RTOL = 1e-9  # eigenvalues closer than this (relatively) form a cluster
 DENSE_THRESHOLD = 2000  # solve_dense refuses larger orders
 TRANSPOSE_BLOCK = 128  # square blocks swapped by _transpose_in_place
+# the starts of the warnings with which scipy's lobpcg breaks off its loop
+# early, each with what failed
+LOBPCG_BREAKDOWNS = {
+    "Failed at iteration": "LOBPCG could not B-orthonormalize its preconditioned residuals",
+    "eigh failed at iteration": "LOBPCG's Rayleigh-Ritz eigh failed",
+}
 
 
 class SolverError(RuntimeError):
@@ -475,7 +481,8 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
     (at most DENSE_THRESHOLD dofs), counted as one application of B per dof
     as LOBPCG counts its own dense solve. Returns the
     Ritz vectors as columns, the number of applications of B and the reason
-    the call stopped.
+    the call stopped: the iteration cap, LOBPCG's own tolerance, or a
+    breakdown (LOBPCG_BREAKDOWNS) named with the iteration it happened in.
     """
     order = A.shape[0]
     if 3 * m > np.count_nonzero(B.diagonal()) and order <= DENSE_THRESHOLD:
@@ -510,14 +517,25 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
         return X
 
     # LOBPCG's tol is absolute; 1e-2 * tol leaves the relative residual below
-    # tol on most cube-grid cases, not all. Its warnings are muted because
-    # _finalize reports an unconverged pair itself. Its residual history
+    # tol on most cube-grid cases, not all. Its warnings are recorded, not
+    # shown, because _finalize reports an unconverged pair itself; only a
+    # breakdown's warning tells it from an early stop. Its residual history
     # cannot tell the cap from an early stop: it is cut at the best iterate,
     # which may be far from the last.
-    with catch_warnings():
-        simplefilter("ignore", UserWarning)
+    with catch_warnings(record=True) as caught:
+        simplefilter("always", UserWarning)
         _, vecs = spla.lobpcg(op, X0, B=A, M=precondition, largest=True,
                               tol=1e-2 * settings.tol, maxiter=settings.max_iter)
+    for w in caught:
+        if not issubclass(w.category, UserWarning):
+            warn_explicit(w.message, w.category, w.filename, w.lineno)
+    causes = [cause for w in caught for head, cause in LOBPCG_BREAKDOWNS.items()
+              if str(w.message).startswith(head)]
+    if causes:
+        # iterations counts the one that broke down, as it had preconditioned
+        # its residuals; LOBPCG's warning numbers it from 0
+        return vecs, applications, (f"broke down in iteration {iterations} of "
+                                    f"{settings.max_iter} ({causes[0]}) and stopped")
     # the loop runs iterations 0..max_iter unless every pair met the tolerance
     if iterations > settings.max_iter:
         return vecs, applications, "hit the iteration cap"

@@ -2,7 +2,8 @@
 
 Solves -(r^(alpha+N-1) u')' = lambda g(r) r^(N-1) u on (0, R) with u(R) = 0 by
 adaptive integration of the first-order system in (u, v), v = r^(alpha+N-1) u'
-being the weighted flux. The n-th eigenvalue is bracketed by sweeping lambda
+being the weighted flux, with scipy's compiled DOP853 (scipy.integrate.ode).
+The n-th eigenvalue is bracketed by sweeping lambda
 upward from the weighted-Hardy lower bound of lambda_1 until the interior
 zero count of u reaches n, then narrowed by one Brent root search on the
 terminal miss u(R) (bisection on the count where no sign change certifies the
@@ -14,7 +15,8 @@ serves as their golden reference.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
+from scipy.integrate import solve_ivp  # unused here; perfbench/tracing.py wraps this name
 from scipy.optimize import brentq
 
 from .inequalities import hardy_constant
@@ -24,6 +26,8 @@ RESCALE_LIMIT = 1e120  # rescale the state when it grows past this
 R_EPS_FACTOR = 1e-6  # integration starts at r_eps = R_EPS_FACTOR * R
 SWEEP_GROWTH = 1.6  # ratio of successive lambdas in the sweep
 REL_WIDTH = 1e-10  # relative width each bracket is narrowed to
+FIRST_STEP = 1e-6  # first step of each piece, relative to the piece's length
+MAX_STEPS = 10**6  # the integrator's step limit per piece
 
 
 class OracleError(RuntimeError):
@@ -51,12 +55,15 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, breakpoints=()):
     Starts at r_eps = R_EPS_FACTOR * R with u = 1 and the series-consistent
     flux v(r_eps) = -lambda * integral_0^r_eps g t^(N-1) dt, the first-order
     behavior of the solution that is regular at the degenerate origin. Each
-    smooth piece of the weight is one adaptive DOP853 integration: pass the
-    weight's discontinuity radii as breakpoints so the integrator never steps
-    across a jump. The state is renormalized whenever max(|u|, |v|) reaches
-    RESCALE_LIMIT, and the piece continues from there; only the sign
-    structure of u matters. Returns u(R), the count of interior sign changes
-    and the number of right-hand-side evaluations.
+    smooth piece of the weight is one integration by the compiled DOP853,
+    started with a first step of FIRST_STEP times the piece's length: pass
+    the weight's discontinuity radii as breakpoints so the integrator never
+    steps across a jump. A callback after each accepted step counts the sign
+    changes of u between step ends and stops the integration once
+    max(|u|, |v|) reaches RESCALE_LIMIT; the state is then renormalized and
+    the piece continues from there, as only the sign structure of u matters.
+    Returns u(R), the count of interior sign changes and the number of
+    right-hand-side evaluations.
     """
     if R <= 0.0:
         raise OracleError("R must be positive")
@@ -65,17 +72,23 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, breakpoints=()):
     r0 = R_EPS_FACTOR * R
     v0 = -lam * fixed_quad(lambda t: g(t) * t ** (N - 1), 0.0, r0, order=12)
     power = alpha + N - 1.0
+    nfev = 0
+    zeros = 0
+    sign = 1.0  # sign of the last nonzero u; u(r_eps) = 1
 
     def rhs(r, y):
+        nonlocal nfev
+        nfev += 1
         return (y[1] * r ** (-power), -lam * float(g(r)) * r ** (N - 1) * y[0])
 
-    def crossing(r, y):
-        return y[0]
-
-    def overflow(r, y):
-        return max(abs(y[0]), abs(y[1])) - RESCALE_LIMIT
-
-    overflow.terminal = True
+    def step(r, y):
+        # called after each accepted step: count a sign change of u against
+        # the last nonzero u, and stop the integration (-1) for a rescale
+        nonlocal zeros, sign
+        if y[0] * sign < 0.0:
+            zeros += 1
+            sign = -sign
+        return -1 if max(abs(y[0]), abs(y[1])) >= RESCALE_LIMIT else 0
 
     # straddle each jump with a skipped sliver so no piece ever evaluates
     # the weight on both sides of a discontinuity; (u, v) is continuous there
@@ -86,23 +99,26 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, breakpoints=()):
             cuts.extend([c * (1.0 - nudge), c * (1.0 + nudge)])
     edges = np.unique(np.concatenate([[r0, R], cuts]))
     y = np.array([1.0, v0])
-    zeros = 0
-    nfev = 0
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a <= 3.0 * nudge * b:
             continue  # the sliver across a jump: carry the state over
-        while True:
-            sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol,
-                            atol=1e-30, events=(crossing, overflow))
-            if not sol.success:
-                raise OracleError(f"integration failed on [{a:g}, {b:g}]: {sol.message}")
-            nfev += sol.nfev
-            zeros += len(sol.t_events[0])
-            y = sol.y[:, -1].copy()
-            if sol.status != 1:
-                break
-            y /= max(abs(y[0]), abs(y[1]))  # overflow: rescale, go on
-            a = sol.t[-1]
+        # one solver per piece, run to its end before the next is made, as
+        # the compiled integrator is not re-entrant. The first step is given,
+        # because the integrator's own guess scales with |y| and atol and
+        # underflows when v = 0 (the ring: g = 0 on [0, 1))
+        solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-30,
+                                         nsteps=MAX_STEPS, first_step=FIRST_STEP * (b - a))
+        solver.set_solout(step)
+        r = a
+        while r < b:
+            y = solver.set_initial_value(y, r).integrate(b)
+            if not solver.successful():
+                raise OracleError(f"integration failed on [{a:g}, {b:g}] at r = "
+                                  f"{solver.t:g} (dop853 return code "
+                                  f"{solver.get_return_code()})")
+            r = solver.t
+            if solver.get_return_code() == 2:  # stopped by step(): rescale, go on
+                y = y / max(abs(y[0]), abs(y[1]))
     return float(y[0]), int(zeros), nfev
 
 
@@ -223,9 +239,10 @@ def shooting_eigenvalue(N, alpha, g, R, n, sweep_cap=200, rtol=1e-11,
 def radial_weight_callable(spec):
     """Adapt a WeightSpec to the radial callable the oracle expects.
 
-    A float radius (numpy's float64 included: solve_ivp passes one per
-    right-hand-side evaluation) goes to the spec's scalar evaluator when it
-    has one; arrays, and weights without one, go through weight_value.
+    A float radius (numpy's float64 included; shoot's right-hand side passes
+    the integrator's float radius once per evaluation) goes to the spec's
+    scalar evaluator when it has one; arrays, and weights without one, go
+    through weight_value.
     """
     from .weights import weight_value
 

@@ -301,6 +301,30 @@ class TestSuccessive:
             assert int(w[len(head):].split()[0]) < 400 and "of 400 iterations" in w
         assert not any("iteration cap" in w for w in seq.warnings)
 
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_lobpcg_breakdown_named(self, monkeypatch, seed):
+        # without the dense fallback, the ring's eee sector on grid 9^3 (7
+        # nonzero B entries of 64, a block of 3) makes LOBPCG fail to
+        # B-orthonormalize its preconditioned residuals and break off with
+        # its best iterate; the stalled pairs name that breakdown, not an
+        # early stop at LOBPCG's tolerance
+        import degeig.eigensolve as es
+
+        monkeypatch.setattr(es, "DENSE_THRESHOLD", 0)
+        seq = es.solve_successive(_grid_pair(9, sign_changing_ring()), SolverSettings(k=6),
+                                  seed=seed)
+        stalled = [i for i in range(seq.count) if not seq.converged[i]]
+        assert stalled, "expected LOBPCG to break down on this sector"
+        assert {seq.sectors[i] for i in stalled} == {"eee"}
+        assert len(seq.warnings) == len(stalled)
+        for i, w in zip(stalled, seq.warnings):
+            head = f"pair {i + 1} broke down in iteration "
+            assert w.startswith(head)
+            assert int(w[len(head):].split()[0]) < 400
+            assert ("of 400 (LOBPCG could not B-orthonormalize its preconditioned "
+                    "residuals) and stopped at residual ") in w
+        assert not any("met LOBPCG's tolerance" in w for w in seq.warnings)
+
     def test_arpack_no_convergence_names_pair(self, monkeypatch):
         # ARPACK returns no unconverged vector, so the step fails outright
         import degeig.eigensolve as es

@@ -15,7 +15,8 @@ from degeig.oracle import (
     shoot,
     shooting_eigenvalue,
 )
-from degeig.weights import CATALOGUE, gaussian_bump
+from degeig.quadrature import fixed_quad
+from degeig.weights import CATALOGUE, gaussian_bump, sign_changing_ring
 
 
 def unit_weight(r):
@@ -47,12 +48,65 @@ class TestShoot:
 
     def test_overflow_inside_one_piece_is_rescaled(self):
         # g = -1 at lambda = 1e6: u grows like exp(1000 r) and leaves the float
-        # range well inside one smooth piece; the terminal rescale event keeps
-        # the state finite, so the shot ends with a miss and no zeros
+        # range well inside one smooth piece; stopping at RESCALE_LIMIT for a
+        # rescale keeps the state finite, so the shot ends with a miss and no zeros
         neg = lambda r: -np.ones_like(np.asarray(r, dtype=float))
         miss, zeros, _ = shoot(3, 1.0, neg, 6.0, 1e6)
         assert np.isfinite(miss)
         assert zeros == 0
+
+    def test_zero_count_matches_closed_form(self):
+        # alpha -> 0, g = 1, R = 1: u = sin(sqrt(lambda) r)/r has its zeros
+        # at r = j pi / sqrt(lambda); at lambda = ((m + 1/2) pi)^2 exactly m
+        # of them lie inside (0, 1), and u(1) = +-1/sqrt(lambda) (u(0) = 1)
+        # is far from zero
+        for m in range(9):
+            root = (m + 0.5) * np.pi
+            miss, zeros, _ = shoot(3, 1e-6, unit_weight, 1.0, root**2)
+            assert zeros == m
+            assert_allclose(miss, (-1) ** m / root, rtol=1e-5)
+
+    def test_zero_flux_start_on_the_ring(self):
+        # the ring has g = 0 on [0, 1), so the series flux v0 is exactly 0
+        # and v is still 0 when the piece [1, 2] starts; the integrator's own
+        # first-step guess underflows there, so shoot gives the first step
+        spec = sign_changing_ring()
+        g = radial_weight_callable(spec)
+        r0 = oracle.R_EPS_FACTOR * 6.0
+        assert fixed_quad(lambda t: g(t) * t**2, 0.0, r0, order=12) == 0.0
+        lam1 = shooting_eigenvalue(3, 1.0, g, 6.0, 1, breakpoints=spec.jumps).lam
+        for lam in (0.1 * lam1, 0.5 * lam1, 0.99 * lam1):
+            miss, zeros, _ = shoot(3, 1.0, g, 6.0, lam, breakpoints=spec.jumps)
+            assert zeros == 0
+            assert miss > 0.0
+
+    def test_integrator_guess_fails_at_zero_flux(self, monkeypatch):
+        # without an explicit first step the shot above stops at r = 1 with
+        # "step size becomes too small", reported as an OracleError
+        spec = sign_changing_ring()
+        monkeypatch.setattr(oracle, "FIRST_STEP", 0.0)
+        with pytest.warns(UserWarning, match="step size becomes too small"):
+            with pytest.raises(OracleError, match="return code -3"):
+                shoot(3, 1.0, radial_weight_callable(spec), 6.0, 1.0,
+                      breakpoints=spec.jumps)
+
+    @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
+    def test_rhs_evaluations_count_weight_calls(self, weight):
+        # each right-hand-side evaluation calls g once at a float radius;
+        # the series flux calls it once more, on an array of nodes
+        spec = weight()
+        inner = radial_weight_callable(spec)
+        calls = {"scalar": 0, "array": 0}
+
+        def counting(r):
+            calls["scalar" if isinstance(r, float) else "array"] += 1
+            return inner(r)
+
+        for lam in (2.0, 40.0):
+            calls.update(scalar=0, array=0)
+            _, _, nfev = shoot(3, 1.0, counting, 6.0, lam, breakpoints=spec.jumps)
+            assert nfev == calls["scalar"] > 0
+            assert calls["array"] == 1
 
     def test_invalid_inputs(self):
         with pytest.raises(OracleError):
@@ -103,7 +157,6 @@ class TestShootingEigenvalue:
         from degeig.assembly import assemble_radial
         from degeig.eigensolve import solve_dense
         from degeig.mesh import build_radial_mesh, grading_for_span
-        from degeig.weights import sign_changing_ring
 
         spec = sign_changing_ring()
         g = radial_weight_callable(spec)
