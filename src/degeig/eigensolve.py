@@ -26,7 +26,8 @@ diagonal, so A - lambda_1 B is a positive semidefinite irreducible Z-matrix,
 and by Perron-Frobenius its null vector is positive, hence even in every
 axis. So eee asks for k pairs and a sector of w members for ceil((k - 1) / w),
 which together hold the k largest mu; a sector asking for none is skipped.
-Each pair of a grid solve reports its member's label as its sector.
+Each pair of a grid solve reports its member's label as its sector. Pairs go
+by the mu their call returned, ties in the call's order: oee, eoe, eeo.
 """
 
 from dataclasses import dataclass, field
@@ -207,16 +208,6 @@ def _detect_clusters(lambdas):
     return clusters
 
 
-def _order_inside_clusters(lambdas, vectors, clusters):
-    """Deterministic ordering of degenerate groups by leading-coefficient index."""
-    order = np.arange(lambdas.size)
-    for group in clusters:
-        if len(group) > 1:
-            keys = [_first_significant_index(vectors[:, i]) for i in group]
-            order[group] = np.array(group)[np.argsort(keys, kind="stable")]
-    return order
-
-
 def _residual_floors(pair, lambdas, vectors, AV):
     """Rounding floor of each relative residual, eps ||(|A| + lambda |B|) |e|||/||A e||.
 
@@ -234,24 +225,17 @@ def _residual_floors(pair, lambdas, vectors, AV):
 
 def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method,
               warnings=(), tol=None, stops=None, sectors=None):
-    """Order, orient and measure the pairs; judge them against tol if given.
+    """Orient and measure the pairs in their given order; judge them against tol if given.
 
     applications, stops and sectors (if given) hold one entry per pair, in
-    the order of lambdas, and are reordered with the pairs. A pair is
-    converged when its relative residual is within tol (always without tol).
-    An unconverged pair is warned about as at its rounding floor when its
-    residual is within FLOOR_MARGIN of it, otherwise by its stop entry, the
-    reason the eigensolver call that produced it stopped; pair warnings
-    precede the given ones.
+    the order of lambdas. A pair is converged when its relative residual is
+    within tol (always without tol). An unconverged pair is warned about as
+    at its rounding floor when its residual is within FLOOR_MARGIN of it,
+    otherwise by its stop entry, the reason the eigensolver call that
+    produced it stopped; pair warnings precede the given ones.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     k = lambdas.size
-    vectors = np.asarray(vectors, dtype=float).reshape(pair.order, k) if k else np.zeros((pair.order, 0))
-    clusters = _detect_clusters(lambdas)
-    order = _order_inside_clusters(lambdas, vectors, clusters)
-    lambdas = lambdas[order]
-    vectors = vectors[:, order]
-    applications = [applications[i] for i in order]
     for i in range(k):
         vectors[:, i] = _fix_sign(pair, vectors[:, i], first_mode=(i == 0))
     AV = pair.A @ vectors if k else vectors
@@ -263,7 +247,7 @@ def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method
         f"pair {i + 1} is at its rounding floor: residual {resid[i]:.3e} is "
         f"{resid[i] / floors[i]:.1f} times the floor {floors[i]:.3e} (tol {tol:.0e})"
         if resid[i] <= FLOOR_MARGIN * floors[i] else
-        f"pair {i + 1} {stops[order[i]]} at residual {resid[i]:.3e} (tol {tol:.0e})"
+        f"pair {i + 1} {stops[i]} at residual {resid[i]:.3e} (tol {tol:.0e})"
         for i in range(k) if not converged[i]
     ]
     return EigenSequence(
@@ -277,10 +261,10 @@ def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method
         requested=requested,
         exhausted=exhausted,
         method=method,
-        clusters=clusters,
+        clusters=_detect_clusters(lambdas),
         warnings=pair_warnings + list(warnings),
         residual_floors=floors,
-        sectors=None if sectors is None else [sectors[i] for i in order],
+        sectors=sectors,
     )
 
 
@@ -479,10 +463,11 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
     axes. Column n of the start block is seeded by default_rng([seed, n,
     sector]). A block of more than a third of B's rank is solved densely
     (at most DENSE_THRESHOLD dofs), counted as one application of B per dof
-    as LOBPCG counts its own dense solve. Returns the
-    Ritz vectors as columns, the number of applications of B and the reason
-    the call stopped: the iteration cap, LOBPCG's own tolerance, or a
-    breakdown (LOBPCG_BREAKDOWNS) named with the iteration it happened in.
+    as LOBPCG counts its own dense solve. Returns the mu (LOBPCG's final
+    Rayleigh-Ritz values, or eigh's) with their vectors as columns, the
+    number of applications of B and the reason the call stopped: the
+    iteration cap, LOBPCG's own tolerance, or a breakdown
+    (LOBPCG_BREAKDOWNS) named with the iteration it happened in.
     """
     order = A.shape[0]
     if 3 * m > np.count_nonzero(B.diagonal()) and order <= DENSE_THRESHOLD:
@@ -490,9 +475,9 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
         # third of B's rank, LOBPCG's basis of the block, its preconditioned
         # residuals and its search directions turns singular and the call
         # breaks down (ring weight, grid 9^3)
-        _, vecs = sla.eigh(B.toarray(), A.toarray(), subset_by_index=[order - m, order - 1],
-                           check_finite=False)
-        return vecs, order, "was solved densely"
+        mus, vecs = sla.eigh(B.toarray(), A.toarray(), subset_by_index=[order - m, order - 1],
+                             check_finite=False)
+        return mus, vecs, order, "was solved densely"
     applications = 0
 
     def apply(X):
@@ -524,8 +509,8 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
     # which may be far from the last.
     with catch_warnings(record=True) as caught:
         simplefilter("always", UserWarning)
-        _, vecs = spla.lobpcg(op, X0, B=A, M=precondition, largest=True,
-                              tol=1e-2 * settings.tol, maxiter=settings.max_iter)
+        mus, vecs = spla.lobpcg(op, X0, B=A, M=precondition, largest=True,
+                                tol=1e-2 * settings.tol, maxiter=settings.max_iter)
     for w in caught:
         if not issubclass(w.category, UserWarning):
             warn_explicit(w.message, w.category, w.filename, w.lineno)
@@ -534,13 +519,13 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
     if causes:
         # iterations counts the one that broke down, as it had preconditioned
         # its residuals; LOBPCG's warning numbers it from 0
-        return vecs, applications, (f"broke down in iteration {iterations} of "
-                                    f"{settings.max_iter} ({causes[0]}) and stopped")
+        return mus, vecs, applications, (f"broke down in iteration {iterations} of "
+                                          f"{settings.max_iter} ({causes[0]}) and stopped")
     # the loop runs iterations 0..max_iter unless every pair met the tolerance
     if iterations > settings.max_iter:
-        return vecs, applications, "hit the iteration cap"
-    return vecs, applications, (f"met LOBPCG's tolerance after {iterations} of "
-                                f"{settings.max_iter} iterations and stopped")
+        return mus, vecs, applications, "hit the iteration cap"
+    return mus, vecs, applications, (f"met LOBPCG's tolerance after {iterations} of "
+                                      f"{settings.max_iter} iterations and stopped")
 
 
 def _sector_maximizers(pair, m, settings, seed):
@@ -552,11 +537,12 @@ def _sector_maximizers(pair, m, settings, seed):
     the Kronecker product of the orthonormal 1-D mirror bases
     (_mirror_basis), so LOBPCG's absolute tolerance means what it means on
     the full grid. Column n of sector s's start block (s its index in
-    SECTORS) is seeded by default_rng([seed, n, s]). Returns the leading
-    maximizers on the full grid as columns (m, unless the sectors hold
-    fewer positive mu), each a sector vector carried to a member by an axis
-    permutation, and per column the applications of B and the stop reason
-    of its call and its member's label.
+    SECTORS) is seeded by default_rng([seed, n, s]). Returns the m largest
+    mu the calls returned (fewer if the sectors hold fewer positive mu) in a
+    stable descending order, so a triple keeps its members' order (oee, eoe,
+    eeo; ooe, oeo, eoo), their maximizers on the full grid as columns (sector
+    vectors carried to a member by an axis permutation), and per column the
+    applications of B and the stop reason of its call and its member's label.
     """
     A, B = pair.A, pair.B
     c = (pair.geometry.n - 3) // 2
@@ -574,9 +560,8 @@ def _sector_maximizers(pair, m, settings, seed):
         if ask < 1:
             continue
         As = (S.T @ A @ S).tocsr()
-        vecs, applications, stop = _lobpcg(As, Bs, shape, [p == "e" for p in label],
-                                           ask, settings, seed, index)
-        mus = np.einsum("ij,ij->j", vecs, Bs @ vecs) / np.einsum("ij,ij->j", vecs, As @ vecs)
+        mus, vecs, applications, stop = _lobpcg(As, Bs, shape, [p == "e" for p in label],
+                                                ask, settings, seed, index)
         for mu, v in zip(mus, vecs.T):
             found += [(mu, S, v, axes, applications, stop, name) for axes, name in members]
     found = sorted(found, key=lambda f: -f[0])[:m]  # stable: members stay in order
@@ -584,7 +569,8 @@ def _sector_maximizers(pair, m, settings, seed):
     vecs = np.zeros((pair.order, len(found)))
     for j, (_, S, v, axes, *_) in enumerate(found):
         vecs[:, j] = (S @ v).reshape(full).transpose(axes).ravel()
-    return vecs, [f[4] for f in found], [f[5] for f in found], [f[6] for f in found]
+    return ([f[0] for f in found], vecs, [f[4] for f in found], [f[5] for f in found],
+            [f[6] for f in found])
 
 
 def _maximize_quotient(pair, m, settings, seed):
@@ -596,11 +582,12 @@ def _maximize_quotient(pair, m, settings, seed):
     of A, started from default_rng([seed, 0, 0]), raising ArpackNoConvergence
     after settings.max_iter restarts. Cube grids: one block LOBPCG call per
     parity sector (_sector_maximizers), as single-vector Lanczos can skip
-    members of the cube's symmetry-forced multiplicities. Returns the m
-    maximizers as columns and, per column, the number of applications of B
-    made by the call that produced it and the reason that call stopped
-    (which names an unconverged pair's warning); then the columns' parity
-    sectors on cube grids, None elsewhere.
+    members of the cube's symmetry-forced multiplicities. Returns the m mu
+    the call computed (ARPACK's eigenvalues, the sectors' Ritz values), their
+    maximizers as columns and, per column, the applications of B made by the
+    call that produced it and the reason that call stopped (which names an
+    unconverged pair's warning); then the columns' parity sectors on cube
+    grids, None elsewhere.
     """
     if pair.mode == "grid3d":
         return _sector_maximizers(pair, m, settings, seed)
@@ -620,8 +607,8 @@ def _maximize_quotient(pair, m, settings, seed):
         raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
     inv = spla.LinearOperator(shape, matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng([seed, 0, 0]).standard_normal(pair.order)
-    _, vecs = spla.eigsh(op, m, M=A, Minv=inv, which="LA", v0=v0, maxiter=settings.max_iter)
-    return vecs, [applications] * m, ["stalled after ARPACK converged"] * m, None
+    mus, vecs = spla.eigsh(op, m, M=A, Minv=inv, which="LA", v0=v0, maxiter=settings.max_iter)
+    return mus, vecs, [applications] * m, ["stalled after ARPACK converged"] * m, None
 
 
 def solve_successive(pair, settings=None, seed=42):
@@ -629,11 +616,12 @@ def solve_successive(pair, settings=None, seed=42):
 
     One _maximize_quotient call (ARPACK on radial and explicit pencils, one
     block LOBPCG call per parity sector on cube grids) asks for min(k,
-    order - 1) pairs, k = settings.k, from start blocks drawn from seed;
-    each returned pair is then judged on its own. A pair with mu at or below
+    order - 1) pairs, k = settings.k, from start blocks drawn from seed,
+    and walks them in a stable descending order of the mu it returned, so
+    equal mu keep the call's order. A pair with mu at or below
     EXHAUSTION_RTOL * mu_1 (mu <= 0 for the first) proves the positive
     spectrum exhausted: it and all below it are dropped, giving a partial
-    sequence, not an error; so do fewer returned pairs than asked for. A
+    sequence, not an error; so do fewer returned pairs than asked for. Each
     kept pair is converged when its relative weak-form residual is within
     tol.
     Eigenvectors are normalized to unit g-mass, so lambda_n equals the energy
@@ -645,38 +633,31 @@ def solve_successive(pair, settings=None, seed=42):
     if m < 1:
         raise SolverError("the successive solve needs an order of at least 2")
     try:
-        vecs, applications, stops, sectors = _maximize_quotient(pair, m, settings, seed)
+        mus, vecs, applications, stops, sectors = _maximize_quotient(pair, m, settings, seed)
     except spla.ArpackNoConvergence as exc:
         done = len(exc.eigenvalues)
         raise SolverError(
             f"pair {done + 1}: ARPACK did not converge within {settings.max_iter} "
             f"restarts ({done} of {m} pairs converged)"
         ) from exc
+    order = sorted(range(len(mus)), key=lambda j: -mus[j])
+    kept = [j for j in order if mus[j] > max(EXHAUSTION_RTOL * mus[order[0]], 0.0)]
     masses = [u @ b for u, b in zip(vecs.T, (pair.B @ vecs).T)]
-    mus = [mass / (u @ a) for mass, u, a in zip(masses, vecs.T, (pair.A @ vecs).T)]
-    lambdas, vectors, kept = [], [], []
+    vectors = vecs[:, kept] / np.sqrt([masses[j] for j in kept])
     warnings = []
-    for j in sorted(range(len(mus)), key=lambda j: -mus[j]):
-        if mus[j] <= (EXHAUSTION_RTOL / lambdas[0] if lambdas else 0.0):
-            break
-        e = vecs[:, j] / np.sqrt(masses[j])
-        lambdas.append(float(e @ (pair.A @ e)))
-        vectors.append(e)
-        kept.append(j)
-    exhausted = len(lambdas) < m
+    exhausted = len(kept) < m
     if exhausted:
         warnings.append(
-            f"no further positive eigenvalue found (found {len(lambdas)} of {settings.k})"
+            f"no further positive eigenvalue found (found {len(kept)} of {settings.k})"
         )
     if m < settings.k and not exhausted:
         warnings.append(
             f"k = {settings.k} capped at order - 1 = {m}: the block eigensolver "
             f"returns fewer pairs than the order, so pair {m + 1} was not computed"
         )
-    vectors = np.column_stack(vectors) if lambdas else np.zeros((pair.order, 0))
     return _finalize(
-        pair, lambdas, vectors, [applications[j] for j in kept], requested=settings.k,
-        exhausted=exhausted, method="successive", warnings=warnings,
+        pair, [e @ (pair.A @ e) for e in vectors.T], vectors, [applications[j] for j in kept],
+        requested=settings.k, exhausted=exhausted, method="successive", warnings=warnings,
         tol=settings.tol, stops=[stops[j] for j in kept],
         sectors=None if sectors is None else [sectors[j] for j in kept],
     )

@@ -478,6 +478,28 @@ class TestEntryPoints:
     def test_script_entry_is_run(self):
         assert self._script_entry() == "degeig.cli:run"
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_import_runs_no_collection(self, enabled):
+        # the package keeps the cyclic collector off while it imports numpy,
+        # scipy and its own modules, then leaves it as the importer had it
+        import subprocess
+        import sys
+
+        import degeig
+
+        script = "\n".join([
+            "import gc",
+            "starts = []",
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))",
+            "gc.enable()" if enabled else "gc.disable()",
+            "import degeig",
+            "print(len(starts), gc.isenabled())",
+        ])
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(degeig.__file__))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["0", str(enabled)]
+
     @pytest.mark.parametrize("entry", ["module", "script"])
     @pytest.mark.parametrize("args, code", [(["catalogue", "--N", "3", "--alpha", "1.0"], 0),
                                             (["catalogue", "--N", "2"], 1),

@@ -377,6 +377,32 @@ class TestSuccessive:
             by_sector.setdefault(_orbit(sector), set()).add(count)
         assert all(len(counts) == 1 and min(counts) > 0 for counts in by_sector.values())
 
+    def test_equal_mu_keep_the_call_order(self, monkeypatch):
+        # pairs of equal mu are walked in the order the call returned them,
+        # each with its own applications; nothing re-sorts them
+        import degeig.eigensolve as es
+
+        pair = toy_pair(np.diag([1.0, 1.0, 3.0]), np.eye(3))
+        vecs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])  # e_2, then e_1
+        monkeypatch.setattr(es, "_maximize_quotient", lambda *a: (
+            [1.0, 1.0], vecs, [7, 9], ["stopped at a", "stopped at b"], None))
+        seq = es.solve_successive(pair, SolverSettings(k=2))
+        assert seq.clusters == [[0, 1]]
+        assert np.array_equal(seq.vectors, vecs)
+        assert seq.iterations == [7, 9]
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_returned_mu_are_rayleigh_quotients(self, grid, gaussian_pair_512):
+        # the mu each call returns (ARPACK's eigenvalues, LOBPCG's final
+        # Rayleigh-Ritz values) are the quotients of the vectors it returns
+        import degeig.eigensolve as es
+
+        pair = _grid_pair(11) if grid else gaussian_pair_512
+        mus, vecs, *_ = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        quotients = (np.einsum("ij,ij->j", vecs, pair.B @ vecs)
+                     / np.einsum("ij,ij->j", vecs, pair.A @ vecs))
+        assert_allclose(mus, quotients, rtol=1e-12)
+
     def test_k_at_least_order_warns_of_cap(self):
         # ARPACK needs fewer pairs than the order; every pair is positive here,
         # so the missing one cannot be told apart from exhaustion and is named
@@ -576,7 +602,7 @@ class TestParitySectors:
             return np.allclose(u, sign * v, rtol=4 * np.finfo(float).eps, atol=0.0)
 
         pair = _grid_pair(11)
-        vecs, _, _, sectors = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        _, vecs, _, _, sectors = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
         members = [vecs[:, j].reshape((9,) * 3) for j, s in enumerate(sectors) if s != "eee"]
         assert sorted(s for s in sectors if s != "eee") == ["eeo", "eoe", "oee"]
         assert all(carried(u, v, np.array_equal) for u, v in combinations(members, 2))
@@ -584,6 +610,21 @@ class TestParitySectors:
         assert seq.clusters[2] == [2, 3, 4]
         members = [seq.vectors[:, j].reshape((9,) * 3) for j in (2, 3, 4)]
         assert all(carried(u, v, rounding) for u, v in combinations(members, 2))
+
+    @pytest.mark.parametrize("n, weight, k", [(11, gaussian_bump, 5), (13, sign_changing_ring, 6)])
+    def test_triples_ordered_by_axis(self, n, weight, k):
+        # each triple is reported as its members come from the sector call,
+        # odd in x, in y, then in z, and each pair's vector has the parities
+        # its sector label names, bit for bit
+        seq = solve_successive(_grid_pair(n, weight()), SolverSettings(k=k))
+        triples = [c for c in seq.clusters if len(c) == 3]
+        assert triples
+        for c in triples:
+            assert [seq.sectors[i] for i in c] == ["oee", "eoe", "eeo"]
+        for u, sector in zip(seq.vectors.T, seq.sectors):
+            u = u.reshape((n - 2,) * 3)
+            for axis, parity in enumerate(sector):
+                assert np.array_equal(np.flip(u, axis), u if parity == "e" else -u)
 
     def test_sector_vcycle_symmetric_positive(self, monkeypatch):
         # on a parity sector's own dof array (grid 17^3, oee: 7 x 8 x 8
