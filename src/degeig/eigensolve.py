@@ -8,13 +8,15 @@ successive maximizers are the eigenvectors of the k largest mu = 1/lambda of
 B v = mu A v, so block eigensolver calls find all k and nothing is deflated
 step by step. B is never factorized.
 
-Two routes are provided: solve_dense (the reference up to DENSE_THRESHOLD: a
-Cholesky congruence C = U^{-T} B U^{-1} formed in A's band storage, then one
-standard eigh call for the top k mu of C, on the full pencil of either
-geometry) and solve_successive: one ARPACK call with a sparse LU of A on
-radial and explicit pencils, and on cube grids one block LOBPCG call per
-parity sector, preconditioned by V-cycle-preconditioned CG. A block, unlike
-single-vector Lanczos, keeps every member of a multiplicity.
+Two routes make one call each: solve_dense (the reference up to
+DENSE_THRESHOLD: one eigh call on a Cholesky congruence formed in A's band
+storage, _congruence_eigh, on the full pencil of either geometry) and
+solve_successive: one ARPACK call with a sparse LU of A on radial and
+explicit pencils, and on cube grids one block LOBPCG call per parity sector,
+preconditioned by V-cycle-preconditioned CG. A block, unlike single-vector
+Lanczos, keeps every member of a multiplicity. _finalize turns either call's
+mu and vectors into pairs: one ordering, positivity cut, normalization and
+lambda rule for both routes.
 
 Every weight is radial and the grid centered, so A and B commute with the
 mirrors (x, y, z) -> (+-x, +-y, +-z) and the pencil splits into sectors of
@@ -223,48 +225,65 @@ def _residual_floors(pair, lambdas, vectors, AV):
     return np.finfo(float).eps * np.linalg.norm(F, axis=0) / np.linalg.norm(AV, axis=0)
 
 
-def _finalize(pair, lambdas, vectors, applications, requested, exhausted, method,
-              warnings=(), tol=None, stops=None, sectors=None):
-    """Orient and measure the pairs in their given order; judge them against tol if given.
+def _finalize(pair, mus, vecs, applications, requested, asked, method, tol=None, stops=None,
+              sectors=None):
+    """One eigensolver call's mu and vectors as a sequence of measured pairs.
 
-    applications, stops and sectors (if given) hold one entry per pair, in
-    the order of lambdas. A pair is converged when its relative residual is
-    within tol (always without tol). An unconverged pair is warned about as
-    at its rounding floor when its residual is within FLOOR_MARGIN of it,
-    otherwise by its stop entry, the reason the eigensolver call that
-    produced it stopped; pair warnings precede the given ones.
+    mus, the columns of vecs (at any scale), applications and, if given,
+    stops and sectors hold one entry per pair returned by a call asked for
+    `asked` of `requested` pairs. Pairs go by descending mu, equal mu in the
+    call's order. A mu at or below EXHAUSTION_RTOL * mu_1 (mu <= 0 for the
+    first) proves the positive spectrum exhausted, as do fewer pairs than
+    asked for: it and all below it are dropped, giving a partial sequence,
+    not an error. Each kept vector is scaled to unit g-mass by sqrt(v^T B v)
+    and oriented (_fix_sign); its lambda is its energy e^T A e. A pair is
+    converged when its relative residual is within tol (always without tol).
+    An unconverged pair is warned about as at its rounding floor when its
+    residual is within FLOOR_MARGIN of it, otherwise by its stop entry (why
+    its call stopped); these precede the warning on exhaustion or on the
+    order - 1 cap.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    k = lambdas.size
+    order = sorted(range(len(mus)), key=lambda j: -mus[j])
+    kept = [j for j in order if mus[j] > max(EXHAUSTION_RTOL * mus[order[0]], 0.0)]
+    masses = [u @ b for u, b in zip(vecs.T, (pair.B @ vecs).T)]
+    vectors = vecs[:, kept] / np.sqrt([masses[j] for j in kept])
+    k = len(kept)
     for i in range(k):
         vectors[:, i] = _fix_sign(pair, vectors[:, i], first_mode=(i == 0))
-    AV = pair.A @ vectors if k else vectors
-    BV = pair.B @ vectors if k else vectors
+    lambdas = np.array([e @ (pair.A @ e) for e in vectors.T])
+    AV, BV = pair.A @ vectors, pair.B @ vectors
     resid = np.array([_relative_residual(AV[:, i], BV[:, i], lambdas[i]) for i in range(k)])
-    floors = _residual_floors(pair, lambdas, vectors, AV) if k else np.zeros(0)
+    floors = _residual_floors(pair, lambdas, vectors, AV)
     converged = [tol is None or bool(r <= tol) for r in resid]
-    pair_warnings = [
+    warnings = [
         f"pair {i + 1} is at its rounding floor: residual {resid[i]:.3e} is "
         f"{resid[i] / floors[i]:.1f} times the floor {floors[i]:.3e} (tol {tol:.0e})"
         if resid[i] <= FLOOR_MARGIN * floors[i] else
-        f"pair {i + 1} {stops[i]} at residual {resid[i]:.3e} (tol {tol:.0e})"
+        f"pair {i + 1} {stops[kept[i]]} at residual {resid[i]:.3e} (tol {tol:.0e})"
         for i in range(k) if not converged[i]
     ]
+    if k < asked:
+        warnings.append(f"no further positive eigenvalue found (found {k} of {requested})")
+    elif asked < requested:
+        warnings.append(
+            f"k = {requested} capped at order - 1 = {asked}: the block eigensolver "
+            f"returns fewer pairs than the order, so pair {asked + 1} was not computed"
+        )
     return EigenSequence(
         lambdas=lambdas,
         vectors=vectors,
         residuals=resid,
         cross_energy=vectors.T @ AV,
         cross_mass=vectors.T @ BV,
-        iterations=applications,
+        iterations=[applications[j] for j in kept],
         converged=converged,
         requested=requested,
-        exhausted=exhausted,
+        exhausted=k < asked,
         method=method,
         clusters=_detect_clusters(lambdas),
-        warnings=pair_warnings + list(warnings),
+        warnings=warnings,
         residual_floors=floors,
-        sectors=sectors,
+        sectors=None if sectors is None else [sectors[j] for j in kept],
     )
 
 
@@ -302,18 +321,40 @@ def _transpose_in_place(X):
     return X
 
 
-def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
-    """Top-k reference solve of the pencil B v = mu A v.
+def _congruence_eigh(A, B, m):
+    """The m largest mu of B v = mu A v and their vectors, v^T A v = 1, by an
+    explicit Cholesky congruence in A's band storage (Golub-Van Loan, Matrix
+    Computations, 8.7).
 
-    An explicit Cholesky congruence in A's band storage (Golub-Van Loan,
-    Matrix Computations, 8.7): A = U^T U by a banded Cholesky, C =
-    U^{-T} B U^{-1} by two banded triangular solves against a dense copy of B,
-    one standard eigh call for the k largest mu of C, and e = U^{-1} w. A is
-    never densified: the work is O(n^2 w) for bandwidth w, and C is formed
-    and diagonalized in the one n^2 buffer that holds B's dense copy (X =
-    U^{-T} B is transposed in place between the solves). mu > 0 are the
-    reciprocals of the smallest positive pencil eigenvalues, nonpositive
-    directions are discarded.
+    A = U^T U by a banded Cholesky, C = U^{-T} B U^{-1} by two banded
+    triangular solves against a dense copy of B, one standard eigh call for
+    the m largest mu of C (ascending), and v = U^{-1} w. A is never
+    densified: the work is O(n^2 w) for bandwidth w, and C is formed and
+    diagonalized in the one n^2 buffer that holds B's dense copy (X = U^{-T}
+    B is transposed in place between the solves).
+    """
+    n = A.shape[0]
+    w = _bandwidth(A)
+    upper = sp.triu(A, format="coo")
+    band = np.zeros((w + 1, n), order="F")  # LAPACK band storage, factored in place
+    band[w + upper.row - upper.col, upper.col] = upper.data
+    del upper
+    try:
+        U = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    except sla.LinAlgError as exc:
+        raise SolverError(f"energy matrix is not positive definite: {exc}") from exc
+    X = _band_solve(U, B.toarray(order="F"), "T")  # U^{-T} B
+    # U^{-T} (U^{-T} B)^T = U^{-T} B U^{-1}; X.T alone would be copied to Fortran order
+    C = _band_solve(U, _transpose_in_place(X), "T")
+    mu, W = sla.eigh(C, subset_by_index=[max(n - m, 0), n - 1],
+                     overwrite_a=True, check_finite=False)
+    return mu, _band_solve(U, W, "N")
+
+
+def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
+    """Top-k reference solve of the pencil B v = mu A v on the full pencil of
+    either geometry, by one _congruence_eigh call whose mu and vectors
+    _finalize turns into pairs. Orders above dense_threshold are refused.
     Returns the k smallest positive lambda; fewer when the pencil has fewer
     positive eigenvalues (reported, not fatal).
     """
@@ -322,32 +363,8 @@ def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
         raise SolverError(f"dense solve refused at order {n} > {dense_threshold}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    w = _bandwidth(pair.A)
-    upper = sp.triu(pair.A, format="coo")
-    band = np.zeros((w + 1, n), order="F")  # LAPACK band storage, factored in place
-    band[w + upper.row - upper.col, upper.col] = upper.data
-    del upper
-    try:
-        U = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise SolverError(f"energy matrix is not positive definite: {exc}") from exc
-    X = _band_solve(U, pair.B.toarray(order="F"), "T")  # U^{-T} B
-    # U^{-T} (U^{-T} B)^T = U^{-T} B U^{-1}; X.T alone would be copied to Fortran order
-    C = _band_solve(U, _transpose_in_place(X), "T")
-    mu, W = sla.eigh(C, subset_by_index=[max(n - k, 0), n - 1],
-                     overwrite_a=True, check_finite=False)
-    V = _band_solve(U, W, "N")  # v = U^{-1} w, so v^T A v = w^T w = 1
-    floor = 1e-12 * max(np.max(np.abs(mu)), np.finfo(float).tiny)
-    pos = np.nonzero(mu > floor)[0][::-1]  # descending mu = ascending lambda
-    warnings = []
-    if pos.size < k:
-        warnings.append(
-            f"pencil has only {pos.size} positive eigenvalues; {k} requested"
-        )
-    E = V[:, pos] / np.sqrt(mu[pos])  # v^T A v = 1, so e^T B e = 1
-    lambdas = np.einsum("ij,ij->j", E, pair.A @ E)
-    return _finalize(pair, lambdas, E, [0] * pos.size, requested=k, exhausted=pos.size < k,
-                     method="dense", warnings=warnings)
+    mus, vecs = _congruence_eigh(pair.A, pair.B, k)
+    return _finalize(pair, mus, vecs, [0] * mus.size, requested=k, asked=k, method="dense")
 
 
 def _interpolation(shape, mirrored):
@@ -454,6 +471,17 @@ def _sector_members(label):
     return [(axes, name) for name, axes in members.items()]
 
 
+def _counted(B):
+    """B as a LinearOperator counting in .applications the vectors it is applied to."""
+    def apply(X):
+        op.applications += 1 if X.ndim == 1 else X.shape[1]
+        return B @ X
+
+    op = spla.LinearOperator(B.shape, matvec=apply, matmat=apply, dtype=float)
+    op.applications = 0
+    return op
+
+
 def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
     """The m largest mu of B v = mu A v, B diagonal, by one block LOBPCG call.
 
@@ -461,13 +489,14 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
     by CG on A to relative residual 0.1, each CG preconditioned by one
     V-cycle (_vcycle) over the dof array of this shape, with these mirrored
     axes. Column n of the start block is seeded by default_rng([seed, n,
-    sector]). A block of more than a third of B's rank is solved densely
-    (at most DENSE_THRESHOLD dofs), counted as one application of B per dof
-    as LOBPCG counts its own dense solve. Returns the mu (LOBPCG's final
-    Rayleigh-Ritz values, or eigh's) with their vectors as columns, the
-    number of applications of B and the reason the call stopped: the
-    iteration cap, LOBPCG's own tolerance, or a breakdown
-    (LOBPCG_BREAKDOWNS) named with the iteration it happened in.
+    sector]). A block of more than a third of B's rank is solved by the
+    dense route's congruence (_congruence_eigh, at most DENSE_THRESHOLD
+    dofs), counted as one application of B per dof as LOBPCG counts its own
+    dense solve. Returns the mu (LOBPCG's final Rayleigh-Ritz values, or
+    eigh's) with their vectors as columns, the number of applications of B
+    and the reason the call stopped: the iteration cap, LOBPCG's own
+    tolerance, or a breakdown (LOBPCG_BREAKDOWNS) named with the iteration
+    it happened in.
     """
     order = A.shape[0]
     if 3 * m > np.count_nonzero(B.diagonal()) and order <= DENSE_THRESHOLD:
@@ -475,17 +504,8 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
         # third of B's rank, LOBPCG's basis of the block, its preconditioned
         # residuals and its search directions turns singular and the call
         # breaks down (ring weight, grid 9^3)
-        mus, vecs = sla.eigh(B.toarray(), A.toarray(), subset_by_index=[order - m, order - 1],
-                             check_finite=False)
-        return mus, vecs, order, "was solved densely"
-    applications = 0
-
-    def apply(X):
-        nonlocal applications
-        applications += 1 if X.ndim == 1 else X.shape[1]
-        return B @ X
-
-    op = spla.LinearOperator((order, order), matvec=apply, matmat=apply, dtype=float)
+        return (*_congruence_eigh(A, B, m), order, "was solved densely")
+    op = _counted(B)
     X0 = np.column_stack([np.random.default_rng([seed, n, sector]).standard_normal(order)
                           for n in range(m)])
     vcycle = _vcycle(A, shape, mirrored)
@@ -519,13 +539,13 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
     if causes:
         # iterations counts the one that broke down, as it had preconditioned
         # its residuals; LOBPCG's warning numbers it from 0
-        return mus, vecs, applications, (f"broke down in iteration {iterations} of "
-                                          f"{settings.max_iter} ({causes[0]}) and stopped")
+        return mus, vecs, op.applications, (f"broke down in iteration {iterations} of "
+                                             f"{settings.max_iter} ({causes[0]}) and stopped")
     # the loop runs iterations 0..max_iter unless every pair met the tolerance
     if iterations > settings.max_iter:
-        return mus, vecs, applications, "hit the iteration cap"
-    return mus, vecs, applications, (f"met LOBPCG's tolerance after {iterations} of "
-                                      f"{settings.max_iter} iterations and stopped")
+        return mus, vecs, op.applications, "hit the iteration cap"
+    return mus, vecs, op.applications, (f"met LOBPCG's tolerance after {iterations} of "
+                                         f"{settings.max_iter} iterations and stopped")
 
 
 def _sector_maximizers(pair, m, settings, seed):
@@ -582,33 +602,24 @@ def _maximize_quotient(pair, m, settings, seed):
     of A, started from default_rng([seed, 0, 0]), raising ArpackNoConvergence
     after settings.max_iter restarts. Cube grids: one block LOBPCG call per
     parity sector (_sector_maximizers), as single-vector Lanczos can skip
-    members of the cube's symmetry-forced multiplicities. Returns the m mu
-    the call computed (ARPACK's eigenvalues, the sectors' Ritz values), their
+    members of the cube's symmetry-forced multiplicities. Both count B's
+    applications with one _counted operator. Returns the m mu the call
+    computed (ARPACK's eigenvalues, the sectors' Ritz values), their
     maximizers as columns and, per column, the applications of B made by the
-    call that produced it and the reason that call stopped (which names an
-    unconverged pair's warning); then the columns' parity sectors on cube
-    grids, None elsewhere.
+    call that produced it and the reason that call stopped; then the
+    columns' parity sectors on cube grids, None elsewhere.
     """
     if pair.mode == "grid3d":
         return _sector_maximizers(pair, m, settings, seed)
-    A, B = pair.A, pair.B
-    applications = 0
-
-    def apply(X):
-        nonlocal applications
-        applications += 1 if X.ndim == 1 else X.shape[1]
-        return B @ X
-
-    shape = (pair.order, pair.order)
-    op = spla.LinearOperator(shape, matvec=apply, matmat=apply, dtype=float)
+    op = _counted(pair.B)
     try:
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(pair.A.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
-    inv = spla.LinearOperator(shape, matvec=lu.solve, dtype=float)
+    inv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng([seed, 0, 0]).standard_normal(pair.order)
-    mus, vecs = spla.eigsh(op, m, M=A, Minv=inv, which="LA", v0=v0, maxiter=settings.max_iter)
-    return mus, vecs, [applications] * m, ["stalled after ARPACK converged"] * m, None
+    mus, vecs = spla.eigsh(op, m, M=pair.A, Minv=inv, which="LA", v0=v0, maxiter=settings.max_iter)
+    return mus, vecs, [op.applications] * m, ["stalled after ARPACK converged"] * m, None
 
 
 def solve_successive(pair, settings=None, seed=42):
@@ -616,16 +627,9 @@ def solve_successive(pair, settings=None, seed=42):
 
     One _maximize_quotient call (ARPACK on radial and explicit pencils, one
     block LOBPCG call per parity sector on cube grids) asks for min(k,
-    order - 1) pairs, k = settings.k, from start blocks drawn from seed,
-    and walks them in a stable descending order of the mu it returned, so
-    equal mu keep the call's order. A pair with mu at or below
-    EXHAUSTION_RTOL * mu_1 (mu <= 0 for the first) proves the positive
-    spectrum exhausted: it and all below it are dropped, giving a partial
-    sequence, not an error; so do fewer returned pairs than asked for. Each
-    kept pair is converged when its relative weak-form residual is within
-    tol.
-    Eigenvectors are normalized to unit g-mass, so lambda_n equals the energy
-    of e_n by construction; the ground mode is oriented nonnegatively.
+    order - 1) pairs, k = settings.k, from start blocks drawn from seed;
+    _finalize turns its mu and vectors into pairs and judges each against
+    settings.tol.
     """
     settings = settings or SolverSettings()
     settings.validate()
@@ -640,27 +644,8 @@ def solve_successive(pair, settings=None, seed=42):
             f"pair {done + 1}: ARPACK did not converge within {settings.max_iter} "
             f"restarts ({done} of {m} pairs converged)"
         ) from exc
-    order = sorted(range(len(mus)), key=lambda j: -mus[j])
-    kept = [j for j in order if mus[j] > max(EXHAUSTION_RTOL * mus[order[0]], 0.0)]
-    masses = [u @ b for u, b in zip(vecs.T, (pair.B @ vecs).T)]
-    vectors = vecs[:, kept] / np.sqrt([masses[j] for j in kept])
-    warnings = []
-    exhausted = len(kept) < m
-    if exhausted:
-        warnings.append(
-            f"no further positive eigenvalue found (found {len(kept)} of {settings.k})"
-        )
-    if m < settings.k and not exhausted:
-        warnings.append(
-            f"k = {settings.k} capped at order - 1 = {m}: the block eigensolver "
-            f"returns fewer pairs than the order, so pair {m + 1} was not computed"
-        )
-    return _finalize(
-        pair, [e @ (pair.A @ e) for e in vectors.T], vectors, [applications[j] for j in kept],
-        requested=settings.k, exhausted=exhausted, method="successive", warnings=warnings,
-        tol=settings.tol, stops=[stops[j] for j in kept],
-        sectors=None if sectors is None else [sectors[j] for j in kept],
-    )
+    return _finalize(pair, mus, vecs, applications, requested=settings.k, asked=m,
+                     method="successive", tol=settings.tol, stops=stops, sectors=sectors)
 
 
 @dataclass

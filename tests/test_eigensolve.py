@@ -122,24 +122,42 @@ class TestDense:
         assert_allclose(seq.lambdas, ref, rtol=1e-12)
         assert np.all(seq.residuals <= 1e-10)
 
-    @pytest.mark.parametrize("kind", ["radial", "grid"])
+    @pytest.mark.parametrize("kind", ["radial", "grid", "sector"])
     def test_peak_memory_one_dense_array(self, kind):
         # B's dense copy becomes C in place: no dense A, no transposed copy
-        # of U^{-T} B, no copy inside eigh; the band of A adds (w + 1) n
+        # of U^{-T} B, no copy inside eigh; the band of A adds (w + 1) n.
+        # The sector is the ring's eee on grid 21^3 (order 1000, 83 nonzero
+        # B entries): a block of 28 spans more than a third of B's rank, so
+        # _lobpcg solves it by the same congruence
         import tracemalloc
+        from functools import partial
 
-        if kind == "radial":
-            pair = assemble_radial(build_radial_mesh(6.0, 1000, 1.0), 3, 1.0, gaussian_bump())
+        import degeig.eigensolve as es
+
+        if kind == "sector":
+            pair = _grid_pair(21, sign_changing_ring())
+            e = es._mirror_basis(9, "e")
+            S = sp.kron(sp.kron(e, e), e, format="csr")
+            A, B = (S.T @ pair.A @ S).tocsr(), (S.T @ pair.B @ S).tocsr()
+            assert np.count_nonzero(B.diagonal()) == 83
+            solve = partial(es._lobpcg, A, B, (10,) * 3, (True,) * 3, 28, SolverSettings(), 42, 0)
         else:
-            pair = _grid_pair(11)  # order 729, bandwidth 81
-        n = pair.order
+            if kind == "radial":
+                pair = assemble_radial(build_radial_mesh(6.0, 1000, 1.0), 3, 1.0, gaussian_bump())
+            else:
+                pair = _grid_pair(11)  # order 729, bandwidth 81
+            A, solve = pair.A, partial(solve_dense, pair, 6)
+        n = A.shape[0]
         tracemalloc.start()
         try:
-            seq = solve_dense(pair, 6)
+            result = solve()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seq.count == 6
+        if kind == "sector":
+            assert result[2:] == (n, "was solved densely") and np.all(result[0] > 0.0)
+        else:
+            assert result.count == 6
         assert peak <= 1.25 * n * n * 8
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 1000])
@@ -268,6 +286,20 @@ class TestSuccessive:
         assert seq.count == n_pos
         assert any("no further positive eigenvalue" in w for w in seq.warnings)
         assert_allclose(seq.lambdas, de.lambdas[: seq.count], rtol=1e-6)
+
+    def test_routes_share_the_positivity_cut(self):
+        # mu = 1e-9 lies above EXHAUSTION_RTOL * mu_1 but below 1e-12 of the
+        # largest |mu| (1e5) among the dense call's top three: both routes
+        # keep it, and both report the missing third pair alike
+        pair = toy_pair(np.eye(5), np.diag([1.0, 1e-9, -1e5, -2e5, -3e5]))
+        de = solve_dense(pair, 3)
+        it = solve_successive(pair, SolverSettings(k=3))
+        assert de.count == it.count == 2
+        assert de.exhausted and it.exhausted
+        assert_allclose(de.lambdas, [1.0, 1e9], rtol=1e-12)
+        assert_allclose(it.lambdas, de.lambdas, rtol=1e-12)
+        exhaustion = "no further positive eigenvalue found (found 2 of 3)"
+        assert de.warnings[-1] == it.warnings[-1] == exhaustion
 
     def test_iteration_cap_flags_pair(self):
         # the cap applies to each sector's LOBPCG call: two iterations leave
@@ -800,3 +832,17 @@ class TestGrowthDiagnostics:
         )
         with pytest.raises(ValueError):
             growth_diagnostics(empty, gaussian_pair_512)
+
+
+def test_readme_library_use_runs(capsys):
+    # the fenced python block under the README's "Library use" runs as written
+    import os
+    import re
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme).read()
+    block = re.search(r"```python\n(.*?)```", text[text.index("## Library use"):], re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    lambdas, ratios = capsys.readouterr().out.split("\n", 1)
+    assert lambdas.startswith("[ 4.78376115 13.51427178 ")
+    assert ratios.startswith("[ 1. ")

@@ -11,7 +11,9 @@ tree, in its own process with one BLAS thread. The report's `meta` field (its
 only nondeterministic part) is dropped before comparing.
 
 Prints one line per command and one per output file or stdout that differs,
-then a summary. Exits 0 when every output is identical, 1 otherwise.
+or per run that ends in an uncaught exception (a warning turned into an error
+by PYTHONWARNINGS, say), then a summary. Exits 0 when every output is
+identical and no run raised, 1 otherwise.
 """
 
 import argparse
@@ -58,7 +60,7 @@ def commands(workloads):
 
 def run(tree, base, doc, argv):
     """Run one command against tree in the directory base; return
-    (returncode, stdout, output directory)."""
+    (returncode, stdout, output directory, whether it raised)."""
     shutil.rmtree(base, ignore_errors=True)
     out_dir = os.path.join(base, "out")
     os.makedirs(out_dir)
@@ -71,7 +73,8 @@ def run(tree, base, doc, argv):
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-m", "degeig.cli", *args], env=env, cwd=base,
                           capture_output=True, text=True)
-    return proc.returncode, proc.stdout, out_dir
+    raised = "Traceback (most recent call last)" in proc.stderr
+    return proc.returncode, proc.stdout, out_dir, raised
 
 
 def without_meta(text):
@@ -103,11 +106,12 @@ def main():
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
     differing, compared = [], 0
     for name, doc, argv in commands(load_workloads(args.new)):
-        (rc_old, out_old, dir_old), (rc_new, out_new, dir_new) = (
+        (rc_old, out_old, dir_old, raised_old), (rc_new, out_new, dir_new, raised_new) = (
             run(tree, os.path.join(work, side, name), doc, argv)
             for side, tree in (("old", args.old), ("new", args.new)))
         files = sorted(set(os.listdir(dir_old)) | set(os.listdir(dir_new)))
-        diffs = []
+        diffs = [f"uncaught exception in the {side} tree" for side, raised in
+                 (("old", raised_old), ("new", raised_new)) if raised]
         if rc_old != rc_new:
             diffs.append(f"exit code {rc_old} -> {rc_new}")
         if out_old != out_new:
