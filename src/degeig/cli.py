@@ -25,7 +25,7 @@ from .inequalities import (CknParams, check_ckn_radial, check_hardy,
                            hardy_quotient_radial, poly_bump, smooth_bump)
 from .oracle import OracleError, radial_weight_callable, shooting_eigenvalue
 from .reports import run_meta, write_csv, write_json
-from .weights import CATALOGUE, verify_weight_split
+from .weights import CATALOGUE, WeightDomainError, verify_weight_split
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -440,7 +440,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, AssemblyError, OracleError) as exc:
+    except (SolverError, AssemblyError, OracleError, WeightDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

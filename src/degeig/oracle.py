@@ -13,6 +13,7 @@ serves as their golden reference.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import ode
@@ -21,10 +22,13 @@ from scipy.optimize import brentq
 
 from .inequalities import hardy_constant
 from .quadrature import fixed_quad
+from .weights import weight_value
 
 RESCALE_LIMIT = 1e120  # rescale the state when it grows past this
 R_EPS_FACTOR = 1e-6  # integration starts at r_eps = R_EPS_FACTOR * R
 SWEEP_GROWTH = 1.6  # ratio of successive lambdas in the sweep
+SWEEP_CAP = 200  # the most lambdas the sweep, or the shrink below its start, tries
+RTOL = 1e-11  # the integrator's relative tolerance
 REL_WIDTH = 1e-10  # relative width each bracket is narrowed to
 FIRST_STEP = 1e-6  # first step of each piece, relative to the piece's length
 MAX_STEPS = 10**6  # the integrator's step limit per piece
@@ -44,12 +48,11 @@ class ShootingResult:
     index: int            # interior zeros of the converged mode (= n - 1)
     bracket: tuple        # (lambda_lo, lambda_hi), miss changes sign across it
     steps: int            # right-hand-side evaluations made by this call
-    miss: float           # |u(R)| at the bracket's lower end, lambda_lo
     certified: bool
     note: str = ""
 
 
-def shoot(N, alpha, g, R, lam, rtol=1e-11, breakpoints=()):
+def shoot(N, alpha, g, R, lam, breakpoints=()):
     """Integrate the radial system from r_eps to R; return (miss, zero_count, nfev).
 
     Starts at r_eps = R_EPS_FACTOR * R with u = 1 and the series-consistent
@@ -106,7 +109,7 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, breakpoints=()):
         # the compiled integrator is not re-entrant. The first step is given,
         # because the integrator's own guess scales with |y| and atol and
         # underflows when v = 0 (the ring: g = 0 on [0, 1))
-        solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-30,
+        solver = ode(rhs).set_integrator("dop853", rtol=RTOL, atol=1e-30,
                                          nsteps=MAX_STEPS, first_step=FIRST_STEP * (b - a))
         solver.set_solout(step)
         r = a
@@ -122,8 +125,7 @@ def shoot(N, alpha, g, R, lam, rtol=1e-11, breakpoints=()):
     return float(y[0]), int(zeros), nfev
 
 
-def shooting_eigenvalue(N, alpha, g, R, n, sweep_cap=200, rtol=1e-11,
-                        breakpoints=(), shots=None):
+def shooting_eigenvalue(N, alpha, g, R, n, breakpoints=(), shots=None):
     """Bracket and refine the n-th radial eigenvalue (n >= 1).
 
     Sweeps lambda geometrically (ratio SWEEP_GROWTH) from the weighted-Hardy
@@ -139,7 +141,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, sweep_cap=200, rtol=1e-11,
     carries a note instead of a guarantee.
 
     shots memoizes shoot() by lambda for one problem (the same N, alpha, g,
-    R, rtol and breakpoints): calls for n = 1..k that share the dict share
+    R and breakpoints): calls for n = 1..k that share the dict share
     one sweep, each reporting in steps only the evaluations it made.
     """
     if n < 1:
@@ -151,8 +153,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, sweep_cap=200, rtol=1e-11,
     def at(lam):
         nonlocal steps
         if lam not in shots:
-            miss, zeros, nfev = shoot(N, alpha, g, R, lam, rtol=rtol,
-                                      breakpoints=breakpoints)
+            miss, zeros, nfev = shoot(N, alpha, g, R, lam, breakpoints=breakpoints)
             shots[lam] = (miss, zeros)
             steps += nfev
         return shots[lam]
@@ -172,7 +173,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, sweep_cap=200, rtol=1e-11,
     sweep_counts = [zeros]
     # ensure the start is below the target count
     shrink = 0
-    while zeros >= n and shrink < sweep_cap:
+    while zeros >= n and shrink < SWEEP_CAP:
         lam /= SWEEP_GROWTH**2
         miss, zeros = at(lam)
         shrink += 1
@@ -182,7 +183,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, sweep_cap=200, rtol=1e-11,
         )
     lo, miss_lo, count_lo = lam, miss, zeros
     hi = None
-    for _ in range(sweep_cap):
+    for _ in range(SWEEP_CAP):
         lam *= SWEEP_GROWTH
         miss, zeros = at(lam)
         sweep_counts.append(zeros)
@@ -230,27 +231,14 @@ def shooting_eigenvalue(N, alpha, g, R, n, sweep_cap=200, rtol=1e-11,
         index=int(count_lo),
         bracket=(float(lo), float(hi)),
         steps=int(steps),
-        miss=float(abs(miss_lo)),
         certified=bool(certified),
         note="; ".join(notes),
     )
 
 
 def radial_weight_callable(spec):
-    """Adapt a WeightSpec to the radial callable the oracle expects.
-
-    A float radius (numpy's float64 included; shoot's right-hand side passes
-    the integrator's float radius once per evaluation) goes to the spec's
-    scalar evaluator when it has one; arrays, and weights without one, go
-    through weight_value.
+    """Adapt a WeightSpec to the radial callable g(r) = weight_value(spec, r)
+    the oracle expects: shoot's right-hand side passes the integrator's float
+    radius once per evaluation, the series flux and the Hardy start an array.
     """
-    from .weights import weight_value
-
-    scalar = spec.scalar
-
-    def g(r):
-        if scalar is not None and isinstance(r, float):
-            return scalar(r)
-        return weight_value(spec, r)
-
-    return g
+    return partial(weight_value, spec)

@@ -8,7 +8,10 @@ where the two positive parts play different roles: g_integrable is expected to
 have finite L^{N/(2-alpha)} norm on all of R^N, while g_decaying is only
 required to vanish against the kernel |x - y|^(2-alpha) locally at every probe
 point and at infinity. g_negative is the magnitude of the negative part. All
-catalogue weights are radial; evaluators take radii (scalars or arrays).
+catalogue weights are radial. Each part is one expression of the radius, valid
+for a float and for an array alike; weight_split checks the radii and calls
+the parts, so matrix assembly and the shooting oracle's one-radius calls run
+the same arithmetic.
 
 verify_weight_split samples these hypotheses numerically: limits cannot be
 certified by sampling, so the decay verdicts demand a strictly decreasing
@@ -29,52 +32,39 @@ class WeightDomainError(ValueError):
     """Raised when a weight is evaluated outside its tabulated range."""
 
 
-def _as_radii(r):
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radii must be nonnegative")
-    return r
-
-
 def borderline_log_radial(r, N, alpha):
     """Radial form of the borderline weight r^(alpha-2) * log(2 + r^(2-alpha))^((alpha-2)/N).
 
     Defined to be exactly 1 at r = 0. The power prefactor makes the function
     critically singular at the origin and critically decaying at infinity:
     it misses L^{N/(2-alpha)}(R^N) at both ends, yet r^(2-alpha) times the
-    weight still goes to 0 as r -> infinity.
+    weight still goes to 0 as r -> infinity. r is a float or an array.
     """
-    r = _as_radii(r)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.ones_like(r)
-    nz = r > 0.0
-    rn = r[nz]
-    out[nz] = rn ** (alpha - 2.0) * np.log(2.0 + rn ** (2.0 - alpha)) ** ((alpha - 2.0) / N)
-    return float(out[0]) if scalar else out
+    # the powers are taken at 1 in place of the origin, where r^(alpha-2)
+    # divides by zero, and the mask then puts 1 there (a bool is 0 or 1 in
+    # the arithmetic, so a float r makes no array). np.power, not the float
+    # ** operator: libm pow differs from numpy's in the last ulp at some radii
+    origin = r == 0.0
+    r = r + origin
+    value = np.power(r, alpha - 2.0) * np.power(
+        np.log(2.0 + np.power(r, 2.0 - alpha)), (alpha - 2.0) / N)
+    return (1 - origin) * value + origin
 
 
 def _zero(r):
-    return np.zeros_like(np.asarray(r, dtype=float))
-
-
-def _check_radius(r):
-    """The scalar form of _as_radii's sign check."""
-    if r < 0.0:
-        raise ValueError("radii must be nonnegative")
+    # 0.0, or zeros shaped like r (r >= 0 holds at every radius, r = inf included)
+    return 0.0 * (r >= 0.0)
 
 
 @dataclass(frozen=True)
 class WeightSpec:
     """A radial weight with its explicit admissibility split.
 
-    The three evaluators are pointwise nonnegative and vectorized over radii.
+    The three evaluators are pointwise nonnegative. Each takes one float
+    radius or an array of radii in [r_min, r_max] and returns a float or an
+    array of that shape; they check nothing, as weight_split does that.
     verified_split is False for data-driven weights whose split cannot be
-    checked beyond the sampled range. scalar, when set, is g itself at one
-    float radius: bit-identical to weight_value, raising the same error for a
-    negative radius, but free of the array conversions; the shooting oracle
-    calls it once per right-hand-side evaluation. Only weights defined on all
-    radii (r_max = inf) carry one.
+    checked beyond the sampled range.
     """
 
     name: str
@@ -85,15 +75,27 @@ class WeightSpec:
     r_min: float = 0.0     # evaluable range; nontrivial only for tabulated data
     r_max: float = np.inf
     jumps: tuple = ()      # discontinuity radii (adaptive integrators split there)
-    scalar: Callable = None
 
 
 def weight_split(spec, r):
-    """Evaluate the (integrable, decaying, negative) parts at radii r."""
-    r = _as_radii(r)
-    if np.any(np.atleast_1d(r) > spec.r_max):
+    """Evaluate the (integrable, decaying, negative) parts at radii r.
+
+    r is one float (numpy's float64 included), which the parts get as it is,
+    so the shooting oracle's one-radius calls make no array; anything else is
+    made a float array first. A negative radius raises ValueError, and one
+    outside [r_min, r_max] raises WeightDomainError.
+    """
+    if isinstance(r, float):
+        low = high = r
+    else:
+        r = np.asarray(r, dtype=float)
+        low, high = (r.min(), r.max()) if r.size else (0.0, 0.0)
+    if low < 0.0:
+        raise ValueError("radii must be nonnegative")
+    if low < spec.r_min - 1e-15 or high > spec.r_max:
         raise WeightDomainError(
-            f"weight '{spec.name}' sampled beyond its range r <= {spec.r_max:g}"
+            f"weight '{spec.name}' sampled outside its range "
+            f"[{spec.r_min:g}, {spec.r_max:g}]"
         )
     return spec.g_integrable(r), spec.g_decaying(r), spec.g_negative(r)
 
@@ -115,21 +117,12 @@ def gaussian_bump(amplitude: float = 1.0, width: float = 1.0):
     if amplitude <= 0 or width <= 0:
         raise ValueError("gaussian_bump needs positive amplitude and width")
 
-    # s * s, not s ** 2: a 0-d power calls libm pow, which may differ in the last ulp
+    # s * s, not s ** 2: a float's power calls libm pow, which may differ in the last ulp
     def g1(r):
-        s = _as_radii(r) / width
-        return amplitude * np.exp(-(s * s))
-
-    def scalar(r):
-        _check_radius(r)
         s = r / width
         return amplitude * np.exp(-(s * s))
 
-    return WeightSpec(
-        name="gaussian",
-        g_integrable=g1,
-        scalar=scalar,
-    )
+    return WeightSpec(name="gaussian", g_integrable=g1)
 
 
 def compact_bump(radius: float = 1.0, amplitude: float = 1.0):
@@ -137,26 +130,15 @@ def compact_bump(radius: float = 1.0, amplitude: float = 1.0):
     if amplitude <= 0 or radius <= 0:
         raise ValueError("compact_bump needs positive amplitude and radius")
 
+    # outside the support the mask puts s^2 = 0 in the exponent, so it stays
+    # finite, and then zeroes the value; a bool is 0 or 1 in the arithmetic
     def g1(r):
-        r = _as_radii(r)
-        s = np.atleast_1d(r / radius)
-        s2 = s * s
-        out = np.zeros_like(s2)
-        inside = s2 < 1.0
-        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-        return out[0] if np.ndim(r) == 0 else out
-
-    def scalar(r):
-        _check_radius(r)
         s = r / radius
         s2 = s * s
-        return amplitude * np.exp(1.0 - 1.0 / (1.0 - s2)) if s2 < 1.0 else 0.0
+        inside = s2 < 1.0
+        return inside * (amplitude * np.exp(1.0 - 1.0 / (1.0 - inside * s2)))
 
-    return WeightSpec(
-        name="compact-bump",
-        g_integrable=g1,
-        scalar=scalar,
-    )
+    return WeightSpec(name="compact-bump", g_integrable=g1)
 
 
 def sign_changing_ring(inner: float = 1.0, outer: float = 2.0, pos_amplitude: float = 1.0,
@@ -172,33 +154,20 @@ def sign_changing_ring(inner: float = 1.0, outer: float = 2.0, pos_amplitude: fl
         raise ValueError("ring needs 0 < inner < outer")
     if pos_amplitude <= 0:
         raise ValueError("ring needs a positive amplitude for the positive band")
-    neg = abs(neg_amplitude)
+    pos, neg = float(pos_amplitude), float(abs(neg_amplitude))
     shell_out = outer + (outer - inner)
 
     def g2(r):
-        r = _as_radii(r)
-        return pos_amplitude * ((r >= inner) & (r < outer)).astype(float)
+        return pos * ((r >= inner) & (r < outer))
 
     def gm(r):
-        r = _as_radii(r)
-        return neg * ((r >= outer) & (r < shell_out)).astype(float)
-
-    pos_value, neg_value = float(pos_amplitude), -float(neg)
-
-    def scalar(r):
-        _check_radius(r)
-        if inner <= r < outer:
-            return pos_value
-        if outer <= r < shell_out:
-            return neg_value
-        return 0.0
+        return neg * ((r >= outer) & (r < shell_out))
 
     return WeightSpec(
         name="ring",
         g_decaying=g2,
         g_negative=gm,
         jumps=(inner, outer, shell_out),
-        scalar=scalar,
     )
 
 
@@ -208,14 +177,9 @@ def indicator_ball(radius: float = 1.0):
         raise ValueError("indicator_ball needs a positive radius")
 
     def g1(r):
-        r = _as_radii(r)
-        return (r < radius).astype(float)
+        return 1.0 * (r < radius)
 
-    def scalar(r):
-        _check_radius(r)
-        return 1.0 if r < radius else 0.0
-
-    return WeightSpec(name="ball", g_integrable=g1, jumps=(radius,), scalar=scalar)
+    return WeightSpec(name="ball", g_integrable=g1, jumps=(radius,))
 
 
 def borderline_log(N, alpha):
@@ -226,16 +190,7 @@ def borderline_log(N, alpha):
     def g2(r):
         return borderline_log_radial(r, N, alpha)
 
-    # np.power, not the float ** operator: libm pow differs from numpy's
-    # array power in the last ulp at some radii
-    def scalar(r):
-        _check_radius(r)
-        if r == 0.0:
-            return 1.0
-        return np.power(r, alpha - 2.0) * np.power(
-            np.log(2.0 + np.power(r, 2.0 - alpha)), (alpha - 2.0) / N)
-
-    return WeightSpec(name="borderline-log", g_decaying=g2, scalar=scalar)
+    return WeightSpec(name="borderline-log", g_decaying=g2)
 
 
 def tabulated(radii, values):
@@ -243,7 +198,7 @@ def tabulated(radii, values):
 
     The sign split is taken pointwise from the interpolated value and is
     flagged unverified: nothing is known beyond the sampled range, and
-    evaluation there raises WeightDomainError.
+    weight_split raises WeightDomainError there.
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -251,29 +206,20 @@ def tabulated(radii, values):
         raise ValueError("tabulated needs matching 1-d radius/value arrays, >= 2 samples")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("tabulated radii must be strictly increasing")
-    r_lo, r_hi = radii[0], radii[-1]
-
-    def interp(r):
-        r = _as_radii(r)
-        if np.any(np.atleast_1d(r) < r_lo - 1e-15) or np.any(np.atleast_1d(r) > r_hi):
-            raise WeightDomainError(
-                f"tabulated weight sampled outside [{r_lo:g}, {r_hi:g}]"
-            )
-        return np.interp(r, radii, values)
 
     def g1(r):
-        return np.maximum(interp(r), 0.0)
+        return np.maximum(np.interp(r, radii, values), 0.0)
 
     def gm(r):
-        return np.maximum(-interp(r), 0.0)
+        return np.maximum(-np.interp(r, radii, values), 0.0)
 
     return WeightSpec(
         name="tabulated",
         g_integrable=g1,
         g_negative=gm,
         verified_split=False,
-        r_min=float(r_lo),
-        r_max=float(r_hi),
+        r_min=float(radii[0]),
+        r_max=float(radii[-1]),
     )
 
 

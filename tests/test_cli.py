@@ -434,6 +434,16 @@ class TestOtherCommands:
         assert len(lams) == 2 and lams[0] < lams[1]
         assert all(e["certified"] for e in golden["entries"])
 
+    @pytest.mark.parametrize("command", ["solve", "converge", "check", "oracle"])
+    def test_tabulated_weight_short_of_R_is_numerical_failure(self, tmp_path, capsys, command):
+        # radii 0..3 with R = 6: every command reports one line and exit 2
+        weight = {"kind": "tabulated", "radii": [0.0, 1.5, 3.0], "values": [1.0, 0.5, 0.25]}
+        cfg = small_config(tmp_path, **{"problem.weight": weight})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "[0, 3]" in err
+
     def test_catalogue_lists_borderline(self, tmp_path, capsys):
         assert main(["catalogue", "--N", "3", "--alpha", "1.0"]) == 0
         out = capsys.readouterr().out

@@ -140,16 +140,18 @@ class TestShootingEigenvalue:
         assert miss_lo * miss_hi < 0.0
         assert (z_lo, z_hi) == (1, 2)
 
-    def test_integrator_refinement_stability(self):
+    def test_integrator_refinement_stability(self, monkeypatch):
         g = radial_weight_callable(gaussian_bump())
-        lam_a = shooting_eigenvalue(3, 1.0, g, 6.0, 1, rtol=1e-11).lam
-        lam_b = shooting_eigenvalue(3, 1.0, g, 6.0, 1, rtol=5e-12).lam
+        lam_a = shooting_eigenvalue(3, 1.0, g, 6.0, 1).lam
+        monkeypatch.setattr(oracle, "RTOL", 5e-12)
+        lam_b = shooting_eigenvalue(3, 1.0, g, 6.0, 1).lam
         assert abs(lam_a - lam_b) <= 1e-8 * lam_a
 
-    def test_no_bracket_for_nonpositive_weight(self):
+    def test_no_bracket_for_nonpositive_weight(self, monkeypatch):
         neg = lambda r: -np.ones_like(np.asarray(r, dtype=float))
+        monkeypatch.setattr(oracle, "SWEEP_CAP", 10)
         with pytest.raises(NoBracketError):
-            shooting_eigenvalue(3, 1.0, neg, 2.0, 1, sweep_cap=10)
+            shooting_eigenvalue(3, 1.0, neg, 2.0, 1)
 
     def test_sign_changing_weight_with_jump_breakpoints(self):
         # the indicator ring has jumps; the oracle splits segments there and

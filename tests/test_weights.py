@@ -176,6 +176,9 @@ class TestConstructorValidation:
 
 
 class TestScalarEvaluator:
+    """A float radius takes weight_split's float branch: the parts get the float
+    itself, and their values are the bits of the array evaluation."""
+
     @pytest.mark.parametrize(
         "name, N, alpha",
         [(name, 3, 1.0) for name in sorted(CATALOGUE)]
@@ -183,35 +186,38 @@ class TestScalarEvaluator:
     )
     def test_bitwise_equal_to_weight_value(self, name, N, alpha):
         spec = weight_from_dict({"kind": name}, N, alpha)
-        assert spec.scalar is not None
-        # r = 0, each jump radius exactly and the float just below it
-        edges = [0.0, *spec.jumps, *np.nextafter(spec.jumps, 0.0)]
+        # r = 0, the bump and ball radii and each jump exactly, and the float just below each
+        edges = np.array([1.0, *spec.jumps])
         radii = np.concatenate([np.linspace(0.0, 8.0, 10001), np.geomspace(1e-9, 1e3, 10000),
-                                edges])
-        want = np.array([weight_value(spec, r) for r in radii])
-        got = np.array([spec.scalar(r) for r in radii.tolist()], dtype=float)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        # and the array evaluation that assembles the matrices
+                                [0.0], edges, np.nextafter(edges, 0.0)])
         whole = weight_value(spec, radii)
-        assert np.array_equal(whole.view(np.int64), want.view(np.int64))
+        got = np.array([weight_value(spec, r) for r in radii.tolist()], dtype=float)
+        assert np.array_equal(got.view(np.int64), whole.view(np.int64))
         # what the integrator sees: numpy float64 radii through the oracle adapter
         g = radial_weight_callable(spec)
         through = np.array([g(r) for r in radii[::97]], dtype=float)
-        assert np.array_equal(through.view(np.int64), want[::97].view(np.int64))
+        assert np.array_equal(through.view(np.int64), whole[::97].view(np.int64))
+
+    def test_python_and_numpy_floats_take_the_float_branch(self):
+        seen = []
+        spec = WeightSpec(name="probe", g_integrable=lambda r: seen.append(type(r)) or 1.0)
+        assert weight_value(spec, 1.5) == 1.0
+        assert radial_weight_callable(spec)(np.float64(1.5)) == 1.0
+        weight_value(spec, [1.5])
+        assert seen == [float, np.float64, np.ndarray]
 
     def test_negative_radius_raises(self):
         for name in CATALOGUE:
             spec = weight_from_dict({"kind": name}, 3, 1.0)
             with pytest.raises(ValueError):
-                spec.scalar(-1e-3)
+                weight_value(spec, -1e-3)
             with pytest.raises(ValueError):
                 radial_weight_callable(spec)(np.float64(-1e-3))
 
-    def test_tabulated_has_no_scalar_and_keeps_range_check(self):
+    def test_tabulated_keeps_range_check(self):
         spec = tabulated([0.0, 1.0, 2.0], [1.0, 0.5, -0.25])
-        assert spec.scalar is None
         g = radial_weight_callable(spec)
-        assert g(np.float64(1.5)) == weight_value(spec, 1.5)
+        assert g(np.float64(1.5)) == weight_value(spec, np.array([1.5]))[0]
         with pytest.raises(WeightDomainError):
             g(2.5)
         with pytest.raises(WeightDomainError):
