@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .quadrature import gauss_rule
-from .weights import WeightDomainError, weight_positive_part, weight_value
+from .weights import WeightDomainError, weight_split
 
 MASS_GAUSS_ORDER = 4  # per-element rule for mass/Hardy/volume quadrature
 
@@ -147,17 +147,20 @@ def lp_norm(pair, u, p):
     return float(np.sum(pair.quad_weights * vals**p) ** (1.0 / p))
 
 
-def _eval_weight_per_element(spec, radii_by_element, fn):
-    """Evaluate fn(spec, radii) and, on range errors, name the offending element."""
+def _eval_weight_per_element(spec, radii_by_element):
+    """g and g^+ at every radius from one weight_split, with weight_value's sums
+    (so the same bits); on range errors, name the offending element."""
     try:
-        return fn(spec, radii_by_element.ravel())
+        gi, gd, gm = weight_split(spec, radii_by_element.ravel())
     except WeightDomainError:
         for e in range(radii_by_element.shape[0]):
             try:
-                fn(spec, radii_by_element[e])
+                weight_split(spec, radii_by_element[e])
             except WeightDomainError as exc:
                 raise AssemblyError(f"weight evaluation failed on element {e}: {exc}") from exc
         raise
+    gplus = gi + gd
+    return gplus - gm, gplus
 
 
 def assemble_radial(mesh, N, alpha, spec):
@@ -200,8 +203,7 @@ def assemble_radial(mesh, N, alpha, spec):
     qr = (mid[:, None] + half[:, None] * gx[None, :])  # (M, G)
     qw = (half[:, None] * gw[None, :]) * omega * qr ** (N - 1)
 
-    g_q = np.asarray(_eval_weight_per_element(spec, qr, weight_value), dtype=float)
-    gplus_q = np.asarray(_eval_weight_per_element(spec, qr, weight_positive_part), dtype=float)
+    g_q, gplus_q = _eval_weight_per_element(spec, qr)
 
     # interpolation from dofs to quadrature points
     G = MASS_GAUSS_ORDER
@@ -312,10 +314,11 @@ def assemble_grid3d(grid, alpha, spec):
     radii = _sym_norm(pts)
     cell = hs**3
     try:
-        g_nodes = np.asarray(weight_value(spec, radii), dtype=float)
-        gplus_nodes = np.asarray(weight_positive_part(spec, radii), dtype=float)
+        gi, gd, gm = weight_split(spec, radii)
     except WeightDomainError as exc:
         raise AssemblyError(f"weight evaluation failed on the grid: {exc}") from exc
+    gplus_nodes = gi + gd
+    g_nodes = gplus_nodes - gm
     B = sp.diags(cell * g_nodes, format="csr")
 
     hardy = np.zeros_like(radii)

@@ -106,7 +106,9 @@ def _golden_claim(path, seq, problem):
     """Compare the computed sequence against a shooting-oracle golden file.
 
     The claim fails when no certified entry was compared, or when a certified
-    entry was computed for another N, alpha, weight or R than this run.
+    entry was computed for another N, alpha, weight or R than this run. An
+    entry that is not an object, whose n is not an integer >= 1 or whose
+    lambda is not a positive finite number is a ConfigError.
     """
     import json
 
@@ -115,13 +117,22 @@ def _golden_claim(path, seq, problem):
             golden = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"golden file {path}: {exc}") from exc
-    entries = [e for e in golden.get("entries", []) if e.get("certified", False)]
+    entries = golden.get("entries", []) if isinstance(golden, dict) else None
+    if not isinstance(entries, list):
+        raise ConfigError(f"golden file {path}: expected an object with a list of entries")
+    for i, e in enumerate(entries):
+        # type(...) is int excludes bools, which isinstance would let through
+        n, lam = (e.get("n"), e.get("lambda")) if isinstance(e, dict) else (None, None)
+        if not (type(n) is int and n >= 1 and type(lam) in (int, float) and 0.0 < lam < np.inf):
+            raise ConfigError(f"golden file {path}: entries[{i}] needs an integer n >= 1 and "
+                              f"a positive finite lambda; got {e!r}")
+    entries = [e for e in entries if e.get("certified", False)]
     ours = (problem.N, problem.alpha, problem.weight.name, getattr(problem.geometry, "R", None))
     same_problem = all(
         (e.get("N"), e.get("alpha"), e.get("weight"), e.get("R")) == ours for e in entries
     )
-    errors = [abs(seq.lambdas[int(e["n"]) - 1] - float(e["lambda"])) / float(e["lambda"])
-              for e in entries if int(e["n"]) <= seq.count]
+    errors = [abs(seq.lambdas[e["n"] - 1] - e["lambda"]) / e["lambda"]
+              for e in entries if e["n"] <= seq.count]
     worst = max(errors, default=0.0)
     return _claim(worst, GOLDEN_RTOL, ok=bool(errors) and same_problem and worst <= GOLDEN_RTOL)
 
@@ -201,8 +212,6 @@ def cmd_converge(run, out_dir):
     if len(run.ladder) < 3:
         raise ConfigError("ladder: a convergence study needs at least 3 rungs")
     problem = run.problem
-    if problem.geometry.mode != "radial":
-        raise ConfigError("ladder: convergence studies run on radial geometry")
     k = problem.solver.k
     rows = []
     lambdas = []
@@ -246,19 +255,13 @@ def cmd_converge(run, out_dir):
 
 def cmd_check(run, out_dir):
     problem = run.problem
-    if problem.geometry.mode != "radial":
-        raise ConfigError("check: inequality checks run on radial geometry")
     pair = _assemble(problem)
     N, alpha = problem.N, problem.alpha
     R = problem.geometry.R
-    profiles = [smooth_bump(R / 4.0), poly_bump(R / 3.0), gaussian_profile(R / 10.0, cutoff=4.0)]
-    radii = pair.dof_positions
-    hardy_reports = []
-    sobolev_reports = []
-    for prof in profiles:
-        u = prof.value(radii)
-        hardy_reports.append(check_hardy(pair, u, label=prof.name).to_dict())
-        sobolev_reports.append(check_sobolev(pair, u, label=prof.name).to_dict())
+    profiles = [smooth_bump(R / 4.0), poly_bump(R / 3.0), gaussian_profile(R / 10.0)]
+    samples = [(prof.name, prof.value(pair.dof_positions)) for prof in profiles]
+    hardy_reports = [check_hardy(pair, u, label=name) for name, u in samples]
+    sobolev_reports = [check_sobolev(pair, u, label=name) for name, u in samples]
     spread = dilation_quotient_spread(pair, profiles[0])
 
     eps_ladder = [0.4, 0.2, 0.1, 0.05]
@@ -268,10 +271,10 @@ def cmd_check(run, out_dir):
     ]
     const = hardy_constant(N, alpha)
 
-    hardy_point = CknParams.from_ab(N, 2.0, -alpha / 2.0, (2.0 - alpha) / 2.0)
-    sobolev_point = CknParams.from_ab(N, 2.0, -alpha / 2.0, 0.0)
-    ckn_hardy = [check_ckn_radial(hardy_point, N, p).to_dict() for p in profiles]
-    ckn_sobolev = [check_ckn_radial(sobolev_point, N, p).to_dict() for p in profiles]
+    hardy_point = CknParams(N, 2.0, -alpha / 2.0, (2.0 - alpha) / 2.0)
+    sobolev_point = CknParams(N, 2.0, -alpha / 2.0, 0.0)
+    ckn_hardy = [check_ckn_radial(hardy_point, p) for p in profiles]
+    ckn_sobolev = [check_ckn_radial(sobolev_point, p) for p in profiles]
 
     claims = {
         "hardy_all_pass": {"ok": all(r["passed"] for r in hardy_reports)},
@@ -312,8 +315,6 @@ def cmd_check(run, out_dir):
 
 def cmd_oracle(run, out_dir):
     problem = run.problem
-    if problem.geometry.mode != "radial":
-        raise ConfigError("oracle: the shooting oracle is radial only")
     g = radial_weight_callable(problem.weight)
     R = problem.geometry.R
     entries = []
@@ -366,6 +367,10 @@ def cmd_catalogue(N, alpha, out_dir=None):
         write_json(os.path.join(out_dir, "catalogue.json"),
                    {"N": N, "alpha": alpha, "weights": rows, "meta": run_meta()})
     return EXIT_OK
+
+
+COMMANDS = {"solve": cmd_solve, "converge": cmd_converge, "check": cmd_check,
+            "oracle": cmd_oracle}
 
 
 def build_parser():
@@ -426,17 +431,12 @@ def main(argv=None):
                 os.makedirs(args.out, exist_ok=True)
             return cmd_catalogue(args.N, args.alpha, args.out)
         run = _load_run(args)
-        out_dir = run.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        if args.command == "solve":
-            return cmd_solve(run, out_dir)
-        if args.command == "converge":
-            return cmd_converge(run, out_dir)
-        if args.command == "check":
-            return cmd_check(run, out_dir)
-        if args.command == "oracle":
-            return cmd_oracle(run, out_dir)
-        raise ConfigError(f"unknown command {args.command}")
+        mode = run.problem.geometry.mode
+        if args.command != "solve" and mode != "radial":
+            raise ConfigError(f"{args.command} runs on radial geometry only, "
+                              f"and this config's geometry is {mode}")
+        os.makedirs(run.out_dir, exist_ok=True)
+        return COMMANDS[args.command](run, run.out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,14 +1,16 @@
 """Numerical checks of the weighted functional inequalities behind the solver.
 
-Three layers: the general two-weight interpolation inequality over radial
-test functions (arbitrary admissible parameters, 1-d quadrature), its Hardy
-instance with the explicit constant (2/(N-2+alpha))^2, and its Sobolev
-instance with the critical exponent 2N/(N-2+alpha). The Hardy and Sobolev
-checkers also run against assembled matrices, where discrete functions only
-approximate the continuum class and a small quadrature slack applies.
+Three layers: the general two-weight interpolation inequality of
+Caffarelli, Kohn and Nirenberg over radial test functions (CknParams, 1-d
+quadrature), its Hardy instance with the explicit constant (2/(N-2+alpha))^2,
+and its Sobolev instance with the critical exponent 2N/(N-2+alpha). The Hardy
+and Sobolev checkers also run against assembled matrices, where discrete
+functions only approximate the continuum class and a small quadrature slack
+applies. check_hardy, check_sobolev and check_ckn_radial each return the
+plain-dict record of one checked quotient, as inequality_report.json holds it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,6 +20,7 @@ from .quadrature import radial_integral
 
 HARDY_SLACK = 1e-3  # discrete Hardy-check headroom; shrinks under mesh refinement
 REDUCTION_RTOL = 1e-8  # agreement of the general quotient with a specialized one
+GAUSS_CUTOFF = 4.0  # gaussian_profile vanishes at this many widths
 
 
 def _check_exponents(N, alpha):
@@ -41,36 +44,27 @@ def hardy_constant(N, alpha):
 
 @dataclass(frozen=True)
 class CknParams:
-    """Parameters (p, a, b) with the derived exponent q of the interpolation inequality."""
+    """Dimension N and parameters (p, a, b) of the interpolation inequality, whose
+    exponent q = Np/(N - p(1 + a - b)) they fix. Construction checks 1 < p < N,
+    a < (N - p)/p and a <= b <= a + 1, raising ValueError that names a violation."""
 
+    N: int
     p: float
     a: float
     b: float
-    q: float
 
-    @classmethod
-    def from_ab(cls, N, p, a, b):
-        q = N * p / (N - p * (1.0 + a - b))
-        params = cls(p=p, a=a, b=b, q=q)
-        validate_ckn(params, N)
-        return params
+    def __post_init__(self):
+        N, p, a, b = self.N, self.p, self.a, self.b
+        if not 1.0 < p < N:
+            raise ValueError(f"constraint violated: p in (1, N); got p = {p}, N = {N}")
+        if not a < (N - p) / p:
+            raise ValueError(f"constraint violated: a < (N - p)/p; got a = {a}")
+        if not a <= b <= a + 1.0:
+            raise ValueError(f"constraint violated: a <= b <= a + 1; got a = {a}, b = {b}")
 
-
-def validate_ckn(params, N):
-    """Check the admissibility constraints, naming the violated one."""
-    p, a, b, q = params.p, params.a, params.b, params.q
-    if not 1.0 < p < N:
-        raise ValueError(f"constraint violated: p in (1, N); got p = {p}, N = {N}")
-    if not a < (N - p) / p:
-        raise ValueError(f"constraint violated: a < (N - p)/p; got a = {a}")
-    if not a <= b <= a + 1.0:
-        raise ValueError(f"constraint violated: a <= b <= a + 1; got a = {a}, b = {b}")
-    q_expected = N * p / (N - p * (1.0 + a - b))
-    if abs(q - q_expected) > 1e-12 * max(1.0, abs(q_expected)):
-        raise ValueError(
-            f"constraint violated: q must equal Np/(N - p(1 + a - b)) = {q_expected!r}; got {q!r}"
-        )
-    return q_expected
+    @property
+    def q(self):
+        return self.N * self.p / (self.N - self.p * (1.0 + self.a - self.b))
 
 
 @dataclass(frozen=True)
@@ -128,10 +122,10 @@ def poly_bump(support=1.0):
     return RadialProfile(f"polybump(S={S:g})", val, der, S)
 
 
-def gaussian_profile(sigma=1.0, cutoff=5.0):
-    """Gaussian shifted to vanish at r = cutoff * sigma (kink there is immaterial)."""
-    S = cutoff * sigma
-    floor = np.exp(-(cutoff**2))
+def gaussian_profile(sigma=1.0):
+    """Gaussian shifted to vanish at r = GAUSS_CUTOFF * sigma (kink there is immaterial)."""
+    S = GAUSS_CUTOFF * sigma
+    floor = np.exp(-(GAUSS_CUTOFF**2))
 
     def val(r):
         r = np.asarray(r, dtype=float)
@@ -214,10 +208,9 @@ def sobolev_quotient_radial(profile, N, alpha):
     return (omega * num) ** (2.0 / ts) / (omega * den)
 
 
-def ckn_sides_radial(params, N, profile):
+def ckn_sides_radial(params, profile):
     """Left and right sides of the general inequality for one radial profile."""
-    validate_ckn(params, N)
-    p, a, b, q = params.p, params.a, params.b, params.q
+    N, p, a, b, q = params.N, params.p, params.a, params.b, params.q
     omega = sphere_area(N)
     left = omega * _profile_integral(
         profile, lambda r: r ** (-b * q) * np.abs(profile.value(r)) ** q * r ** (N - 1.0)
@@ -228,72 +221,40 @@ def ckn_sides_radial(params, N, profile):
     return left ** (p / q), right
 
 
-@dataclass
-class InequalityReport:
-    """Per-test-function quotients with the reference constant when one exists."""
-
-    kind: str
-    entries: list = field(default_factory=list)
-    reference_constant: float = None
-    notes: list = field(default_factory=list)
-
-    def add(self, label, left, right, quotient, margin, verdict):
-        self.entries.append(
-            {
-                "label": label,
-                "left": float(left),
-                "right": float(right),
-                "quotient": float(quotient) if np.isfinite(quotient) else None,
-                "margin": float(margin) if np.isfinite(margin) else None,
-                "verdict": verdict,
-            }
-        )
-
-    @property
-    def passed(self):
-        return all(e["verdict"] in ("pass", "finite quotient recorded") for e in self.entries)
-
-    def to_dict(self):
-        qs = [e["quotient"] for e in self.entries if e["quotient"] is not None]
-        return {
-            "kind": self.kind,
-            "reference_constant": self.reference_constant,
-            "entries": self.entries,
-            "min_quotient": min(qs) if qs else None,
-            "max_quotient": max(qs) if qs else None,
-            "passed": bool(self.passed),
-            "notes": list(self.notes),
-        }
+def _record(kind, label, left, right, verdict, margin=None, reference_constant=None,
+            notes=()):
+    """The record of one checked quotient left/right: a list of entries, here one, with
+    their min and max quotient. A zero right side leaves quotient and margin null."""
+    quotient = float(left / right) if right != 0.0 else None
+    if quotient is None:
+        margin, verdict = None, "undefined quotient"
+    return {
+        "kind": kind,
+        "reference_constant": reference_constant,
+        "entries": [{"label": label, "left": float(left), "right": float(right),
+                     "quotient": quotient, "margin": margin, "verdict": verdict}],
+        "min_quotient": quotient,
+        "max_quotient": quotient,
+        "passed": verdict in ("pass", "finite quotient recorded"),
+        "notes": list(notes),
+    }
 
 
 def check_hardy(pair, u, label="vector"):
     """Discrete Hardy check: kernel form against the constant times the energy."""
     const = hardy_constant(pair.N, pair.alpha)
-    report = InequalityReport(kind="hardy", reference_constant=const)
-    u = np.asarray(u, dtype=float)
-    if not np.any(u != 0.0):
-        report.add(label, 0.0, 0.0, np.nan, np.nan, "undefined quotient")
-        return report
     left = hardy_inner(pair, u)
     right = const * energy_inner(pair, u)
-    quotient = left / right
-    verdict = "pass" if left <= right * (1.0 + HARDY_SLACK) else "fail"
-    report.add(label, left, right, quotient, right * (1.0 + HARDY_SLACK) - left, verdict)
-    return report
+    bound = right * (1.0 + HARDY_SLACK)
+    return _record("hardy", label, left, right, "pass" if left <= bound else "fail",
+                   margin=float(bound - left), reference_constant=const)
 
 
 def check_sobolev(pair, u, label="vector"):
     """Discrete Sobolev quotient: no reference constant, the quotient is recorded."""
-    report = InequalityReport(kind="sobolev", reference_constant=None)
-    u = np.asarray(u, dtype=float)
-    if not np.any(u != 0.0):
-        report.add(label, 0.0, 0.0, np.nan, np.nan, "undefined quotient")
-        return report
     ts = critical_exponent(pair.N, pair.alpha)
-    left = lp_norm(pair, u, ts) ** 2
-    right = energy_inner(pair, u)
-    report.add(label, left, right, left / right, np.nan, "finite quotient recorded")
-    return report
+    return _record("sobolev", label, lp_norm(pair, u, ts) ** 2, energy_inner(pair, u),
+                   "finite quotient recorded")
 
 
 def sobolev_quotient_discrete(pair, u):
@@ -322,30 +283,29 @@ def dilation_quotient_spread(pair, profile):
     return {"quotients": quotients, "spread": float((vals.max() - vals.min()) / quotients[1.0])}
 
 
-def check_ckn_radial(params, N, profile):
-    """Quotient of the general inequality on one radial profile.
+def check_ckn_radial(params, profile):
+    """Record of the general inequality's quotient on one radial profile.
 
-    When the parameters sit at the Hardy point (p = q = 2, b = a + 1) or the
-    Sobolev point (p = 2, b = 0), the specialized checkers are rerun on the
-    same profile and their agreement is recorded; the general and specialized
-    integrands follow different code paths, so this validates the parameter
-    mapping.
+    When the parameters sit at the Hardy point (p = 2, b = a + 1, so q = 2) or the
+    Sobolev point (p = 2, b = 0) with alpha = -2a in [0, 2), the specialized
+    checker is rerun on the same profile and the verdict is whether the two
+    quotients agree to REDUCTION_RTOL; the general and specialized integrands
+    follow different code paths, so this validates the parameter mapping.
+    At the Hardy point the record carries the Hardy constant.
     """
-    left, right = ckn_sides_radial(params, N, profile)
+    left, right = ckn_sides_radial(params, profile)
     quotient = left / right
-    report = InequalityReport(kind="ckn")
-    verdict = "finite quotient recorded"
+    verdict, notes = "finite quotient recorded", []
     alpha = -2.0 * params.a
     at_p2 = abs(params.p - 2.0) < 1e-14 and 0.0 <= alpha < 2.0
-    at_hardy = at_p2 and abs(params.q - 2.0) < 1e-14 and abs(params.b - (params.a + 1.0)) < 1e-14
+    at_hardy = at_p2 and abs(params.b - (params.a + 1.0)) < 1e-14
     if at_hardy or (at_p2 and abs(params.b) < 1e-14):
         kind, specialized = (("hardy", hardy_quotient_radial) if at_hardy
                              else ("sobolev", sobolev_quotient_radial))
-        reference = specialized(profile, N, alpha)
+        reference = specialized(profile, params.N, alpha)
         agreement = abs(quotient - reference) / reference
         verdict = "pass" if agreement <= REDUCTION_RTOL else "fail"
-        report.notes.append(f"{kind} reduction agreement {agreement:.3e}")
-    if at_hardy:
-        report.reference_constant = hardy_constant(N, alpha)
-    report.add(profile.name, left, right, quotient, np.nan, verdict)
-    return report
+        notes.append(f"{kind} reduction agreement {agreement:.3e}")
+    const = hardy_constant(params.N, alpha) if at_hardy else None
+    return _record("ckn", profile.name, left, right, verdict, reference_constant=const,
+                   notes=notes)

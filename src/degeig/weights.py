@@ -106,12 +106,6 @@ def weight_value(spec, r):
     return gi + gd - gm
 
 
-def weight_positive_part(spec, r):
-    """g^+(r) = g_integrable + g_decaying."""
-    gi, gd, _ = weight_split(spec, r)
-    return gi + gd
-
-
 def gaussian_bump(amplitude: float = 1.0, width: float = 1.0):
     """Positive Gaussian weight; rapid decay puts it wholly in the integrable part."""
     if amplitude <= 0 or width <= 0:

@@ -37,9 +37,9 @@ from conftest import ALPHAS, preset_pair
 PRESET_KEYS = [(w, a) for w in ("gaussian", "ring") for a in ALPHAS]
 
 
-def ckn_quotient_radial(params, N, profile):
-    """General interpolation-inequality quotient for admissible (p, a, b, q)."""
-    left, right = ckn_sides_radial(params, N, profile)
+def ckn_quotient_radial(params, profile):
+    """General interpolation-inequality quotient for admissible (N, p, a, b)."""
+    left, right = ckn_sides_radial(params, profile)
     return left / right
 
 
@@ -189,13 +189,13 @@ def test_criterion_09_sobolev_structure(pairs_512, rng):
 def test_criterion_10_ckn_reductions():
     worst = 0.0
     for alpha in ALPHAS:
-        hardy_pt = CknParams.from_ab(3, 2.0, -alpha / 2.0, (2.0 - alpha) / 2.0)
-        sobolev_pt = CknParams.from_ab(3, 2.0, -alpha / 2.0, 0.0)
+        hardy_pt = CknParams(3, 2.0, -alpha / 2.0, (2.0 - alpha) / 2.0)
+        sobolev_pt = CknParams(3, 2.0, -alpha / 2.0, 0.0)
         for prof in (smooth_bump(1.0), poly_bump(1.5)):
-            qh = ckn_quotient_radial(hardy_pt, 3, prof)
+            qh = ckn_quotient_radial(hardy_pt, prof)
             ref_h = hardy_quotient_radial(prof, 3, alpha)
             worst = max(worst, abs(qh - ref_h) / ref_h)
-            qs = ckn_quotient_radial(sobolev_pt, 3, prof)
+            qs = ckn_quotient_radial(sobolev_pt, prof)
             ref_s = sobolev_quotient_radial(prof, 3, alpha)
             worst = max(worst, abs(qs - ref_s) / ref_s)
     report(10, worst <= 1e-8, f"general-inequality parameter points reproduce "

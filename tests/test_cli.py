@@ -285,6 +285,42 @@ class TestSolveCommand:
         report = json.loads(open(os.path.join(out, "eigen_report.json")).read())
         return code, report["claims"]["golden_agreement_rel"]
 
+    @pytest.mark.parametrize("entry", [
+        pytest.param([3, 4.78], id="list-entry"),
+        pytest.param({"lambda": 4.78}, id="missing-n"),
+        pytest.param({"n": 0, "lambda": 4.78}, id="zero-n"),
+        pytest.param({"n": 1.7, "lambda": 4.78}, id="fractional-n"),
+        pytest.param({"n": True, "lambda": 4.78}, id="boolean-n"),
+        pytest.param({"n": 1}, id="missing-lambda"),
+        pytest.param({"n": 1, "lambda": "4.78"}, id="string-lambda"),
+        pytest.param({"n": 1, "lambda": -4.78}, id="negative-lambda"),
+        pytest.param({"n": 1, "lambda": float("inf")}, id="infinite-lambda"),
+        pytest.param({"n": 1, "lambda": True}, id="boolean-lambda"),
+    ])
+    def test_malformed_golden_entry_is_config_error(self, tmp_path, capsys, entry):
+        # each was a traceback, a truncated n or a comparison against lambda_0 before
+        if isinstance(entry, dict):
+            entry = {"N": 3, "alpha": 1.0, "weight": "gaussian", "R": 6.0, "certified": True,
+                     **entry}
+        ok = {"N": 3, "alpha": 1.0, "weight": "gaussian", "R": 6.0, "certified": True,
+              "n": 1, "lambda": 4.78}
+        golden_path = tmp_path / "golden.json"
+        golden_path.write_text(json.dumps({"entries": [ok, entry]}))
+        cfg = small_config(tmp_path, **{"problem.solver.k": 2, "golden": str(golden_path)})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: golden file {golden_path}: entries[1] ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("golden", [[], {"entries": {"n": 1}}])
+    def test_golden_without_entry_list_is_config_error(self, tmp_path, capsys, golden):
+        golden_path = tmp_path / "golden.json"
+        golden_path.write_text(json.dumps(golden))
+        cfg = small_config(tmp_path, **{"problem.solver.k": 2, "golden": str(golden_path)})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: golden file {golden_path}: ")
+
     def test_golden_claim_fails_when_nothing_compared(self, tmp_path):
         entry = {"N": 3, "alpha": 1.0, "weight": "gaussian", "R": 6.0, "n": 1,
                  "lambda": 4.78, "certified": False}
@@ -411,6 +447,12 @@ class TestOtherCommands:
         report = json.loads(open(os.path.join(out, "inequality_report.json")).read())
         assert report["claims"]["hardy_all_pass"]["ok"]
         assert report["claims"]["dilation_spread"]["ok"]
+        # one record per checked quotient: one entry, which is its min and max
+        for key in ("hardy", "sobolev", "ckn_hardy_point", "ckn_sobolev_point"):
+            assert len(report[key]) == 3
+            for record in report[key]:
+                (entry,) = record["entries"]
+                assert record["min_quotient"] == record["max_quotient"] == entry["quotient"]
 
     def test_check_sign_changing_weight(self, tmp_path):
         cfg = small_config(
@@ -424,6 +466,15 @@ class TestOtherCommands:
         assert report["claims"]["near_optimizer_monotone_below_constant"]["ok"]
         assert report["claims"]["ckn_hardy_reduction"]["ok"]
         assert report["claims"]["ckn_sobolev_reduction"]["ok"]
+
+    @pytest.mark.parametrize("command", ["converge", "check", "oracle"])
+    def test_radial_only_command_refuses_grid(self, tmp_path, capsys, command):
+        # the grid preset has no ladder: converge is refused for its geometry
+        out = str(tmp_path / command)
+        assert main([command, "--preset", "grid3d-gaussian-a1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {command} ") and err.count("\n") == 1
+        assert "radial geometry" in err
 
     def test_oracle_golden_file(self, tmp_path):
         cfg = small_config(tmp_path, **{"problem.solver.k": 2})

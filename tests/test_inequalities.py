@@ -19,13 +19,12 @@ from degeig.inequalities import (
     smooth_bump,
     sobolev_quotient_discrete,
     sobolev_quotient_radial,
-    validate_ckn,
 )
 
 
-def ckn_quotient_radial(params, N, profile):
-    """General interpolation-inequality quotient for admissible (p, a, b, q)."""
-    left, right = ckn_sides_radial(params, N, profile)
+def ckn_quotient_radial(params, profile):
+    """General interpolation-inequality quotient for admissible (N, p, a, b)."""
+    left, right = ckn_sides_radial(params, profile)
     return left / right
 
 
@@ -49,22 +48,18 @@ class TestConstants:
 
 class TestCknParams:
     def test_derived_exponent(self):
-        p = CknParams.from_ab(3, 2.0, -0.5, 0.5)
-        assert_allclose(p.q, 2.0, rtol=1e-15)  # Hardy point for alpha = 1
-        p = CknParams.from_ab(3, 2.0, -0.5, 0.0)
-        assert_allclose(p.q, 3.0, rtol=1e-15)  # Sobolev point for alpha = 1
-
-    def test_mismatched_q_rejected(self):
-        with pytest.raises(ValueError, match="q must equal"):
-            validate_ckn(CknParams(p=2.0, a=-0.5, b=0.5, q=2.1), 3)
+        assert CknParams(3, 2.0, -0.5, 0.5).q == 2.0  # Hardy point for alpha = 1
+        assert CknParams(3, 2.0, -0.5, 0.0).q == 3.0  # Sobolev point for alpha = 1
+        with pytest.raises(AttributeError):  # q is derived, never set
+            CknParams(3, 2.0, -0.5, 0.5).q = 2.1
 
     def test_named_constraints(self):
         with pytest.raises(ValueError, match=r"p in \(1, N\)"):
-            CknParams.from_ab(3, 3.5, 0.0, 0.0)
+            CknParams(3, 3.5, 0.0, 0.0)
         with pytest.raises(ValueError, match=r"a < \(N - p\)/p"):
-            CknParams.from_ab(3, 2.0, 0.5, 0.5)
+            CknParams(3, 2.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="a <= b <= a"):
-            CknParams.from_ab(3, 2.0, -0.5, 1.0)
+            CknParams(3, 2.0, -0.5, 1.0)
 
 
 class TestContinuumQuotients:
@@ -106,38 +101,38 @@ class TestContinuumQuotients:
 class TestCknReductions:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_hardy_point_reproduces_hardy_quotient(self, alpha):
-        params = CknParams.from_ab(3, 2.0, -alpha / 2.0, (2.0 - alpha) / 2.0)
+        params = CknParams(3, 2.0, -alpha / 2.0, (2.0 - alpha) / 2.0)
         for prof in (smooth_bump(1.0), poly_bump(1.5)):
-            q_general = ckn_quotient_radial(params, 3, prof)
+            q_general = ckn_quotient_radial(params, prof)
             q_hardy = hardy_quotient_radial(prof, 3, alpha)
             assert abs(q_general - q_hardy) <= 1e-8 * q_hardy
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_sobolev_point_reproduces_sobolev_quotient(self, alpha):
-        params = CknParams.from_ab(3, 2.0, -alpha / 2.0, 0.0)
+        params = CknParams(3, 2.0, -alpha / 2.0, 0.0)
         for prof in (smooth_bump(1.0), poly_bump(1.5)):
-            q_general = ckn_quotient_radial(params, 3, prof)
+            q_general = ckn_quotient_radial(params, prof)
             q_sob = sobolev_quotient_radial(prof, 3, alpha)
             assert abs(q_general - q_sob) <= 1e-8 * q_sob
 
     def test_classical_points(self):
         # a = b = 0: classical Sobolev, q = 2N/(N-2) = 6
-        params = CknParams.from_ab(3, 2.0, 0.0, 0.0)
+        params = CknParams(3, 2.0, 0.0, 0.0)
         assert_allclose(params.q, 6.0, rtol=1e-15)
-        q = ckn_quotient_radial(params, 3, smooth_bump(1.0))
+        q = ckn_quotient_radial(params, smooth_bump(1.0))
         assert np.isfinite(q) and q > 0.0
         # a = 0, b = 1: classical Hardy, q = 2
-        params = CknParams.from_ab(3, 2.0, 0.0, 1.0)
+        params = CknParams(3, 2.0, 0.0, 1.0)
         assert_allclose(params.q, 2.0, rtol=1e-15)
-        rep = check_ckn_radial(params, 3, smooth_bump(1.0))
-        assert rep.entries[0]["verdict"] == "pass"
-        assert rep.reference_constant == hardy_constant(3, 0.0)
+        rep = check_ckn_radial(params, smooth_bump(1.0))
+        assert rep["entries"][0]["verdict"] == "pass"
+        assert rep["reference_constant"] == hardy_constant(3, 0.0)
 
     def test_report_verdicts(self):
-        params = CknParams.from_ab(3, 2.0, -0.5, 0.5)
-        rep = check_ckn_radial(params, 3, smooth_bump(1.0))
-        assert rep.entries[0]["verdict"] == "pass"
-        assert any("hardy reduction" in n for n in rep.notes)
+        params = CknParams(3, 2.0, -0.5, 0.5)
+        rep = check_ckn_radial(params, smooth_bump(1.0))
+        assert rep["entries"][0]["verdict"] == "pass"
+        assert any("hardy reduction" in n for n in rep["notes"])
 
 
 class TestDiscreteChecks:
@@ -146,14 +141,18 @@ class TestDiscreteChecks:
         for _ in range(20):
             u = rng.standard_normal(pair.order)
             rep = check_hardy(pair, u)
-            assert rep.entries[0]["verdict"] == "pass"
-            assert rep.to_dict()["passed"]
+            assert rep["entries"][0]["verdict"] == "pass"
+            assert rep["passed"]
 
     def test_zero_vector_undefined(self, gaussian_pair_512):
-        rep = check_hardy(gaussian_pair_512, np.zeros(gaussian_pair_512.order))
-        assert rep.entries[0]["verdict"] == "undefined quotient"
-        rep = check_sobolev(gaussian_pair_512, np.zeros(gaussian_pair_512.order))
-        assert rep.entries[0]["verdict"] == "undefined quotient"
+        # a zero right side: no quotient, no margin, and the record does not pass
+        for check in (check_hardy, check_sobolev):
+            rep = check(gaussian_pair_512, np.zeros(gaussian_pair_512.order))
+            entry = rep["entries"][0]
+            assert entry["verdict"] == "undefined quotient"
+            assert entry["right"] == 0.0
+            assert entry["quotient"] is None and entry["margin"] is None
+            assert rep["min_quotient"] is None and not rep["passed"]
 
     def test_near_optimizer_family_discrete(self, gaussian_pair_512):
         # interpolants of the capped power family push the ratio toward 1

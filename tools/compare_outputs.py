@@ -5,10 +5,12 @@
 Each tree is a checkout with the package under src/. The commands are every
 case of NEW_TREE's perfbench/workloads.py, with the config and arguments the
 benchmark gives them and the seed every workload config carries, plus
-`catalogue --out` and `solve --export-matrices` on one radial and one grid
-13^3 problem. Each command runs once against each
-tree, in its own process with one BLAS thread. The report's `meta` field (its
-only nondeterministic part) is dropped before comparing.
+`catalogue --out`, `check` on the ring preset at alpha = 1.5 (a sign-changing
+weight and a second alpha next to the benchmark's gaussian check) and
+`solve --export-matrices` on one radial and one grid 13^3 problem. Each
+command runs once against each tree, in its own process with one BLAS thread.
+The report's `meta` field (its only nondeterministic part) is dropped before
+comparing.
 
 Prints one line per command and one per output file or stdout that differs,
 or per run that ends in an uncaught exception (a warning turned into an error
@@ -50,6 +52,8 @@ def commands(workloads):
             out.append((case.id, case.config(),
                         [case.command, *source, "--out", OUT, "--seed", str(SEED)]))
     out.append(("catalogue-out", None, ["catalogue", "--N", "3", "--alpha", "1.0", "--out", OUT]))
+    out.append(("check-ring-n3-a1.5", None,
+                ["check", "--preset", "ring-n3-a1.5", "--out", OUT, "--seed", str(SEED)]))
     for name, problem in (("export-radial", workloads.radial("gaussian", 1.0, 512, 6)),
                           ("export-grid13", workloads.grid(13, 4))):
         out.append((name, {"problem": problem, "seed": SEED},
