@@ -9,9 +9,11 @@ B v = mu A v, so block eigensolver calls find all k and nothing is deflated
 step by step. B is never factorized.
 
 Two routes make one call each: solve_dense (the reference up to
-DENSE_THRESHOLD: one eigh call on a Cholesky congruence formed in A's band
-storage, _congruence_eigh, on the full pencil of either geometry) and
-solve_successive: one ARPACK call with a sparse LU of A on radial and
+DENSE_THRESHOLD, on the full pencil of either geometry: on a tridiagonal
+pencil, every radial one, LAPACK's banded dsbgvx for the mu and inverse
+iteration for the vectors, _tridiagonal_eigh; on any wider one, one eigh
+call on a Cholesky congruence formed in A's band storage, _congruence_eigh)
+and solve_successive: one ARPACK call with a sparse LU of A on radial and
 explicit pencils, and on cube grids one block LOBPCG call per parity sector,
 preconditioned by V-cycle-preconditioned CG. A block, unlike single-vector
 Lanczos, keeps every member of a multiplicity. _finalize turns either call's
@@ -32,6 +34,7 @@ Each pair of a grid solve reports its member's label as its sector. Pairs go
 by the mu their call returned, ties in the call's order: oee, eoe, eeo.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 from itertools import permutations
 from warnings import catch_warnings, simplefilter, warn_explicit
@@ -40,11 +43,16 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 import scipy.sparse as sp
+from scipy.linalg import cython_lapack
 
 from .assembly import mass_plus_inner, volume_integral
 
 CLUSTER_RTOL = 1e-9  # eigenvalues closer than this (relatively) form a cluster
-DENSE_THRESHOLD = 2000  # solve_dense refuses larger orders
+# solve_dense refuses larger orders: it bounds the n^2 buffer of the
+# congruence (_congruence_eigh); the tridiagonal route needs O(n) memory
+DENSE_THRESHOLD = 2000
+INVERSE_SHIFT = 1e-10  # inverse iteration runs at mu (1 + INVERSE_SHIFT)
+INVERSE_STEPS = 2  # inverse-iteration steps per vector
 TRANSPOSE_BLOCK = 128  # square blocks swapped by _transpose_in_place
 # the starts of the warnings with which scipy's lobpcg breaks off its loop
 # early, each with what failed
@@ -351,19 +359,108 @@ def _congruence_eigh(A, B, m):
     return mu, _band_solve(U, W, "N")
 
 
+def _lapack_function(name, *argtypes):
+    """The C function `name` of scipy's Cython LAPACK (scipy.linalg.cython_lapack),
+    called through ctypes with these argument types."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, capsule_name(capsule)))
+
+
+_CHAR = ctypes.c_char_p
+_INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+_INTS = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS")
+# eigenvalues of a banded symmetric-definite pencil; scipy.linalg.lapack wraps
+# no ?sbgv* routine. Arguments: jobz, range, uplo, n, ka, kb, ab, ldab, bb,
+# ldbb, q, ldq, vl, vu, il, iu, abstol, m, w, z, ldz, work, iwork, ifail, info
+_DSBGVX = _lapack_function(
+    "dsbgvx", _CHAR, _CHAR, _CHAR, _INT, _INT, _INT, _DOUBLES, _INT, _DOUBLES, _INT, _DOUBLES,
+    _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _DOUBLES, _DOUBLES, _INT, _DOUBLES,
+    _INTS, _INTS, _INT)
+
+
+def _band_rows(M):
+    """The tridiagonal M in LAPACK band storage with one super- and one
+    subdiagonal: rows superdiagonal, diagonal, subdiagonal, each entry in
+    its column (solve_banded's (1, 1) layout; the first two rows are the
+    upper band storage of a symmetric M)."""
+    return np.array([np.r_[0.0, M.diagonal(1)], M.diagonal(), np.r_[M.diagonal(-1), 0.0]],
+                    order="F")
+
+
+def _tridiagonal_eigh(A, B, m):
+    """The m largest mu of B v = mu A v for tridiagonal A and B, and the
+    vectors of the positive ones, v^T A v = 1, in O(n m) work and memory.
+
+    One LAPACK dsbgvx call (eigenvalues only, by index) reduces the pencil to
+    a standard one inside its band (Crawford's split Cholesky of A,
+    Comm. ACM 16, 1973), tridiagonalizes it and bisects for the m largest
+    mu; an A that is not positive definite is a SolverError. Each mu kept by
+    _finalize's rule (above EXHAUSTION_RTOL of the largest, and positive)
+    takes INVERSE_STEPS steps of inverse iteration (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4) by solve_banded on the pencil equilibrated by
+    diag(A)^{-1/2}, shifted to mu (1 + INVERSE_SHIFT), the j-th started from
+    default_rng([0, j]). Equilibration keeps the vectors accurate where
+    diag(A) spans many decades (N = 5: 1e-22 to 1e7); the shift keeps an
+    exact mu from making the shifted pencil singular. One Rayleigh-Ritz eigh
+    call on the span of the vectors makes those of a cluster A-orthogonal.
+    Returns the Ritz values ascending and their vectors as columns.
+    """
+    n = A.shape[0]
+    ab, bb = _band_rows(B), _band_rows(A)  # dsbgvx's A is our B, its B our A
+    mu = np.zeros(n)
+    unused = np.zeros((1, 1), order="F")  # q and z, not referenced without vectors
+    i, d = ctypes.c_int, ctypes.c_double
+    found, info = i(), i()
+    _DSBGVX(b"N", b"I", b"U", i(n), i(1), i(1), ab, i(3), bb, i(3), unused, i(1), d(0.0), d(0.0),
+            i(max(n - m, 0) + 1), i(n), d(0.0), found, mu, unused, i(1), np.zeros(7 * n),
+            np.zeros(5 * n, np.intc), np.zeros(n, np.intc), info)
+    if info.value > n:
+        raise SolverError("energy matrix is not positive definite: its leading minor of "
+                          f"order {info.value - n} is not positive")
+    if info.value != 0:
+        raise SolverError(f"banded generalized eigensolve failed (info={info.value})")
+    mu = mu[:found.value]
+    mu = mu[mu > max(EXHAUSTION_RTOL * mu[-1], 0.0)]
+    scale = 1.0 / np.sqrt(A.diagonal())
+    D = sp.diags(scale)
+    As, Bs = D @ A @ D, D @ B @ D
+    W = np.empty((n, mu.size))
+    for j, shift in enumerate(mu * (1.0 + INVERSE_SHIFT)):
+        band = _band_rows(Bs - shift * As)
+        w = np.random.default_rng([0, j]).standard_normal(n)
+        for _ in range(INVERSE_STEPS):
+            w = sla.solve_banded((1, 1), band, As @ w)
+            w /= np.linalg.norm(w)
+        W[:, j] = w
+    V = scale[:, None] * W
+    ritz, Y = sla.eigh(V.T @ (B @ V), V.T @ (A @ V))
+    return ritz, V @ Y
+
+
 def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
     """Top-k reference solve of the pencil B v = mu A v on the full pencil of
-    either geometry, by one _congruence_eigh call whose mu and vectors
-    _finalize turns into pairs. Orders above dense_threshold are refused.
-    Returns the k smallest positive lambda; fewer when the pencil has fewer
-    positive eigenvalues (reported, not fatal).
+    either geometry, whose mu and vectors _finalize turns into pairs. A
+    tridiagonal pencil (every radial one) takes _tridiagonal_eigh, O(order)
+    work per pair; any wider one (cube grids, dense toys) takes one
+    _congruence_eigh call, O(order^2 x bandwidth). Orders above
+    dense_threshold are refused. Returns the k smallest positive lambda;
+    fewer when the pencil has fewer positive eigenvalues (reported, not
+    fatal).
     """
     n = pair.order
     if n > dense_threshold:
         raise SolverError(f"dense solve refused at order {n} > {dense_threshold}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    mus, vecs = _congruence_eigh(pair.A, pair.B, k)
+    if max(_bandwidth(pair.A), _bandwidth(pair.B)) == 1:
+        mus, vecs = _tridiagonal_eigh(pair.A, pair.B, k)
+    else:
+        mus, vecs = _congruence_eigh(pair.A, pair.B, k)
     return _finalize(pair, mus, vecs, [0] * mus.size, requested=k, asked=k, method="dense")
 
 

@@ -87,20 +87,31 @@ class TestDense:
         assert_allclose(seq.lambdas, full.lambdas, rtol=1e-12)
 
     def test_one_eigh_call(self, monkeypatch):
+        # radial: the Rayleigh-Ritz step on the k inverse-iteration vectors;
+        # grid 11^3: the congruence's subset eigh of the order-729 matrix
         import degeig.eigensolve as es
 
         calls = []
         real = es.sla.eigh
-        monkeypatch.setattr(es.sla, "eigh", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
-        pair = assemble_radial(build_radial_mesh(6.0, 96, 1.09), 3, 1.0, gaussian_bump())
-        assert solve_dense(pair, 5).count == 5
+        monkeypatch.setattr(es.sla, "eigh",
+                            lambda *a, **kw: calls.append((a[0].shape, kw)) or real(*a, **kw))
+        radial = assemble_radial(build_radial_mesh(6.0, 96, 1.09), 3, 1.0, gaussian_bump())
+        assert solve_dense(radial, 5).count == 5
         assert len(calls) == 1
-        assert calls[0]["subset_by_index"] == [pair.order - 5, pair.order - 1]
+        shape, kw = calls.pop()
+        assert shape == (5, 5) and "subset_by_index" not in kw
+        grid = _grid_pair(11)
+        assert solve_dense(grid, 5).count == 5
+        assert len(calls) == 1
+        shape, kw = calls.pop()
+        assert shape == (grid.order, grid.order)
+        assert kw["subset_by_index"] == [grid.order - 5, grid.order - 1]
 
     @pytest.mark.parametrize("kind, bandwidth", [("ring", 1), ("grid", 81), ("toy", 11)])
     def test_banded_congruence_matches_generalized_eigh(self, kind, bandwidth):
-        # one code path for every bandwidth: radial, cube grid 11^3, dense toy;
-        # the reference is a generalized eigh of the densified pencil
+        # the radial pencil takes the tridiagonal route, cube grid 11^3 and
+        # the dense toy the congruence; the reference is a generalized eigh
+        # of the densified pencil
         import scipy.linalg as sla
         from degeig.eigensolve import _bandwidth
 
@@ -122,13 +133,71 @@ class TestDense:
         assert_allclose(seq.lambdas, ref, rtol=1e-12)
         assert np.all(seq.residuals <= 1e-10)
 
+    @pytest.mark.parametrize("case", ["gaussian-n5-M2000", "ring-a1.5", "ring-M16-q1"])
+    def test_tridiagonal_route_matches_congruence(self, monkeypatch, case):
+        # every radial pencil is tridiagonal and takes dsbgvx plus inverse
+        # iteration; the congruence of the same pencil is the reference. N = 5
+        # spreads diag(A) over 29 decades, the ring's B is indefinite, and at
+        # M16 (q = 1) the ring's positive pairs run out before k = 14
+        import degeig.eigensolve as es
+        from conftest import preset_mesh, preset_pair
+
+        if case == "gaussian-n5-M2000":
+            pair, k = assemble_radial(preset_mesh(2000), 5, 1.0, gaussian_bump()), 6
+        elif case == "ring-a1.5":
+            pair, k = preset_pair("ring", 1.5, 512), 6
+        else:
+            mesh = build_radial_mesh(6.0, 16, 1.0)
+            pair, k = assemble_radial(mesh, 3, 1.0, sign_changing_ring()), 14
+        assert es._bandwidth(pair.A) == es._bandwidth(pair.B) == 1
+        mus, vecs = es._congruence_eigh(pair.A, pair.B, k)
+        ref = es._finalize(pair, mus, vecs, [0] * mus.size, requested=k, asked=k, method="dense")
+
+        def refuse(*args):
+            raise AssertionError("a tridiagonal pencil took the congruence")
+
+        monkeypatch.setattr(es, "_congruence_eigh", refuse)
+        seq = solve_dense(pair, k)
+        assert seq.count == ref.count
+        assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-12)
+        assert seq.exhausted == ref.exhausted == (case == "ring-M16-q1")
+        assert seq.warnings == ref.warnings
+        assert np.all(seq.residuals <= 1e-10)
+        assert seq.max_cross_energy() <= 1e-10 * seq.lambdas.max()
+
+    def test_tridiagonal_not_spd_rejected(self):
+        # a positive diagonal, but the leading minor of order 2 is 1 - 4 < 0
+        A = np.eye(3) + 2.0 * (np.eye(3, k=1) + np.eye(3, k=-1))
+        with pytest.raises(SolverError, match="not positive definite"):
+            solve_dense(toy_pair(A, np.eye(3)), 1)
+
+    def test_wider_b_takes_the_congruence(self, monkeypatch):
+        # the route is chosen by the wider of the two bandwidths
+        import scipy.linalg as sla
+        import degeig.eigensolve as es
+
+        calls = []
+        real = es._congruence_eigh
+        monkeypatch.setattr(es, "_congruence_eigh", lambda *a: calls.append(a) or real(*a))
+        A = 4.0 * np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
+        B = np.diag([1.0, 2.0, -1.0, 3.0])
+        B[0, 2] = B[2, 0] = 0.5
+        pair = toy_pair(A, B)
+        assert es._bandwidth(pair.A) == 1 and es._bandwidth(pair.B) == 2
+        seq = solve_dense(pair, 2)
+        assert len(calls) == 1
+        mu = sla.eigh(B, A, eigvals_only=True)
+        assert_allclose(seq.lambdas, np.sort(1.0 / mu[mu > 0])[:2], rtol=1e-12)
+
     @pytest.mark.parametrize("kind", ["radial", "grid", "sector"])
     def test_peak_memory_one_dense_array(self, kind):
-        # B's dense copy becomes C in place: no dense A, no transposed copy
-        # of U^{-T} B, no copy inside eigh; the band of A adds (w + 1) n.
-        # The sector is the ring's eee on grid 21^3 (order 1000, 83 nonzero
-        # B entries): a block of 28 spans more than a third of B's rank, so
-        # _lobpcg solves it by the same congruence
+        # radial: the tridiagonal route holds no array of order^2, only
+        # bands, its k vectors and _finalize's n x k arrays. grid: B's dense
+        # copy becomes C in place: no dense A, no transposed copy of U^{-T} B,
+        # no copy inside eigh; the band of A adds (w + 1) n. The sector is
+        # the ring's eee on grid 21^3 (order 1000, 83 nonzero B entries): a
+        # block of 28 spans more than a third of B's rank, so _lobpcg solves
+        # it by the same congruence
         import tracemalloc
         from functools import partial
 
@@ -158,7 +227,10 @@ class TestDense:
             assert result[2:] == (n, "was solved densely") and np.all(result[0] > 0.0)
         else:
             assert result.count == 6
-        assert peak <= 1.25 * n * n * 8
+        if kind == "radial":
+            assert peak <= 100 * n * 8
+        else:
+            assert peak <= 1.25 * n * n * 8
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 1000])
     def test_transpose_in_place(self, n):
@@ -174,15 +246,20 @@ class TestDense:
     def test_failed_triangular_solve_is_solver_error(self, monkeypatch):
         import degeig.eigensolve as es
 
+        # bandwidth 2, so the congruence's banded triangular solves run
         monkeypatch.setattr(es.sla.lapack, "dtbtrs", lambda U, X, **kw: (X, 2))
+        A = np.diag([4.0, 4.0, 4.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+        A[0, 2] = A[2, 0] = 1.0
         with pytest.raises(SolverError, match="triangular solve failed"):
-            solve_dense(toy_pair(np.diag([1.0, 4.0]), np.eye(2)), 1)
+            solve_dense(toy_pair(A, np.eye(3)), 1)
 
     def test_cluster_detection(self):
         pair = toy_pair(np.eye(3), np.diag([1.0, 1.0, 0.5]))
         seq = solve_dense(pair, 3)
         assert_allclose(seq.lambdas, [1.0, 1.0, 2.0], rtol=1e-14)
         assert [0, 1] in seq.clusters
+        # the double's two vectors are orthogonal, not two copies of one
+        assert_allclose(seq.cross_mass, np.eye(3), atol=1e-14)
 
 
 class TestResidual:
