@@ -2,6 +2,8 @@
 
 Reports separate 'claims' (checked invariants with their bounds) from
 'diagnostics' (solver internals); acceptance tooling reads the former.
+`solve` writes its eigenvectors as one float64 field per column to
+eigenvectors.npy (see reports.write_npy); `converge` writes a CSV table.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O error.
 """
@@ -24,7 +26,7 @@ from .inequalities import (CknParams, check_ckn_radial, check_hardy,
                            hardy_constant, hardy_near_optimizer,
                            hardy_quotient_radial, poly_bump, smooth_bump)
 from .oracle import OracleError, radial_weight_callable, shooting_eigenvalue
-from .reports import run_meta, write_csv, write_json
+from .reports import run_meta, write_csv, write_json, write_npy
 from .weights import CATALOGUE, WeightDomainError, verify_weight_split
 
 EXIT_OK = 0
@@ -137,16 +139,16 @@ def _golden_claim(path, seq, problem):
     return _claim(worst, GOLDEN_RTOL, ok=bool(errors) and same_problem and worst <= GOLDEN_RTOL)
 
 
-def _write_vectors_csv(path, pair, seq):
-    headers = ["e%d" % (i + 1) for i in range(seq.count)]
+def _write_vectors(path, pair, seq):
+    """eigenvectors.npy: the dof coordinates (r, or x, y, z) and e1..ek, one
+    float64 field each; the radial Dirichlet node at R is the last row, zero
+    in every e field."""
+    names = ["e%d" % (i + 1) for i in range(seq.count)]
     if pair.mode == "radial":
-        nodes = pair.geometry.nodes
-        padded = np.zeros((nodes.size, seq.count))  # the Dirichlet node is zero
-        padded[:pair.order] = seq.vectors
-        write_csv(path, ["r"] + headers, np.column_stack([nodes, padded]))
+        names, coords = ["r"] + names, [pair.geometry.nodes]
     else:
-        write_csv(path, ["x", "y", "z"] + headers,
-                  np.column_stack([pair.dof_positions, seq.vectors]))
+        names, coords = ["x", "y", "z"] + names, list(pair.dof_positions.T)
+    write_npy(path, names, coords + list(seq.vectors.T))
 
 
 def cmd_solve(run, out_dir):
@@ -182,7 +184,7 @@ def cmd_solve(run, out_dir):
         "meta": run_meta(),
     }
     write_json(os.path.join(out_dir, "eigen_report.json"), report)
-    _write_vectors_csv(os.path.join(out_dir, "eigenvectors.csv"), pair, seq)
+    _write_vectors(os.path.join(out_dir, "eigenvectors.npy"), pair, seq)
     if run.export_matrices:
         for name, mat in (("A", pair.A), ("B", pair.B), ("H", pair.H)):
             export_coo(mat, os.path.join(out_dir, f"{name}.txt"))
@@ -213,24 +215,26 @@ def cmd_converge(run, out_dir):
         raise ConfigError("ladder: a convergence study needs at least 3 rungs")
     problem = run.problem
     k = problem.solver.k
-    rows = []
+    rungs = []
     lambdas = []
     slacks = []
     for geom in run.rungs():
         pair = assemble_radial(geom.build(problem.N), problem.N, problem.alpha, problem.weight)
         seq = solve_successive(pair, settings=problem.solver, seed=run.seed)
-        lam = seq.lambdas[:k]
-        lambdas.append(lam)
-        slack = max(0.0, _hardy_slack(pair, 50, run.seed) - 1.0)
-        slacks.append(slack)
-        rows.append([geom.M, geom.R] + list(lam) + [slack])
+        lambdas.append(seq.lambdas[:k])
+        slacks.append(max(0.0, _hardy_slack(pair, 50, run.seed) - 1.0))
+        rungs.append([geom.M, geom.R])
+    # a coarse rung may exhaust the positive spectrum first: every row and
+    # order covers the eigenvalues all rungs found
     counts = min(l.size for l in lambdas)
+    rows = [rung + list(lam[:counts]) + [slack]
+            for rung, lam, slack in zip(rungs, lambdas, slacks)]
+    ms = np.array([m for m, _ in rungs], dtype=float)
     orders = {}
     diffs_decreasing = {}
     for n in range(counts):
         vals = np.array([l[n] for l in lambdas])
         diffs = np.abs(np.diff(vals))
-        ms = np.array([r[0] for r in rows], dtype=float)
         with np.errstate(divide="ignore"):
             ords = np.log(diffs[:-1] / diffs[1:]) / np.log(ms[2:] / ms[1:-1])
         orders[f"lambda_{n + 1}"] = [float(o) for o in ords]
@@ -244,7 +248,7 @@ def cmd_converge(run, out_dir):
             "orders": orders,
             "hardy_slack_trend": [float(s) for s in slacks],
         },
-        "diagnostics": {"rungs": [[r[0], r[1]] for r in rows], "seed": run.seed},
+        "diagnostics": {"rungs": rungs, "seed": run.seed},
         "meta": run_meta(),
     }
     write_json(os.path.join(out_dir, "converge_report.json"), report)

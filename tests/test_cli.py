@@ -189,9 +189,41 @@ class TestSolveCommand:
         report = json.loads(open(os.path.join(out, "eigen_report.json")).read())
         assert report["claims"]["max_residual"]["ok"]
         assert report["eigen"]["found"] == 3
-        lines = open(os.path.join(out, "eigenvectors.csv")).read().split("\n")
-        assert lines[0] == "r,e1,e2,e3"
-        assert len(lines) == 96 + 3  # header + M+1 nodes + trailing newline
+        vectors = np.load(os.path.join(out, "eigenvectors.npy"))
+        assert vectors.dtype.names == ("r", "e1", "e2", "e3")
+        assert vectors.shape == (96 + 1,)  # M+1 nodes
+        assert tuple(vectors[-1]) == (6.0, 0.0, 0.0, 0.0)  # the Dirichlet node at R
+
+    def test_grid_vectors_equal_the_solver_bits(self, tmp_path):
+        # the .npy fields are the dof positions and solve_successive's vectors
+        # at the same seed, bit for bit
+        from degeig.cli import _assemble
+        from degeig.eigensolve import solve_successive
+
+        cfg = small_config(tmp_path, **{"problem.geometry": {"mode": "grid3d", "L": 6.0, "n": 13},
+                                        "problem.solver.k": 4})
+        out = str(tmp_path / "grid")
+        assert main(["solve", "--config", cfg, "--out", out, "--seed", "5"]) == 0
+        vectors = np.load(os.path.join(out, "eigenvectors.npy"))
+        assert vectors.dtype.names == ("x", "y", "z", "e1", "e2", "e3", "e4")
+        problem = run_config_from_dict(json.loads(open(cfg).read())).problem
+        pair = _assemble(problem)
+        seq = solve_successive(pair, settings=problem.solver, seed=5)
+        for j, axis in enumerate("xyz"):
+            assert np.array_equal(vectors[axis], pair.dof_positions[:, j])
+        for i in range(seq.count):
+            assert np.array_equal(vectors[f"e{i + 1}"], seq.vectors[:, i])
+
+    def test_vector_file_repeats_as_float64(self, tmp_path):
+        cfg = small_config(tmp_path)
+        files = []
+        for run in ("a", "b"):
+            out = str(tmp_path / run)
+            assert main(["solve", "--config", cfg, "--out", out, "--seed", "7"]) == 0
+            files.append(open(os.path.join(out, "eigenvectors.npy"), "rb").read())
+        assert files[0] == files[1]
+        dtype = np.load(os.path.join(out, "eigenvectors.npy")).dtype
+        assert all(dtype[name].str == "<f8" for name in dtype.names)
 
     def test_deterministic_reports(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -422,6 +454,22 @@ class TestOtherCommands:
     def test_converge_requires_three_rungs(self, tmp_path):
         cfg = small_config(tmp_path, ladder=[{"M": 32, "R": 6.0}])
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "c")]) == 1
+
+    def test_converge_rungs_finding_different_counts(self, tmp_path):
+        # ring q=1: the rungs M=16, 24, 32 find 4, 5 and 6 positive pairs of
+        # the 14 asked for; each row holds the 4 all of them found
+        cfg = small_config(tmp_path, **{
+            "problem.weight": {"kind": "ring"},
+            "problem.geometry": {"mode": "radial", "R": 6.0, "M": 32, "q": 1.0},
+            "problem.solver.k": 14,
+            "ladder": [{"M": 16}, {"M": 24}, {"M": 32}]})
+        out = str(tmp_path / "conv")
+        assert main(["converge", "--config", cfg, "--out", out]) == 0
+        table = open(os.path.join(out, "converge.csv")).read().strip().split("\n")
+        assert table[0] == "M,R,lambda_1,lambda_2,lambda_3,lambda_4,hardy_slack"
+        assert [len(row.split(",")) for row in table[1:]] == [7, 7, 7]
+        report = json.loads(open(os.path.join(out, "converge_report.json")).read())
+        assert list(report["claims"]["orders"]) == [f"lambda_{n}" for n in range(1, 5)]
 
     def test_converge_outputs(self, tmp_path):
         cfg = small_config(

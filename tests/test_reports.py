@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from degeig.quadrature import fixed_quad, radial_integral
-from degeig.reports import dumps, format_float, write_csv
+from degeig.reports import dumps, format_float, write_csv, write_npy
 
 
 class TestJsonWriter:
@@ -52,31 +52,17 @@ class TestJsonWriter:
         write_csv(path, ["a", "b", "c"], np.array(rows, dtype=float))
         assert path.read_text() == per_cell(["a", "b", "c"], rows)
 
-    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
-    def test_csv_blocks_match_one_shot(self, tmp_path, monkeypatch, n):
-        # row counts around one block of 4096: the blocked writer prints the
-        # bytes of one "%.17g" format call over the whole table
-        import degeig.reports as reports
-
-        monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 4096)
-        table = np.random.default_rng(n).standard_normal((n, 3)) * 10.0 ** np.arange(-150, 150, 100)
-        path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b", "c"], table)
-        one_shot = "%.17g,%.17g,%.17g\n" * n % tuple(table.ravel().tolist())
-        assert path.read_text() == "a,b,c\n" + one_shot
-
-    def test_csv_writer_needs_less_than_the_table(self, tmp_path):
-        # one whole-table tolist() and string cost about 7x the table
-        import tracemalloc
-
-        table = np.random.default_rng(5).standard_normal((40000, 6))
-        tracemalloc.start()
-        try:
-            write_csv(tmp_path / "t.csv", list("abcdef"), table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= table.nbytes
+    def test_npy_fields_and_zero_tail(self, tmp_path):
+        # one float64 field per name; a shorter column leaves its last rows zero
+        path = tmp_path / "t.npy"
+        write_npy(path, ["r", "e1"], [np.array([0.0, 0.5, 1.0]), np.array([-0.0, 2.0 / 3.0])])
+        table = np.load(path)
+        assert table.dtype == np.dtype([("r", "<f8"), ("e1", "<f8")])
+        assert table["r"].tolist() == [0.0, 0.5, 1.0]
+        assert table["e1"].tolist() == [-0.0, 2.0 / 3.0, 0.0]
+        assert np.signbit(table["e1"][0])
+        with pytest.raises(ValueError):
+            write_npy(path, ["r", "e1"], [np.zeros(3)])
 
 
 def _growth_dict(rep):

@@ -10,7 +10,8 @@ weight and a second alpha next to the benchmark's gaussian check) and
 `solve --export-matrices` on one radial and one grid 13^3 problem. Each
 command runs once against each tree, in its own process with one BLAS thread.
 The report's `meta` field (its only nondeterministic part) is dropped before
-comparing.
+comparing; every other file (CSV tables, .npy eigenvectors, matrix exports) is
+compared as bytes.
 
 Prints one line per command and one per output file or stdout that differs,
 or per run that ends in an uncaught exception (a warning turned into an error
@@ -96,9 +97,12 @@ def without_meta(text):
 
 
 def read(path):
-    with open(path) as fh:
-        text = fh.read()
-    return without_meta(text) if path.endswith(".json") else text
+    """A JSON report's text without its meta field; any other file's bytes."""
+    if path.endswith(".json"):
+        with open(path) as fh:
+            return without_meta(fh.read())
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def main():
