@@ -4,8 +4,12 @@ Assembles the symmetric stiffness matrix A (the energy inner product
 integral of |x|^alpha grad u . grad v), the possibly indefinite mass matrix
 B (integral of g u v), and the Hardy matrix H (integral of u v / |x|^(2-alpha)),
 plus a shared volume quadrature used for L^p norms. Radial mode uses P1
-elements with closed-form stiffness integrals; 3-d mode uses a conservative
-7-point flux discretization with lumped B and H.
+elements with closed-form stiffness integrals, and B and H are tridiagonals
+summed one Gauss point at a time (_hat_form); 3-d mode uses a conservative
+7-point flux discretization with lumped B and H. Every matrix is written
+as CSR directly, exactly symmetric, with no COO staging. A pair stores no
+interpolation matrix: point values come from the hat functions on a radial
+mesh and are the nodal values on the cube (_point_values).
 """
 
 import math
@@ -51,19 +55,20 @@ class DiscreteOperatorPair:
     """Assembled operators sharing one degree-of-freedom numbering.
 
     quad_weights are volume weights (measure included) at the quadrature
-    points; interp maps nodal vectors to point values there, so every
-    integral of a nodal function runs through the same quadrature path.
+    points and gplus_quad the weight's positive part there, one entry per
+    point. On a radial mesh the points are the MASS_GAUSS_ORDER Gauss points
+    of each element in turn, and a nodal vector's value at one is the sum of
+    its element's two hat functions (_point_values); elsewhere the points are
+    the dofs, and a nodal vector is its own point values. So every integral
+    of a nodal function runs through the same quadrature path.
     """
 
-    def __init__(self, A, B, H, quad_radii, quad_weights, interp,
-                 g_quad, gplus_quad, geometry, N, alpha, mode, dof_positions):
+    def __init__(self, A, B, H, quad_weights, gplus_quad, geometry, N, alpha, mode,
+                 dof_positions):
         self.A = A
         self.B = B
         self.H = H
-        self.quad_radii = quad_radii
         self.quad_weights = quad_weights
-        self.interp = interp
-        self.g_quad = g_quad
         self.gplus_quad = gplus_quad
         self.geometry = geometry
         self.N = N
@@ -79,8 +84,8 @@ class DiscreteOperatorPair:
     def from_matrices(cls, A, B, H=None, quad_weights=None):
         """Wrap explicit matrices (testing and toy problems).
 
-        The volume quadrature defaults to unit nodal weights with identity
-        interpolation; g-dependent helpers are unavailable.
+        The volume quadrature defaults to unit nodal weights; g-dependent
+        helpers are unavailable.
         """
         A = _symmetrized(sp.csr_matrix(A))
         B = _symmetrized(sp.csr_matrix(B))
@@ -89,8 +94,7 @@ class DiscreteOperatorPair:
             raise ValueError("A and B must share their order")
         H = _symmetrized(sp.csr_matrix(H)) if H is not None else sp.csr_matrix((n, n))
         w = np.ones(n) if quad_weights is None else np.asarray(quad_weights, float)
-        return cls(A, B, H, None, w, sp.identity(n, format="csr"),
-                   None, None, None, None, None, "matrices", np.arange(n, dtype=float))
+        return cls(A, B, H, w, None, None, None, None, "matrices", np.arange(n, dtype=float))
 
 
 def _check_vector(pair, u):
@@ -121,21 +125,48 @@ def hardy_inner(pair, u, v=None):
     return float(u @ (pair.H @ v))
 
 
+def _gauss_points(mesh):
+    """Per point of the mass rule (MASS_GAUSS_ORDER Gauss points per element),
+    its radius in every element of a radial mesh and the hat functions of
+    each element's left and right node there."""
+    nodes, h = mesh.nodes, mesh.element_sizes
+    mid, half = 0.5 * (nodes[1:] + nodes[:-1]), 0.5 * h
+    for x in gauss_rule(MASS_GAUSS_ORDER)[0]:
+        r = mid + half * x
+        yield r, (nodes[1:] - r) / h, (r - nodes[:-1]) / h
+
+
+def _point_values(pair, u):
+    """A nodal vector's values at the pair's quadrature points, raveled.
+
+    On a radial mesh each point sees the hats of its element's two nodes;
+    the boundary node r = R is no dof and its value is 0. Otherwise the
+    points are the dofs.
+    """
+    if pair.mode != "radial":
+        return u
+    u = np.append(u, 0.0)
+    values = np.empty((pair.order, MASS_GAUSS_ORDER))
+    for j, (_, left, right) in enumerate(_gauss_points(pair.geometry)):
+        values[:, j] = left * u[:-1] + right * u[1:]
+    return values.ravel()
+
+
 def mass_plus_inner(pair, u, v=None):
     """Quadrature of g^+ u v, on the same points as the mass matrix."""
     if pair.gplus_quad is None:
         raise AssemblyError("pair carries no weight data (built from bare matrices)")
     u = _check_vector(pair, u)
     v = u if v is None else _check_vector(pair, v)
-    pu = pair.interp @ u
-    pv = pu if v is u else pair.interp @ v
+    pu = _point_values(pair, u)
+    pv = pu if v is u else _point_values(pair, v)
     return float(np.sum(pair.quad_weights * pair.gplus_quad * pu * pv))
 
 
 def volume_integral(pair, u):
     """Quadrature of u over the truncated domain."""
     u = _check_vector(pair, u)
-    return float(np.sum(pair.quad_weights * (pair.interp @ u)))
+    return float(np.sum(pair.quad_weights * _point_values(pair, u)))
 
 
 def lp_norm(pair, u, p):
@@ -143,24 +174,75 @@ def lp_norm(pair, u, p):
     if p < 1.0:
         raise ValueError("lp_norm needs p >= 1")
     u = _check_vector(pair, u)
-    vals = np.abs(pair.interp @ u)
+    vals = np.abs(_point_values(pair, u))
     return float(np.sum(pair.quad_weights * vals**p) ** (1.0 / p))
 
 
-def _eval_weight_per_element(spec, radii_by_element):
-    """g and g^+ at every radius from one weight_split, with weight_value's sums
-    (so the same bits); on range errors, name the offending element."""
+def _split(spec, mesh, r):
+    """weight_split at radii r, one per element; on a range error, name the
+    first element with a Gauss point out of range."""
     try:
-        gi, gd, gm = weight_split(spec, radii_by_element.ravel())
+        return weight_split(spec, r)
     except WeightDomainError:
-        for e in range(radii_by_element.shape[0]):
+        points = np.column_stack([p for p, _, _ in _gauss_points(mesh)])
+        for e, radii in enumerate(points):
             try:
-                weight_split(spec, radii_by_element[e])
+                weight_split(spec, radii)
             except WeightDomainError as exc:
                 raise AssemblyError(f"weight evaluation failed on element {e}: {exc}") from exc
         raise
-    gplus = gi + gd
-    return gplus - gm, gplus
+
+
+def _hat_form(mesh, weight):
+    """The P1 form sum_q w_q phi_a(r_q) phi_b(r_q) over the Gauss points of a
+    radial mesh, as a CSR matrix of order M (the boundary node is no dof).
+
+    weight(j, r) gives w at Gauss point j, radii r, of every element; it is
+    called twice per point, and every temporary is one value per element.
+    The matrix equals, bit for bit, the symmetrized (X + X^T) / 2 of X =
+    E^T diag(w) E with E the interpolation from dofs to the points: each sum
+    runs over the points in their order, so a diagonal entry takes its left
+    element's points before its right one's, each term is phi_b (phi_a w),
+    an off-diagonal entry averages the sums of its two triangles, and an
+    entry whose sum is 0 is not stored.
+    """
+    M = mesh.num_elements
+    diag, upper, lower = np.zeros(M), np.zeros(M), np.zeros(M)
+    for j, (r, left, right) in enumerate(_gauss_points(mesh)):
+        w = weight(j, r)
+        diag[1:] += (right * (right * w))[:-1]  # node a as element a - 1's right node
+        upper += right * (left * w)  # row a, column a + 1
+        lower += left * (right * w)  # row a + 1, column a
+    for j, (r, left, _) in enumerate(_gauss_points(mesh)):
+        diag += left * (left * weight(j, r))  # node a as element a's left node
+    upper += lower
+    # a sum is stored when nonzero before halving, which may underflow to 0
+    return _tridiagonal(diag, 0.5 * upper, upper != 0.0)
+
+
+def _tridiagonal(diag, upper, stored):
+    """The symmetric tridiagonal CSR matrix with this diagonal and with upper[i]
+    in row i, column i + 1 and in its mirror, storing the nonzero diagonal
+    entries and the off-diagonal ones where stored holds (upper[-1] and
+    stored[-1] lie past the matrix)."""
+    M = diag.size
+    vals = np.column_stack([np.r_[0.0, upper[:-1]], diag, upper])
+    keep = np.column_stack([np.r_[False, stored[:-1]], diag != 0.0, stored])
+    return _csr(vals, np.arange(M, dtype=np.int32), [-1, 0, 1], (M, M), keep)
+
+
+def _volume_quadrature(mesh, N, spec):
+    """Volume weights (measure included), g^+ and g at the mass rule's points
+    of a radial mesh, (M, G) arrays filled one Gauss point at a time."""
+    h, omega = mesh.element_sizes, sphere_area(N)
+    gw = gauss_rule(MASS_GAUSS_ORDER)[1]
+    weights, gplus, g = (np.empty((h.size, gw.size)) for _ in range(3))
+    for j, (r, _, _) in enumerate(_gauss_points(mesh)):
+        weights[:, j] = (0.5 * h * gw[j]) * omega * r ** (N - 1)
+        gi, gd, gm = _split(spec, mesh, r)
+        gplus[:, j] = gi + gd
+        g[:, j] = gplus[:, j] - gm
+    return weights, gplus, g
 
 
 def assemble_radial(mesh, N, alpha, spec):
@@ -179,51 +261,25 @@ def assemble_radial(mesh, N, alpha, spec):
         raise AssemblyError("radial assembly needs N >= 3")
     if not 0.0 < alpha < 2.0:
         raise AssemblyError("alpha must lie in (0, 2)")
-    nodes = mesh.nodes
-    M = mesh.num_elements
-    ndof = M  # nodes 0 .. M-1
-    omega = sphere_area(N)
-    h = mesh.element_sizes
+    nodes, h = mesh.nodes, mesh.element_sizes
 
-    # stiffness: exact monomial integrals
+    # stiffness: exact monomial integrals (of r^(p-1) per element); dofs are
+    # nodes 0 .. M - 1
     p = alpha + N
-    moment = omega * (nodes[1:] ** p - nodes[:-1] ** p) / p  # integral of r^(p-1) per element
+    moment = sphere_area(N) * (nodes[1:] ** p - nodes[:-1] ** p) / p
     s = moment / h**2
     # element i couples node i to node i + 1, which is a dof unless i = M - 1,
-    # so A is tridiagonal and exactly symmetric as built
-    left = np.concatenate([[0.0], s[:-1]])  # element i - 1 as seen from node i
-    A = _csr(np.column_stack([-left, s + left, -s]), np.arange(M, dtype=np.int32),
-             [-1, 0, 1], (ndof, ndof))
-    A.eliminate_zeros()  # s underflows to 0 near r = 0 on steeply graded meshes
+    # so A is tridiagonal and exactly symmetric as built; s underflows to 0
+    # near r = 0 on steeply graded meshes, and such entries are not stored
+    A = _tridiagonal(s + np.r_[0.0, s[:-1]], -s, s != 0.0)
 
-    # shared volume quadrature: Gauss points per element
-    gx, gw = gauss_rule(MASS_GAUSS_ORDER)
-    mid = 0.5 * (nodes[1:] + nodes[:-1])
-    half = 0.5 * h
-    qr = (mid[:, None] + half[:, None] * gx[None, :])  # (M, G)
-    qw = (half[:, None] * gw[None, :]) * omega * qr ** (N - 1)
-
-    g_q, gplus_q = _eval_weight_per_element(spec, qr)
-
-    # interpolation from dofs to quadrature points
-    G = MASS_GAUSS_ORDER
-    nq = M * G
-    # point q lies in element q // G and sees the hats of its left and right
-    # node; the last element's right node is the boundary node, which is no
-    # dof, so its column is out of range
-    E = _csr((np.stack([nodes[1:, None] - qr, qr - nodes[:-1, None]], axis=-1)
-              / h[:, None, None]).reshape(nq, 2),
-             np.arange(nq, dtype=np.int32) // G, [0, 1], (nq, ndof))
-
-    w_flat = qw.ravel()
-    B = _symmetrized(E.T @ sp.diags(w_flat * g_q) @ E)
-    hardy_kernel = qr.ravel() ** (alpha - 2.0)
-    H = _symmetrized(E.T @ sp.diags(w_flat * hardy_kernel) @ E)
+    quad_weights, gplus, g = _volume_quadrature(mesh, N, spec)
+    B = _hat_form(mesh, lambda j, r: quad_weights[:, j] * g[:, j])
+    del g
+    H = _hat_form(mesh, lambda j, r: quad_weights[:, j] * r ** (alpha - 2.0))
 
     return DiscreteOperatorPair(
-        A=A, B=B, H=H,
-        quad_radii=qr.ravel(), quad_weights=w_flat, interp=E,
-        g_quad=g_q, gplus_quad=gplus_q,
+        A=A, B=B, H=H, quad_weights=quad_weights.ravel(), gplus_quad=gplus.ravel(),
         geometry=mesh, N=N, alpha=alpha, mode="radial",
         dof_positions=nodes[:-1].copy(),
     )
@@ -318,8 +374,7 @@ def assemble_grid3d(grid, alpha, spec):
     except WeightDomainError as exc:
         raise AssemblyError(f"weight evaluation failed on the grid: {exc}") from exc
     gplus_nodes = gi + gd
-    g_nodes = gplus_nodes - gm
-    B = sp.diags(cell * g_nodes, format="csr")
+    B = sp.diags(cell * (gplus_nodes - gm), format="csr")
 
     hardy = np.zeros_like(radii)
     nz = radii > 0.0
@@ -328,10 +383,7 @@ def assemble_grid3d(grid, alpha, spec):
     H = sp.diags(hardy, format="csr")
 
     return DiscreteOperatorPair(
-        A=A, B=B, H=H,
-        quad_radii=radii, quad_weights=np.full(grid.num_interior, cell),
-        interp=sp.identity(grid.num_interior, format="csr"),
-        g_quad=g_nodes, gplus_quad=gplus_nodes,
+        A=A, B=B, H=H, quad_weights=np.full(grid.num_interior, cell), gplus_quad=gplus_nodes,
         geometry=grid, N=3, alpha=alpha, mode="grid3d",
         dof_positions=pts,
     )

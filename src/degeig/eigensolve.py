@@ -222,15 +222,37 @@ def _residual_floors(pair, lambdas, vectors, AV):
     """Rounding floor of each relative residual, eps ||(|A| + lambda |B|) |e|||/||A e||.
 
     The size of the rounding error in evaluating A e - lambda B e: a residual
-    near it cannot be reduced by further iteration. |A| and |B| share A's and
-    B's index arrays, so only the values are copied.
+    near it cannot be reduced by further iteration. |A| and |B| are applied
+    FLOOR_ROWS rows at a time, with only those rows' values copied (a block
+    shares A's or B's index arrays), to one column of V at a time. The sums
+    of squares of F = |A| |V| + lambda |B| |V| and of A V run in the order
+    np.linalg.norm(X, axis=0) takes on a whole n x k X: down each column for
+    k > 1, pairwise for k = 1 (numpy reduces a contiguous axis pairwise).
     """
-    def magnitude(M):
-        return type(M)((np.abs(M.data), M.indices, M.indptr), shape=M.shape)
+    def magnitude_times(M, x):
+        y = np.empty(M.shape[0])
+        for start in range(0, M.shape[0], FLOOR_ROWS):
+            stop = min(start + FLOOR_ROWS, M.shape[0])
+            lo, hi = M.indptr[start], M.indptr[stop]
+            block = type(M)((np.abs(M.data[lo:hi]), M.indices[lo:hi],
+                             M.indptr[start:stop + 1] - lo), shape=(stop - start, M.shape[1]))
+            y[start:stop] = block @ x
+        return y
 
-    absV = np.abs(vectors)
-    F = magnitude(pair.A) @ absV + (magnitude(pair.B) @ absV) * lambdas
-    return np.finfo(float).eps * np.linalg.norm(F, axis=0) / np.linalg.norm(AV, axis=0)
+    def norm(x):  # squares x in place
+        x *= x
+        return np.sqrt(np.add.reduce(x) if lambdas.size == 1 else np.cumsum(x)[-1])
+
+    av_norms = [norm(AV[:, j].copy()) for j in range(lambdas.size)]
+    floors = np.empty(lambdas.size)
+    for j, lam in enumerate(lambdas):
+        e = np.abs(vectors[:, j])
+        f = magnitude_times(pair.A, e)
+        g = magnitude_times(pair.B, e)
+        g *= lam
+        f += g
+        floors[j] = np.finfo(float).eps * norm(f) / av_norms[j]
+    return floors
 
 
 def _finalize(pair, mus, vecs, applications, requested, asked, method, tol=None, stops=None,
@@ -254,12 +276,19 @@ def _finalize(pair, mus, vecs, applications, requested, asked, method, tol=None,
     order = sorted(range(len(mus)), key=lambda j: -mus[j])
     kept = [j for j in order if mus[j] > max(EXHAUSTION_RTOL * mus[order[0]], 0.0)]
     masses = [u @ b for u, b in zip(vecs.T, (pair.B @ vecs).T)]
-    vectors = vecs[:, kept] / np.sqrt([masses[j] for j in kept])
+    vectors = vecs[:, kept]
+    vectors /= np.sqrt([masses[j] for j in kept])
     k = len(kept)
     for i in range(k):
         vectors[:, i] = _fix_sign(pair, vectors[:, i], first_mode=(i == 0))
-    lambdas = np.array([e @ (pair.A @ e) for e in vectors.T])
-    AV, BV = pair.A @ vectors, pair.B @ vectors
+    # A V and B V in C order, as a block product returns them, one column at a
+    # time: a block product would first copy the Fortran-ordered vectors
+    lambdas = np.empty(k)
+    AV, BV = np.empty((pair.order, k)), np.empty((pair.order, k))
+    for i, e in enumerate(vectors.T):
+        Ae = pair.A @ e
+        lambdas[i] = e @ Ae
+        AV[:, i], BV[:, i] = Ae, pair.B @ e
     resid = np.array([_relative_residual(AV[:, i], BV[:, i], lambdas[i]) for i in range(k)])
     floors = _residual_floors(pair, lambdas, vectors, AV)
     converged = [tol is None or bool(r <= tol) for r in resid]
@@ -535,10 +564,12 @@ SMOOTHING_WEIGHT = 0.8  # damped Jacobi
 SMOOTHING_SWEEPS = 2  # before and after each coarse correction
 EXHAUSTION_RTOL = 1e-12  # mu at or below this fraction of mu_1 is no positive eigenvalue
 FLOOR_MARGIN = 10.0  # a residual within this factor of its rounding floor is at the floor
+FLOOR_ROWS = 4096  # rows of |A| and |B| formed at a time by _residual_floors
 # the distinct parity sectors of the cube grid, one per orbit of the axis
 # permutations, a letter per axis (e: even, o: odd under its mirror); the
 # first holds lambda_1 (see _sector_maximizers)
 SECTORS = ("eee", "oee", "ooe", "ooo")
+PROJECTION_ROWS = 2048  # rows of a sector's projected pencil formed at a time (_project)
 
 
 def _mirror_basis(c, parity):
@@ -557,6 +588,21 @@ def _mirror_basis(c, parity):
     cols = np.concatenate([np.arange(j.size), np.nonzero(j > 0)[0]])
     vals = np.concatenate([w, sign * w[j > 0]])
     return sp.csr_matrix((vals, (rows, cols)), shape=(2 * c + 1, j.size))
+
+
+def _project(M, ST):
+    """S^T M S for a symmetric CSR M with sorted indices, given ST = S^T as
+    CSR, formed PROJECTION_ROWS rows at a time.
+
+    Each block of rows is ST @ (M @ S_block), transposed and sorted, which
+    runs the products of (S.T @ M @ S).tocsr() in their order: M stands in
+    for its own CSC copy, which holds the same arrays. So the result equals
+    that product bit for bit, while only one block's intermediate product is
+    held at a time.
+    """
+    blocks = [(ST @ (M @ ST[i:i + PROJECTION_ROWS].T.tocsr())).T.tocsr()
+              for i in range(0, ST.shape[0], PROJECTION_ROWS)]
+    return sp.vstack(blocks, format="csr")
 
 
 def _sector_members(label):
@@ -672,11 +718,12 @@ def _sector_maximizers(pair, m, settings, seed):
         if ask < 1:
             continue
         S = sp.kron(sp.kron(bases[0], bases[1]), bases[2], format="csr")
-        Bs = (S.T @ B @ S).tocsr()
+        ST = S.T.tocsr()
+        Bs = _project(B, ST)
         ask = min(ask, np.count_nonzero(Bs.diagonal() > 0.0))
         if ask < 1:
             continue
-        As = (S.T @ A @ S).tocsr()
+        As = _project(A, ST)
         mus, vecs, applications, stop = _lobpcg(As, Bs, shape, [p == "e" for p in label],
                                                 ask, settings, seed, index)
         for mu, v in zip(mus, vecs.T):
@@ -716,7 +763,13 @@ def _maximize_quotient(pair, m, settings, seed):
     inv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng([seed, 0, 0]).standard_normal(pair.order)
     mus, vecs = spla.eigsh(op, m, M=pair.A, Minv=inv, which="LA", v0=v0, maxiter=settings.max_iter)
-    return mus, vecs, [op.applications] * m, ["stalled after ARPACK converged"] * m, None
+    # ARPACK converges to a tolerance on the scale of the whole operator, so a
+    # pair whose mu is tiny against mu_1 can keep a large relative residual
+    with np.errstate(divide="ignore", invalid="ignore"):  # no pair is kept when mu_1 <= 0
+        ratios = mus / mus.max()
+    stops = [f"has mu_n / mu_1 = {ratio:.1e}, and ARPACK's accuracy in mu is absolute, "
+             "so ARPACK converged" for ratio in ratios]
+    return mus, vecs, [op.applications] * m, stops, None
 
 
 def solve_successive(pair, settings=None, seed=42):

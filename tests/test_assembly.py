@@ -293,10 +293,9 @@ class TestErrorsAndExport:
 def _pair_bytes(pair):
     """Bytes held by the arrays and sparse matrices of an assembled pair."""
     total = 0
-    for mat in (pair.A, pair.B, pair.H, pair.interp):
+    for mat in (pair.A, pair.B, pair.H):
         total += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    for arr in (pair.quad_radii, pair.quad_weights, pair.g_quad, pair.gplus_quad,
-                pair.dof_positions):
+    for arr in (pair.quad_weights, pair.gplus_quad, pair.dof_positions):
         total += arr.nbytes
     return total
 
@@ -308,9 +307,32 @@ def _assemble(kind, n):
     return assemble_radial(build_radial_mesh(6.0, n, 1.0), 3, 1.0, spec)
 
 
+def _hat_interpolation(mesh):
+    """The (M, G) radii and element-scaled Gauss weights (h / 2 w_j, no
+    measure) of the mass quadrature, and the
+    interpolation E from dofs to those points (row q: point q, raveled), staged
+    through COO triples the way assembly once built it."""
+    import scipy.sparse as sp
+
+    from degeig.assembly import MASS_GAUSS_ORDER
+    from degeig.quadrature import gauss_rule
+
+    nodes, h = mesh.nodes, mesh.element_sizes
+    gx, gw = gauss_rule(MASS_GAUSS_ORDER)
+    M, G = h.size, gx.size
+    qr = 0.5 * (nodes[1:] + nodes[:-1])[:, None] + (0.5 * h)[:, None] * gx[None, :]
+    q = np.arange(M * G)
+    inner = q // G < M - 1  # the last element's right node is the boundary, no dof
+    E = sp.coo_matrix((np.concatenate([((nodes[1:, None] - qr) / h[:, None]).ravel(),
+                                       ((qr - nodes[:-1, None]) / h[:, None]).ravel()[inner]]),
+                       (np.concatenate([q, q[inner]]),
+                        np.concatenate([q // G, q[inner] // G + 1]))), shape=(M * G, M))
+    return qr, (0.5 * h)[:, None] * gw[None, :], E.tocsr()
+
+
 def _coo_reference(pair):
-    """A (and the radial E) staged through COO triples and symmetrized, the
-    way assembly built them before it wrote CSR directly."""
+    """A staged through COO triples and symmetrized, the way assembly built
+    it before it wrote CSR directly."""
     import scipy.sparse as sp
 
     from degeig.assembly import _sym_norm, _symmetrized
@@ -323,15 +345,7 @@ def _coo_reference(pair):
         A = sp.coo_matrix((np.concatenate([s, s[:-1], -s[:-1], -s[:-1]]),
                            (np.concatenate([np.arange(M), i + 1, i, i + 1]),
                             np.concatenate([np.arange(M), i + 1, i + 1, i]))), shape=(M, M))
-        G = pair.quad_radii.size // M
-        qr = pair.quad_radii.reshape(M, G)
-        q = np.arange(M * G)
-        inner = q // G < M - 1
-        E = sp.coo_matrix((np.concatenate([((nodes[1:, None] - qr) / h[:, None]).ravel(),
-                                           ((qr - nodes[:-1, None]) / h[:, None]).ravel()[inner]]),
-                           (np.concatenate([q, q[inner]]),
-                            np.concatenate([q // G, q[inner] // G + 1]))), shape=(M * G, M))
-        return _symmetrized(A), E.tocsr()
+        return _symmetrized(A)
     grid, alpha = pair.geometry, pair.alpha
     n, hs = grid.n, grid.hs
     dof = -np.ones((n, n, n), dtype=np.int64)
@@ -361,7 +375,7 @@ def _coo_reference(pair):
     vals.append(np.sort(face, axis=1).sum(axis=1))
     A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(pair.order, pair.order))
-    return _symmetrized(A), pair.interp
+    return _symmetrized(A)
 
 
 def _same_csr(X, Y):
@@ -371,9 +385,8 @@ def _same_csr(X, Y):
 class TestDirectAssembly:
     @pytest.mark.parametrize("kind, n", [("grid", 15), ("ring", 512), ("gaussian", 512)])
     def test_stiffness_symmetric_as_built(self, monkeypatch, kind, n):
-        # A is exactly symmetric without the (A + A^T) / 2 pass, which only
-        # the E^T diag E products of radial B and H still take, and A and E
-        # equal, bit for bit, their COO-staged and symmetrized reference
+        # A, B and H are exactly symmetric without the (A + A^T) / 2 pass,
+        # and A equals, bit for bit, its COO-staged and symmetrized reference
         import degeig.assembly as assembly
 
         symmetrized = []
@@ -381,12 +394,11 @@ class TestDirectAssembly:
         monkeypatch.setattr(assembly, "_symmetrized",
                             lambda mat: symmetrized.append(real(mat)) or symmetrized[-1])
         pair = _assemble(kind, n)
-        assert (pair.A - pair.A.T).nnz == 0
-        assert not any(mat is pair.A for mat in symmetrized)
-        assert len(symmetrized) == (0 if kind == "grid" else 2)
+        for mat in (pair.A, pair.B, pair.H):
+            assert (mat - mat.T).nnz == 0
+        assert not symmetrized
         monkeypatch.undo()
-        A, E = _coo_reference(pair)
-        assert _same_csr(pair.A, A) and _same_csr(pair.interp, E)
+        assert _same_csr(pair.A, _coo_reference(pair))
 
     @pytest.mark.parametrize("kind, n, bound", [("grid", 31, 1.5), ("ring", 8192, 2.25)])
     def test_assembly_peak_near_live_size(self, kind, n, bound):
@@ -409,5 +421,35 @@ class TestDirectAssembly:
         pair = assemble_radial(build_radial_mesh(6.0, 513, 1.3), 5, 1.2, gaussian_bump())
         assert pair.A.nnz < 3 * pair.order - 2
         assert np.all(pair.A.data != 0.0)
-        A, E = _coo_reference(pair)
-        assert _same_csr(pair.A, A) and _same_csr(pair.interp, E)
+        assert _same_csr(pair.A, _coo_reference(pair))
+
+    @pytest.mark.parametrize("spec, N, alpha, M, q", [
+        (sign_changing_ring(), 3, 1.0, 512, 1.0),
+        (gaussian_bump(), 3, 1.5, 2000, 1.004),
+        (indicator_ball(2.0), 4, 0.7, 300, 1.0),
+        (gaussian_bump(), 5, 1.2, 513, 1.3),  # r^(N-1) w underflows near r = 0
+    ])
+    def test_mass_hardy_and_point_values_equal_interpolated_reference(self, spec, N, alpha, M,
+                                                                      q, rng):
+        # B and H are E^T diag(w) E, symmetrized, with E the hat interpolation
+        # to the Gauss points, and point values are E u: all equal, bit for
+        # bit, to that reference, stored zeros and index arrays included
+        import scipy.sparse as sp
+
+        from degeig.assembly import _symmetrized
+        from degeig.weights import weight_value
+
+        mesh = build_radial_mesh(6.0, M, q)
+        pair = assemble_radial(mesh, N, alpha, spec)
+        qr, half_gw, E = _hat_interpolation(mesh)
+        w = (half_gw * sphere_area(N) * qr ** (N - 1)).ravel()
+        assert np.array_equal(pair.quad_weights, w)
+        r = qr.ravel()
+        assert _same_csr(pair.B, _symmetrized(E.T @ sp.diags(w * weight_value(spec, r)) @ E))
+        assert _same_csr(pair.H, _symmetrized(E.T @ sp.diags(w * r ** (alpha - 2.0)) @ E))
+        for _ in range(3):
+            u, v = rng.standard_normal(pair.order), rng.standard_normal(pair.order)
+            pu, pv = E @ u, E @ v
+            assert mass_plus_inner(pair, u, v) == float(np.sum(w * pair.gplus_quad * pu * pv))
+            assert volume_integral(pair, u) == float(np.sum(w * pu))
+            assert lp_norm(pair, u, 2.5) == float(np.sum(w * np.abs(pu) ** 2.5) ** (1.0 / 2.5))

@@ -632,7 +632,23 @@ class TestSuccessive:
         for i in stalled:
             assert seq.residuals[i] <= 10.0 * seq.residual_floors[i]
             assert any(w.startswith(f"pair {i + 1} is at its rounding floor") for w in seq.warnings)
-        assert not any("stalled after ARPACK" in w for w in seq.warnings)
+        assert not any("ARPACK's accuracy in mu is absolute" in w for w in seq.warnings)
+
+    def test_small_mu_arpack_pair_names_its_ratio(self):
+        # mu_2 is 1e-9 of mu_1: ARPACK's accuracy in mu is absolute, so that
+        # pair keeps a relative residual far above its rounding floor, and its
+        # warning gives mu_n / mu_1 as the cause
+        from degeig.eigensolve import FLOOR_MARGIN
+
+        pair = toy_pair(np.eye(5), np.diag([1.0, 1e-9, -1e5, -2e5, -3e5]))
+        seq = solve_successive(pair, SolverSettings(k=3))
+        assert seq.count == 2 and seq.converged == [True, False]
+        assert seq.residuals[1] > FLOOR_MARGIN * seq.residual_floors[1]
+        assert seq.warnings == [
+            f"pair 2 has mu_n / mu_1 = 1.0e-09, and ARPACK's accuracy in mu is absolute, so "
+            f"ARPACK converged at residual {seq.residuals[1]:.3e} (tol 1e-09)",
+            "no further positive eigenvalue found (found 2 of 3)",
+        ]
 
 
 class TestParitySectors:
@@ -758,6 +774,75 @@ class TestParitySectors:
         for c in (3, 4, 7):
             Q = sp.hstack([_mirror_basis(c, "e"), _mirror_basis(c, "o")]).toarray()
             assert_allclose(Q.T @ Q, np.eye(2 * c + 1), atol=1e-15)
+
+
+class TestPeakMemory:
+    def test_finalize_holds_vectors_and_two_products(self):
+        # past its input, _finalize holds the kept vectors, A V, B V and
+        # temporaries of one vector's length: 3.3 times the input on ring
+        # M8192 k=24, where whole-block |A| |V| products and norms took 7.0
+        import tracemalloc
+
+        from degeig.eigensolve import _finalize, _maximize_quotient
+
+        mesh = build_radial_mesh(6.0, 8192, grading_for_span(8192, 1e4))
+        pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
+        mus, vecs, applications, stops, _ = _maximize_quotient(pair, 24, SolverSettings(k=24), 42)
+
+        def finalize():
+            return _finalize(pair, mus, vecs, applications, 24, 24, "successive", tol=1e-9,
+                             stops=stops)
+
+        finalize()  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            finalize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * vecs.nbytes
+
+    @staticmethod
+    def _sector_basis(pair, label):
+        from degeig.eigensolve import _mirror_basis
+
+        bases = [_mirror_basis((pair.geometry.n - 3) // 2, parity) for parity in label]
+        return sp.kron(sp.kron(bases[0], bases[1]), bases[2], format="csr")
+
+    def test_sector_projection_copies_no_operator(self):
+        # S^T A S formed PROJECTION_ROWS rows at a time peaks at 0.6 of A's
+        # bytes on the eee sector of 41^3; the whole product, which copies A
+        # to CSC, peaked at 2.0
+        import tracemalloc
+
+        from degeig.eigensolve import _project
+
+        pair = _grid_pair(41)
+        ST = self._sector_basis(pair, "eee").T.tocsr()
+        _project(pair.A, ST)
+        tracemalloc.start()
+        try:
+            _project(pair.A, ST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * (pair.A.data.nbytes + pair.A.indices.nbytes + pair.A.indptr.nbytes)
+
+    @pytest.mark.parametrize("rows", [7, 2048])
+    def test_sector_projection_equals_whole_product(self, monkeypatch, rows):
+        # in blocks of any size, the sector pencil keeps the bits and the
+        # sorted indices of (S.T @ M @ S).tocsr()
+        import degeig.eigensolve as eigensolve
+
+        monkeypatch.setattr(eigensolve, "PROJECTION_ROWS", rows)
+        pair = _grid_pair(13, sign_changing_ring())
+        for label in eigensolve.SECTORS:
+            S = self._sector_basis(pair, label)
+            for M in (pair.A, pair.B):
+                want, got = (S.T @ M @ S).tocsr(), eigensolve._project(M, S.T.tocsr())
+                assert got.has_sorted_indices
+                for f in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, f), getattr(want, f))
 
 
 def _orbit(sector):

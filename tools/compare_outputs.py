@@ -13,10 +13,11 @@ The report's `meta` field (its only nondeterministic part) is dropped before
 comparing; every other file (CSV tables, .npy eigenvectors, matrix exports) is
 compared as bytes.
 
-Prints one line per command and one per output file or stdout that differs,
-or per run that ends in an uncaught exception (a warning turned into an error
-by PYTHONWARNINGS, say), then a summary. Exits 0 when every output is
-identical and no run raised, 1 otherwise.
+Prints one line per command, with each tree's peak resident set (ru_maxrss
+from wait4), and one per output file or stdout that differs, or per run that
+ends in an uncaught exception (a warning turned into an error by
+PYTHONWARNINGS, say), then a summary with each tree's largest peak. Exits 0
+when every output is identical and no run raised, 1 otherwise.
 """
 
 import argparse
@@ -65,7 +66,8 @@ def commands(workloads):
 
 def run(tree, base, doc, argv):
     """Run one command against tree in the directory base; return
-    (returncode, stdout, output directory, whether it raised)."""
+    (returncode, stdout, output directory, whether it raised, peak resident
+    set in MB)."""
     shutil.rmtree(base, ignore_errors=True)
     out_dir = os.path.join(base, "out")
     os.makedirs(out_dir)
@@ -76,10 +78,18 @@ def run(tree, base, doc, argv):
     args = [{CONFIG: config, OUT: out_dir}.get(a, a) for a in argv]
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-m", "degeig.cli", *args], env=env, cwd=base,
-                          capture_output=True, text=True)
-    raised = "Traceback (most recent call last)" in proc.stderr
-    return proc.returncode, proc.stdout, out_dir, raised
+    # output goes to files, not pipes, so that wait4 reaps the child and
+    # reports its own rusage
+    with open(os.path.join(base, "stdout"), "w+") as out, \
+            open(os.path.join(base, "stderr"), "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "degeig.cli", *args], env=env, cwd=base,
+                                stdout=out, stderr=err, stdin=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        out.seek(0)
+        err.seek(0)
+        stdout, raised = out.read(), "Traceback (most recent call last)" in err.read()
+    return (os.waitstatus_to_exitcode(status), stdout, out_dir, raised,
+            usage.ru_maxrss / 1024.0)
 
 
 def without_meta(text):
@@ -112,11 +122,14 @@ def main():
     parser.add_argument("--work", default=None, help="scratch directory (default: a temporary one)")
     args = parser.parse_args()
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
-    differing, compared = [], 0
+    differing, compared, peaks = [], 0, {"old": [], "new": []}
     for name, doc, argv in commands(load_workloads(args.new)):
-        (rc_old, out_old, dir_old, raised_old), (rc_new, out_new, dir_new, raised_new) = (
+        (rc_old, out_old, dir_old, raised_old, rss_old), (rc_new, out_new, dir_new, raised_new,
+                                                          rss_new) = (
             run(tree, os.path.join(work, side, name), doc, argv)
             for side, tree in (("old", args.old), ("new", args.new)))
+        peaks["old"].append((rss_old, name))
+        peaks["new"].append((rss_new, name))
         files = sorted(set(os.listdir(dir_old)) | set(os.listdir(dir_new)))
         diffs = [f"uncaught exception in the {side} tree" for side, raised in
                  (("old", raised_old), ("new", raised_new)) if raised]
@@ -129,11 +142,14 @@ def main():
             if not (os.path.exists(a) and os.path.exists(b)) or read(a) != read(b):
                 diffs.append(f)
         compared += len(files) + 1
-        print(f"{'DIFF' if diffs else 'same'} {name}: exit {rc_new}, stdout and {len(files)} files",
-              flush=True)
+        print(f"{'DIFF' if diffs else 'same'} {name}: exit {rc_new}, stdout and {len(files)} "
+              f"files, ru_maxrss {rss_old:.1f} -> {rss_new:.1f} MB", flush=True)
         differing += [f"  {name}: {d}" for d in diffs]
     print("\n".join(differing))
     print(f"{compared - len(differing)} of {compared} outputs identical outside meta")
+    for side in ("old", "new"):
+        rss, name = max(peaks[side])
+        print(f"largest ru_maxrss in the {side} tree: {rss:.1f} MB ({name})")
     return 1 if differing else 0
 
 
