@@ -196,8 +196,8 @@ class TestDense:
         # copy becomes C in place: no dense A, no transposed copy of U^{-T} B,
         # no copy inside eigh; the band of A adds (w + 1) n. The sector is
         # the ring's eee on grid 21^3 (order 1000, 83 nonzero B entries): a
-        # block of 28 spans more than a third of B's rank, so _lobpcg solves
-        # it by the same congruence
+        # block of 28 spans more than a third of B's rank, so _block_pairs
+        # solves it by the same congruence
         import tracemalloc
         from functools import partial
 
@@ -209,7 +209,8 @@ class TestDense:
             S = sp.kron(sp.kron(e, e), e, format="csr")
             A, B = (S.T @ pair.A @ S).tocsr(), (S.T @ pair.B @ S).tocsr()
             assert np.count_nonzero(B.diagonal()) == 83
-            solve = partial(es._lobpcg, A, B, (10,) * 3, (True,) * 3, 28, SolverSettings(), 42, 0)
+            block = es.Block("eee", [((0, 1, 2), "eee")], A, B, S, (19,) * 3)
+            solve = partial(es._block_pairs, block, 28, SolverSettings(), 42, 0)
         else:
             if kind == "radial":
                 pair = assemble_radial(build_radial_mesh(6.0, 1000, 1.0), 3, 1.0, gaussian_bump())
@@ -224,7 +225,7 @@ class TestDense:
         finally:
             tracemalloc.stop()
         if kind == "sector":
-            assert result[2:] == (n, "was solved densely") and np.all(result[0] > 0.0)
+            assert result[2:] == (n, ["was solved densely"] * 28) and np.all(result[0] > 0.0)
         else:
             assert result.count == 6
         if kind == "radial":
@@ -464,9 +465,16 @@ class TestSuccessive:
 
         name = "eigsh" if kind == "radial" else "lobpcg"
         calls = []  # the order of each call's operator
+        asks = []  # the pairs each ARPACK call asks for
         real = getattr(es.spla, name)
-        monkeypatch.setattr(es.spla, name,
-                            lambda op, *a, **kw: calls.append(op.shape[0]) or real(op, *a, **kw))
+
+        def recording(op, *a, **kw):
+            calls.append(op.shape[0])
+            if kind == "radial":
+                asks.append(a[0])
+            return real(op, *a, **kw)
+
+        monkeypatch.setattr(es.spla, name, recording)
         if kind == "radial":
             pair = assemble_radial(build_radial_mesh(6.0, 128, 1.0), 3, 1.0, gaussian_bump())
         else:
@@ -474,8 +482,14 @@ class TestSuccessive:
         seq = es.solve_successive(pair, SolverSettings(k=4, tol=1e-8))
         assert seq.count == 4 and all(seq.converged)
         if kind == "radial":
-            assert len(calls) == 1
+            # the whole pencil is the one block: one call asking for min(k, order - 1)
+            assert calls == [pair.order] and asks == [4]
             assert len(set(seq.iterations)) == 1 and seq.iterations[0] > 0
+            small = assemble_radial(build_radial_mesh(6.0, 8, 1.0), 3, 1.0, gaussian_bump())
+            calls.clear()
+            asks.clear()
+            es.solve_successive(small, SolverSettings(k=20))
+            assert calls == [small.order] and asks == [small.order - 1]
             return
         # k = 4 asks eee for 4 pairs, each other sector for ceil(3 / members),
         # each on its own dofs: (c + 1) per even axis, c per odd, c = 4
@@ -494,7 +508,7 @@ class TestSuccessive:
         pair = toy_pair(np.diag([1.0, 1.0, 3.0]), np.eye(3))
         vecs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])  # e_2, then e_1
         monkeypatch.setattr(es, "_maximize_quotient", lambda *a: (
-            [1.0, 1.0], vecs, [7, 9], ["stopped at a", "stopped at b"], None))
+            [1.0, 1.0], vecs, [7, 9], ["stopped at a", "stopped at b"], [None, None]))
         seq = es.solve_successive(pair, SolverSettings(k=2))
         assert seq.clusters == [[0, 1]]
         assert np.array_equal(seq.vectors, vecs)
@@ -503,14 +517,29 @@ class TestSuccessive:
     @pytest.mark.parametrize("grid", [False, True])
     def test_returned_mu_are_rayleigh_quotients(self, grid, gaussian_pair_512):
         # the mu each call returns (ARPACK's eigenvalues, LOBPCG's final
-        # Rayleigh-Ritz values) are the quotients of the vectors it returns
+        # Rayleigh-Ritz values) are the quotients of the vectors it returns.
+        # Both geometries return one shape: mu non-increasing, equal mu (the
+        # grid's triple, one sector vector carried to three members) in the
+        # call's order, and per column one applications count, one stop
+        # reason and one member label, None off the grid
         import degeig.eigensolve as es
 
         pair = _grid_pair(11) if grid else gaussian_pair_512
-        mus, vecs, *_ = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        mus, vecs, applications, stops, labels = es._maximize_quotient(
+            pair, 5, SolverSettings(k=5), 42)
         quotients = (np.einsum("ij,ij->j", vecs, pair.B @ vecs)
                      / np.einsum("ij,ij->j", vecs, pair.A @ vecs))
         assert_allclose(mus, quotients, rtol=1e-12)
+        assert vecs.shape == (pair.order, 5)
+        assert all(a >= b for a, b in zip(mus, mus[1:]))
+        assert len(applications) == len(stops) == len(labels) == 5
+        assert all(isinstance(a, int) and a > 0 for a in applications)
+        if grid:
+            assert labels == ["eee", "eee", "oee", "eoe", "eeo"]
+            assert mus[2] == mus[3] == mus[4]
+        else:
+            assert labels == [None] * 5
+            assert len(set(mus)) == 5
 
     def test_k_at_least_order_warns_of_cap(self):
         # ARPACK needs fewer pairs than the order; every pair is positive here,
@@ -673,17 +702,24 @@ class TestParitySectors:
         # more than it has, and the shortfall is reported as exhaustion
         import degeig.eigensolve as es
 
-        asked = []
-        real = es._lobpcg
+        asked = []  # (pairs asked, positive B entries) per sector call, on either route
+        lobpcg, congruence = es._lobpcg, es._congruence_eigh
 
-        def recording(A, B, shape, mirrored, m, *args):
+        def recording_lobpcg(A, B, shape, mirrored, m, *args):
             asked.append((m, np.count_nonzero(B.diagonal() > 0.0)))
-            return real(A, B, shape, mirrored, m, *args)
+            return lobpcg(A, B, shape, mirrored, m, *args)
 
-        monkeypatch.setattr(es, "_lobpcg", recording)
+        def recording_congruence(A, B, m):
+            asked.append((m, np.count_nonzero(B.diagonal() > 0.0)))
+            return congruence(A, B, m)
+
+        monkeypatch.setattr(es, "_lobpcg", recording_lobpcg)
+        monkeypatch.setattr(es, "_congruence_eigh", recording_congruence)
         seq = es.solve_successive(_grid_pair(11, sign_changing_ring()), SolverSettings(k=30))
         assert seq.exhausted and seq.count == 18 and all(seq.converged)
-        assert asked and all(m == positive for m, positive in asked)
+        # eee, oee and ooe ask for all they hold (18 = 6 + 3 x 3 + 3 x 1); ooo
+        # has no positive B entry and is skipped
+        assert asked == [(6, 6), (3, 3), (1, 1)]
         assert any("found 18 of 30" in w for w in seq.warnings)
 
     @pytest.mark.parametrize("seed", range(1, 9))
@@ -801,6 +837,26 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * vecs.nbytes
+
+    def test_grid_k1_forms_the_first_block_alone(self):
+        # k = 1 asks every block after the first for no pair, so eee alone is
+        # formed: the solve of gaussian 41^3 peaks at 4.93 MiB, where forming
+        # each sector's pencil before skipping those that ask for none took
+        # 8.25 MiB
+        import tracemalloc
+
+        from degeig.eigensolve import _maximize_quotient
+
+        pair = _grid_pair(41)
+        _maximize_quotient(pair, 1, SolverSettings(k=1), 42)  # first-call caches stay out
+        tracemalloc.start()
+        try:
+            _, vecs, *_ = _maximize_quotient(pair, 1, SolverSettings(k=1), 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vecs.shape == (pair.order, 1)
+        assert peak <= 5.5 * 2**20
 
     @staticmethod
     def _sector_basis(pair, label):

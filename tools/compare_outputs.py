@@ -6,8 +6,12 @@ Each tree is a checkout with the package under src/. The commands are every
 case of NEW_TREE's perfbench/workloads.py, with the config and arguments the
 benchmark gives them and the seed every workload config carries, plus
 `catalogue --out`, `check` on the ring preset at alpha = 1.5 (a sign-changing
-weight and a second alpha next to the benchmark's gaussian check) and
-`solve --export-matrices` on one radial and one grid 13^3 problem. Each
+weight and a second alpha next to the benchmark's gaussian check),
+`solve --export-matrices` on one radial and one grid 13^3 problem, and two
+ring-weight grid solves that reach the sector routes no workload case does:
+15^3 with k = 12, whose eee sector (343 dofs) is solved densely, and 9^3 with
+k = 40, whose sectors are capped by their positive B entries and which
+stops at 6 of 40 pairs. Each
 command runs once against each tree, in its own process with one BLAS thread.
 The report's `meta` field (its only nondeterministic part) is dropped before
 comparing; every other file (CSV tables, .npy eigenvectors, matrix exports) is
@@ -61,6 +65,10 @@ def commands(workloads):
         out.append((name, {"problem": problem, "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED),
                      "--export-matrices"]))
+    for n, k in ((15, 12), (9, 40)):
+        problem = {**workloads.grid(n, k), "weight": {"kind": "ring"}}
+        out.append((f"solve-ring-grid{n}-k{k}", {"problem": problem, "seed": SEED},
+                    ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
     return out
 
 
