@@ -16,7 +16,7 @@ _collecting = gc.isenabled()
 gc.disable()
 try:
     from .assembly import (DiscreteOperatorPair, assemble_grid3d, assemble_radial,
-                           energy_inner, hardy_inner, lp_norm, mass_inner)
+                           energy_inner, hardy_inner, lp_norm)
     from .config import ConfigError, PRESETS, load_config, load_preset
     from .eigensolve import (EigenSequence, SolverSettings, growth_diagnostics,
                              residual, solve_dense, solve_successive)

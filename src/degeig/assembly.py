@@ -104,25 +104,16 @@ def _check_vector(pair, u):
     return u
 
 
-def energy_inner(pair, u, v=None):
-    """u^T A v: the weighted-gradient inner product."""
+def energy_inner(pair, u):
+    """u^T A u: the weighted-gradient energy."""
     u = _check_vector(pair, u)
-    v = u if v is None else _check_vector(pair, v)
-    return float(u @ (pair.A @ v))
+    return float(u @ (pair.A @ u))
 
 
-def mass_inner(pair, u, v=None):
-    """u^T B v: the g-weighted form (sign-indefinite when g changes sign)."""
+def hardy_inner(pair, u):
+    """u^T H u: the form with kernel |x|^(alpha-2)."""
     u = _check_vector(pair, u)
-    v = u if v is None else _check_vector(pair, v)
-    return float(u @ (pair.B @ v))
-
-
-def hardy_inner(pair, u, v=None):
-    """u^T H v: the form with kernel |x|^(alpha-2)."""
-    u = _check_vector(pair, u)
-    v = u if v is None else _check_vector(pair, v)
-    return float(u @ (pair.H @ v))
+    return float(u @ (pair.H @ u))
 
 
 def _gauss_points(mesh):
@@ -152,15 +143,12 @@ def _point_values(pair, u):
     return values.ravel()
 
 
-def mass_plus_inner(pair, u, v=None):
-    """Quadrature of g^+ u v, on the same points as the mass matrix."""
+def mass_plus_inner(pair, u):
+    """Quadrature of g^+ u^2, on the same points as the mass matrix."""
     if pair.gplus_quad is None:
         raise AssemblyError("pair carries no weight data (built from bare matrices)")
-    u = _check_vector(pair, u)
-    v = u if v is None else _check_vector(pair, v)
-    pu = _point_values(pair, u)
-    pv = pu if v is u else _point_values(pair, v)
-    return float(np.sum(pair.quad_weights * pair.gplus_quad * pu * pv))
+    pu = _point_values(pair, _check_vector(pair, u))
+    return float(np.sum(pair.quad_weights * pair.gplus_quad * pu * pu))
 
 
 def volume_integral(pair, u):

@@ -177,6 +177,7 @@ def cmd_solve(run, out_dir):
         "eigen": seq.to_report(),
         "growth": growth,
         "diagnostics": {
+            "calls": seq.calls,
             "dense": dense_seq.to_report() if dense_seq is not None else None,
             "seed": run.seed,
             "residual_floors": [float(f) for f in seq.residual_floors],

@@ -9,6 +9,7 @@ offline.
 
 import inspect
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
@@ -108,7 +109,7 @@ def _reading(where):
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -122,13 +123,20 @@ def _typed(types, what, convert=None):
     return check
 
 
+def _finite(value):
+    """value as a float, refusing NaN and the infinities, which json reads."""
+    if not math.isfinite(number := float(value)):  # an int past a float's range: OverflowError
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 # The converter of each field type; a field of type object takes any value
 _CONVERTERS = {
     object: lambda value: value,
     int: _typed((int,), "an integer"),
-    float: _typed((int, float), "a number", float),
+    float: _typed((int, float), "a number", _finite),
     Optional[float]: _typed((int, float, type(None)), "a number or null",
-                            lambda value: None if value is None else float(value)),
+                            lambda value: None if value is None else _finite(value)),
     str: _typed((str,), "a string"),
     bool: _typed((bool,), "true or false"),
     list: _typed((list,), "a list"),

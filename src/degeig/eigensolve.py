@@ -39,7 +39,7 @@ V-cycle-preconditioned CG, which, unlike single-vector Lanczos, keeps
 every member of a multiplicity. The pairs of all blocks are merged by mu,
 equal mu in the order the blocks and calls returned them (a triple reads
 oee, eoe, eeo), and each vector is carried to its members; a grid pair
-reports its member's label as sector.
+reports its member's label as sector. EigenSequence.calls records each call.
 """
 
 import ctypes
@@ -98,13 +98,13 @@ class EigenSequence:
 
     vectors holds one B-normalized eigenvector per column. cross_energy and
     cross_mass are the Gram matrices in the energy and mass inner products;
-    their off-diagonals quantify orthogonality. Per pair, iterations holds
-    the applications of B (one per vector) made by the block call that
-    produced it (0 for the dense solve), residual_floors the rounding floor
-    of its residual (_residual_floors), and sectors the label of its member
-    (module docstring): on the cube grid its parity sector, a letter per
-    axis, "e" even and "o" odd under that axis's mirror; None elsewhere,
-    where the report has no sector field.
+    their off-diagonals quantify orthogonality. calls holds one record per
+    block call, none for the dense solve: its block (grid only), the pairs it
+    produced, its applications of B (iterations lists them) and its stop.
+    Per pair, residual_floors holds its residual's rounding floor and sectors
+    the label of its member (module docstring): on the cube grid its parity
+    sector, a letter per axis, "e" even and "o" odd under that axis's mirror;
+    None elsewhere, where the report has no sector field.
     """
 
     lambdas: np.ndarray
@@ -112,7 +112,6 @@ class EigenSequence:
     residuals: np.ndarray
     cross_energy: np.ndarray
     cross_mass: np.ndarray
-    iterations: list
     converged: list
     requested: int
     exhausted: bool
@@ -121,10 +120,15 @@ class EigenSequence:
     warnings: list = field(default_factory=list)
     residual_floors: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sectors: list = field(default_factory=list)
+    calls: list = field(default_factory=list)
 
     @property
     def count(self):
         return int(self.lambdas.size)
+
+    @property
+    def iterations(self):
+        return [call["applications"] for call in self.calls]
 
     def max_cross_energy(self):
         return _max_off_diagonal(self.cross_energy)
@@ -136,14 +140,11 @@ class EigenSequence:
                 "lambda": float(self.lambdas[i]),
                 "residual": float(self.residuals[i]),
                 "b_norm": float(self.cross_mass[i, i]),
-                "iterations": int(self.iterations[i]),
                 "converged": bool(self.converged[i]),
+                **({} if self.sectors[i] is None else {"sector": self.sectors[i]}),
             }
             for i in range(self.count)
         ]
-        for p, sector in zip(pairs, self.sectors):
-            if sector is not None:
-                p["sector"] = sector
         return {
             "method": self.method,
             "requested": self.requested,
@@ -260,23 +261,23 @@ def _residual_floors(pair, lambdas, vectors, AV):
     return floors
 
 
-def _finalize(pair, mus, vecs, applications, requested, asked, method, tol=None, stops=None,
-              sectors=None):
-    """One eigensolver call's mu and vectors as a sequence of measured pairs.
+def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sources=None):
+    """A solve's mu and vectors as a sequence of measured pairs.
 
-    mus, the columns of vecs (at any scale), applications and, if given,
-    stops and sectors hold one entry per pair returned by a call asked for
-    `asked` of `requested` pairs. Pairs go by descending mu, equal mu in the
-    call's order. A mu at or below EXHAUSTION_RTOL * mu_1 (mu <= 0 for the
-    first) proves the positive spectrum exhausted, as do fewer pairs than
-    asked for: it and all below it are dropped, giving a partial sequence,
-    not an error. Each kept vector is scaled to unit g-mass by sqrt(v^T B v)
-    and oriented (_fix_sign); its lambda is its energy e^T A e. A pair is
-    converged when its relative residual is within tol (always without tol).
-    An unconverged pair is warned about as at its rounding floor when its
-    residual is within FLOOR_MARGIN of it, otherwise by its stop entry (why
-    its call stopped); these precede the warning on exhaustion or on the
-    order - 1 cap.
+    mus and the columns of vecs (at any scale) are asked for `asked` of
+    `requested` pairs; calls holds one (block label, applications, stop)
+    per block call, sources (if given) per column its call and member label.
+    Pairs go by descending mu, equal mu in the given order. A mu at or below
+    EXHAUSTION_RTOL * mu_1 (mu <= 0 for the first) proves the positive
+    spectrum exhausted, as do fewer pairs than asked for: it and all below
+    it are dropped, giving a partial sequence, not an error. Each kept vector
+    is scaled to unit g-mass by sqrt(v^T B v) and oriented (_fix_sign); its
+    lambda is its energy e^T A e. A pair is converged when its relative
+    residual is within tol (always without tol). An unconverged pair is
+    warned about as at its rounding floor when its residual is within
+    FLOOR_MARGIN of it, otherwise by its call's stop and its mu_n / mu_1 (an
+    absolute tolerance in mu leaves a small one a large relative residual);
+    these precede the warning on exhaustion or on the order - 1 cap.
     """
     order = sorted(range(len(mus)), key=lambda j: -mus[j])
     kept = [j for j in order if mus[j] > max(EXHAUSTION_RTOL * mus[order[0]], 0.0)]
@@ -301,8 +302,9 @@ def _finalize(pair, mus, vecs, applications, requested, asked, method, tol=None,
         f"pair {i + 1} is at its rounding floor: residual {resid[i]:.3e} is "
         f"{resid[i] / floors[i]:.1f} times the floor {floors[i]:.3e} (tol {tol:.0e})"
         if resid[i] <= FLOOR_MARGIN * floors[i] else
-        f"pair {i + 1} {stops[kept[i]]} at residual {resid[i]:.3e} (tol {tol:.0e})"
-        for i in range(k) if not converged[i]
+        f"pair {i + 1} {calls[sources[j][0]][2]} at residual {resid[i]:.3e} "
+        f"(tol {tol:.0e}, mu_n / mu_1 = {mus[j] / mus[order[0]]:.1e})"
+        for i, j in enumerate(kept) if not converged[i]
     ]
     if k < asked:
         warnings.append(f"no further positive eigenvalue found (found {k} of {requested})")
@@ -317,7 +319,6 @@ def _finalize(pair, mus, vecs, applications, requested, asked, method, tol=None,
         residuals=resid,
         cross_energy=vectors.T @ AV,
         cross_mass=vectors.T @ BV,
-        iterations=[applications[j] for j in kept],
         converged=converged,
         requested=requested,
         exhausted=k < asked,
@@ -325,7 +326,11 @@ def _finalize(pair, mus, vecs, applications, requested, asked, method, tol=None,
         clusters=_detect_clusters(lambdas),
         warnings=warnings,
         residual_floors=floors,
-        sectors=[None if sectors is None else sectors[j] for j in kept],
+        sectors=[None if sources is None else sources[j][1] for j in kept],
+        calls=[{**({} if label is None else {"block": label}),
+                "pairs": [i + 1 for i, j in enumerate(kept) if sources[j][0] == index],
+                "applications": applications, "stop": stop}
+               for index, (label, applications, stop) in enumerate(calls)],
     )
 
 
@@ -495,7 +500,7 @@ def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
         mus, vecs = _tridiagonal_eigh(pair.A, pair.B, k)
     else:
         mus, vecs = _congruence_eigh(pair.A, pair.B, k)
-    return _finalize(pair, mus, vecs, [0] * mus.size, requested=k, asked=k, method="dense")
+    return _finalize(pair, mus, vecs, requested=k, asked=k, method="dense")
 
 
 def _interpolation(shape, mirrored):
@@ -532,8 +537,7 @@ def _vcycle(A, shape, mirrored):
     smooths with SMOOTHING_SWEEPS damped Jacobi sweeps before and after its
     coarse correction; the coarsest (order at most COARSEST_ORDER) is solved
     exactly with a dense inverse. Pre- and post-smoothing mirror each other,
-    so the cycle is a fixed SPD operator and a valid CG preconditioner. It
-    applies to a vector or, column by column, to an (order, m) block.
+    so the cycle is a fixed SPD operator and a valid CG preconditioner.
     """
     order = A.shape[0]
     levels = []
@@ -550,8 +554,6 @@ def _vcycle(A, shape, mirrored):
         if level == len(levels):
             return inv @ b
         A, d, P, R = levels[level]
-        if b.ndim == 2:
-            d = d[:, None]  # a block: one column per right-hand side
         x = d * b
         for _ in range(SMOOTHING_SWEEPS - 1):
             x += d * (b - A @ x)
@@ -560,8 +562,7 @@ def _vcycle(A, shape, mirrored):
             x += d * (b - A @ x)
         return x
 
-    return spla.LinearOperator((order, order), matvec=cycle, matmat=cycle,
-                               dtype=float)
+    return spla.LinearOperator((order, order), matvec=cycle, dtype=float)
 
 
 COARSEST_ORDER = 200  # the multigrid hierarchy solves this order and below densely
@@ -709,9 +710,9 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
 
 
 def _block_pairs(block, ask, settings, seed, index):
-    """The ask largest mu of one block, the index-th, by its route (module
-    docstring) from a start drawn from seed: the mu, their vectors as
-    columns, the call's applications of B and per column why it stopped."""
+    """One call for the ask largest mu of a block, the index-th, by its route
+    (module docstring) from a start drawn from seed: the mu, their vectors as
+    columns, its applications of B and its stop; None if a sector caps ask at 0."""
     A, B = block.A, block.B
     if block.S is None:
         op = _counted(B)
@@ -723,16 +724,10 @@ def _block_pairs(block, ask, settings, seed, index):
         v0 = np.random.default_rng([seed, 0, index]).standard_normal(A.shape[0])
         mus, vecs = spla.eigsh(op, ask, M=A, Minv=inv, which="LA", v0=v0,
                                maxiter=settings.max_iter)
-        # ARPACK converges to a tolerance on the scale of the whole operator, so
-        # a pair whose mu is tiny against mu_1 can keep a large relative residual
-        with np.errstate(divide="ignore", invalid="ignore"):  # no pair is kept when mu_1 <= 0
-            ratios = mus / mus.max()
-        return mus, vecs, op.applications, [
-            f"has mu_n / mu_1 = {ratio:.1e}, and ARPACK's accuracy in mu is absolute, "
-            "so ARPACK converged" for ratio in ratios]
+        return mus, vecs, op.applications, "met ARPACK's tolerance, absolute in mu, and stopped"
     ask = min(ask, np.count_nonzero(B.diagonal() > 0.0))
     if ask < 1:
-        return [], None, 0, []
+        return None
     if 3 * ask > np.count_nonzero(B.diagonal()) and A.shape[0] <= DENSE_THRESHOLD:
         # the eigenvectors of the nonzero mu lie in A^{-1} range(B): past a
         # third of B's rank, LOBPCG's basis of the block, its preconditioned
@@ -740,61 +735,65 @@ def _block_pairs(block, ask, settings, seed, index):
         # breaks down (ring weight, grid 9^3). One application of B per dof is
         # counted, as LOBPCG counts its own dense solve
         mus, vecs = _congruence_eigh(A, B, ask)
-        return mus, vecs, A.shape[0], ["was solved densely"] * ask
+        return mus, vecs, A.shape[0], "was solved densely"
     # a sector keeps c + 1 of an even axis's 2c + 1 nodes, c of an odd one's
     dofs = tuple(s // 2 + (p == "e") for s, p in zip(block.shape, block.label))
-    mus, vecs, applications, stop = _lobpcg(A, B, dofs, [p == "e" for p in block.label], ask,
-                                            settings, seed, index)
-    return mus, vecs, applications, [stop] * ask
+    return _lobpcg(A, B, dofs, [p == "e" for p in block.label], ask, settings, seed, index)
 
 
 def _maximize_quotient(pair, m, settings, seed):
     """The m largest mu of the pencil (B, A), one call per invariant block
     (module docstring), in a stable descending order, their vectors on the
-    full pencil as columns and, per column, the applications of B and the
-    stop reason of its call and its member's label (None off the grid)."""
-    found = []  # (mu, block vectors, column, S, shape, axes, applications, stop, label)
+    full pencil as columns, one (block label, applications, stop) per call,
+    and per column the index of its call and its member's label."""
+    calls = []  # (block, mu, vectors, applications, stop) per call
     # a block after the first asks for ceil((m - 1) / w) pairs, none when m = 1,
     # so then no further block is formed
     for index, block in enumerate(islice(_blocks(pair), None if m > 1 else 1)):
         ask = m if index == 0 else -(-(m - 1) // len(block.members))
-        mus, vecs, applications, stops = _block_pairs(block, ask, settings, seed, index)
-        found += [(mu, vecs, j, block.S, block.shape, axes, applications, stops[j], name)
-                  for j, mu in enumerate(mus) for axes, name in block.members]
-    found = sorted(found, key=lambda f: -f[0])[:m]  # stable: members stay in order
+        call = _block_pairs(block, ask, settings, seed, index)
+        if call is not None:
+            calls.append((block, *call))
+    found = sorted([(mu, c, j, axes, name) for c, (b, mus, *_) in enumerate(calls)
+                    for j, mu in enumerate(mus) for axes, name in b.members],
+                   key=lambda f: -f[0])[:m]  # stable: members stay in order
     if block.S is None:
         # the whole pencil is the only block and needs no carrying: its vectors
         # are reordered in place, as a second order x m array would stay in the
         # heap after them (ru_maxrss 1.3 MB higher on ring M8192 k=24)
+        vecs = calls[0][2]
         vecs[:] = vecs[:, [f[2] for f in found]]
     else:
         vecs = np.zeros((pair.order, len(found)))
-        for j, (_, V, column, S, shape, axes, *_) in enumerate(found):
-            vecs[:, j] = (S @ V[:, column]).reshape(shape).transpose(axes).ravel()
-    return ([f[0] for f in found], vecs, [f[6] for f in found], [f[7] for f in found],
-            [f[8] for f in found])
+        for j, (_, c, column, axes, _) in enumerate(found):
+            b, _, V, *_ = calls[c]
+            vecs[:, j] = (b.S @ V[:, column]).reshape(b.shape).transpose(axes).ravel()
+    return ([f[0] for f in found], vecs, [(b.label, *rest) for b, _, _, *rest in calls],
+            [(f[1], f[4]) for f in found])
 
 
 def solve_successive(pair, settings=None, seed=42):
     """The k = settings.k smallest positive eigenpairs as the k largest mu
     of (B, A): one _maximize_quotient call for min(k, order - 1) of them
-    from starts drawn from seed, whose mu and vectors _finalize turns into
-    pairs, each judged against settings.tol."""
+    from starts drawn from seed, whose mu, vectors and call records _finalize
+    turns into pairs, each judged against settings.tol."""
     settings = settings or SolverSettings()
     settings.validate()
     m = min(settings.k, pair.order - 1)
     if m < 1:
         raise SolverError("the successive solve needs an order of at least 2")
     try:
-        mus, vecs, applications, stops, sectors = _maximize_quotient(pair, m, settings, seed)
+        mus, vecs, calls, sources = _maximize_quotient(pair, m, settings, seed)
     except spla.ArpackNoConvergence as exc:
         done = len(exc.eigenvalues)
         raise SolverError(
             f"pair {done + 1}: ARPACK did not converge within {settings.max_iter} "
             f"restarts ({done} of {m} pairs converged)"
         ) from exc
-    return _finalize(pair, mus, vecs, applications, requested=settings.k, asked=m,
-                     method="successive", tol=settings.tol, stops=stops, sectors=sectors)
+    except spla.ArpackError as exc:
+        raise SolverError(f"ARPACK failed: {exc}") from exc
+    return _finalize(pair, mus, vecs, requested=settings.k, asked=m, method="successive",
+                     tol=settings.tol, calls=calls, sources=sources)
 
 
 @dataclass

@@ -198,6 +198,9 @@ def tabulated(radii, values):
     values = np.asarray(values, dtype=float)
     if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
         raise ValueError("tabulated needs matching 1-d radius/value arrays, >= 2 samples")
+    for name, samples in (("radii", radii), ("values", values)):
+        if not np.all(np.isfinite(samples)):
+            raise ValueError(f"tabulated {name} must be finite")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("tabulated radii must be strictly increasing")
 

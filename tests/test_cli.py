@@ -142,9 +142,28 @@ class TestConfig:
         pytest.param({"out": 5}, "config.out", id="numeric-out"),
         pytest.param({"golden": 5}, "config.golden", id="numeric-golden"),
         pytest.param({"ladder": {"M": 32}}, "config.ladder", id="object-ladder"),
+        # json reads NaN and Infinity, and an integer of any length
+        pytest.param({"problem.weight": {"kind": "gaussian", "width": float("nan")}},
+                     "problem.weight.width", id="nan-width"),
+        pytest.param({"problem.geometry.R": 10**400}, "problem.geometry.R", id="400-digit-R"),
+        pytest.param({"problem.geometry": {"mode": "grid3d", "L": float("inf"), "n": 9}},
+                     "problem.geometry.L", id="infinite-L"),
+        pytest.param({"problem.geometry.q": 1e400}, "problem.geometry.q", id="overflowing-q"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "csv": "nan-row.csv"}},
+                     "problem.weight: tabulated values must be finite", id="nan-csv-row"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, float("inf"), 6],
+                                         "values": [1, 0.5, 0]}},
+                     "problem.weight: tabulated radii must be finite", id="infinite-radius"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 1, 6],
+                                         "values": [1, 10**400, 0]}},
+                     "problem.weight: int too large", id="400-digit-value"),
     ])
-    def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides, named):
-        # each was a traceback or a silent default before; now exit 1 naming the field
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, monkeypatch, overrides,
+                                             named):
+        # each was a traceback, a silent default or a misleading numerical
+        # failure before; now exit 1 naming the field
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan-row.csv").write_text("r,g\n0,1\n1,nan\n6,0\n")
         cfg = small_config(tmp_path, **overrides)
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
@@ -542,6 +561,20 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert "[0, 3]" in err
+
+    def test_arpack_error_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # an ARPACK error other than no convergence (-9999: B overflowed by a
+        # tabulated value of 1e308) is one line and exit 2, not a traceback
+        import degeig.eigensolve as es
+
+        def failing(*args, **kwargs):
+            raise es.spla.ArpackError(-9999)
+
+        monkeypatch.setattr(es.spla, "eigsh", failing)
+        assert main(["solve", "--config", small_config(tmp_path),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: ARPACK failed: ARPACK error -9999: Unknown error\n"
 
     def test_catalogue_lists_borderline(self, tmp_path, capsys):
         assert main(["catalogue", "--N", "3", "--alpha", "1.0"]) == 0

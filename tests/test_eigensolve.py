@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from degeig.assembly import DiscreteOperatorPair, assemble_radial, mass_inner
+from degeig.assembly import DiscreteOperatorPair, assemble_radial
 from degeig.eigensolve import (
     SolverError,
     SolverSettings,
@@ -151,7 +151,7 @@ class TestDense:
             pair, k = assemble_radial(mesh, 3, 1.0, sign_changing_ring()), 14
         assert es._bandwidth(pair.A) == es._bandwidth(pair.B) == 1
         mus, vecs = es._congruence_eigh(pair.A, pair.B, k)
-        ref = es._finalize(pair, mus, vecs, [0] * mus.size, requested=k, asked=k, method="dense")
+        ref = es._finalize(pair, mus, vecs, requested=k, asked=k, method="dense")
 
         def refuse(*args):
             raise AssertionError("a tridiagonal pencil took the congruence")
@@ -225,7 +225,7 @@ class TestDense:
         finally:
             tracemalloc.stop()
         if kind == "sector":
-            assert result[2:] == (n, ["was solved densely"] * 28) and np.all(result[0] > 0.0)
+            assert result[2:] == (n, "was solved densely") and np.all(result[0] > 0.0)
         else:
             assert result.count == 6
         if kind == "radial":
@@ -459,8 +459,8 @@ class TestSuccessive:
     def test_one_eigensolver_call_for_all_pairs(self, monkeypatch, kind):
         # radial: one ARPACK call returns every pair. Grid: one LOBPCG call
         # per parity sector returns every pair of that sector and of the
-        # sectors its axis permutations reach; each pair reports the B
-        # applications of the call that produced it
+        # sectors its axis permutations reach; each call is one record of the
+        # pairs it produced and its applications of B
         import degeig.eigensolve as es
 
         name = "eigsh" if kind == "radial" else "lobpcg"
@@ -484,7 +484,8 @@ class TestSuccessive:
         if kind == "radial":
             # the whole pencil is the one block: one call asking for min(k, order - 1)
             assert calls == [pair.order] and asks == [4]
-            assert len(set(seq.iterations)) == 1 and seq.iterations[0] > 0
+            assert len(seq.calls) == 1 and seq.calls[0]["pairs"] == [1, 2, 3, 4]
+            assert "block" not in seq.calls[0] and seq.iterations[0] > 0
             small = assemble_radial(build_radial_mesh(6.0, 8, 1.0), 3, 1.0, gaussian_bump())
             calls.clear()
             asks.clear()
@@ -495,24 +496,64 @@ class TestSuccessive:
         # each on its own dofs: (c + 1) per even axis, c per odd, c = 4
         assert calls == [125, 100, 80, 64]
         assert seq.sectors[0] == "eee"
-        by_sector = {}
-        for sector, count in zip(seq.sectors, seq.iterations):
-            by_sector.setdefault(_orbit(sector), set()).add(count)
-        assert all(len(counts) == 1 and min(counts) > 0 for counts in by_sector.values())
+        assert [c["block"] for c in seq.calls] == ["eee", "oee", "ooe", "ooo"]
+        assert sorted(n for c in seq.calls for n in c["pairs"]) == [1, 2, 3, 4]
+        assert all(count > 0 for count in seq.iterations)
+
+    @pytest.mark.parametrize("case", ["radial", "grid13-k6", "ring-grid15-k12"])
+    def test_call_records_are_the_work(self, monkeypatch, case):
+        # seq.iterations is each call's work, in call order: the final count
+        # of the operator _counted wraps for it, or one application per dof
+        # for a sector solved densely (the ring's eee on 15^3, 343 dofs).
+        # Each record's pairs are exactly the reported pairs whose sector is
+        # a member of its block; a call may produce none
+        import degeig.eigensolve as es
+
+        work = []  # per call: its counted operator, or its order if dense
+        counted, congruence = es._counted, es._congruence_eigh
+
+        def recording_counted(B):
+            work.append(counted(B))
+            return work[-1]
+
+        def recording_congruence(A, B, m):
+            work.append(A.shape[0])
+            return congruence(A, B, m)
+
+        monkeypatch.setattr(es, "_counted", recording_counted)
+        monkeypatch.setattr(es, "_congruence_eigh", recording_congruence)
+        pair, k = {
+            "radial": lambda: (assemble_radial(build_radial_mesh(6.0, 512, 1.0), 3, 1.0,
+                                               sign_changing_ring()), 6),
+            "grid13-k6": lambda: (_grid_pair(13), 6),
+            "ring-grid15-k12": lambda: (_grid_pair(15, sign_changing_ring()), 12),
+        }[case]()
+        seq = es.solve_successive(pair, SolverSettings(k=k))
+        assert seq.iterations == [w if isinstance(w, int) else w.applications for w in work]
+        assert all(count > 0 for count in seq.iterations)
+        assert (343 in work) == (case == "ring-grid15-k12")
+        orbits = [None if s is None else _orbit(s) for s in seq.sectors]
+        for call in seq.calls:
+            assert call["pairs"] == [n for n, o in enumerate(orbits, 1) if o == call.get("block")]
+        assert sorted(n for call in seq.calls for n in call["pairs"]) == list(range(1, k + 1))
 
     def test_equal_mu_keep_the_call_order(self, monkeypatch):
-        # pairs of equal mu are walked in the order the call returned them,
-        # each with its own applications; nothing re-sorts them
+        # pairs of equal mu are walked in the order they were returned, each
+        # with its own call; nothing re-sorts them, and each call's record
+        # names the pair it produced, whatever the order of the calls
         import degeig.eigensolve as es
 
         pair = toy_pair(np.diag([1.0, 1.0, 3.0]), np.eye(3))
         vecs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])  # e_2, then e_1
         monkeypatch.setattr(es, "_maximize_quotient", lambda *a: (
-            [1.0, 1.0], vecs, [7, 9], ["stopped at a", "stopped at b"], [None, None]))
+            [1.0, 1.0], vecs, [(None, 7, "stopped at a"), (None, 9, "stopped at b")],
+            [(1, None), (0, None)]))
         seq = es.solve_successive(pair, SolverSettings(k=2))
         assert seq.clusters == [[0, 1]]
         assert np.array_equal(seq.vectors, vecs)
         assert seq.iterations == [7, 9]
+        assert seq.calls == [{"pairs": [2], "applications": 7, "stop": "stopped at a"},
+                             {"pairs": [1], "applications": 9, "stop": "stopped at b"}]
 
     @pytest.mark.parametrize("grid", [False, True])
     def test_returned_mu_are_rayleigh_quotients(self, grid, gaussian_pair_512):
@@ -520,25 +561,30 @@ class TestSuccessive:
         # Rayleigh-Ritz values) are the quotients of the vectors it returns.
         # Both geometries return one shape: mu non-increasing, equal mu (the
         # grid's triple, one sector vector carried to three members) in the
-        # call's order, and per column one applications count, one stop
-        # reason and one member label, None off the grid
+        # call's order, one record (block label, applications, stop) per
+        # call, and per column the index of its call and one member label,
+        # None off the grid
         import degeig.eigensolve as es
 
         pair = _grid_pair(11) if grid else gaussian_pair_512
-        mus, vecs, applications, stops, labels = es._maximize_quotient(
-            pair, 5, SolverSettings(k=5), 42)
+        mus, vecs, calls, sources = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        labels = [label for _, label in sources]
         quotients = (np.einsum("ij,ij->j", vecs, pair.B @ vecs)
                      / np.einsum("ij,ij->j", vecs, pair.A @ vecs))
         assert_allclose(mus, quotients, rtol=1e-12)
         assert vecs.shape == (pair.order, 5)
         assert all(a >= b for a, b in zip(mus, mus[1:]))
-        assert len(applications) == len(stops) == len(labels) == 5
-        assert all(isinstance(a, int) and a > 0 for a in applications)
+        assert len(sources) == 5
+        assert all(isinstance(a, int) and a > 0 and isinstance(stop, str)
+                   for _, a, stop in calls)
         if grid:
+            assert [label for label, *_ in calls] == ["eee", "oee", "ooe", "ooo"]
+            assert [c for c, _ in sources] == [0, 0, 1, 1, 1]
             assert labels == ["eee", "eee", "oee", "eoe", "eeo"]
             assert mus[2] == mus[3] == mus[4]
         else:
-            assert labels == [None] * 5
+            assert [label for label, *_ in calls] == [None]
+            assert sources == [(0, None)] * 5
             assert len(set(mus)) == 5
 
     def test_k_at_least_order_warns_of_cap(self):
@@ -642,7 +688,8 @@ class TestSuccessive:
         ref = solve_dense(pair, 70)
         seq = solve_successive(pair, SolverSettings(k=70))
         orders = {"eee": 64, "oee": 48, "ooe": 36, "ooo": 27}
-        assert seq.iterations == [orders[_orbit(s)] for s in seq.sectors]
+        assert [(c["block"], c["applications"]) for c in seq.calls] == list(orders.items())
+        assert all(c["stop"] == "was solved densely" for c in seq.calls)
         assert set(map(_orbit, seq.sectors)) == set(orders)
         assert all(seq.converged)
         assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
@@ -661,12 +708,12 @@ class TestSuccessive:
         for i in stalled:
             assert seq.residuals[i] <= 10.0 * seq.residual_floors[i]
             assert any(w.startswith(f"pair {i + 1} is at its rounding floor") for w in seq.warnings)
-        assert not any("ARPACK's accuracy in mu is absolute" in w for w in seq.warnings)
+        assert not any("met ARPACK's tolerance" in w for w in seq.warnings)
 
     def test_small_mu_arpack_pair_names_its_ratio(self):
         # mu_2 is 1e-9 of mu_1: ARPACK's accuracy in mu is absolute, so that
         # pair keeps a relative residual far above its rounding floor, and its
-        # warning gives mu_n / mu_1 as the cause
+        # warning gives its call's stop and mu_n / mu_1 as the cause
         from degeig.eigensolve import FLOOR_MARGIN
 
         pair = toy_pair(np.eye(5), np.diag([1.0, 1e-9, -1e5, -2e5, -3e5]))
@@ -674,8 +721,8 @@ class TestSuccessive:
         assert seq.count == 2 and seq.converged == [True, False]
         assert seq.residuals[1] > FLOOR_MARGIN * seq.residual_floors[1]
         assert seq.warnings == [
-            f"pair 2 has mu_n / mu_1 = 1.0e-09, and ARPACK's accuracy in mu is absolute, so "
-            f"ARPACK converged at residual {seq.residuals[1]:.3e} (tol 1e-09)",
+            f"pair 2 met ARPACK's tolerance, absolute in mu, and stopped at residual "
+            f"{seq.residuals[1]:.3e} (tol 1e-09, mu_n / mu_1 = 1.0e-09)",
             "no further positive eigenvalue found (found 2 of 3)",
         ]
 
@@ -720,6 +767,7 @@ class TestParitySectors:
         # eee, oee and ooe ask for all they hold (18 = 6 + 3 x 3 + 3 x 1); ooo
         # has no positive B entry and is skipped
         assert asked == [(6, 6), (3, 3), (1, 1)]
+        assert [c["block"] for c in seq.calls] == ["eee", "oee", "ooe"]
         assert any("found 18 of 30" in w for w in seq.warnings)
 
     @pytest.mark.parametrize("seed", range(1, 9))
@@ -763,7 +811,8 @@ class TestParitySectors:
             return np.allclose(u, sign * v, rtol=4 * np.finfo(float).eps, atol=0.0)
 
         pair = _grid_pair(11)
-        _, vecs, _, _, sectors = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        _, vecs, _, sources = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        sectors = [label for _, label in sources]
         members = [vecs[:, j].reshape((9,) * 3) for j, s in enumerate(sectors) if s != "eee"]
         assert sorted(s for s in sectors if s != "eee") == ["eeo", "eoe", "oee"]
         assert all(carried(u, v, np.array_equal) for u, v in combinations(members, 2))
@@ -823,11 +872,11 @@ class TestPeakMemory:
 
         mesh = build_radial_mesh(6.0, 8192, grading_for_span(8192, 1e4))
         pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
-        mus, vecs, applications, stops, _ = _maximize_quotient(pair, 24, SolverSettings(k=24), 42)
+        mus, vecs, calls, sources = _maximize_quotient(pair, 24, SolverSettings(k=24), 42)
 
         def finalize():
-            return _finalize(pair, mus, vecs, applications, 24, 24, "successive", tol=1e-9,
-                             stops=stops)
+            return _finalize(pair, mus, vecs, 24, 24, "successive", tol=1e-9, calls=calls,
+                             sources=sources)
 
         finalize()  # first-call caches stay out of the count
         tracemalloc.start()
@@ -938,20 +987,6 @@ class TestMultigrid:
         assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
         assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
 
-    @pytest.mark.parametrize("coarsest", [200, 8])
-    def test_vcycle_applies_to_blocks(self, monkeypatch, coarsest):
-        # grid 11^3 has 9^3 dofs: two levels at the default cutoff, three at 8
-        import degeig.eigensolve as es
-
-        monkeypatch.setattr(es, "COARSEST_ORDER", coarsest)
-        pair = _grid_pair(11)
-        M = es._vcycle(pair.A.tocsr(), (9, 9, 9), (False,) * 3)
-        X = np.random.default_rng(3).standard_normal((pair.order, 3))
-        columns = np.column_stack([M @ x for x in X.T])
-        assert_allclose(M @ X, columns, rtol=1e-13, atol=1e-13 * np.abs(columns).max())
-        assert_allclose(M.matvec(X[:, :1]), columns[:, :1], rtol=1e-13,
-                        atol=1e-13 * np.abs(columns).max())
-
     @pytest.mark.parametrize("n, k", [(21, 6), (31, 2), (41, 1)])
     def test_cg_iterations_per_inner_solve_flat(self, monkeypatch, n, k):
         # one V-cycle preconditioner brings inner CG to relative residual 0.1
@@ -979,10 +1014,10 @@ class TestVariationalStructure:
     def test_quotient_scale_invariance(self, gaussian_pair_512, rng):
         pair = gaussian_pair_512
         u = rng.standard_normal(pair.order)
-        q0 = (u @ (pair.A @ u)) / mass_inner(pair, u)
+        q0 = (u @ (pair.A @ u)) / (u @ (pair.B @ u))
         for c in (1e-3, 7.0, -250.0):
             v = c * u
-            q = (v @ (pair.A @ v)) / mass_inner(pair, v)
+            q = (v @ (pair.A @ v)) / (v @ (pair.B @ v))
             assert abs(q - q0) <= 1e-12 * abs(q0)
 
     def test_ground_value_is_variational_minimum(self, rng):
@@ -1045,7 +1080,7 @@ class TestGrowthDiagnostics:
             lambdas=np.zeros(0), vectors=np.zeros((gaussian_pair_512.order, 0)),
             residuals=np.zeros(0),
             cross_energy=np.zeros((0, 0)), cross_mass=np.zeros((0, 0)),
-            iterations=[], converged=[], requested=1, exhausted=True,
+            converged=[], requested=1, exhausted=True,
             method="successive",
         )
         with pytest.raises(ValueError):

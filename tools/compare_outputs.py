@@ -7,11 +7,12 @@ case of NEW_TREE's perfbench/workloads.py, with the config and arguments the
 benchmark gives them and the seed every workload config carries, plus
 `catalogue --out`, `check` on the ring preset at alpha = 1.5 (a sign-changing
 weight and a second alpha next to the benchmark's gaussian check),
-`solve --export-matrices` on one radial and one grid 13^3 problem, and two
-ring-weight grid solves that reach the sector routes no workload case does:
-15^3 with k = 12, whose eee sector (343 dofs) is solved densely, and 9^3 with
+`solve --export-matrices` on one radial and one grid 13^3 problem, two
+ring-weight grid solves that reach the sector routes no workload case does
+(15^3 with k = 12, whose eee sector (343 dofs) is solved densely, and 9^3 with
 k = 40, whose sectors are capped by their positive B entries and which
-stops at 6 of 40 pairs. Each
+stops at 6 of 40 pairs), and one radial solve of an inline, sign-changing
+tabulated weight, which no workload case uses. Each
 command runs once against each tree, in its own process with one BLAS thread.
 The report's `meta` field (its only nondeterministic part) is dropped before
 comparing; every other file (CSV tables, .npy eigenvectors, matrix exports) is
@@ -69,6 +70,12 @@ def commands(workloads):
         problem = {**workloads.grid(n, k), "weight": {"kind": "ring"}}
         out.append((f"solve-ring-grid{n}-k{k}", {"problem": problem, "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
+    table = {"kind": "tabulated", "radii": [0, 0.5, 1, 1.5, 2, 2.5, 3, 4, 6],
+             "values": [1, 0.9, 0.6, 0.2, -0.1, -0.2, -0.1, 0, 0]}
+    out.append(("solve-tabulated-inline",
+                {"problem": {**workloads.radial("tabulated", 1.0, 512, 4), "weight": table},
+                 "seed": SEED},
+                ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
     return out
 
 
