@@ -10,9 +10,15 @@ summed one Gauss point at a time (_hat_form); 3-d mode uses a conservative
 as CSR directly, exactly symmetric, with no COO staging. A pair stores no
 interpolation matrix: point values come from the hat functions on a radial
 mesh and are the nodal values on the cube (_point_values).
+
+Assembly builds A, B and the dof positions. H, and on a radial mesh the
+volume quadrature, are built on first read (DiscreteOperatorPair), from the
+same expressions, so solve's eigensolver runs without them. A weight whose
+finite values overflow B is refused here, before any solver runs.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +43,7 @@ def _symmetrized(mat):
     return ((mat + mat.T) * 0.5).tocsr()
 
 
-def _csr(vals, base, offsets, shape, keep=True):
+def _csr(vals, base, offsets, shape, keep):
     """CSR matrix from fixed per-row slots, with no COO staging.
 
     Slot j of row i holds vals[i, j] in column base[i] + offsets[j]; slots
@@ -54,6 +60,12 @@ def _csr(vals, base, offsets, shape, keep=True):
 class DiscreteOperatorPair:
     """Assembled operators sharing one degree-of-freedom numbering.
 
+    A pair is built with A, B and the dof positions. The Hardy matrix H
+    (read by check, converge's Hardy slack and --export-matrices) is built on
+    first read, and so are a radial mesh's quad_weights and gplus_quad (read
+    once the eigensolver has returned); a cube grid's quadrature comes with B,
+    from the same weight values, and a pair from_matrices is given all three.
+
     quad_weights are volume weights (measure included) at the quadrature
     points and gplus_quad the weight's positive part there, one entry per
     point. On a radial mesh the points are the MASS_GAUSS_ORDER Gauss points
@@ -63,22 +75,35 @@ class DiscreteOperatorPair:
     of a nodal function runs through the same quadrature path.
     """
 
-    def __init__(self, A, B, H, quad_weights, gplus_quad, geometry, N, alpha, mode,
-                 dof_positions):
+    def __init__(self, A, B, geometry, N, alpha, mode, dof_positions, spec=None):
         self.A = A
         self.B = B
-        self.H = H
-        self.quad_weights = quad_weights
-        self.gplus_quad = gplus_quad
         self.geometry = geometry
         self.N = N
         self.alpha = alpha
         self.mode = mode
         self.dof_positions = dof_positions
+        self.spec = spec
 
     @property
     def order(self):
         return self.A.shape[0]
+
+    @cached_property
+    def H(self):
+        if self.mode == "radial":
+            return _radial_hardy(self.geometry, self.N, self.alpha)
+        return _grid_hardy(self.geometry, self.alpha, self.dof_positions)
+
+    @cached_property
+    def quad_weights(self):
+        mesh, N = self.geometry, self.N
+        return _at_gauss_points(mesh, lambda j, r: _volume_weight(mesh, N, j, r))
+
+    @cached_property
+    def gplus_quad(self):
+        mesh, spec = self.geometry, self.spec
+        return _at_gauss_points(mesh, lambda j, r: _positive_part(spec, mesh, r))
 
     @classmethod
     def from_matrices(cls, A, B, H=None, quad_weights=None):
@@ -92,9 +117,11 @@ class DiscreteOperatorPair:
         n = A.shape[0]
         if B.shape != A.shape:
             raise ValueError("A and B must share their order")
-        H = _symmetrized(sp.csr_matrix(H)) if H is not None else sp.csr_matrix((n, n))
-        w = np.ones(n) if quad_weights is None else np.asarray(quad_weights, float)
-        return cls(A, B, H, w, None, None, None, None, "matrices", np.arange(n, dtype=float))
+        pair = cls(A, B, None, None, None, "matrices", np.arange(n, dtype=float))
+        pair.H = _symmetrized(sp.csr_matrix(H)) if H is not None else sp.csr_matrix((n, n))
+        pair.quad_weights = np.ones(n) if quad_weights is None else np.asarray(quad_weights, float)
+        pair.gplus_quad = None
+        return pair
 
 
 def _check_vector(pair, u):
@@ -204,37 +231,90 @@ def _hat_form(mesh, weight):
     for j, (r, left, _) in enumerate(_gauss_points(mesh)):
         diag += left * (left * weight(j, r))  # node a as element a's left node
     upper += lower
+    del lower
     # a sum is stored when nonzero before halving, which may underflow to 0
-    return _tridiagonal(diag, 0.5 * upper, upper != 0.0)
+    stored = upper != 0.0
+    upper *= 0.5
+    return _tridiagonal(diag, upper, stored)
 
 
 def _tridiagonal(diag, upper, stored):
     """The symmetric tridiagonal CSR matrix with this diagonal and with upper[i]
     in row i, column i + 1 and in its mirror, storing the nonzero diagonal
     entries and the off-diagonal ones where stored holds (upper[-1] and
-    stored[-1] lie past the matrix)."""
+    stored[-1] lie past the matrix).
+
+    The CSR arrays are written at their final size. Row i holds (i, i - 1),
+    (i, i) and (i, i + 1), each if stored, in that order, so (i, i + 1) is
+    the last slot of row i and its mirror (i + 1, i) the first of row i + 1.
+    """
     M = diag.size
-    vals = np.column_stack([np.r_[0.0, upper[:-1]], diag, upper])
-    keep = np.column_stack([np.r_[False, stored[:-1]], diag != 0.0, stored])
-    return _csr(vals, np.arange(M, dtype=np.int32), [-1, 0, 1], (M, M), keep)
+    up = stored.copy()
+    up[-1] = False
+    nonzero = diag != 0.0
+    counts = nonzero.astype(np.int32)
+    counts += up
+    counts[1:] += up[:-1]
+    indptr = np.zeros(M + 1, dtype=np.int32)
+    np.cumsum(counts, dtype=np.int32, out=indptr[1:])
+    del counts
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    ends, rows = indptr[1:], np.arange(M, dtype=np.int32)
+    vals, cols, at = upper[up], rows[up], ends[up]
+    data[at], indices[at] = vals, cols  # (i + 1, i)
+    at -= 1
+    cols += 1
+    data[at], indices[at] = vals, cols  # (i, i + 1)
+    del vals, cols
+    at = ends[nonzero]
+    at -= 1
+    at -= up[nonzero]
+    data[at], indices[at] = diag[nonzero], rows[nonzero]  # (i, i)
+    return sp.csr_matrix((data, indices, indptr), shape=(M, M))
 
 
-def _volume_quadrature(mesh, N, spec):
-    """Volume weights (measure included), g^+ and g at the mass rule's points
-    of a radial mesh, (M, G) arrays filled one Gauss point at a time."""
-    h, omega = mesh.element_sizes, sphere_area(N)
+def _volume_weight(mesh, N, j, r):
+    """Volume weights (measure included) at Gauss point j, radii r, of every
+    element of a radial mesh."""
     gw = gauss_rule(MASS_GAUSS_ORDER)[1]
-    weights, gplus, g = (np.empty((h.size, gw.size)) for _ in range(3))
+    return (0.5 * mesh.element_sizes * gw[j]) * sphere_area(N) * r ** (N - 1)
+
+
+def _positive_part(spec, mesh, r):
+    """g^+ at radii r, one per element."""
+    gi, gd, _ = _split(spec, mesh, r)
+    return gi + gd
+
+
+def _at_gauss_points(mesh, value):
+    """value(j, r) at the mass rule's points of a radial mesh, raveled element
+    by element: an (M, G) array filled one Gauss point at a time."""
+    out = np.empty((mesh.num_elements, MASS_GAUSS_ORDER))
     for j, (r, _, _) in enumerate(_gauss_points(mesh)):
-        weights[:, j] = (0.5 * h * gw[j]) * omega * r ** (N - 1)
-        gi, gd, gm = _split(spec, mesh, r)
-        gplus[:, j] = gi + gd
-        g[:, j] = gplus[:, j] - gm
-    return weights, gplus, g
+        out[:, j] = value(j, r)
+    return out.ravel()
+
+
+def _mass(spec, build):
+    """The mass matrix that build() returns, refused with an AssemblyError
+    naming the weight when one of its entries overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = build()
+    if not np.isfinite(B.data).all():
+        raise AssemblyError(f"weight '{spec.name}' overflows the mass matrix B: "
+                            "an entry is not finite")
+    return B
+
+
+def _radial_hardy(mesh, N, alpha):
+    """H of assemble_radial: the hat form of the kernel r^(alpha - 2)."""
+    return _hat_form(mesh, lambda j, r: _volume_weight(mesh, N, j, r) * r ** (alpha - 2.0))
 
 
 def assemble_radial(mesh, N, alpha, spec):
-    """P1 assembly of A, B, H on a radial mesh, reduced over radial functions.
+    """P1 assembly of A and B on a radial mesh, reduced over radial functions
+    (H and the volume quadrature follow on first read, DiscreteOperatorPair).
 
     The stiffness integrand r^(alpha+N-1) phi_i' phi_j' is a monomial times
     constants, so element stiffness entries use the exact antiderivative
@@ -260,17 +340,19 @@ def assemble_radial(mesh, N, alpha, spec):
     # so A is tridiagonal and exactly symmetric as built; s underflows to 0
     # near r = 0 on steeply graded meshes, and such entries are not stored
     A = _tridiagonal(s + np.r_[0.0, s[:-1]], -s, s != 0.0)
+    del h, moment, s
 
-    quad_weights, gplus, g = _volume_quadrature(mesh, N, spec)
-    B = _hat_form(mesh, lambda j, r: quad_weights[:, j] * g[:, j])
-    del g
-    H = _hat_form(mesh, lambda j, r: quad_weights[:, j] * r ** (alpha - 2.0))
+    def mass_weight(j, r):  # w_q g, with g = g^+ - g^-, one temporary at a time
+        gi, gd, gm = _split(spec, mesh, r)
+        g = gi + gd
+        del gi, gd
+        g -= gm
+        del gm
+        g *= _volume_weight(mesh, N, j, r)
+        return g
 
-    return DiscreteOperatorPair(
-        A=A, B=B, H=H, quad_weights=quad_weights.ravel(), gplus_quad=gplus.ravel(),
-        geometry=mesh, N=N, alpha=alpha, mode="radial",
-        dof_positions=nodes[:-1].copy(),
-    )
+    B = _mass(spec, lambda: _hat_form(mesh, mass_weight))
+    return DiscreteOperatorPair(A, B, mesh, N, alpha, "radial", nodes[:-1].copy(), spec)
 
 
 def _sym_norm(points):
@@ -331,6 +413,7 @@ def _grid_stiffness(grid, alpha):
     # a neighbour on the boundary is no dof
     vals = np.stack([-lower[0], -lower[1], -lower[2], diag,
                      -upper[2], -upper[1], -upper[0]], axis=-1).reshape(-1, 7)
+    del lower, upper, diag
     keep = np.ones((m, m, m, 7), dtype=bool)
     keep[0, :, :, 0] = keep[:, 0, :, 1] = keep[:, :, 0, 2] = False
     keep[:, :, -1, 4] = keep[:, -1, :, 5] = keep[-1, :, :, 6] = False
@@ -347,7 +430,8 @@ def assemble_grid3d(grid, alpha, spec):
     midpoint; the six faces of the origin-centered cell instead use the exact
     radial average of the power over [0, hs], which keeps the conservation
     form nondegenerate at the singular node. B and H are lumped diagonal;
-    the origin's Hardy weight is the exact cell integral of the kernel.
+    the origin's Hardy weight is the exact cell integral of the kernel. H is
+    built on first read (_grid_hardy); the quadrature comes with B.
     """
     if not 0.0 < alpha < 2.0:
         raise AssemblyError("alpha must lie in (0, 2)")
@@ -355,26 +439,28 @@ def assemble_grid3d(grid, alpha, spec):
 
     hs = grid.hs
     pts = grid.interior_points()
-    radii = _sym_norm(pts)
     cell = hs**3
     try:
-        gi, gd, gm = weight_split(spec, radii)
+        gi, gd, gm = weight_split(spec, _sym_norm(pts))
     except WeightDomainError as exc:
         raise AssemblyError(f"weight evaluation failed on the grid: {exc}") from exc
     gplus_nodes = gi + gd
-    B = sp.diags(cell * (gplus_nodes - gm), format="csr")
+    B = _mass(spec, lambda: sp.diags(cell * (gplus_nodes - gm), format="csr"))
 
+    pair = DiscreteOperatorPair(A, B, grid, 3, alpha, "grid3d", pts, spec)
+    pair.quad_weights, pair.gplus_quad = np.full(grid.num_interior, cell), gplus_nodes
+    return pair
+
+
+def _grid_hardy(grid, alpha, pts):
+    """H of assemble_grid3d: lumped, the kernel |x|^(alpha - 2) times the cell
+    volume at each dof, and its exact cell integral at the origin."""
+    radii = _sym_norm(pts)
     hardy = np.zeros_like(radii)
     nz = radii > 0.0
-    hardy[nz] = radii[nz] ** (alpha - 2.0) * cell
-    hardy[~nz] = origin_cell_kernel_integral(hs, alpha)
-    H = sp.diags(hardy, format="csr")
-
-    return DiscreteOperatorPair(
-        A=A, B=B, H=H, quad_weights=np.full(grid.num_interior, cell), gplus_quad=gplus_nodes,
-        geometry=grid, N=3, alpha=alpha, mode="grid3d",
-        dof_positions=pts,
-    )
+    hardy[nz] = radii[nz] ** (alpha - 2.0) * grid.hs**3
+    hardy[~nz] = origin_cell_kernel_integral(grid.hs, alpha)
+    return sp.diags(hardy, format="csr")
 
 
 def export_coo(mat, path):

@@ -238,6 +238,8 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer of more than 4300 digits, say
+        raise ConfigError(f"{path}: {exc}") from exc
     return run_config_from_dict(doc)
 
 

@@ -717,7 +717,8 @@ def _block_pairs(block, ask, settings, seed, index):
     if block.S is None:
         op = _counted(B)
         try:
-            lu = spla.splu(A.tocsc())
+            # A is exactly symmetric as built, so its CSR arrays are its CSC ones
+            lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape))
         except RuntimeError as exc:
             raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
         inv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=float)

@@ -289,12 +289,14 @@ class TestErrorsAndExport:
 
 
 def _pair_bytes(pair):
-    """Bytes held by the arrays and sparse matrices of an assembled pair."""
-    total = 0
-    for mat in (pair.A, pair.B, pair.H):
+    """Bytes held by the arrays and sparse matrices that assembly builds: A,
+    B, the dof positions and, on the grid, the quadrature (H, and a radial
+    mesh's quadrature, are built on first read)."""
+    total = pair.dof_positions.nbytes
+    for mat in (pair.A, pair.B):
         total += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    for arr in (pair.quad_weights, pair.gplus_quad, pair.dof_positions):
-        total += arr.nbytes
+    if pair.mode == "grid3d":
+        total += pair.quad_weights.nbytes + pair.gplus_quad.nbytes
     return total
 
 
@@ -398,10 +400,13 @@ class TestDirectAssembly:
         monkeypatch.undo()
         assert _same_csr(pair.A, _coo_reference(pair))
 
-    @pytest.mark.parametrize("kind, n, bound", [("grid", 31, 1.5), ("ring", 8192, 2.25)])
+    @pytest.mark.parametrize("kind, n, bound", [("grid", 31, 1.5), ("ring", 8192, 2.75)])
     def test_assembly_peak_near_live_size(self, kind, n, bound):
-        # no COO staging and no symmetrizing copy of A: the grid's transient
-        # was 4.3x its live size (31^3), the radial one 2.6x (M = 8192)
+        # live size counts what assembly builds. No COO staging and no
+        # symmetrizing copy of A: the grid's transient (31^3) was 4.3x, and
+        # 1.62x while A's face arrays outlived their stacking. The radial
+        # peak (M = 8192) is 2.65x, B's per-element Gauss-point temporaries;
+        # staged tridiagonals, an eager H and an eager quadrature made it 5.0x
         import tracemalloc
 
         _assemble(kind, n)  # first-call caches stay out of the count
@@ -426,25 +431,49 @@ class TestDirectAssembly:
         (gaussian_bump(), 3, 1.5, 2000, 1.004),
         (indicator_ball(2.0), 4, 0.7, 300, 1.0),
         (gaussian_bump(), 5, 1.2, 513, 1.3),  # r^(N-1) w underflows near r = 0
+        (gaussian_bump(), 3, 1.0, 13, None),  # the cube grid 13^3
     ])
     def test_mass_hardy_and_point_values_equal_interpolated_reference(self, spec, N, alpha, M,
                                                                       q, rng):
         # B and H are E^T diag(w) E, symmetrized, with E the hat interpolation
-        # to the Gauss points, and point values are E u: all equal, bit for
-        # bit, to that reference, stored zeros and index arrays included
+        # to the Gauss points (the identity on the grid, whose origin takes
+        # the kernel's exact cell integral), and point values are E u: all
+        # equal, bit for bit, to that reference, stored zeros and index arrays
+        # included. H, and a radial mesh's quadrature, are built on first
+        # read, in either order
         import scipy.sparse as sp
 
-        from degeig.assembly import _symmetrized
-        from degeig.weights import weight_value
+        from degeig.assembly import _sym_norm, _symmetrized
+        from degeig.weights import weight_split, weight_value
 
-        mesh = build_radial_mesh(6.0, M, q)
-        pair = assemble_radial(mesh, N, alpha, spec)
-        qr, half_gw, E = _hat_interpolation(mesh)
-        w = (half_gw * sphere_area(N) * qr ** (N - 1)).ravel()
-        assert np.array_equal(pair.quad_weights, w)
-        r = qr.ravel()
+        if q is None:
+            grid = build_grid3d(6.0, M)
+            pairs = [assemble_grid3d(grid, alpha, spec) for _ in range(2)]
+            r = _sym_norm(grid.interior_points())
+            w, E = np.full(r.size, grid.hs**3), sp.identity(r.size, format="csr")
+            kernel = np.full(r.size, origin_cell_kernel_integral(grid.hs, alpha))
+            kernel[r > 0.0] = w[r > 0.0] * r[r > 0.0] ** (alpha - 2.0)
+            lazy = {"H"}
+        else:
+            mesh = build_radial_mesh(6.0, M, q)
+            pairs = [assemble_radial(mesh, N, alpha, spec) for _ in range(2)]
+            qr, half_gw, E = _hat_interpolation(mesh)
+            w = (half_gw * sphere_area(N) * qr ** (N - 1)).ravel()
+            r = qr.ravel()
+            kernel = w * r ** (alpha - 2.0)
+            lazy = {"H", "quad_weights", "gplus_quad"}
+        gi, gd, _ = weight_split(spec, r)
+        for pair, fields in zip(pairs, [("quad_weights", "gplus_quad", "H"),
+                                        ("H", "gplus_quad", "quad_weights")]):
+            assert lazy.isdisjoint(vars(pair))
+            for field in fields:
+                getattr(pair, field)
+            assert np.array_equal(pair.quad_weights, w)
+            assert np.array_equal(pair.gplus_quad, gi + gd)
+            H = _symmetrized(E.T @ sp.diags(kernel) @ E)
+            assert _same_csr(pair.H, H)
+        pair = pairs[0]
         assert _same_csr(pair.B, _symmetrized(E.T @ sp.diags(w * weight_value(spec, r)) @ E))
-        assert _same_csr(pair.H, _symmetrized(E.T @ sp.diags(w * r ** (alpha - 2.0)) @ E))
         for _ in range(3):
             u = rng.standard_normal(pair.order)
             pu = E @ u

@@ -9,10 +9,19 @@ from degeig.cli import main
 from degeig.config import (
     ConfigError,
     PRESETS,
+    load_config,
     load_preset,
     run_config_from_dict,
 )
 from degeig.mesh import grading_for_span
+
+
+class Digits:
+    """An integer literal of this many digits in a config's text, which
+    json.dumps cannot write (it refuses integers of more than 4300 digits)."""
+
+    def __init__(self, count):
+        self.count = count
 
 
 def small_config(tmp_path, **overrides):
@@ -34,7 +43,8 @@ def small_config(tmp_path, **overrides):
             section = section[part]
         section[last] = value
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    text = json.dumps(cfg, default=lambda digits: f"<{digits.count} digits>")
+    path.write_text(re.sub(r'"<(\d+) digits>"', lambda m: "9" * int(m.group(1)), text))
     return str(path)
 
 
@@ -157,6 +167,8 @@ class TestConfig:
         pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 1, 6],
                                          "values": [1, 10**400, 0]}},
                      "problem.weight: int too large", id="400-digit-value"),
+        pytest.param({"problem.geometry.R": Digits(5001)}, "config.json: Exceeds the limit",
+                     id="5001-digit-R"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, monkeypatch, overrides,
                                              named):
@@ -167,9 +179,9 @@ class TestConfig:
         cfg = small_config(tmp_path, **overrides)
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and named in err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
         with pytest.raises(ConfigError, match=re.escape(named)):
-            run_config_from_dict(json.loads(open(cfg).read()))
+            load_config(cfg)
 
     def test_ladder_rungs_inherit_q_and_span(self, tmp_path):
         # the rung equal to the problem's mesh reproduces solve's lambda_1 bit for bit
@@ -309,6 +321,20 @@ class TestSolveCommand:
         a_lines = open(os.path.join(out, "A.txt")).read().strip().split("\n")
         i, j, v = a_lines[0].split()
         assert (i, j) == ("0", "0") and float(v) > 0.0
+        h_lines = open(os.path.join(out, "H.txt")).read().strip().split("\n")
+        assert len(h_lines) == 3 * 32 - 2  # every entry of the tridiagonal H
+
+    @pytest.mark.parametrize("preset", ["gaussian-n3-a1", "grid3d-gaussian-a1"])
+    def test_solve_builds_no_hardy_matrix(self, tmp_path, monkeypatch, preset):
+        # H is built on first read, and solve reads it only to export it
+        import degeig.assembly as assembly
+
+        def refuse(*args):
+            raise AssertionError("solve built H")
+
+        monkeypatch.setattr(assembly, "_radial_hardy", refuse)
+        monkeypatch.setattr(assembly, "_grid_hardy", refuse)
+        assert main(["solve", "--preset", preset, "--out", str(tmp_path / "x")]) == 0
 
     def test_golden_comparison_claim(self, tmp_path):
         cfg_small = small_config(tmp_path, **{"problem.solver.k": 2})
@@ -575,6 +601,26 @@ class TestOtherCommands:
                      "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err == "numerical failure: ARPACK failed: ARPACK error -9999: Unknown error\n"
+
+    @pytest.mark.parametrize("geometry", [{"mode": "radial", "R": 6.0, "M": 96},
+                                          {"mode": "grid3d", "L": 6.0, "n": 9}])
+    def test_overflowing_weight_refused_at_assembly(self, tmp_path, capfd, monkeypatch,
+                                                    geometry):
+        # finite tabulated values of 1e308 overflow B: one line naming the
+        # weight, exit 2 and no ARPACK call; no RuntimeWarning (an error in
+        # this suite) and no LAPACK message on either stream
+        import degeig.eigensolve as es
+
+        calls, eigsh = [], es.spla.eigsh
+        monkeypatch.setattr(es.spla, "eigsh", lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+        weight = {"kind": "tabulated", "radii": [0.0, 3.0, 12.0], "values": [1e308, 1e308, 0.0]}
+        cfg = small_config(tmp_path, **{"problem.weight": weight, "problem.geometry": geometry})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert not calls
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: weight 'tabulated' overflows the mass "
+                                "matrix B: an entry is not finite\n")
 
     def test_catalogue_lists_borderline(self, tmp_path, capsys):
         assert main(["catalogue", "--N", "3", "--alpha", "1.0"]) == 0

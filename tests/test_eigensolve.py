@@ -887,6 +887,28 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert peak <= 3.5 * vecs.nbytes
 
+    def test_tridiagonal_written_at_final_size(self):
+        # _tridiagonal writes its CSR arrays at their final size: at M = 8192
+        # it peaks at 1.76x the bytes of the matrix it returns, where staging
+        # each row's three slots as (M, 3) arrays and their masked copies took
+        # 2.36x
+        import tracemalloc
+
+        from degeig.assembly import _tridiagonal
+
+        rng = np.random.default_rng(3)
+        diag, upper = rng.standard_normal(8192), rng.standard_normal(8192)
+        stored = np.ones(8192, dtype=bool)
+        _tridiagonal(diag, upper, stored)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            T = _tridiagonal(diag, upper, stored)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.nnz == 3 * 8192 - 2
+        assert peak <= 1.85 * (T.data.nbytes + T.indices.nbytes + T.indptr.nbytes)
+
     def test_grid_k1_forms_the_first_block_alone(self):
         # k = 1 asks every block after the first for no pair, so eee alone is
         # formed: the solve of gaussian 41^3 peaks at 4.93 MiB, where forming
