@@ -54,22 +54,20 @@ def _claim(value, bound, ok=None):
 def _increasing_across_clusters(seq, radial):
     """Positive, and increasing from each cluster of the sequence to the next.
 
-    Clusters are the runs of eigenvalues within CLUSTER_RTOL of each other
-    (EigenSequence.clusters), so a symmetry-forced multiplicity such as the
-    octahedral triple on the cube grid is one cluster, ordered inside by its
-    eigenvectors; a gap inside a cluster may be a rounding-level negative but
-    never more. Radial (1-D Sturm-Liouville) eigenvalues are simple, so on a
-    radial run every cluster must have size 1. The value is the smallest of
-    lambda_1 and the relative gaps between clusters.
+    Clusters are cut where a relative gap exceeds CLUSTER_RTOL (cluster_gaps),
+    so only a gap inside one can fail: it may be a rounding-level negative (a
+    symmetry-forced multiplicity on the cube grid), no more, and a radial (1-D
+    Sturm-Liouville) run, whose eigenvalues are simple, may have no cluster of
+    two. The value is the smallest of lambda_1 and the gaps between clusters.
     """
     lam = seq.lambdas
-    gaps, between = cluster_gaps(seq)
-    simple = not radial or all(len(c) == 1 for c in seq.clusters)
+    gaps, _ = cluster_gaps(lam)
+    between = gaps > CLUSTER_RTOL
     return {
         "value": float(min(lam.min(), gaps[between].min(initial=np.inf))),
         "bound": CLUSTER_RTOL,
-        "ok": bool(np.all(lam > 0.0) and np.all(gaps[between] > CLUSTER_RTOL)
-                   and np.all(gaps[~between] >= -CLUSTER_RTOL) and simple),
+        "ok": bool(np.all(lam > 0.0) and np.all(gaps >= -CLUSTER_RTOL)
+                   and (not radial or np.all(between))),
     }
 
 

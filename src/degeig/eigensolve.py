@@ -11,7 +11,8 @@ DENSE_THRESHOLD, one call on the full pencil: _tridiagonal_eigh if it is
 tridiagonal (every radial one is), else _congruence_eigh. solve_successive
 makes one call per invariant block. _finalize turns either's mu and
 vectors into pairs: one ordering, positivity cut, normalization and lambda
-rule.
+rule; the pairs' clusters come from cluster_gaps, the one cluster rule,
+whose gaps the solve claim on them reads too.
 
 An invariant block (Block) is a subspace that A and B map into itself, so
 a smaller pencil of the same kind (Bossavit, Symmetry, groups, and boundary
@@ -165,14 +166,13 @@ def _max_off_diagonal(gram):
     return float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
 
 
-def cluster_gaps(seq):
-    """Relative gaps (lambda_{i+1} - lambda_i) / lambda_{i+1} of a sequence,
-    and the mask of the gaps that lie between two clusters, not inside one."""
-    lam = seq.lambdas
-    gaps = np.diff(lam) / lam[1:]
-    between = np.zeros(gaps.size, dtype=bool)
-    between[[c[0] - 1 for c in seq.clusters[1:]]] = True
-    return gaps, between
+def cluster_gaps(lambdas):
+    """The cluster rule: the relative gaps (lambda_{i+1} - lambda_i) /
+    lambda_{i+1} of a positive sequence, and its clusters, the runs of
+    indices that no gap above CLUSTER_RTOL separates."""
+    gaps = np.diff(lambdas) / lambdas[1:]
+    runs = np.split(np.arange(len(lambdas)), np.flatnonzero(gaps > CLUSTER_RTOL) + 1)
+    return gaps, [run.tolist() for run in runs if run.size]
 
 
 def _relative_residual(Ae, Be, lam):
@@ -209,19 +209,6 @@ def _fix_sign(pair, e, first_mode):
     if e[_first_significant_index(e)] < 0.0:
         return -e
     return e
-
-
-def _detect_clusters(lambdas):
-    clusters, current = [], [0]
-    for i in range(1, lambdas.size):
-        if lambdas[i] - lambdas[i - 1] <= CLUSTER_RTOL * max(lambdas[i], lambdas[i - 1]):
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    if lambdas.size:
-        clusters.append(current)
-    return clusters
 
 
 def _residual_floors(pair, lambdas, vectors, AV):
@@ -261,12 +248,14 @@ def _residual_floors(pair, lambdas, vectors, AV):
     return floors
 
 
-def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sources=None):
+def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sources=None,
+              beyond=()):
     """A solve's mu and vectors as a sequence of measured pairs.
 
     mus and the columns of vecs (at any scale) are asked for `asked` of
     `requested` pairs; calls holds one (block label, applications, stop)
-    per block call, sources (if given) per column its call and member label.
+    per block call, sources (if given) per column its call and member label,
+    and beyond the mu computed past the asked ones, descending.
     Pairs go by descending mu, equal mu in the given order. A mu at or below
     EXHAUSTION_RTOL * mu_1 (mu <= 0 for the first) proves the positive
     spectrum exhausted, as do fewer pairs than asked for: it and all below
@@ -277,7 +266,9 @@ def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sou
     warned about as at its rounding floor when its residual is within
     FLOOR_MARGIN of it, otherwise by its call's stop and its mu_n / mu_1 (an
     absolute tolerance in mu leaves a small one a large relative residual);
-    these precede the warning on exhaustion or on the order - 1 cap.
+    these precede the warning on a cluster cut by beyond (cluster_gaps reads
+    1 / mu, as a gap in lambda is 1 - mu_{n+1} / mu_n), then on exhaustion or
+    on the order - 1 cap.
     """
     order = sorted(range(len(mus)), key=lambda j: -mus[j])
     kept = [j for j in order if mus[j] > max(EXHAUSTION_RTOL * mus[order[0]], 0.0)]
@@ -306,6 +297,14 @@ def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sou
         f"(tol {tol:.0e}, mu_n / mu_1 = {mus[j] / mus[order[0]]:.1e})"
         for i, j in enumerate(kept) if not converged[i]
     ]
+    _, clusters = cluster_gaps(lambdas)
+    if k == asked:  # beyond goes on from the last asked mu, which is kept
+        tail = np.array([mus[kept[-1]], *beyond])
+        cut = len(cluster_gaps(1.0 / tail[tail > 0.0])[1][0]) - 1
+        if cut:
+            warnings.append(f"k = {asked} cuts a cluster: {cut} computed member(s) after "
+                            f"pairs {[i + 1 for i in clusters[-1]]} (lambda {lambdas[-1]:.7g}) "
+                            "not reported")
     if k < asked:
         warnings.append(f"no further positive eigenvalue found (found {k} of {requested})")
     elif asked < requested:
@@ -323,7 +322,7 @@ def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sou
         requested=requested,
         exhausted=k < asked,
         method=method,
-        clusters=_detect_clusters(lambdas),
+        clusters=clusters,
         warnings=warnings,
         residual_floors=floors,
         sectors=[None if sources is None else sources[j][1] for j in kept],
@@ -746,7 +745,8 @@ def _maximize_quotient(pair, m, settings, seed):
     """The m largest mu of the pencil (B, A), one call per invariant block
     (module docstring), in a stable descending order, their vectors on the
     full pencil as columns, one (block label, applications, stop) per call,
-    and per column the index of its call and its member's label."""
+    per column the index of its call and its member's label, and the mu the
+    calls computed past the m-th, descending."""
     calls = []  # (block, mu, vectors, applications, stop) per call
     # a block after the first asks for ceil((m - 1) / w) pairs, none when m = 1,
     # so then no further block is formed
@@ -757,7 +757,8 @@ def _maximize_quotient(pair, m, settings, seed):
             calls.append((block, *call))
     found = sorted([(mu, c, j, axes, name) for c, (b, mus, *_) in enumerate(calls)
                     for j, mu in enumerate(mus) for axes, name in b.members],
-                   key=lambda f: -f[0])[:m]  # stable: members stay in order
+                   key=lambda f: -f[0])  # stable: members stay in order
+    found, beyond = found[:m], [f[0] for f in found[m:]]
     if block.S is None:
         # the whole pencil is the only block and needs no carrying: its vectors
         # are reordered in place, as a second order x m array would stay in the
@@ -770,7 +771,7 @@ def _maximize_quotient(pair, m, settings, seed):
             b, _, V, *_ = calls[c]
             vecs[:, j] = (b.S @ V[:, column]).reshape(b.shape).transpose(axes).ravel()
     return ([f[0] for f in found], vecs, [(b.label, *rest) for b, _, _, *rest in calls],
-            [(f[1], f[4]) for f in found])
+            [(f[1], f[4]) for f in found], beyond)
 
 
 def solve_successive(pair, settings=None, seed=42):
@@ -784,7 +785,7 @@ def solve_successive(pair, settings=None, seed=42):
     if m < 1:
         raise SolverError("the successive solve needs an order of at least 2")
     try:
-        mus, vecs, calls, sources = _maximize_quotient(pair, m, settings, seed)
+        mus, vecs, calls, sources, beyond = _maximize_quotient(pair, m, settings, seed)
     except spla.ArpackNoConvergence as exc:
         done = len(exc.eigenvalues)
         raise SolverError(
@@ -794,7 +795,7 @@ def solve_successive(pair, settings=None, seed=42):
     except spla.ArpackError as exc:
         raise SolverError(f"ARPACK failed: {exc}") from exc
     return _finalize(pair, mus, vecs, requested=settings.k, asked=m, method="successive",
-                     tol=settings.tol, calls=calls, sources=sources)
+                     tol=settings.tol, calls=calls, sources=sources, beyond=beyond)
 
 
 @dataclass
@@ -812,7 +813,6 @@ class GrowthReport:
     plus_mass_values: np.ndarray  # integral of g^+ f_n^2
     identity_gaps: np.ndarray     # |1/lambda_n - integral g f_n^2|
     bound_margins: np.ndarray     # integral g^+ f_n^2 - 1/lambda_n
-    strictly_increasing: bool     # each cluster lies above the previous one
     ratios: np.ndarray            # lambda_n / lambda_1
 
 
@@ -830,7 +830,6 @@ def growth_diagnostics(seq, pair):
         mass_vals[i] = f @ (pair.B @ f)
         plus_vals[i] = mass_plus_inner(pair, f)
     inv = 1.0 / lam
-    gaps, between = cluster_gaps(seq)
     return GrowthReport(
         lambdas=lam.copy(),
         unit_energy=unit_energy,
@@ -838,6 +837,5 @@ def growth_diagnostics(seq, pair):
         plus_mass_values=plus_vals,
         identity_gaps=np.abs(inv - mass_vals),
         bound_margins=plus_vals - inv,
-        strictly_increasing=bool(np.all(gaps[between] > CLUSTER_RTOL)),
         ratios=lam / lam[0],
     )

@@ -434,6 +434,23 @@ class TestSolveCommand:
         claim = report["claims"]["positive_increasing_across_clusters"]
         assert claim["ok"] and claim["value"] > claim["bound"]
 
+    def test_grid_cut_cluster_warned(self, tmp_path, capsys):
+        # k = 6 on grid 31^3 reports one member of the E_g double at 15.19507;
+        # the eee call computed its partner too, which is not reported. The
+        # report and stdout say so; the clusters, claims and exit code do not
+        # change
+        cfg = small_config(tmp_path, **{"problem.geometry": {"mode": "grid3d", "L": 6.0, "n": 31},
+                                        "problem.solver.k": 6})
+        out = str(tmp_path / "grid31")
+        assert main(["solve", "--config", cfg, "--out", out, "--seed", "42"]) == 0
+        report = json.loads(open(os.path.join(out, "eigen_report.json")).read())
+        warning = ("k = 6 cuts a cluster: 1 computed member(s) after pairs [6] "
+                   "(lambda 15.19507) not reported")
+        assert report["eigen"]["warnings"] == [warning]
+        assert f"warning: {warning}" in capsys.readouterr().out.splitlines()
+        assert report["eigen"]["clusters"] == [[0], [1], [2, 3, 4], [5]]
+        assert all(c["ok"] for c in report["claims"].values())
+
     def test_pair_sector_reported_on_grid_only(self, tmp_path):
         # each grid pair names its parity sector (the ground pair is even in
         # every axis); radial pairs carry no sector field
@@ -471,11 +488,10 @@ class TestSolveCommand:
         from types import SimpleNamespace
 
         from degeig.cli import _increasing_across_clusters
-        from degeig.eigensolve import _detect_clusters
 
+        # the claim reads its clusters from the sequence alone (cluster_gaps)
         def claim(lams, radial):
-            lam = np.array(lams)
-            seq = SimpleNamespace(lambdas=lam, clusters=_detect_clusters(lam))
+            seq = SimpleNamespace(lambdas=np.array(lams))
             return _increasing_across_clusters(seq, radial)["ok"]
 
         triple = [1.0, 2.0, 2.0 * (1.0 - 2e-16), 2.0, 3.0]

@@ -404,8 +404,12 @@ class TestSuccessive:
         seq = es.solve_successive(_grid_pair(15), SolverSettings(k=6, tol=1e-9, max_iter=400))
         stalled = [i for i in range(6) if not seq.converged[i]]
         assert stalled, "expected a pair above tol 1e-9 on this grid"
-        assert len(seq.warnings) == len(stalled)
-        for i, w in zip(stalled, seq.warnings):
+        # k = 6 also cuts the double that pair 6 belongs to, warned about last
+        *named, cut = seq.warnings
+        assert cut == ("k = 6 cuts a cluster: 1 computed member(s) after pairs [6] "
+                       "(lambda 13.92261) not reported")
+        assert len(named) == len(stalled)
+        for i, w in zip(stalled, named):
             head = f"pair {i + 1} met LOBPCG's tolerance after "
             assert w.startswith(head)
             assert int(w[len(head):].split()[0]) < 400 and "of 400 iterations" in w
@@ -547,13 +551,40 @@ class TestSuccessive:
         vecs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])  # e_2, then e_1
         monkeypatch.setattr(es, "_maximize_quotient", lambda *a: (
             [1.0, 1.0], vecs, [(None, 7, "stopped at a"), (None, 9, "stopped at b")],
-            [(1, None), (0, None)]))
+            [(1, None), (0, None)], []))
         seq = es.solve_successive(pair, SolverSettings(k=2))
         assert seq.clusters == [[0, 1]]
         assert np.array_equal(seq.vectors, vecs)
         assert seq.iterations == [7, 9]
         assert seq.calls == [{"pairs": [2], "applications": 7, "stop": "stopped at a"},
                              {"pairs": [1], "applications": 9, "stop": "stopped at b"}]
+
+    @pytest.mark.parametrize("beyond, cut", [([0.5, 0.5 * (1 - 1e-10), 0.4, 0.0, -1.0], 2),
+                                             ([0.5 * (1 - 1e-8)], 0), ([0.0, -1.0], 0)])
+    def test_cut_counts_the_computed_run(self, monkeypatch, beyond, cut):
+        # the mu computed past the k-th that the cluster rule joins to it are
+        # counted, up to the first relative gap above CLUSTER_RTOL; a mu <= 0
+        # joins none and divides by nothing
+        import degeig.eigensolve as es
+
+        pair = toy_pair(np.diag([1.0, 2.0, 4.0]), np.eye(3))
+        monkeypatch.setattr(es, "_maximize_quotient", lambda *a: (
+            [1.0, 0.5], np.eye(3)[:, :2], [(None, 2, "stopped")], [(0, None), (0, None)], beyond))
+        seq = es.solve_successive(pair, SolverSettings(k=2))
+        assert seq.clusters == [[0], [1]]
+        assert seq.warnings == [f"k = 2 cuts a cluster: {cut} computed member(s) after pairs [2] "
+                                "(lambda 2) not reported"] * (cut > 0)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_one_call_for_m_pairs_never_cuts(self, grid, gaussian_pair_512):
+        # a radial solve, and a grid solve at k = 1, make one call for exactly
+        # the m pairs reported, so no computed member is left over to warn of
+        import degeig.eigensolve as es
+
+        pair, settings = (_grid_pair(11), SolverSettings(k=1)) if grid else (
+            gaussian_pair_512, SolverSettings(k=6))
+        assert es._maximize_quotient(pair, settings.k, settings, 42)[4] == []
+        assert not any("cuts a cluster" in w for w in solve_successive(pair, settings).warnings)
 
     @pytest.mark.parametrize("grid", [False, True])
     def test_returned_mu_are_rayleigh_quotients(self, grid, gaussian_pair_512):
@@ -562,18 +593,19 @@ class TestSuccessive:
         # Both geometries return one shape: mu non-increasing, equal mu (the
         # grid's triple, one sector vector carried to three members) in the
         # call's order, one record (block label, applications, stop) per
-        # call, and per column the index of its call and one member label,
-        # None off the grid
+        # call, per column the index of its call and one member label, None
+        # off the grid, and the mu computed past the fifth, none off the grid
         import degeig.eigensolve as es
 
         pair = _grid_pair(11) if grid else gaussian_pair_512
-        mus, vecs, calls, sources = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        mus, vecs, calls, sources, beyond = es._maximize_quotient(pair, 5, SolverSettings(k=5),
+                                                                  42)
         labels = [label for _, label in sources]
         quotients = (np.einsum("ij,ij->j", vecs, pair.B @ vecs)
                      / np.einsum("ij,ij->j", vecs, pair.A @ vecs))
         assert_allclose(mus, quotients, rtol=1e-12)
         assert vecs.shape == (pair.order, 5)
-        assert all(a >= b for a, b in zip(mus, mus[1:]))
+        assert all(a >= b for a, b in zip(mus + beyond, (mus + beyond)[1:]))
         assert len(sources) == 5
         assert all(isinstance(a, int) and a > 0 and isinstance(stop, str)
                    for _, a, stop in calls)
@@ -582,10 +614,13 @@ class TestSuccessive:
             assert [c for c, _ in sources] == [0, 0, 1, 1, 1]
             assert labels == ["eee", "eee", "oee", "eoe", "eeo"]
             assert mus[2] == mus[3] == mus[4]
+            # eee asked for 5, each triple sector for 2 (3 members), ooo for 4
+            assert len(beyond) == 5 + 6 + 6 + 4 - 5
         else:
             assert [label for label, *_ in calls] == [None]
             assert sources == [(0, None)] * 5
             assert len(set(mus)) == 5
+            assert beyond == []
 
     def test_k_at_least_order_warns_of_cap(self):
         # ARPACK needs fewer pairs than the order; every pair is positive here,
@@ -811,7 +846,7 @@ class TestParitySectors:
             return np.allclose(u, sign * v, rtol=4 * np.finfo(float).eps, atol=0.0)
 
         pair = _grid_pair(11)
-        _, vecs, _, sources = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        _, vecs, _, sources, _ = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
         sectors = [label for _, label in sources]
         members = [vecs[:, j].reshape((9,) * 3) for j, s in enumerate(sectors) if s != "eee"]
         assert sorted(s for s in sectors if s != "eee") == ["eeo", "eoe", "oee"]
@@ -820,6 +855,15 @@ class TestParitySectors:
         assert seq.clusters[2] == [2, 3, 4]
         members = [seq.vectors[:, j].reshape((9,) * 3) for j in (2, 3, 4)]
         assert all(carried(u, v, rounding) for u, v in combinations(members, 2))
+
+    def test_cut_triple_warned(self):
+        # k = 4 on grid 11^3 reports two members of the octahedral triple; the
+        # triple's sector call also carried its third member, which is not
+        # reported, and the warning names the two that are
+        seq = solve_successive(_grid_pair(11), SolverSettings(k=4))
+        assert seq.clusters == [[0], [1], [2, 3]]
+        assert seq.warnings == ["k = 4 cuts a cluster: 1 computed member(s) after pairs [3, 4] "
+                                "(lambda 18.43487) not reported"]
 
     @pytest.mark.parametrize("n, weight, k", [(11, gaussian_bump, 5), (13, sign_changing_ring, 6)])
     def test_triples_ordered_by_axis(self, n, weight, k):
@@ -872,7 +916,7 @@ class TestPeakMemory:
 
         mesh = build_radial_mesh(6.0, 8192, grading_for_span(8192, 1e4))
         pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
-        mus, vecs, calls, sources = _maximize_quotient(pair, 24, SolverSettings(k=24), 42)
+        mus, vecs, calls, sources, _ = _maximize_quotient(pair, 24, SolverSettings(k=24), 42)
 
         def finalize():
             return _finalize(pair, mus, vecs, 24, 24, "successive", tol=1e-9, calls=calls,
@@ -1071,7 +1115,6 @@ class TestGrowthDiagnostics:
         assert np.max(np.abs(rep.unit_energy - 1.0)) <= 1e-10
         assert np.max(rep.identity_gaps) <= 1e-10
         assert np.min(rep.bound_margins) >= -1e-12
-        assert rep.strictly_increasing
         assert rep.ratios[0] == 1.0
 
     def test_plus_bound_with_sign_changing_weight(self, pairs_512, solved_512):
@@ -1079,21 +1122,6 @@ class TestGrowthDiagnostics:
         rep = growth_diagnostics(solved_512[("ring", 1.0)], pair)
         # integral of g^+ f^2 strictly exceeds 1/lambda when g^- is active
         assert np.all(rep.bound_margins >= -1e-12)
-        assert rep.strictly_increasing
-
-    def test_strictly_increasing_judged_across_clusters(self):
-        # a rounding-level dip inside the octahedral triple is no decrease;
-        # equal values in separate clusters are
-        from dataclasses import replace
-
-        pair = _grid_pair(11)
-        seq = solve_successive(pair, SolverSettings(k=5))
-        assert seq.clusters == [[0], [1], [2, 3, 4]]
-        lam = seq.lambdas.copy()
-        lam[3] = np.nextafter(lam[2], 0.0)
-        assert growth_diagnostics(replace(seq, lambdas=lam), pair).strictly_increasing
-        apart = replace(seq, lambdas=lam, clusters=[[0], [1], [2], [3], [4]])
-        assert not growth_diagnostics(apart, pair).strictly_increasing
 
     def test_empty_sequence_rejected(self, gaussian_pair_512):
         from degeig.eigensolve import EigenSequence

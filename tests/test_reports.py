@@ -75,7 +75,6 @@ def _growth_dict(rep):
         "plus_mass_values": [float(x) for x in rep.plus_mass_values],
         "identity_gaps": [float(x) for x in rep.identity_gaps],
         "bound_margins": [float(x) for x in rep.bound_margins],
-        "strictly_increasing": bool(rep.strictly_increasing),
         "ratios": [float(x) for x in rep.ratios],
     }
 

@@ -21,12 +21,16 @@ compared as bytes.
 Prints one line per command, with each tree's peak resident set (ru_maxrss
 from wait4), and one per output file or stdout that differs, or per run that
 ends in an uncaught exception (a warning turned into an error by
-PYTHONWARNINGS, say), then a summary with each tree's largest peak. Exits 0
-when every output is identical and no run raised, 1 otherwise.
+PYTHONWARNINGS, say), then a summary with each tree's largest peak. A
+differing JSON report names its first differing key path with both values
+(`growth.ratios[1]: 1.5 -> 1.6`, `absent` where one side lacks it), and a
+differing stdout its first differing line. Exits 0 when every output is
+identical and no run raised, 1 otherwise.
 """
 
 import argparse
 import importlib.util
+import itertools
 import json
 import os
 import shutil
@@ -36,6 +40,7 @@ import tempfile
 
 CONFIG, OUT = "<config>", "<out>"  # placeholders in a command's argv
 SEED = 42  # the seed of every workload config
+ABSENT = object()  # stands for a key, index or line that one side lacks
 
 
 def load_workloads(tree):
@@ -130,6 +135,44 @@ def read(path):
         return fh.read()
 
 
+def shown(value):
+    """A parsed JSON value or a line as printed in a difference."""
+    return "absent" if value is ABSENT else json.dumps(value)
+
+
+def first_difference(old, new, path=""):
+    """'path: old -> new' for the first key path, in the old document's key
+    order, at which two parsed JSON documents differ; None if they do not."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = list(old) + [key for key in new if key not in old]
+        items = [(f"{path}.{key}" if path else key, old.get(key, ABSENT), new.get(key, ABSENT))
+                 for key in keys]
+    elif isinstance(old, list) and isinstance(new, list):
+        items = [(f"{path}[{i}]", a, b)
+                 for i, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=ABSENT))]
+    else:
+        same = type(old) is type(new) and old == new
+        return None if same else f"{path}: {shown(old)} -> {shown(new)}"
+    return next(filter(None, (first_difference(a, b, p) for p, a, b in items)), None)
+
+
+def json_difference(a, b):
+    """The first difference of two JSON report files outside meta."""
+    docs = []
+    for path in (a, b):
+        with open(path) as fh:
+            docs.append({k: v for k, v in json.load(fh).items() if k != "meta"})
+    return first_difference(*docs) or "the same values in different text"
+
+
+def line_difference(old, new):
+    """'line n: old -> new' for the first line at which two texts differ."""
+    for n, (a, b) in enumerate(itertools.zip_longest(old.split("\n"), new.split("\n"),
+                                                     fillvalue=ABSENT), 1):
+        if a != b:
+            return f"line {n}: {shown(a)} -> {shown(b)}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
@@ -151,11 +194,13 @@ def main():
         if rc_old != rc_new:
             diffs.append(f"exit code {rc_old} -> {rc_new}")
         if out_old != out_new:
-            diffs.append("stdout")
+            diffs.append(f"stdout {line_difference(out_old, out_new)}")
         for f in files:
             a, b = os.path.join(dir_old, f), os.path.join(dir_new, f)
-            if not (os.path.exists(a) and os.path.exists(b)) or read(a) != read(b):
-                diffs.append(f)
+            if not (os.path.exists(a) and os.path.exists(b)):
+                diffs.append(f"{f}: only in the {'old' if os.path.exists(a) else 'new'} tree")
+            elif read(a) != read(b):
+                diffs.append(f"{f}: {json_difference(a, b)}" if f.endswith(".json") else f)
         compared += len(files) + 1
         print(f"{'DIFF' if diffs else 'same'} {name}: exit {rc_new}, stdout and {len(files)} "
               f"files, ru_maxrss {rss_old:.1f} -> {rss_new:.1f} MB", flush=True)
