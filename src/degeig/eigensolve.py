@@ -33,11 +33,12 @@ lambda_1 is simple and lies in the first block: on the grid, A has
 nonpositive off-diagonals and B is diagonal, so A - lambda_1 B is a
 positive semidefinite irreducible Z-matrix, and by Perron-Frobenius its
 null vector is positive, hence even in every axis (eee). A block is solved
-by one call (_block_pairs): ARPACK with a sparse LU of A if unprojected;
-_congruence_eigh on a sector of at most DENSE_THRESHOLD dofs asking for
-more than a third of its B's rank; else block LOBPCG preconditioned by
-V-cycle-preconditioned CG, which, unlike single-vector Lanczos, keeps
-every member of a multiplicity. The pairs of all blocks are merged by mu,
+by one call (_block_pairs): ARPACK with a sparse LU of A, both on the
+pencil equilibrated by _equilibration, if unprojected; _congruence_eigh on
+a sector of at most DENSE_THRESHOLD dofs asking for more than a third of
+its B's rank; else block LOBPCG preconditioned by V-cycle-preconditioned
+CG, which, unlike single-vector Lanczos, keeps every member of a
+multiplicity. The pairs of all blocks are merged by mu,
 equal mu in the order the blocks and calls returned them (a triple reads
 oee, eoe, eeo), and each vector is carried to its members; a grid pair
 reports its member's label as sector. EigenSequence.calls records each call.
@@ -421,6 +422,26 @@ _DSBGVX = _lapack_function(
     _INTS, _INTS, _INT)
 
 
+def _equilibration(A):
+    """Per dof the power of two s within a factor sqrt(2) of diag(A)^{-1/2}.
+    Powers of two scale without rounding, so the pencil scaled by diag(s) on
+    both sides is the given one exactly (and as symmetric), and so are the
+    vectors scaled back. A nonpositive diag(A) entry is a SolverError: A is
+    then not positive definite."""
+    d = A.diagonal()
+    if not np.all(d > 0.0):
+        i = int(np.argmin(d > 0.0))
+        raise SolverError(f"energy matrix is not positive definite: diagonal entry {i} "
+                          f"is {d[i]:g}")
+    return np.ldexp(1.0, -(np.frexp(d)[1] // 2))  # d s^2 lies in [0.5, 2)
+
+
+def _scaled(M, scale):
+    """diag(scale) M diag(scale) for a CSR M: a copy of its data, sharing its index arrays."""
+    data = M.data * np.repeat(scale, np.diff(M.indptr)) * scale[M.indices]
+    return sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+
+
 def _band_rows(M):
     """The tridiagonal M in LAPACK band storage with one super- and one
     subdiagonal: rows superdiagonal, diagonal, subdiagonal, each entry in
@@ -441,7 +462,7 @@ def _tridiagonal_eigh(A, B, m):
     _finalize's rule (above EXHAUSTION_RTOL of the largest, and positive)
     takes INVERSE_STEPS steps of inverse iteration (Parlett, The Symmetric
     Eigenvalue Problem, ch. 4) by solve_banded on the pencil equilibrated by
-    diag(A)^{-1/2}, shifted to mu (1 + INVERSE_SHIFT), the j-th started from
+    _equilibration, shifted to mu (1 + INVERSE_SHIFT), the j-th started from
     default_rng([0, j]). Equilibration keeps the vectors accurate where
     diag(A) spans many decades (N = 5: 1e-22 to 1e7); the shift keeps an
     exact mu from making the shifted pencil singular. One Rayleigh-Ritz eigh
@@ -464,9 +485,8 @@ def _tridiagonal_eigh(A, B, m):
         raise SolverError(f"banded generalized eigensolve failed (info={info.value})")
     mu = mu[:found.value]
     mu = mu[mu > max(EXHAUSTION_RTOL * mu[-1], 0.0)]
-    scale = 1.0 / np.sqrt(A.diagonal())
-    D = sp.diags(scale)
-    As, Bs = D @ A @ D, D @ B @ D
+    scale = _equilibration(A)
+    As, Bs = _scaled(A, scale), _scaled(B, scale)
     W = np.empty((n, mu.size))
     for j, shift in enumerate(mu * (1.0 + INVERSE_SHIFT)):
         band = _band_rows(Bs - shift * As)
@@ -714,16 +734,23 @@ def _block_pairs(block, ask, settings, seed, index):
     columns, its applications of B and its stop; None if a sector caps ask at 0."""
     A, B = block.A, block.B
     if block.S is None:
-        op = _counted(B)
+        # ARPACK runs on the equilibrated pencil, as the dense route does: where
+        # diag(A) spans many decades (N = 9: 1e-44 to 1e10) the LU of A itself
+        # gives pairs far from converged that ARPACK's test in mu accepts. B
+        # is scaled after the LU, whose transient sets the command's peak
+        scale = _equilibration(A)
+        A = _scaled(A, scale)
         try:
-            # A is exactly symmetric as built, so its CSR arrays are its CSC ones
+            # A is exactly symmetric, so its CSR arrays are its CSC ones
             lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape))
         except RuntimeError as exc:
             raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
+        op = _counted(_scaled(B, scale))
         inv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=float)
         v0 = np.random.default_rng([seed, 0, index]).standard_normal(A.shape[0])
         mus, vecs = spla.eigsh(op, ask, M=A, Minv=inv, which="LA", v0=v0,
                                maxiter=settings.max_iter)
+        vecs *= scale[:, None]
         return mus, vecs, op.applications, "met ARPACK's tolerance, absolute in mu, and stopped"
     ask = min(ask, np.count_nonzero(B.diagonal() > 0.0))
     if ask < 1:

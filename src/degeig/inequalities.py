@@ -11,7 +11,6 @@ plain-dict record of one checked quotient, as inequality_report.json holds it.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -69,57 +68,54 @@ class CknParams:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A radial test function with derivative and compact (numerical) support."""
+    """A radial test function with compact (numerical) support, given by its
+    pieces (where, value, derivative, power): on the radii where(r) selects,
+    u = value(r) r^power and u' = derivative(r) r^power; off every piece u and
+    u' are 0. Each piece is evaluated on its own radii only. A power law's
+    exponent goes in power, so that evaluate forms f^2 r^p from one power of
+    r and stays finite where u or u' alone would overflow."""
 
     name: str
-    value: Callable
-    deriv: Callable
+    pieces: tuple
     support: float
     breakpoints: tuple = ()
+
+    def value(self, r):
+        return self.evaluate(r, 0)
+
+    def deriv(self, r):
+        return self.evaluate(r, 1)
+
+    def evaluate(self, r, part, p=None):
+        """f = u (part 0) or u' (part 1) at the radii r; f^2 r^p if p is given."""
+        r = np.asarray(r, dtype=float)
+        out = np.zeros_like(r)
+        for where, *functions, power in self.pieces:
+            inside = where(r)
+            x = r[inside]
+            f = functions[part](x)
+            out[inside] = f * x**power if p is None else f**2 * x ** (2.0 * power + p)
+        return out
 
 
 def smooth_bump(support=1.0):
     """C-infinity bump exp(1 - 1/(1 - (r/S)^2)) supported in r < S."""
     S = float(support)
 
-    def val(r):
-        r = np.asarray(r, dtype=float)
-        s2 = np.clip((r / S) ** 2, 0.0, None)
-        out = np.zeros_like(s2)
-        inside = s2 < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-        return out
+    def bump(r):
+        return np.exp(1.0 - 1.0 / (1.0 - (r / S) ** 2))
 
-    def der(r):
-        r = np.asarray(r, dtype=float)
-        s2 = (r / S) ** 2
-        out = np.zeros_like(s2)
-        inside = s2 < 1.0
-        out[inside] = (
-            np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-            * (-2.0 * r[inside] / S**2)
-            / (1.0 - s2[inside]) ** 2
-        )
-        return out
-
-    return RadialProfile(f"bump(S={S:g})", val, der, S)
+    return RadialProfile(f"bump(S={S:g})", (
+        (lambda r: (r / S) ** 2 < 1.0, bump,
+         lambda r: bump(r) * (-2.0 * r / S**2) / (1.0 - (r / S) ** 2) ** 2, 0.0),), S)
 
 
 def poly_bump(support=1.0):
     """C^1 profile (1 - (r/S)^2)^2 inside r < S."""
     S = float(support)
-
-    def val(r):
-        r = np.asarray(r, dtype=float)
-        s2 = (r / S) ** 2
-        return np.where(s2 < 1.0, (1.0 - np.minimum(s2, 1.0)) ** 2, 0.0)
-
-    def der(r):
-        r = np.asarray(r, dtype=float)
-        s2 = (r / S) ** 2
-        return np.where(s2 < 1.0, -4.0 * r / S**2 * (1.0 - np.minimum(s2, 1.0)), 0.0)
-
-    return RadialProfile(f"polybump(S={S:g})", val, der, S)
+    return RadialProfile(f"polybump(S={S:g})", (
+        (lambda r: (r / S) ** 2 < 1.0, lambda r: (1.0 - (r / S) ** 2) ** 2,
+         lambda r: -4.0 * r / S**2 * (1.0 - (r / S) ** 2), 0.0),), S)
 
 
 def gaussian_profile(sigma=1.0):
@@ -127,54 +123,42 @@ def gaussian_profile(sigma=1.0):
     S = GAUSS_CUTOFF * sigma
     floor = np.exp(-(GAUSS_CUTOFF**2))
 
-    def val(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < S, np.exp(-((r / sigma) ** 2)) - floor, 0.0)
+    def gauss(r):
+        return np.exp(-((r / sigma) ** 2))
 
-    def der(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < S, -2.0 * r / sigma**2 * np.exp(-((r / sigma) ** 2)), 0.0)
-
-    return RadialProfile(f"gauss(sigma={sigma:g})", val, der, S, breakpoints=(S,))
+    return RadialProfile(f"gauss(sigma={sigma:g})", (
+        (lambda r: r < S, lambda r: gauss(r) - floor,
+         lambda r: -2.0 * r / sigma**2 * gauss(r), 0.0),), S, breakpoints=(S,))
 
 
 def hardy_near_optimizer(N, alpha, eps):
     """Capped power profile r^(-(N-2+alpha)/2 + eps), cut off smoothly on [1, 2].
 
     As eps decreases to 0 the Hardy quotient of this family increases toward
-    the constant (2/(N-2+alpha))^2 without reaching it.
+    the constant (2/(N-2+alpha))^2 without reaching it. The core r <= 1
+    holds its power of r apart, so its Hardy integrands, r^(2 eps - 1) and
+    (expo/r)^2 r^(2 eps + 1) with expo = eps - (N-2+alpha)/2, stay finite
+    down to 1e-60 at any N.
     """
     beta = 0.5 * (N - 2.0 + alpha)
     if not 0.0 < eps < beta:
         raise ValueError("need 0 < eps < (N-2+alpha)/2")
     expo = -beta + eps
 
-    def val(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        core = (r > 0.0) & (r <= 1.0)
-        out[core] = r[core] ** expo
-        mid = (r > 1.0) & (r < 2.0)
-        out[mid] = np.cos(0.5 * np.pi * (r[mid] - 1.0)) ** 2
-        return out
+    def phase(r):
+        return 0.5 * np.pi * (r - 1.0)
 
-    def der(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        core = (r > 0.0) & (r <= 1.0)
-        out[core] = expo * r[core] ** (expo - 1.0)
-        mid = (r > 1.0) & (r < 2.0)
-        phase = 0.5 * np.pi * (r[mid] - 1.0)
-        out[mid] = -np.pi * np.cos(phase) * np.sin(phase)
-        return out
-
-    return RadialProfile(f"hardy-cap(eps={eps:g})", val, der, 2.0, breakpoints=(1.0,))
+    return RadialProfile(f"hardy-cap(eps={eps:g})", (
+        (lambda r: (r > 0.0) & (r <= 1.0), lambda r: 1.0, lambda r: expo / r, expo),
+        (lambda r: (r > 1.0) & (r < 2.0), lambda r: np.cos(phase(r)) ** 2,
+         lambda r: -np.pi * np.cos(phase(r)) * np.sin(phase(r)), 0.0)), 2.0, breakpoints=(1.0,))
 
 
 def _profile_integral(profile, f):
     # the deep lower cutoff 1e-60 S keeps slowly integrable power profiles
-    # (exponents barely above -1) accurate while their pointwise powers stay
-    # inside IEEE range; geometric panels make the extra decades cheap
+    # (exponents barely above -1) accurate; their integrands stay inside
+    # IEEE range (RadialProfile.evaluate); geometric panels make the extra
+    # decades cheap
     S = profile.support
     total, lo = 0.0, S * 1e-60
     for hi in sorted(set(list(profile.breakpoints) + [S])):
@@ -184,28 +168,23 @@ def _profile_integral(profile, f):
     return total
 
 
+def _energy_integral(profile, N, alpha):
+    """The integral of u'^2 r^(N-1+alpha), both continuum quotients' energy side."""
+    return _profile_integral(profile, lambda r: profile.evaluate(r, 1, N - 1.0 + alpha))
+
+
 def hardy_quotient_radial(profile, N, alpha):
     """Continuum Hardy quotient of a radial profile by 1-d quadrature."""
-    left = _profile_integral(
-        profile, lambda r: profile.value(r) ** 2 * r ** (N - 3.0 + alpha)
-    )
-    right = _profile_integral(
-        profile, lambda r: profile.deriv(r) ** 2 * r ** (N - 1.0 + alpha)
-    )
-    return left / right
+    left = _profile_integral(profile, lambda r: profile.evaluate(r, 0, N - 3.0 + alpha))
+    return left / _energy_integral(profile, N, alpha)
 
 
 def sobolev_quotient_radial(profile, N, alpha):
     """Continuum Sobolev quotient with the critical exponent."""
     ts = critical_exponent(N, alpha)
-    num = _profile_integral(
-        profile, lambda r: np.abs(profile.value(r)) ** ts * r ** (N - 1.0)
-    )
-    den = _profile_integral(
-        profile, lambda r: profile.deriv(r) ** 2 * r ** (N - 1.0 + alpha)
-    )
+    num = _profile_integral(profile, lambda r: np.abs(profile.value(r)) ** ts * r ** (N - 1.0))
     omega = sphere_area(N)
-    return (omega * num) ** (2.0 / ts) / (omega * den)
+    return (omega * num) ** (2.0 / ts) / (omega * _energy_integral(profile, N, alpha))
 
 
 def ckn_sides_radial(params, profile):

@@ -657,6 +657,21 @@ class TestSuccessive:
         assert seq.count == 2
         assert np.all(seq.residuals <= 1e-8)
 
+    def test_high_dimension_pencil_equilibrated(self):
+        # at N = 9, alpha = 1.9 diag(A) spans 1e-44 to 1e10: ARPACK on the
+        # unscaled pencil returned pairs at residual 1.0 that its test in mu
+        # accepted. On the equilibrated pencil they match the dense reference
+        mesh = build_radial_mesh(6.0, 128, grading_for_span(128, 1e4))
+        pair = assemble_radial(mesh, 9, 1.9, gaussian_bump())
+        seq = solve_successive(pair, SolverSettings(k=3), seed=1)
+        assert seq.count == 3 and np.max(seq.residuals) <= 1e-11
+        assert_allclose(seq.lambdas, solve_dense(pair, 3).lambdas, rtol=1e-12)
+
+    def test_nonpositive_energy_diagonal_rejected(self):
+        A = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(SolverError, match="diagonal entry 1 is 0"):
+            solve_successive(toy_pair(A, np.eye(3)), SolverSettings(k=1))
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(k=0).validate()

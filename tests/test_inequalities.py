@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from degeig.inequalities import (
     ckn_sides_radial,
     critical_exponent,
     dilation_quotient_spread,
+    gaussian_profile,
     hardy_constant,
     hardy_near_optimizer,
     hardy_quotient_radial,
@@ -65,10 +68,10 @@ class TestCknParams:
 class TestContinuumQuotients:
     def test_near_optimizer_against_closed_form(self):
         # on (0, 1] both integrals are exact: kernel side 1/(2 eps),
-        # energy side (beta - eps)^2 / (2 eps); the cutoff piece is smooth
-        N, alpha = 3, 1.0
-        beta = 0.5 * (N - 2 + alpha)
-        for eps in (0.4, 0.1):
+        # energy side (beta - eps)^2 / (2 eps); the cutoff piece is smooth.
+        # In the last three cases u'^2 alone overflows near the 1e-60 end
+        for (N, alpha), eps in product(((3, 1.0), (4, 1.5), (6, 1.0), (9, 1.9)), (0.4, 0.1)):
+            beta = 0.5 * (N - 2 + alpha)
             prof = hardy_near_optimizer(N, alpha, eps)
             kernel_tail = quad(
                 lambda r: prof.value(np.array([r]))[0] ** 2 * r ** (N - 3 + alpha),
@@ -81,16 +84,32 @@ class TestContinuumQuotients:
             expected = (0.5 / eps + kernel_tail) / ((beta - eps) ** 2 / (2 * eps) + energy_tail)
             assert_allclose(hardy_quotient_radial(prof, N, alpha), expected, rtol=1e-9)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-    def test_near_optimizer_monotone_below_constant(self, alpha):
-        const = hardy_constant(3, alpha)
+    @pytest.mark.parametrize("N, alpha", [(3, 0.5), (3, 1.0), (3, 1.5), (4, 1.5), (6, 1.0),
+                                          (9, 1.9)],
+                             ids=["0.5", "1.0", "1.5", "N4-1.5", "N6-1.0", "N9-1.9"])
+    def test_near_optimizer_monotone_below_constant(self, N, alpha):
+        const = hardy_constant(N, alpha)
         qs = [
-            hardy_quotient_radial(hardy_near_optimizer(3, alpha, eps), 3, alpha)
+            hardy_quotient_radial(hardy_near_optimizer(N, alpha, eps), N, alpha)
             for eps in (0.4, 0.2, 0.1, 0.05, 0.02)
         ]
         assert np.all(np.diff(qs) > 0.0)
         assert qs[-1] < const
         assert qs[-1] > 0.7 * const  # approaching the constant
+
+    @pytest.mark.parametrize("profile", [
+        smooth_bump(1.5), poly_bump(2.0), gaussian_profile(0.6), hardy_near_optimizer(3, 1.0, 0.2),
+        hardy_near_optimizer(9, 1.9, 0.1)], ids=lambda p: p.name)
+    def test_derivative_is_the_value_differenced(self, profile):
+        # inside every piece of the table, away from its ends, the derivative
+        # equals a central difference of the value
+        ends = sorted({0.0, *profile.breakpoints, profile.support})
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            r = np.linspace(lo, hi, 41)[1:-1]
+            h = 1e-6 * (hi - lo)
+            difference = (profile.value(r + h) - profile.value(r - h)) / (2.0 * h)
+            assert_allclose(profile.deriv(r), difference, rtol=1e-6,
+                            atol=1e-8 * np.max(np.abs(profile.deriv(r))))
 
     def test_smooth_profiles_below_constant(self):
         for prof in (smooth_bump(1.0), poly_bump(2.0)):

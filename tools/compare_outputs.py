@@ -11,8 +11,11 @@ weight and a second alpha next to the benchmark's gaussian check),
 ring-weight grid solves that reach the sector routes no workload case does
 (15^3 with k = 12, whose eee sector (343 dofs) is solved densely, and 9^3 with
 k = 40, whose sectors are capped by their positive B entries and which
-stops at 6 of 40 pairs), and one radial solve of an inline, sign-changing
-tabulated weight, which no workload case uses. Each
+stops at 6 of 40 pairs), one radial solve of an inline, sign-changing
+tabulated weight, which no workload case uses, and two high-dimension radial
+gaussian problems: `check` at N = 6, alpha = 1, whose near-optimizer
+integrands would overflow if formed from u^2 or u'^2, and `solve` at N = 9,
+alpha = 1.9 (M = 512, k = 6), whose energy diagonal spans 54 decades. Each
 command runs once against each tree, in its own process with one BLAS thread.
 The report's `meta` field (its only nondeterministic part) is dropped before
 comparing; every other file (CSV tables, .npy eigenvectors, matrix exports) is
@@ -81,6 +84,10 @@ def commands(workloads):
                 {"problem": {**workloads.radial("tabulated", 1.0, 512, 4), "weight": table},
                  "seed": SEED},
                 ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
+    for command, N, alpha in (("check", 6, 1.0), ("solve", 9, 1.9)):
+        problem = workloads.radial("gaussian", alpha, 512, 6, N=N)
+        out.append((f"{command}-gaussian-n{N}-a{alpha}", {"problem": problem, "seed": SEED},
+                    [command, "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
     return out
 
 
