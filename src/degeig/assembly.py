@@ -5,7 +5,7 @@ integral of |x|^alpha grad u . grad v), the possibly indefinite mass matrix
 B (integral of g u v), and the Hardy matrix H (integral of u v / |x|^(2-alpha)),
 plus a shared volume quadrature used for L^p norms. Radial mode uses P1
 elements with closed-form stiffness integrals, and B and H are tridiagonals
-summed one Gauss point at a time (_hat_form); 3-d mode uses a conservative
+summed ELEMENT_BLOCK elements at a time (_hat_form); 3-d mode uses a conservative
 7-point flux discretization with lumped B and H. Every matrix is written
 as CSR directly, exactly symmetric, with no COO staging. A pair stores no
 interpolation matrix: point values come from the hat functions on a radial
@@ -27,6 +27,7 @@ from .quadrature import gauss_rule
 from .weights import WeightDomainError, weight_split
 
 MASS_GAUSS_ORDER = 4  # per-element rule for mass/Hardy/volume quadrature
+ELEMENT_BLOCK = 2048  # elements summed at a time by _hat_form and _at_gauss_points
 
 
 class AssemblyError(RuntimeError):
@@ -98,12 +99,12 @@ class DiscreteOperatorPair:
     @cached_property
     def quad_weights(self):
         mesh, N = self.geometry, self.N
-        return _at_gauss_points(mesh, lambda j, r: _volume_weight(mesh, N, j, r))
+        return _at_gauss_points(mesh, lambda j, r, h: _volume_weight(N, j, r, h))
 
     @cached_property
     def gplus_quad(self):
         mesh, spec = self.geometry, self.spec
-        return _at_gauss_points(mesh, lambda j, r: _positive_part(spec, mesh, r))
+        return _at_gauss_points(mesh, lambda j, r, h: _positive_part(spec, mesh, r))
 
     @classmethod
     def from_matrices(cls, A, B, H=None, quad_weights=None):
@@ -143,15 +144,15 @@ def hardy_inner(pair, u):
     return float(u @ (pair.H @ u))
 
 
-def _gauss_points(mesh):
+def _gauss_points(mesh, elements=slice(None)):
     """Per point of the mass rule (MASS_GAUSS_ORDER Gauss points per element),
-    its radius in every element of a radial mesh and the hat functions of
-    each element's left and right node there."""
-    nodes, h = mesh.nodes, mesh.element_sizes
-    mid, half = 0.5 * (nodes[1:] + nodes[:-1]), 0.5 * h
+    its radius in these elements (a slice, all by default) of a radial mesh,
+    their sizes and the hat functions of each one's left and right node there."""
+    left, right, h = (x[elements] for x in (mesh.nodes[:-1], mesh.nodes[1:], mesh.element_sizes))
+    mid, half = 0.5 * (right + left), 0.5 * h
     for x in gauss_rule(MASS_GAUSS_ORDER)[0]:
         r = mid + half * x
-        yield r, (nodes[1:] - r) / h, (r - nodes[:-1]) / h
+        yield r, h, (right - r) / h, (r - left) / h
 
 
 def _point_values(pair, u):
@@ -165,7 +166,7 @@ def _point_values(pair, u):
         return u
     u = np.append(u, 0.0)
     values = np.empty((pair.order, MASS_GAUSS_ORDER))
-    for j, (_, left, right) in enumerate(_gauss_points(pair.geometry)):
+    for j, (_, _, left, right) in enumerate(_gauss_points(pair.geometry)):
         values[:, j] = left * u[:-1] + right * u[1:]
     return values.ravel()
 
@@ -199,7 +200,7 @@ def _split(spec, mesh, r):
     try:
         return weight_split(spec, r)
     except WeightDomainError:
-        points = np.column_stack([p for p, _, _ in _gauss_points(mesh)])
+        points = np.column_stack([p for p, *_ in _gauss_points(mesh)])
         for e, radii in enumerate(points):
             try:
                 weight_split(spec, radii)
@@ -212,24 +213,28 @@ def _hat_form(mesh, weight):
     """The P1 form sum_q w_q phi_a(r_q) phi_b(r_q) over the Gauss points of a
     radial mesh, as a CSR matrix of order M (the boundary node is no dof).
 
-    weight(j, r) gives w at Gauss point j, radii r, of every element; it is
-    called twice per point, and every temporary is one value per element.
-    The matrix equals, bit for bit, the symmetrized (X + X^T) / 2 of X =
-    E^T diag(w) E with E the interpolation from dofs to the points: each sum
-    runs over the points in their order, so a diagonal entry takes its left
-    element's points before its right one's, each term is phi_b (phi_a w),
-    an off-diagonal entry averages the sums of its two triangles, and an
-    entry whose sum is 0 is not stored.
+    weight(j, r, h) gives w at Gauss point j, radii r, of elements of sizes
+    h; it is called twice per point, and the elements are summed
+    ELEMENT_BLOCK at a time, so every temporary is one value per element of
+    one block. The matrix equals, bit for bit, the symmetrized (X + X^T) / 2
+    of X = E^T diag(w) E with E the interpolation from dofs to the points:
+    each sum runs over the points in their order, so a diagonal entry takes
+    its left element's points before its right one's, each term is phi_b
+    (phi_a w), an off-diagonal entry averages the sums of its two triangles,
+    and an entry whose sum is 0 is not stored.
     """
     M = mesh.num_elements
     diag, upper, lower = np.zeros(M), np.zeros(M), np.zeros(M)
-    for j, (r, left, right) in enumerate(_gauss_points(mesh)):
-        w = weight(j, r)
-        diag[1:] += (right * (right * w))[:-1]  # node a as element a - 1's right node
-        upper += right * (left * w)  # row a, column a + 1
-        lower += left * (right * w)  # row a + 1, column a
-    for j, (r, left, _) in enumerate(_gauss_points(mesh)):
-        diag += left * (left * weight(j, r))  # node a as element a's left node
+    for start in range(0, M, ELEMENT_BLOCK):
+        block = slice(start, start + ELEMENT_BLOCK)
+        right_of = diag[start + 1:start + ELEMENT_BLOCK + 1]  # node a, right of element a - 1
+        for j, (r, h, left, right) in enumerate(_gauss_points(mesh, block)):
+            w = weight(j, r, h)
+            right_of += (right * (right * w))[:right_of.size]  # node M is no dof
+            upper[block] += right * (left * w)  # row a, column a + 1
+            lower[block] += left * (right * w)  # row a + 1, column a
+        for j, (r, h, left, _) in enumerate(_gauss_points(mesh, block)):
+            diag[block] += left * (left * weight(j, r, h))  # node a as element a's left node
     upper += lower
     del lower
     # a sum is stored when nonzero before halving, which may underflow to 0
@@ -274,11 +279,11 @@ def _tridiagonal(diag, upper, stored):
     return sp.csr_matrix((data, indices, indptr), shape=(M, M))
 
 
-def _volume_weight(mesh, N, j, r):
-    """Volume weights (measure included) at Gauss point j, radii r, of every
-    element of a radial mesh."""
+def _volume_weight(N, j, r, h):
+    """Volume weights (measure included) at Gauss point j, radii r, of
+    elements of sizes h of a radial mesh."""
     gw = gauss_rule(MASS_GAUSS_ORDER)[1]
-    return (0.5 * mesh.element_sizes * gw[j]) * sphere_area(N) * r ** (N - 1)
+    return (0.5 * h * gw[j]) * sphere_area(N) * r ** (N - 1)
 
 
 def _positive_part(spec, mesh, r):
@@ -288,11 +293,14 @@ def _positive_part(spec, mesh, r):
 
 
 def _at_gauss_points(mesh, value):
-    """value(j, r) at the mass rule's points of a radial mesh, raveled element
-    by element: an (M, G) array filled one Gauss point at a time."""
+    """value(j, r, h) at the mass rule's points of a radial mesh (as in
+    _hat_form), raveled element by element: an (M, G) array filled
+    ELEMENT_BLOCK elements and one Gauss point at a time."""
     out = np.empty((mesh.num_elements, MASS_GAUSS_ORDER))
-    for j, (r, _, _) in enumerate(_gauss_points(mesh)):
-        out[:, j] = value(j, r)
+    for start in range(0, mesh.num_elements, ELEMENT_BLOCK):
+        block = slice(start, start + ELEMENT_BLOCK)
+        for j, (r, h, _, _) in enumerate(_gauss_points(mesh, block)):
+            out[block, j] = value(j, r, h)
     return out.ravel()
 
 
@@ -309,7 +317,7 @@ def _mass(spec, build):
 
 def _radial_hardy(mesh, N, alpha):
     """H of assemble_radial: the hat form of the kernel r^(alpha - 2)."""
-    return _hat_form(mesh, lambda j, r: _volume_weight(mesh, N, j, r) * r ** (alpha - 2.0))
+    return _hat_form(mesh, lambda j, r, h: _volume_weight(N, j, r, h) * r ** (alpha - 2.0))
 
 
 def assemble_radial(mesh, N, alpha, spec):
@@ -342,13 +350,13 @@ def assemble_radial(mesh, N, alpha, spec):
     A = _tridiagonal(s + np.r_[0.0, s[:-1]], -s, s != 0.0)
     del h, moment, s
 
-    def mass_weight(j, r):  # w_q g, with g = g^+ - g^-, one temporary at a time
+    def mass_weight(j, r, h):  # w_q g, with g = g^+ - g^-, one temporary at a time
         gi, gd, gm = _split(spec, mesh, r)
         g = gi + gd
         del gi, gd
         g -= gm
         del gm
-        g *= _volume_weight(mesh, N, j, r)
+        g *= _volume_weight(N, j, r, h)
         return g
 
     B = _mass(spec, lambda: _hat_form(mesh, mass_weight))

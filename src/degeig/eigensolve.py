@@ -7,12 +7,15 @@ it maximizes mu(u) = (u^T B u) / (u^T A u) there. By Courant-Fischer these
 successive maximizers are the eigenvectors of the k largest mu = 1/lambda of
 B v = mu A v, so block eigensolver calls find all k and nothing is deflated
 step by step. B is never factorized. solve_dense is the reference up to
-DENSE_THRESHOLD, one call on the full pencil: _tridiagonal_eigh if it is
-tridiagonal (every radial one is), else _congruence_eigh. solve_successive
-makes one call per invariant block. _finalize turns either's mu and
-vectors into pairs: one ordering, positivity cut, normalization and lambda
-rule; the pairs' clusters come from cluster_gaps, the one cluster rule,
-whose gaps the solve claim on them reads too.
+DENSE_THRESHOLD: one direct call per invariant block for its top min(k,
+order) mu, whatever the successive ask rule below would ask, by
+_tridiagonal_eigh on an unprojected tridiagonal pencil (every radial one),
+else by one generalized eigh of the block's densified pencil.
+solve_successive makes one call per invariant block. Both merge their
+blocks' pairs by mu (_merged), and _finalize turns the mu and vectors into
+pairs: one ordering, positivity cut, normalization and lambda rule; the
+pairs' clusters come from cluster_gaps, the one cluster rule, whose gaps
+the solve claim on them reads too.
 
 An invariant block (Block) is a subspace that A and B map into itself, so
 a smaller pencil of the same kind (Bossavit, Symmetry, groups, and boundary
@@ -34,14 +37,14 @@ nonpositive off-diagonals and B is diagonal, so A - lambda_1 B is a
 positive semidefinite irreducible Z-matrix, and by Perron-Frobenius its
 null vector is positive, hence even in every axis (eee). A block is solved
 by one call (_block_pairs): ARPACK with a sparse LU of A, both on the
-pencil equilibrated by _equilibration, if unprojected; _congruence_eigh on
-a sector of at most DENSE_THRESHOLD dofs asking for more than a third of
-its B's rank; else block LOBPCG preconditioned by V-cycle-preconditioned
-CG, which, unlike single-vector Lanczos, keeps every member of a
-multiplicity. The pairs of all blocks are merged by mu,
-equal mu in the order the blocks and calls returned them (a triple reads
-oee, eoe, eeo), and each vector is carried to its members; a grid pair
-reports its member's label as sector. EigenSequence.calls records each call.
+pencil equilibrated by _equilibration, if unprojected; _low_rank_eigh,
+exact on B's rank, on a sector of at most DENSE_THRESHOLD dofs asking for
+more than a third of that rank; else block LOBPCG preconditioned by
+V-cycle-preconditioned CG, which, unlike single-vector Lanczos, keeps every
+member of a multiplicity. The pairs of all blocks are merged by mu, equal
+mu in the order the blocks and calls returned them (a triple reads oee,
+eoe, eeo), and each vector is carried to its members; a grid pair reports
+its member's label as sector. EigenSequence.calls records each call.
 """
 
 import ctypes
@@ -58,12 +61,13 @@ from scipy.linalg import cython_lapack
 from .assembly import mass_plus_inner, volume_integral
 
 CLUSTER_RTOL = 1e-9  # eigenvalues closer than this (relatively) form a cluster
-# solve_dense refuses larger orders: it bounds the n^2 buffer of the
-# congruence (_congruence_eigh); the tridiagonal route needs O(n) memory
+# solve_dense refuses larger orders, and _block_pairs no larger sector for
+# _low_rank_eigh: it bounds the dense copies of a block's A and B that eigh
+# holds (the whole pencil's, if it is one block) and the rank-r solve's n x r
+# arrays; the tridiagonal route needs O(n) memory
 DENSE_THRESHOLD = 2000
 INVERSE_SHIFT = 1e-10  # inverse iteration runs at mu (1 + INVERSE_SHIFT)
 INVERSE_STEPS = 2  # inverse-iteration steps per vector
-TRANSPOSE_BLOCK = 128  # square blocks swapped by _transpose_in_place
 # the starts of the warnings with which scipy's lobpcg breaks off its loop
 # early, each with what failed
 LOBPCG_BREAKDOWNS = {
@@ -340,64 +344,6 @@ def _bandwidth(A):
     return int(np.max(np.abs(coo.row - coo.col), initial=1))
 
 
-def _band_solve(U, X, trans):
-    """U^{-1} X (trans "N") or U^{-T} X (trans "T") for the banded upper
-    triangular U, overwriting X when it is a Fortran-ordered float array."""
-    X, info = sla.lapack.dtbtrs(U, X, trans=trans, overwrite_b=1)
-    if info != 0:
-        raise SolverError(f"banded triangular solve failed (info={info})")
-    return X
-
-
-def _transpose_in_place(X):
-    """Replace the square array X by its transpose without a second n^2 array.
-
-    Off-diagonal blocks are swapped through a block-sized buffer and diagonal
-    blocks transposed through a copy of themselves, so X keeps its memory
-    order (a Fortran-ordered X then holds X^T in Fortran order).
-    """
-    n, block = X.shape[0], TRANSPOSE_BLOCK
-    for i in range(0, n, block):
-        a = slice(i, i + block)
-        X[a, a] = X[a, a].T.copy()
-        for j in range(i + block, n, block):
-            b = slice(j, j + block)
-            upper = X[a, b].copy()
-            X[a, b] = X[b, a].T
-            X[b, a] = upper.T
-    return X
-
-
-def _congruence_eigh(A, B, m):
-    """The m largest mu of B v = mu A v and their vectors, v^T A v = 1, by an
-    explicit Cholesky congruence in A's band storage (Golub-Van Loan, Matrix
-    Computations, 8.7).
-
-    A = U^T U by a banded Cholesky, C = U^{-T} B U^{-1} by two banded
-    triangular solves against a dense copy of B, one standard eigh call for
-    the m largest mu of C (ascending), and v = U^{-1} w. A is never
-    densified: the work is O(n^2 w) for bandwidth w, and C is formed and
-    diagonalized in the one n^2 buffer that holds B's dense copy (X = U^{-T}
-    B is transposed in place between the solves).
-    """
-    n = A.shape[0]
-    w = _bandwidth(A)
-    upper = sp.triu(A, format="coo")
-    band = np.zeros((w + 1, n), order="F")  # LAPACK band storage, factored in place
-    band[w + upper.row - upper.col, upper.col] = upper.data
-    del upper
-    try:
-        U = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise SolverError(f"energy matrix is not positive definite: {exc}") from exc
-    X = _band_solve(U, B.toarray(order="F"), "T")  # U^{-T} B
-    # U^{-T} (U^{-T} B)^T = U^{-T} B U^{-1}; X.T alone would be copied to Fortran order
-    C = _band_solve(U, _transpose_in_place(X), "T")
-    mu, W = sla.eigh(C, subset_by_index=[max(n - m, 0), n - 1],
-                     overwrite_a=True, check_finite=False)
-    return mu, _band_solve(U, W, "N")
-
-
 def _lapack_function(name, *argtypes):
     """The C function `name` of scipy's Cython LAPACK (scipy.linalg.cython_lapack),
     called through ctypes with these argument types."""
@@ -453,7 +399,10 @@ def _band_rows(M):
 
 def _tridiagonal_eigh(A, B, m):
     """The m largest mu of B v = mu A v for tridiagonal A and B, and the
-    vectors of the positive ones, v^T A v = 1, in O(n m) work and memory.
+    vectors of the positive ones, v^T A v = 1, in O(n m) memory. The work is
+    superlinear in n, most of it dsbgvx's reduction, whose bulges run down
+    the whole band (k = 6 on radial pencils: 0.006, 0.013, 0.043 and 0.143 s
+    at n = 1024, 2048, 4096 and 8192 on a 2-core machine).
 
     One LAPACK dsbgvx call (eigenvalues only, by index) reduces the pencil to
     a standard one inside its band (Crawford's split Cholesky of A,
@@ -501,11 +450,14 @@ def _tridiagonal_eigh(A, B, m):
 
 
 def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
-    """Top-k reference solve of the pencil B v = mu A v on the full pencil of
-    either geometry, whose mu and vectors _finalize turns into pairs. A
-    tridiagonal pencil (every radial one) takes _tridiagonal_eigh, O(order)
-    work per pair; any wider one (cube grids, dense toys) takes one
-    _congruence_eigh call, O(order^2 x bandwidth). Orders above
+    """Top-k reference solve of the pencil B v = mu A v of either geometry,
+    whose mu and vectors _finalize turns into pairs: one direct call per
+    invariant block (_blocks) for its top min(k, order) mu, merged by mu
+    with each vector carried to the block's members (_merged). An
+    unprojected tridiagonal pencil (every radial one) takes
+    _tridiagonal_eigh; any other block (a cube grid's sectors, a dense toy)
+    one generalized eigh of its densified pencil, LAPACK's Cholesky
+    congruence, in O(order^3) work. Orders of the whole pencil above
     dense_threshold are refused. Returns the k smallest positive lambda;
     fewer when the pencil has fewer positive eigenvalues (reported, not
     fatal).
@@ -515,10 +467,19 @@ def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
         raise SolverError(f"dense solve refused at order {n} > {dense_threshold}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if max(_bandwidth(pair.A), _bandwidth(pair.B)) == 1:
-        mus, vecs = _tridiagonal_eigh(pair.A, pair.B, k)
-    else:
-        mus, vecs = _congruence_eigh(pair.A, pair.B, k)
+    calls = []  # (block, mu, vectors) per block
+    for block in _blocks(pair):
+        A, B, order = block.A, block.B, block.A.shape[0]
+        if block.S is None and max(_bandwidth(A), _bandwidth(B)) == 1:
+            calls.append((block, *_tridiagonal_eigh(A, B, k)))
+            continue
+        try:
+            calls.append((block, *sla.eigh(B.toarray(), A.toarray(), overwrite_a=True,
+                                           overwrite_b=True, check_finite=False,
+                                           subset_by_index=[max(order - k, 0), order - 1])))
+        except sla.LinAlgError as exc:
+            raise SolverError(f"dense eigh failed (its B is the energy matrix): {exc}") from exc
+    mus, vecs, _, _ = _merged(pair, calls, k)
     return _finalize(pair, mus, vecs, requested=k, asked=k, method="dense")
 
 
@@ -761,32 +722,45 @@ def _block_pairs(block, ask, settings, seed, index):
         # residuals and its search directions turns singular and the call
         # breaks down (ring weight, grid 9^3). One application of B per dof is
         # counted, as LOBPCG counts its own dense solve
-        mus, vecs = _congruence_eigh(A, B, ask)
+        mus, vecs = _low_rank_eigh(A, B, ask)
         return mus, vecs, A.shape[0], "was solved densely"
     # a sector keeps c + 1 of an even axis's 2c + 1 nodes, c of an odd one's
     dofs = tuple(s // 2 + (p == "e") for s, p in zip(block.shape, block.label))
     return _lobpcg(A, B, dofs, [p == "e" for p in block.label], ask, settings, seed, index)
 
 
-def _maximize_quotient(pair, m, settings, seed):
-    """The m largest mu of the pencil (B, A), one call per invariant block
-    (module docstring), in a stable descending order, their vectors on the
-    full pencil as columns, one (block label, applications, stop) per call,
-    per column the index of its call and its member's label, and the mu the
-    calls computed past the m-th, descending."""
-    calls = []  # (block, mu, vectors, applications, stop) per call
-    # a block after the first asks for ceil((m - 1) / w) pairs, none when m = 1,
-    # so then no further block is formed
-    for index, block in enumerate(islice(_blocks(pair), None if m > 1 else 1)):
-        ask = m if index == 0 else -(-(m - 1) // len(block.members))
-        call = _block_pairs(block, ask, settings, seed, index)
-        if call is not None:
-            calls.append((block, *call))
+def _low_rank_eigh(A, B, m):
+    """The m largest mu of B v = mu A v for a diagonal B of rank r, and their
+    vectors, v^T A v = 1, solved exactly on B's range in O(n r) memory (the
+    Schur-complement form of a pencil with low-rank B; Golub and Van Loan,
+    Matrix Computations, 8.7). With P the r dofs where B is nonzero, a
+    vector of a nonzero mu is A^{-1} P y / mu, in the range of X = A^{-1} P,
+    formed from one splu of A. There the pencil reads diag(b_P) G y = mu y
+    for G = P^T X = L L^T, whose symmetric form L^T diag(b_P) L z = mu z one
+    eigh call solves, and v = X L^{-T} z has v^T A v = z^T z = 1. Returns
+    the mu ascending and their vectors as columns.
+    """
+    b = B.diagonal()
+    dofs = np.flatnonzero(b)
+    try:
+        X = spla.splu(A.tocsc()).solve(sp.identity(A.shape[0], format="csc")[:, dofs].toarray())
+        L = sla.cholesky(X[dofs], lower=True)
+    except (RuntimeError, sla.LinAlgError) as exc:
+        raise SolverError(f"energy matrix is not positive definite: {exc}") from exc
+    mu, Z = sla.eigh(L.T @ (b[dofs, None] * L), subset_by_index=[dofs.size - m, dofs.size - 1])
+    return mu, X @ sla.solve_triangular(L, Z, trans="T", lower=True)
+
+
+def _merged(pair, calls, m):
+    """The m largest mu of the block calls, one (block, mu, vectors, ...)
+    each, in a stable descending order (equal mu in call order, a block's
+    members in turn), their vectors on the full pencil as columns, per
+    column its call's index and member's label, and the mu past the m-th."""
     found = sorted([(mu, c, j, axes, name) for c, (b, mus, *_) in enumerate(calls)
                     for j, mu in enumerate(mus) for axes, name in b.members],
                    key=lambda f: -f[0])  # stable: members stay in order
     found, beyond = found[:m], [f[0] for f in found[m:]]
-    if block.S is None:
+    if calls[0][0].S is None:
         # the whole pencil is the only block and needs no carrying: its vectors
         # are reordered in place, as a second order x m array would stay in the
         # heap after them (ru_maxrss 1.3 MB higher on ring M8192 k=24)
@@ -797,8 +771,24 @@ def _maximize_quotient(pair, m, settings, seed):
         for j, (_, c, column, axes, _) in enumerate(found):
             b, _, V, *_ = calls[c]
             vecs[:, j] = (b.S @ V[:, column]).reshape(b.shape).transpose(axes).ravel()
-    return ([f[0] for f in found], vecs, [(b.label, *rest) for b, _, _, *rest in calls],
-            [(f[1], f[4]) for f in found], beyond)
+    return [f[0] for f in found], vecs, [(f[1], f[4]) for f in found], beyond
+
+
+def _maximize_quotient(pair, m, settings, seed):
+    """The m largest mu of the pencil (B, A), one call per invariant block
+    (module docstring), merged by _merged: the mu, their vectors, one (block
+    label, applications, stop) per call, per column its call and member
+    label, and the mu past the m-th."""
+    calls = []  # (block, mu, vectors, applications, stop) per call
+    # a block after the first asks for ceil((m - 1) / w) pairs, none when m = 1,
+    # so then no further block is formed
+    for index, block in enumerate(islice(_blocks(pair), None if m > 1 else 1)):
+        ask = m if index == 0 else -(-(m - 1) // len(block.members))
+        call = _block_pairs(block, ask, settings, seed, index)
+        if call is not None:
+            calls.append((block, *call))
+    mus, vecs, sources, beyond = _merged(pair, calls, m)
+    return mus, vecs, [(b.label, *rest) for b, _, _, *rest in calls], sources, beyond
 
 
 def solve_successive(pair, settings=None, seed=42):

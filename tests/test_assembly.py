@@ -400,13 +400,15 @@ class TestDirectAssembly:
         monkeypatch.undo()
         assert _same_csr(pair.A, _coo_reference(pair))
 
-    @pytest.mark.parametrize("kind, n, bound", [("grid", 31, 1.5), ("ring", 8192, 2.75)])
+    @pytest.mark.parametrize("kind, n, bound", [("grid", 31, 1.5), ("ring", 8192, 1.95)])
     def test_assembly_peak_near_live_size(self, kind, n, bound):
         # live size counts what assembly builds. No COO staging and no
         # symmetrizing copy of A: the grid's transient (31^3) was 4.3x, and
         # 1.62x while A's face arrays outlived their stacking. The radial
-        # peak (M = 8192) is 2.65x, B's per-element Gauss-point temporaries;
-        # staged tridiagonals, an eager H and an eager quadrature made it 5.0x
+        # peak (M = 8192) is 1.87x, with B's Gauss-point temporaries held for
+        # ELEMENT_BLOCK elements at a time; held for every element it was
+        # 2.65x, and staged tridiagonals, an eager H and an eager quadrature
+        # made it 5.0x
         import tracemalloc
 
         _assemble(kind, n)  # first-call caches stay out of the count
@@ -417,6 +419,25 @@ class TestDirectAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= bound * _pair_bytes(pair)
+
+    @pytest.mark.parametrize("block", [7, 2048])
+    def test_element_blocks_keep_the_bits(self, monkeypatch, block):
+        # B, H and the radial quadrature summed ELEMENT_BLOCK elements at a
+        # time equal, bit for bit, the sums over all 3000 elements at once:
+        # 7 cuts the mesh into 429 blocks, 2048 into a full and a partial one
+        import degeig.assembly as assembly
+
+        def build():
+            pair = assemble_radial(build_radial_mesh(6.0, 3000, 1.001), 3, 1.3,
+                                   sign_changing_ring())
+            return pair, pair.H, pair.quad_weights, pair.gplus_quad
+
+        monkeypatch.setattr(assembly, "ELEMENT_BLOCK", 3000)
+        (whole, H, w, gplus) = build()
+        monkeypatch.setattr(assembly, "ELEMENT_BLOCK", block)
+        (pair, H_b, w_b, gplus_b) = build()
+        assert _same_csr(pair.B, whole.B) and _same_csr(H_b, H)
+        assert np.array_equal(w_b, w) and np.array_equal(gplus_b, gplus)
 
     def test_underflowed_stiffness_entry_not_stored(self):
         # N = 5 on a graded mesh: r^(alpha + N) underflows near r = 0; those

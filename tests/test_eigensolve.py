@@ -88,7 +88,7 @@ class TestDense:
 
     def test_one_eigh_call(self, monkeypatch):
         # radial: the Rayleigh-Ritz step on the k inverse-iteration vectors;
-        # grid 11^3: the congruence's subset eigh of the order-729 matrix
+        # grid 11^3: one subset eigh per parity sector, each for its own top k
         import degeig.eigensolve as es
 
         calls = []
@@ -100,18 +100,16 @@ class TestDense:
         assert len(calls) == 1
         shape, kw = calls.pop()
         assert shape == (5, 5) and "subset_by_index" not in kw
-        grid = _grid_pair(11)
-        assert solve_dense(grid, 5).count == 5
-        assert len(calls) == 1
-        shape, kw = calls.pop()
-        assert shape == (grid.order, grid.order)
-        assert kw["subset_by_index"] == [grid.order - 5, grid.order - 1]
+        assert solve_dense(_grid_pair(11), 5).count == 5
+        orders = [125, 100, 80, 64]  # (c + 1) per even axis, c per odd, c = 4
+        assert [shape for shape, _ in calls] == [(n, n) for n in orders]
+        assert [kw["subset_by_index"] for _, kw in calls] == [[n - 5, n - 1] for n in orders]
 
     @pytest.mark.parametrize("kind, bandwidth", [("ring", 1), ("grid", 81), ("toy", 11)])
     def test_banded_congruence_matches_generalized_eigh(self, kind, bandwidth):
-        # the radial pencil takes the tridiagonal route, cube grid 11^3 and
-        # the dense toy the congruence; the reference is a generalized eigh
-        # of the densified pencil
+        # the radial pencil takes the tridiagonal route, cube grid 11^3 one
+        # generalized eigh per sector and the dense toy one on the whole
+        # pencil; the reference is a generalized eigh of the densified pencil
         import scipy.linalg as sla
         from degeig.eigensolve import _bandwidth
 
@@ -136,9 +134,12 @@ class TestDense:
     @pytest.mark.parametrize("case", ["gaussian-n5-M2000", "ring-a1.5", "ring-M16-q1"])
     def test_tridiagonal_route_matches_congruence(self, monkeypatch, case):
         # every radial pencil is tridiagonal and takes dsbgvx plus inverse
-        # iteration; the congruence of the same pencil is the reference. N = 5
-        # spreads diag(A) over 29 decades, the ring's B is indefinite, and at
-        # M16 (q = 1) the ring's positive pairs run out before k = 14
+        # iteration; a generalized eigh (LAPACK's Cholesky congruence) of the
+        # same pencil densified is the reference. N = 5 spreads diag(A) over
+        # 29 decades, the ring's B is indefinite, and at M16 (q = 1) the
+        # ring's positive pairs run out before k = 14
+        import scipy.linalg as sla
+
         import degeig.eigensolve as es
         from conftest import preset_mesh, preset_pair
 
@@ -150,13 +151,16 @@ class TestDense:
             mesh = build_radial_mesh(6.0, 16, 1.0)
             pair, k = assemble_radial(mesh, 3, 1.0, sign_changing_ring()), 14
         assert es._bandwidth(pair.A) == es._bandwidth(pair.B) == 1
-        mus, vecs = es._congruence_eigh(pair.A, pair.B, k)
+        n = pair.order
+        mus, vecs = sla.eigh(pair.B.toarray(), pair.A.toarray(), subset_by_index=[n - k, n - 1])
         ref = es._finalize(pair, mus, vecs, requested=k, asked=k, method="dense")
+        real = sla.eigh
 
-        def refuse(*args):
-            raise AssertionError("a tridiagonal pencil took the congruence")
+        def small_only(a, *args, **kwargs):
+            assert a.shape[0] < n, "a tridiagonal pencil took the dense eigh"
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(es, "_congruence_eigh", refuse)
+        monkeypatch.setattr(es.sla, "eigh", small_only)
         seq = solve_dense(pair, k)
         assert seq.count == ref.count
         assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-12)
@@ -172,43 +176,46 @@ class TestDense:
             solve_dense(toy_pair(A, np.eye(3)), 1)
 
     def test_wider_b_takes_the_congruence(self, monkeypatch):
-        # the route is chosen by the wider of the two bandwidths
+        # the route is chosen by the wider of the two bandwidths: B of
+        # bandwidth 2 takes the generalized eigh (LAPACK's Cholesky
+        # congruence) of the densified pencil, and no dsbgvx call
         import scipy.linalg as sla
         import degeig.eigensolve as es
 
         calls = []
-        real = es._congruence_eigh
-        monkeypatch.setattr(es, "_congruence_eigh", lambda *a: calls.append(a) or real(*a))
+        real = es.sla.eigh
+        monkeypatch.setattr(es.sla, "eigh",
+                            lambda *a, **kw: calls.append(a[0].shape) or real(*a, **kw))
+        monkeypatch.setattr(es, "_tridiagonal_eigh", None)
         A = 4.0 * np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
         B = np.diag([1.0, 2.0, -1.0, 3.0])
         B[0, 2] = B[2, 0] = 0.5
         pair = toy_pair(A, B)
         assert es._bandwidth(pair.A) == 1 and es._bandwidth(pair.B) == 2
         seq = solve_dense(pair, 2)
-        assert len(calls) == 1
+        assert calls == [(4, 4)]
         mu = sla.eigh(B, A, eigvals_only=True)
         assert_allclose(seq.lambdas, np.sort(1.0 / mu[mu > 0])[:2], rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["radial", "grid", "sector"])
     def test_peak_memory_one_dense_array(self, kind):
         # radial: the tridiagonal route holds no array of order^2, only
-        # bands, its k vectors and _finalize's n x k arrays. grid: B's dense
-        # copy becomes C in place: no dense A, no transposed copy of U^{-T} B,
-        # no copy inside eigh; the band of A adds (w + 1) n. The sector is
-        # the ring's eee on grid 21^3 (order 1000, 83 nonzero B entries): a
-        # block of 28 spans more than a third of B's rank, so _block_pairs
-        # solves it by the same congruence
+        # bands, its k vectors and _finalize's n x k arrays. grid 11^3: dense
+        # arrays of one parity sector at a time (at most 125^2), eigh
+        # overwriting them: 0.14 n^2 doubles, where one congruence of the
+        # whole pencil held 1.17. The sector is the ring's eee on grid 21^3
+        # (order 1000, r = 83 nonzero B entries): a block of 28 spans more
+        # than a third of B's rank, so _block_pairs solves it on that rank in
+        # 2.0 n r doubles, where the congruence of the sector held 14.1
         import tracemalloc
         from functools import partial
 
         import degeig.eigensolve as es
 
         if kind == "sector":
-            pair = _grid_pair(21, sign_changing_ring())
-            e = es._mirror_basis(9, "e")
-            S = sp.kron(sp.kron(e, e), e, format="csr")
-            A, B = (S.T @ pair.A @ S).tocsr(), (S.T @ pair.B @ S).tocsr()
-            assert np.count_nonzero(B.diagonal()) == 83
+            A, B, S = _eee_sector(21)
+            r = np.count_nonzero(B.diagonal())
+            assert r == 83
             block = es.Block("eee", [((0, 1, 2), "eee")], A, B, S, (19,) * 3)
             solve = partial(es._block_pairs, block, 28, SolverSettings(), 42, 0)
         else:
@@ -230,29 +237,70 @@ class TestDense:
             assert result.count == 6
         if kind == "radial":
             assert peak <= 100 * n * 8
+        elif kind == "grid":
+            assert peak <= 0.2 * n * n * 8
         else:
-            assert peak <= 1.25 * n * n * 8
+            assert peak <= 2.5 * n * r * 8
 
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 1000])
-    def test_transpose_in_place(self, n):
-        # block edges of the default block (128) and of 256 are both crossed
-        from degeig.eigensolve import _transpose_in_place
+    def test_wide_not_spd_rejected(self):
+        # a positive diagonal and bandwidth 2, so the dense eigh runs: its
+        # Cholesky factorization of A (eigenvalues -1, 1, 3) fails
+        A = np.eye(3)
+        A[0, 2] = A[2, 0] = 2.0
+        message = r"dense eigh failed \(its B is the energy matrix\): .* not positive definite"
+        with pytest.raises(SolverError, match=message):
+            solve_dense(toy_pair(A, np.eye(3)), 1)
 
-        X = np.asfortranarray(np.random.default_rng(n).standard_normal((n, n)))
-        ref = X.T.copy()
-        out = _transpose_in_place(X)
-        assert out is X and X.flags.f_contiguous
-        assert np.array_equal(X, ref)
+    @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
+    def test_block_reference_matches_whole_pencil(self, weight):
+        # the reference solves each parity sector by its own eigh and carries
+        # its pairs to the sector's members; with their multiplicities they
+        # are the top of the whole grid 13^3 pencil densified, so sharing the
+        # sector bases with the successive route hides no eigenvalue
+        import scipy.linalg as sla
 
-    def test_failed_triangular_solve_is_solver_error(self, monkeypatch):
+        from degeig.eigensolve import cluster_gaps
+
+        pair = _grid_pair(13, weight())
+        n, k = pair.order, 30
+        mu = sla.eigh(pair.B.toarray(), pair.A.toarray(), eigvals_only=True,
+                      subset_by_index=[n - k, n - 1])
+        # the ring has 26 positive mu; the zero mu of B's kernel come out at
+        # rounding size, below the cut EXHAUSTION_RTOL * mu_1
+        ref = np.sort(1.0 / mu[mu > 1e-12 * mu.max()])
+        seq = solve_dense(pair, k)
+        assert seq.count == ref.size == (26 if weight is sign_changing_ring else k)
+        assert_allclose(seq.lambdas, ref, rtol=1e-12)
+        clusters = cluster_gaps(ref)[1]
+        assert seq.clusters == clusters
+        assert {2, 3} <= {len(c) for c in clusters}
+
+    @pytest.mark.parametrize("n, m", [(15, 12), (21, 28)])
+    def test_low_rank_route_matches_densified_sector(self, n, m):
+        # the rank-r solve of the ring's eee sector against a generalized
+        # eigh of the same sector densified: its top m mu (what k = 12 on
+        # 15^3 and the 28 pairs on 21^3 ask for, E_g doubles among them) and
+        # all r nonzero mu, those of the negative shell's B entries included;
+        # the vectors are A-orthonormal
+        import scipy.linalg as sla
+
         import degeig.eigensolve as es
 
-        # bandwidth 2, so the congruence's banded triangular solves run
-        monkeypatch.setattr(es.sla.lapack, "dtbtrs", lambda U, X, **kw: (X, 2))
-        A = np.diag([4.0, 4.0, 4.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
-        A[0, 2] = A[2, 0] = 1.0
-        with pytest.raises(SolverError, match="triangular solve failed"):
-            solve_dense(toy_pair(A, np.eye(3)), 1)
+        A, B, _ = _eee_sector(n)
+        b = B.diagonal()
+        r = np.count_nonzero(b)
+        assert np.any(b < 0.0) and 3 * m > r
+        ref = sla.eigh(B.toarray(), A.toarray(), eigvals_only=True)
+        ref = np.sort(ref[np.argsort(np.abs(ref))[-r:]])  # the n - r zero mu dropped
+        assert np.count_nonzero(ref < 0.0) > 0
+        for ask in (m, r):
+            mu, V = es._low_rank_eigh(A, B, ask)
+            assert_allclose(mu, ref[-ask:], rtol=1e-12)
+            assert np.max(np.abs(V.T @ (A @ V) - np.eye(ask))) <= 1e-12
+            assert all(np.linalg.norm(B @ v - u * (A @ v)) <= 1e-12 * np.linalg.norm(A @ v)
+                       for u, v in zip(mu, V.T))
+        top = ref[-m:]
+        assert np.any(np.diff(top) <= 1e-9 * top[1:])  # both members of a double
 
     def test_cluster_detection(self):
         pair = toy_pair(np.eye(3), np.diag([1.0, 1.0, 0.5]))
@@ -514,18 +562,18 @@ class TestSuccessive:
         import degeig.eigensolve as es
 
         work = []  # per call: its counted operator, or its order if dense
-        counted, congruence = es._counted, es._congruence_eigh
+        counted, low_rank = es._counted, es._low_rank_eigh
 
         def recording_counted(B):
             work.append(counted(B))
             return work[-1]
 
-        def recording_congruence(A, B, m):
+        def recording_low_rank(A, B, m):
             work.append(A.shape[0])
-            return congruence(A, B, m)
+            return low_rank(A, B, m)
 
         monkeypatch.setattr(es, "_counted", recording_counted)
-        monkeypatch.setattr(es, "_congruence_eigh", recording_congruence)
+        monkeypatch.setattr(es, "_low_rank_eigh", recording_low_rank)
         pair, k = {
             "radial": lambda: (assemble_radial(build_radial_mesh(6.0, 512, 1.0), 3, 1.0,
                                                sign_changing_ring()), 6),
@@ -800,18 +848,18 @@ class TestParitySectors:
         import degeig.eigensolve as es
 
         asked = []  # (pairs asked, positive B entries) per sector call, on either route
-        lobpcg, congruence = es._lobpcg, es._congruence_eigh
+        lobpcg, low_rank = es._lobpcg, es._low_rank_eigh
 
         def recording_lobpcg(A, B, shape, mirrored, m, *args):
             asked.append((m, np.count_nonzero(B.diagonal() > 0.0)))
             return lobpcg(A, B, shape, mirrored, m, *args)
 
-        def recording_congruence(A, B, m):
+        def recording_low_rank(A, B, m):
             asked.append((m, np.count_nonzero(B.diagonal() > 0.0)))
-            return congruence(A, B, m)
+            return low_rank(A, B, m)
 
         monkeypatch.setattr(es, "_lobpcg", recording_lobpcg)
-        monkeypatch.setattr(es, "_congruence_eigh", recording_congruence)
+        monkeypatch.setattr(es, "_low_rank_eigh", recording_low_rank)
         seq = es.solve_successive(_grid_pair(11, sign_changing_ring()), SolverSettings(k=30))
         assert seq.exhausted and seq.count == 18 and all(seq.converged)
         # eee, oee and ooe ask for all they hold (18 = 6 + 3 x 3 + 3 x 1); ooo
@@ -1034,6 +1082,16 @@ class TestPeakMemory:
 def _orbit(sector):
     """The parity sector of SECTORS that an axis permutation carries sector to."""
     return "".join(sorted(sector, reverse=True))
+
+
+def _eee_sector(n):
+    """The ring's eee sector pencil on grid n^3, S^T A S and S^T B S, and S."""
+    import degeig.eigensolve as es
+
+    pair = _grid_pair(n, sign_changing_ring())
+    e = es._mirror_basis((n - 3) // 2, "e")
+    S = sp.kron(sp.kron(e, e), e, format="csr")
+    return (S.T @ pair.A @ S).tocsr(), (S.T @ pair.B @ S).tocsr(), S
 
 
 def _grid_pair(n, weight=None):
