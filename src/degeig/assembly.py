@@ -74,7 +74,14 @@ class DiscreteOperatorPair:
     its element's two hat functions (_point_values); elsewhere the points are
     the dofs, and a nodal vector is its own point values. So every integral
     of a nodal function runs through the same quadrature path.
+
+    gplus_vanishes is True for a radial pair whose weight's positive part is
+    0 at every quadrature point, so that B is negative semidefinite and the
+    pencil has no positive eigenvalue; it is False otherwise (a grid's
+    sectors count their positive B entries instead).
     """
+
+    gplus_vanishes = False
 
     def __init__(self, A, B, geometry, N, alpha, mode, dof_positions, spec=None):
         self.A = A
@@ -107,10 +114,10 @@ class DiscreteOperatorPair:
         return _at_gauss_points(mesh, lambda j, r, h: _positive_part(spec, mesh, r))
 
     @classmethod
-    def from_matrices(cls, A, B, H=None, quad_weights=None):
+    def from_matrices(cls, A, B):
         """Wrap explicit matrices (testing and toy problems).
 
-        The volume quadrature defaults to unit nodal weights; g-dependent
+        H is zero and the volume quadrature unit nodal weights; g-dependent
         helpers are unavailable.
         """
         A = _symmetrized(sp.csr_matrix(A))
@@ -119,8 +126,8 @@ class DiscreteOperatorPair:
         if B.shape != A.shape:
             raise ValueError("A and B must share their order")
         pair = cls(A, B, None, None, None, "matrices", np.arange(n, dtype=float))
-        pair.H = _symmetrized(sp.csr_matrix(H)) if H is not None else sp.csr_matrix((n, n))
-        pair.quad_weights = np.ones(n) if quad_weights is None else np.asarray(quad_weights, float)
+        pair.H = sp.csr_matrix((n, n))
+        pair.quad_weights = np.ones(n)
         pair.gplus_quad = None
         return pair
 
@@ -350,17 +357,23 @@ def assemble_radial(mesh, N, alpha, spec):
     A = _tridiagonal(s + np.r_[0.0, s[:-1]], -s, s != 0.0)
     del h, moment, s
 
+    gplus_vanishes = True
+
     def mass_weight(j, r, h):  # w_q g, with g = g^+ - g^-, one temporary at a time
+        nonlocal gplus_vanishes
         gi, gd, gm = _split(spec, mesh, r)
         g = gi + gd
         del gi, gd
+        gplus_vanishes = gplus_vanishes and not np.any(g > 0.0)
         g -= gm
         del gm
         g *= _volume_weight(N, j, r, h)
         return g
 
     B = _mass(spec, lambda: _hat_form(mesh, mass_weight))
-    return DiscreteOperatorPair(A, B, mesh, N, alpha, "radial", nodes[:-1].copy(), spec)
+    pair = DiscreteOperatorPair(A, B, mesh, N, alpha, "radial", nodes[:-1].copy(), spec)
+    pair.gplus_vanishes = gplus_vanishes
+    return pair
 
 
 def _sym_norm(points):

@@ -149,12 +149,19 @@ def _write_vectors(path, pair, seq):
     write_npy(path, names, coords + list(seq.vectors.T))
 
 
+def _positive_pairs(pair, run):
+    """solve_successive on the pair with the run's settings and seed; a
+    sequence with no pair is a SolverError."""
+    seq = solve_successive(pair, settings=run.problem.solver, seed=run.seed)
+    if seq.count == 0:
+        raise SolverError("no positive eigenvalues found in the discrete pencil")
+    return seq
+
+
 def cmd_solve(run, out_dir):
     pair = _assemble(run.problem)
     settings = run.problem.solver
-    seq = solve_successive(pair, settings=settings, seed=run.seed)
-    if seq.count == 0:
-        raise SolverError("no positive eigenvalues found in the discrete pencil")
+    seq = _positive_pairs(pair, run)
     dense_seq = None
     if pair.order <= DENSE_THRESHOLD:
         dense_seq = solve_dense(pair, settings.k)
@@ -219,7 +226,7 @@ def cmd_converge(run, out_dir):
     slacks = []
     for geom in run.rungs():
         pair = assemble_radial(geom.build(problem.N), problem.N, problem.alpha, problem.weight)
-        seq = solve_successive(pair, settings=problem.solver, seed=run.seed)
+        seq = _positive_pairs(pair, run)
         lambdas.append(seq.lambdas[:k])
         slacks.append(max(0.0, _hardy_slack(pair, 50, run.seed) - 1.0))
         rungs.append([geom.M, geom.R])

@@ -6,22 +6,25 @@ a unit g-mass constraint, energy-orthogonally to e_1..e_{n-1}; equivalently
 it maximizes mu(u) = (u^T B u) / (u^T A u) there. By Courant-Fischer these
 successive maximizers are the eigenvectors of the k largest mu = 1/lambda of
 B v = mu A v, so block eigensolver calls find all k and nothing is deflated
-step by step. B is never factorized. solve_dense is the reference up to
-DENSE_THRESHOLD: one direct call per invariant block for its top min(k,
-order) mu, whatever the successive ask rule below would ask, by
-_tridiagonal_eigh on an unprojected tridiagonal pencil (every radial one),
-else by one generalized eigh of the block's densified pencil.
-solve_successive makes one call per invariant block. Both merge their
-blocks' pairs by mu (_merged), and _finalize turns the mu and vectors into
-pairs: one ordering, positivity cut, normalization and lambda rule; the
-pairs' clusters come from cluster_gaps, the one cluster rule, whose gaps
-the solve claim on them reads too.
+step by step. B is never factorized.
+
+Both solvers run one pipeline: one call per invariant block (_blocks), each
+a record (block, mu, vectors, applications, stop), which _finalize merges by
+mu (_merged) and turns into pairs by one positivity cut, normalization,
+lambda rule and residual judgement, and one cluster rule (cluster_gaps,
+whose gaps the solve claim reads too), warning when k cuts a cluster that a
+call computed. solve_dense, the reference up to DENSE_THRESHOLD, asks every
+block for its top min(k, order) mu, whatever the successive ask rule below
+would ask: by _tridiagonal_eigh on an unprojected tridiagonal pencil (every
+radial one), else by one generalized eigh of the block's densified pencil;
+its records carry no applications or stop.
 
 An invariant block (Block) is a subspace that A and B map into itself, so
 a smaller pencil of the same kind (Bossavit, Symmetry, groups, and boundary
 value problems, CMAME 56, 1986); its members are the blocks an axis
 permutation carries it to, with the same mu. A radial or explicit pencil
-is one block of one member. On the cube grid every weight is radial and
+is one block of one member, handed out equilibrated (_equilibration), its
+vectors scaled back by _merged. On the cube grid every weight is radial and
 the grid centered, so A and B commute with the mirrors (x, y, z) -> (+-x,
 +-y, +-z): the blocks are the sectors of vectors even (e) or odd (o) in
 each axis, one per orbit of the axis permutations (SECTORS: eee, oee, ooe
@@ -29,22 +32,21 @@ and ooo, with 1, 3, 3 and 1 members, e.g. oee, eoe, eeo), each solved on
 S^T A S, S^T B S for an orthonormal basis S of it.
 
 For m = min(k, order - 1) the first block asks for m pairs and a block of
-w members for ceil((m - 1) / w); a sector asks for at most its count of
-positive B entries (its positive mu, by Sylvester's law of inertia), and a
-block asking for none is skipped. Together they hold the m largest mu, as
-lambda_1 is simple and lies in the first block: on the grid, A has
-nonpositive off-diagonals and B is diagonal, so A - lambda_1 B is a
-positive semidefinite irreducible Z-matrix, and by Perron-Frobenius its
-null vector is positive, hence even in every axis (eee). A block is solved
-by one call (_block_pairs): ARPACK with a sparse LU of A, both on the
-pencil equilibrated by _equilibration, if unprojected; _low_rank_eigh,
-exact on B's rank, on a sector of at most DENSE_THRESHOLD dofs asking for
-more than a third of that rank; else block LOBPCG preconditioned by
-V-cycle-preconditioned CG, which, unlike single-vector Lanczos, keeps every
-member of a multiplicity. The pairs of all blocks are merged by mu, equal
-mu in the order the blocks and calls returned them (a triple reads oee,
-eoe, eeo), and each vector is carried to its members; a grid pair reports
-its member's label as sector. EigenSequence.calls records each call.
+w members for ceil((m - 1) / w), at most its count of positive mu
+(Block.positive), and a block asking for none is skipped. Together they
+hold the m largest mu, as lambda_1 is simple and lies in the first block:
+on the grid, A has nonpositive off-diagonals and B is diagonal, so A -
+lambda_1 B is a positive semidefinite irreducible Z-matrix, and by
+Perron-Frobenius its null vector is positive, hence even in every axis
+(eee). A block is solved by one call (_block_pairs): ARPACK with a sparse
+LU of A if unprojected; _low_rank_eigh, exact on B's rank, on a sector of
+at most DENSE_THRESHOLD dofs asking for more than a third of that rank;
+else block LOBPCG preconditioned by V-cycle-preconditioned CG, which,
+unlike single-vector Lanczos, keeps every member of a multiplicity. The
+pairs of all blocks are merged by mu, equal mu in the order the blocks and
+calls returned them (a triple reads oee, eoe, eeo), and each vector is
+carried to its members; a grid pair of either solver reports its member's
+label as sector. EigenSequence.calls records each call.
 """
 
 import ctypes
@@ -105,8 +107,9 @@ class EigenSequence:
     vectors holds one B-normalized eigenvector per column. cross_energy and
     cross_mass are the Gram matrices in the energy and mass inner products;
     their off-diagonals quantify orthogonality. calls holds one record per
-    block call, none for the dense solve: its block (grid only), the pairs it
-    produced, its applications of B (iterations lists them) and its stop.
+    block call: its block (grid only), the pairs it produced, its
+    applications of B (iterations lists them) and its stop, both None for
+    the dense solve.
     Per pair, residual_floors holds its residual's rounding floor and sectors
     the label of its member (module docstring): on the cube grid its parity
     sector, a letter per axis, "e" even and "o" odd under that axis's mirror;
@@ -253,16 +256,12 @@ def _residual_floors(pair, lambdas, vectors, AV):
     return floors
 
 
-def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sources=None,
-              beyond=()):
-    """A solve's mu and vectors as a sequence of measured pairs.
+def _finalize(pair, calls, requested, asked, method, tol=None):
+    """The pairs of a solve's block calls, one (block, mu, vectors,
+    applications, stop) each, asked for `asked` of `requested` pairs.
 
-    mus and the columns of vecs (at any scale) are asked for `asked` of
-    `requested` pairs; calls holds one (block label, applications, stop)
-    per block call, sources (if given) per column its call and member label,
-    and beyond the mu computed past the asked ones, descending.
-    Pairs go by descending mu, equal mu in the given order. A mu at or below
-    EXHAUSTION_RTOL * mu_1 (mu <= 0 for the first) proves the positive
+    _merged orders the calls' mu, and pairs go by that order. A mu at or
+    below EXHAUSTION_RTOL * mu_1 (mu <= 0 for the first) proves the positive
     spectrum exhausted, as do fewer pairs than asked for: it and all below
     it are dropped, giving a partial sequence, not an error. Each kept vector
     is scaled to unit g-mass by sqrt(v^T B v) and oriented (_fix_sign); its
@@ -271,16 +270,17 @@ def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sou
     warned about as at its rounding floor when its residual is within
     FLOOR_MARGIN of it, otherwise by its call's stop and its mu_n / mu_1 (an
     absolute tolerance in mu leaves a small one a large relative residual);
-    these precede the warning on a cluster cut by beyond (cluster_gaps reads
-    1 / mu, as a gap in lambda is 1 - mu_{n+1} / mu_n), then on exhaustion or
-    on the order - 1 cap.
+    these precede the warning on a cluster cut by the mu computed past the
+    asked ones (cluster_gaps reads 1 / mu, as a gap in lambda is 1 - mu_{n+1}
+    / mu_n), then on exhaustion or on the order - 1 cap.
     """
-    order = sorted(range(len(mus)), key=lambda j: -mus[j])
-    kept = [j for j in order if mus[j] > max(EXHAUSTION_RTOL * mus[order[0]], 0.0)]
-    masses = [u @ b for u, b in zip(vecs.T, (pair.B @ vecs).T)]
-    vectors = vecs[:, kept]
-    vectors /= np.sqrt([masses[j] for j in kept])
-    k = len(kept)
+    mus, vecs, sources = _merged(pair, calls, asked)
+    floor = max(EXHAUSTION_RTOL * mus[0], 0.0) if mus else 0.0
+    k = int(sum(mu > floor for mu in mus[:asked]))
+    kept = vecs[:, :k]
+    masses = [u @ b for u, b in zip(kept.T, (pair.B @ kept).T)]
+    vectors = kept.copy(order="F")
+    vectors /= np.sqrt(masses)
     for i in range(k):
         vectors[:, i] = _fix_sign(pair, vectors[:, i], first_mode=(i == 0))
     # A V and B V in C order, as a block product returns them, one column at a
@@ -298,13 +298,13 @@ def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sou
         f"pair {i + 1} is at its rounding floor: residual {resid[i]:.3e} is "
         f"{resid[i] / floors[i]:.1f} times the floor {floors[i]:.3e} (tol {tol:.0e})"
         if resid[i] <= FLOOR_MARGIN * floors[i] else
-        f"pair {i + 1} {calls[sources[j][0]][2]} at residual {resid[i]:.3e} "
-        f"(tol {tol:.0e}, mu_n / mu_1 = {mus[j] / mus[order[0]]:.1e})"
-        for i, j in enumerate(kept) if not converged[i]
+        f"pair {i + 1} {calls[sources[i][0]][4]} at residual {resid[i]:.3e} "
+        f"(tol {tol:.0e}, mu_n / mu_1 = {mus[i] / mus[0]:.1e})"
+        for i in range(k) if not converged[i]
     ]
     _, clusters = cluster_gaps(lambdas)
-    if k == asked:  # beyond goes on from the last asked mu, which is kept
-        tail = np.array([mus[kept[-1]], *beyond])
+    if k == asked:  # the mu past the asked ones go on from the last, which is kept
+        tail = np.array(mus[k - 1:])
         cut = len(cluster_gaps(1.0 / tail[tail > 0.0])[1][0]) - 1
         if cut:
             warnings.append(f"k = {asked} cuts a cluster: {cut} computed member(s) after "
@@ -330,11 +330,11 @@ def _finalize(pair, mus, vecs, requested, asked, method, tol=None, calls=(), sou
         clusters=clusters,
         warnings=warnings,
         residual_floors=floors,
-        sectors=[None if sources is None else sources[j][1] for j in kept],
-        calls=[{**({} if label is None else {"block": label}),
-                "pairs": [i + 1 for i, j in enumerate(kept) if sources[j][0] == index],
+        sectors=[label for _, label in sources[:k]],
+        calls=[{**({} if block.label is None else {"block": block.label}),
+                "pairs": [i + 1 for i in range(k) if sources[i][0] == index],
                 "applications": applications, "stop": stop}
-               for index, (label, applications, stop) in enumerate(calls)],
+               for index, (block, _, _, applications, stop) in enumerate(calls)],
     )
 
 
@@ -410,11 +410,11 @@ def _tridiagonal_eigh(A, B, m):
     mu; an A that is not positive definite is a SolverError. Each mu kept by
     _finalize's rule (above EXHAUSTION_RTOL of the largest, and positive)
     takes INVERSE_STEPS steps of inverse iteration (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4) by solve_banded on the pencil equilibrated by
-    _equilibration, shifted to mu (1 + INVERSE_SHIFT), the j-th started from
-    default_rng([0, j]). Equilibration keeps the vectors accurate where
-    diag(A) spans many decades (N = 5: 1e-22 to 1e7); the shift keeps an
-    exact mu from making the shifted pencil singular. One Rayleigh-Ritz eigh
+    Eigenvalue Problem, ch. 4) by solve_banded, shifted to mu (1 +
+    INVERSE_SHIFT), the j-th started from default_rng([0, j]); the shift
+    keeps an exact mu from making the shifted pencil singular. The pencil is
+    the equilibrated one of _blocks, which keeps the vectors accurate where
+    diag(A) spans many decades (N = 5: 1e-22 to 1e7). One Rayleigh-Ritz eigh
     call on the span of the vectors makes those of a cluster A-orthogonal.
     Returns the Ritz values ascending and their vectors as columns.
     """
@@ -434,53 +434,47 @@ def _tridiagonal_eigh(A, B, m):
         raise SolverError(f"banded generalized eigensolve failed (info={info.value})")
     mu = mu[:found.value]
     mu = mu[mu > max(EXHAUSTION_RTOL * mu[-1], 0.0)]
-    scale = _equilibration(A)
-    As, Bs = _scaled(A, scale), _scaled(B, scale)
     W = np.empty((n, mu.size))
     for j, shift in enumerate(mu * (1.0 + INVERSE_SHIFT)):
-        band = _band_rows(Bs - shift * As)
+        band = _band_rows(B - shift * A)
         w = np.random.default_rng([0, j]).standard_normal(n)
         for _ in range(INVERSE_STEPS):
-            w = sla.solve_banded((1, 1), band, As @ w)
+            w = sla.solve_banded((1, 1), band, A @ w)
             w /= np.linalg.norm(w)
         W[:, j] = w
-    V = scale[:, None] * W
-    ritz, Y = sla.eigh(V.T @ (B @ V), V.T @ (A @ V))
-    return ritz, V @ Y
+    ritz, Y = sla.eigh(W.T @ (B @ W), W.T @ (A @ W))
+    return ritz, W @ Y
 
 
 def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
-    """Top-k reference solve of the pencil B v = mu A v of either geometry,
-    whose mu and vectors _finalize turns into pairs: one direct call per
-    invariant block (_blocks) for its top min(k, order) mu, merged by mu
-    with each vector carried to the block's members (_merged). An
-    unprojected tridiagonal pencil (every radial one) takes
-    _tridiagonal_eigh; any other block (a cube grid's sectors, a dense toy)
-    one generalized eigh of its densified pencil, LAPACK's Cholesky
-    congruence, in O(order^3) work. Orders of the whole pencil above
-    dense_threshold are refused. Returns the k smallest positive lambda;
-    fewer when the pencil has fewer positive eigenvalues (reported, not
-    fatal).
+    """Top-k reference solve of the pencil B v = mu A v of either geometry:
+    one direct call per invariant block (_blocks) for its top min(k, order)
+    mu, whose calls _finalize turns into pairs. An unprojected tridiagonal
+    pencil (every radial one) takes _tridiagonal_eigh; any other block (a
+    cube grid's sectors, a dense toy) one generalized eigh of its densified
+    pencil, LAPACK's Cholesky congruence, in O(order^3) work. Orders of the
+    whole pencil above dense_threshold are refused. Returns the k smallest
+    positive lambda; fewer when the pencil has fewer positive eigenvalues
+    (reported, not fatal).
     """
     n = pair.order
     if n > dense_threshold:
         raise SolverError(f"dense solve refused at order {n} > {dense_threshold}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    calls = []  # (block, mu, vectors) per block
+    calls = []
     for block in _blocks(pair):
         A, B, order = block.A, block.B, block.A.shape[0]
         if block.S is None and max(_bandwidth(A), _bandwidth(B)) == 1:
-            calls.append((block, *_tridiagonal_eigh(A, B, k)))
-            continue
-        try:
-            calls.append((block, *sla.eigh(B.toarray(), A.toarray(), overwrite_a=True,
-                                           overwrite_b=True, check_finite=False,
-                                           subset_by_index=[max(order - k, 0), order - 1])))
-        except sla.LinAlgError as exc:
-            raise SolverError(f"dense eigh failed (its B is the energy matrix): {exc}") from exc
-    mus, vecs, _, _ = _merged(pair, calls, k)
-    return _finalize(pair, mus, vecs, requested=k, asked=k, method="dense")
+            mu, V = _tridiagonal_eigh(A, B, k)
+        else:
+            try:
+                mu, V = sla.eigh(B.toarray(), A.toarray(), overwrite_a=True, overwrite_b=True,
+                                 check_finite=False, subset_by_index=[max(order - k, 0), order - 1])
+            except sla.LinAlgError as exc:
+                raise SolverError(f"dense eigh failed (its B is the energy matrix): {exc}") from exc
+        calls.append((block, mu, V, None, None))
+    return _finalize(pair, calls, requested=k, asked=k, method="dense")
 
 
 def _interpolation(shape, mirrored):
@@ -592,8 +586,11 @@ def _project(M, ST):
 class Block:
     """One invariant block of the pencil (module docstring): members lists
     (axes, label) per member, itself first; A, B is S^T A S, S^T B S for its
-    orthonormal basis S (the whole pencil if None), and a member's vector is
-    S v on the full dof array (of this shape), its axes transposed to axes."""
+    orthonormal basis S, and a member's vector is S v on the full dof array
+    (of this shape), its axes transposed to axes. If S is None the block is
+    the whole pencil equilibrated, diag(scale) A diag(scale) and the same of
+    B (_equilibration), and its vector is scale v. positive bounds its count
+    of positive mu."""
 
     label: str
     members: list
@@ -601,14 +598,21 @@ class Block:
     B: object
     S: object = None
     shape: tuple = None
+    scale: object = None
+    positive: int = None
 
 
 def _blocks(pair):
     """The pencil's invariant blocks, formed one at a time (module docstring),
     a sector's S the Kronecker product of the orthonormal 1-D mirror bases, so
-    that an absolute tolerance means on it what it means on the full grid."""
+    that an absolute tolerance means on it what it means on the full grid. A
+    sector's positive mu are its positive B entries (Sylvester's law of
+    inertia); the whole pencil has none when g^+ vanishes at every
+    quadrature point, as B is then negative semidefinite."""
     if pair.mode != "grid3d":
-        yield Block(None, [(None, None)], pair.A, pair.B)
+        scale = _equilibration(pair.A)
+        yield Block(None, [(None, None)], _scaled(pair.A, scale), _scaled(pair.B, scale),
+                    scale=scale, positive=0 if pair.gplus_vanishes else pair.order)
         return
     c = (pair.geometry.n - 3) // 2
     for label in SECTORS:
@@ -618,8 +622,10 @@ def _blocks(pair):
         bases = [_mirror_basis(c, parity) for parity in label]
         S = sp.kron(sp.kron(bases[0], bases[1]), bases[2], format="csr")
         ST = S.T.tocsr()
+        B = _project(pair.B, ST)
         yield Block(label, [(axes, name) for name, axes in members.items()],
-                    _project(pair.A, ST), _project(pair.B, ST), S, (2 * c + 1,) * 3)
+                    _project(pair.A, ST), B, S, (2 * c + 1,) * 3,
+                    positive=int(np.count_nonzero(B.diagonal() > 0.0)))
 
 
 def _counted(B):
@@ -692,30 +698,23 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
 def _block_pairs(block, ask, settings, seed, index):
     """One call for the ask largest mu of a block, the index-th, by its route
     (module docstring) from a start drawn from seed: the mu, their vectors as
-    columns, its applications of B and its stop; None if a sector caps ask at 0."""
+    columns, its applications of B and its stop."""
     A, B = block.A, block.B
     if block.S is None:
         # ARPACK runs on the equilibrated pencil, as the dense route does: where
         # diag(A) spans many decades (N = 9: 1e-44 to 1e10) the LU of A itself
-        # gives pairs far from converged that ARPACK's test in mu accepts. B
-        # is scaled after the LU, whose transient sets the command's peak
-        scale = _equilibration(A)
-        A = _scaled(A, scale)
+        # gives pairs far from converged that ARPACK's test in mu accepts
         try:
             # A is exactly symmetric, so its CSR arrays are its CSC ones
             lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape))
         except RuntimeError as exc:
             raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
-        op = _counted(_scaled(B, scale))
+        op = _counted(B)
         inv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=float)
         v0 = np.random.default_rng([seed, 0, index]).standard_normal(A.shape[0])
         mus, vecs = spla.eigsh(op, ask, M=A, Minv=inv, which="LA", v0=v0,
                                maxiter=settings.max_iter)
-        vecs *= scale[:, None]
         return mus, vecs, op.applications, "met ARPACK's tolerance, absolute in mu, and stopped"
-    ask = min(ask, np.count_nonzero(B.diagonal() > 0.0))
-    if ask < 1:
-        return None
     if 3 * ask > np.count_nonzero(B.diagonal()) and A.shape[0] <= DENSE_THRESHOLD:
         # the eigenvectors of the nonzero mu lie in A^{-1} range(B): past a
         # third of B's rank, LOBPCG's basis of the block, its preconditioned
@@ -752,43 +751,41 @@ def _low_rank_eigh(A, B, m):
 
 
 def _merged(pair, calls, m):
-    """The m largest mu of the block calls, one (block, mu, vectors, ...)
-    each, in a stable descending order (equal mu in call order, a block's
-    members in turn), their vectors on the full pencil as columns, per
-    column its call's index and member's label, and the mu past the m-th."""
+    """The mu of the block calls, one (block, mu, vectors, applications,
+    stop) each, in a stable descending order (equal mu in call order, a
+    block's members in turn), and for the first m their vectors on the full
+    pencil as columns and their call's index and member's label."""
     found = sorted([(mu, c, j, axes, name) for c, (b, mus, *_) in enumerate(calls)
                     for j, mu in enumerate(mus) for axes, name in b.members],
                    key=lambda f: -f[0])  # stable: members stay in order
-    found, beyond = found[:m], [f[0] for f in found[m:]]
-    if calls[0][0].S is None:
+    if calls and calls[0][0].S is None:
         # the whole pencil is the only block and needs no carrying: its vectors
-        # are reordered in place, as a second order x m array would stay in the
-        # heap after them (ru_maxrss 1.3 MB higher on ring M8192 k=24)
-        vecs = calls[0][2]
+        # are reordered and scaled back in place, as a second order x m array
+        # would stay in the heap after them (ru_maxrss 1.3 MB higher on ring
+        # M8192 k=24)
+        b, _, vecs, *_ = calls[0]
         vecs[:] = vecs[:, [f[2] for f in found]]
+        vecs *= b.scale[:, None]
     else:
-        vecs = np.zeros((pair.order, len(found)))
-        for j, (_, c, column, axes, _) in enumerate(found):
+        vecs = np.zeros((pair.order, min(m, len(found))))
+        for j, (_, c, column, axes, _) in enumerate(found[:m]):
             b, _, V, *_ = calls[c]
             vecs[:, j] = (b.S @ V[:, column]).reshape(b.shape).transpose(axes).ravel()
-    return [f[0] for f in found], vecs, [(f[1], f[4]) for f in found], beyond
+    return [f[0] for f in found], vecs, [(f[1], f[4]) for f in found[:m]]
 
 
 def _maximize_quotient(pair, m, settings, seed):
-    """The m largest mu of the pencil (B, A), one call per invariant block
-    (module docstring), merged by _merged: the mu, their vectors, one (block
-    label, applications, stop) per call, per column its call and member
-    label, and the mu past the m-th."""
-    calls = []  # (block, mu, vectors, applications, stop) per call
+    """The m largest mu of the pencil (B, A): one call per invariant block
+    (module docstring), each a (block, mu, vectors, applications, stop)
+    record, in call order."""
+    calls = []
     # a block after the first asks for ceil((m - 1) / w) pairs, none when m = 1,
     # so then no further block is formed
     for index, block in enumerate(islice(_blocks(pair), None if m > 1 else 1)):
-        ask = m if index == 0 else -(-(m - 1) // len(block.members))
-        call = _block_pairs(block, ask, settings, seed, index)
-        if call is not None:
-            calls.append((block, *call))
-    mus, vecs, sources, beyond = _merged(pair, calls, m)
-    return mus, vecs, [(b.label, *rest) for b, _, _, *rest in calls], sources, beyond
+        ask = min(m if index == 0 else -(-(m - 1) // len(block.members)), block.positive)
+        if ask > 0:
+            calls.append((block, *_block_pairs(block, ask, settings, seed, index)))
+    return calls
 
 
 def solve_successive(pair, settings=None, seed=42):
@@ -802,7 +799,7 @@ def solve_successive(pair, settings=None, seed=42):
     if m < 1:
         raise SolverError("the successive solve needs an order of at least 2")
     try:
-        mus, vecs, calls, sources, beyond = _maximize_quotient(pair, m, settings, seed)
+        calls = _maximize_quotient(pair, m, settings, seed)
     except spla.ArpackNoConvergence as exc:
         done = len(exc.eigenvalues)
         raise SolverError(
@@ -811,8 +808,8 @@ def solve_successive(pair, settings=None, seed=42):
         ) from exc
     except spla.ArpackError as exc:
         raise SolverError(f"ARPACK failed: {exc}") from exc
-    return _finalize(pair, mus, vecs, requested=settings.k, asked=m, method="successive",
-                     tol=settings.tol, calls=calls, sources=sources, beyond=beyond)
+    return _finalize(pair, calls, requested=settings.k, asked=m, method="successive",
+                     tol=settings.tol)
 
 
 @dataclass

@@ -638,6 +638,31 @@ class TestOtherCommands:
         assert captured.err == ("numerical failure: weight 'tabulated' overflows the mass "
                                 "matrix B: an entry is not finite\n")
 
+    @pytest.mark.parametrize("command, geometry, radii", [
+        ("solve", {"mode": "radial", "R": 6.0, "M": 64}, [0.0, 3.0, 6.0]),
+        ("converge", {"mode": "radial", "R": 6.0, "M": 64}, [0.0, 3.0, 6.0]),
+        ("solve", {"mode": "grid3d", "L": 6.0, "n": 15}, [0.0, 3.0, 12.0])])
+    def test_weight_without_positive_part_is_numerical_failure(self, tmp_path, capsys,
+                                                               monkeypatch, command, geometry,
+                                                               radii):
+        # g = -1 everywhere makes B negative semidefinite, so by Sylvester's
+        # law the pencil has no positive eigenvalue: one line and exit 2, with
+        # no factorization and no eigensolver call (ARPACK ran out of restarts
+        # on the radial pencil, and the grid solve raised an IndexError)
+        import degeig.eigensolve as es
+
+        calls = []
+        for name in ("splu", "eigsh", "lobpcg"):
+            real = getattr(es.spla, name)
+            monkeypatch.setattr(es.spla, name, lambda *a, _real=real, **kw:
+                                calls.append(1) or _real(*a, **kw))
+        weight = {"kind": "tabulated", "radii": radii, "values": [-1.0, -1.0, -1.0]}
+        cfg = small_config(tmp_path, **{"problem.weight": weight, "problem.geometry": geometry})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert not calls
+        assert capsys.readouterr().err == ("numerical failure: no positive eigenvalues found in "
+                                           "the discrete pencil\n")
+
     def test_catalogue_lists_borderline(self, tmp_path, capsys):
         assert main(["catalogue", "--N", "3", "--alpha", "1.0"]) == 0
         out = capsys.readouterr().out

@@ -153,7 +153,9 @@ class TestDense:
         assert es._bandwidth(pair.A) == es._bandwidth(pair.B) == 1
         n = pair.order
         mus, vecs = sla.eigh(pair.B.toarray(), pair.A.toarray(), subset_by_index=[n - k, n - 1])
-        ref = es._finalize(pair, mus, vecs, requested=k, asked=k, method="dense")
+        whole = es.Block(None, [(None, None)], pair.A, pair.B, scale=np.ones(n))
+        ref = es._finalize(pair, [(whole, mus, vecs, None, None)], requested=k, asked=k,
+                           method="dense")
         real = sla.eigh
 
         def small_only(a, *args, **kwargs):
@@ -590,22 +592,27 @@ class TestSuccessive:
         assert sorted(n for call in seq.calls for n in call["pairs"]) == list(range(1, k + 1))
 
     def test_equal_mu_keep_the_call_order(self, monkeypatch):
-        # pairs of equal mu are walked in the order they were returned, each
-        # with its own call; nothing re-sorts them, and each call's record
-        # names the pair it produced, whatever the order of the calls
+        # pairs of equal mu are walked in the order their calls returned them,
+        # each with its own call; nothing re-sorts them, and each call's
+        # record names the pair it produced, whatever the order of the calls
+        # (the first call here holds the smallest mu)
         import degeig.eigensolve as es
 
-        pair = toy_pair(np.diag([1.0, 1.0, 3.0]), np.eye(3))
-        vecs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])  # e_2, then e_1
-        monkeypatch.setattr(es, "_maximize_quotient", lambda *a: (
-            [1.0, 1.0], vecs, [(None, 7, "stopped at a"), (None, 9, "stopped at b")],
-            [(1, None), (0, None)], []))
-        seq = es.solve_successive(pair, SolverSettings(k=2))
-        assert seq.clusters == [[0, 1]]
+        pair = toy_pair(np.diag([1.0, 1.0, 2.0, 4.0]), np.eye(4))
+        whole = es.Block(None, [((0,), None)], None, None, sp.identity(4, format="csr"), (4,))
+        e = np.eye(4)
+        vecs = e[:, [1, 0, 2]]  # e_2, then e_1 and e_3
+        monkeypatch.setattr(es, "_maximize_quotient", lambda *a: [
+            (whole, [0.5], e[:, [2]], 3, "stopped at c"),
+            (whole, [1.0], e[:, [1]], 7, "stopped at a"),
+            (whole, [1.0], e[:, [0]], 9, "stopped at b")])
+        seq = es.solve_successive(pair, SolverSettings(k=3))
+        assert seq.clusters == [[0, 1], [2]]
         assert np.array_equal(seq.vectors, vecs)
-        assert seq.iterations == [7, 9]
-        assert seq.calls == [{"pairs": [2], "applications": 7, "stop": "stopped at a"},
-                             {"pairs": [1], "applications": 9, "stop": "stopped at b"}]
+        assert seq.iterations == [3, 7, 9]
+        assert seq.calls == [{"pairs": [3], "applications": 3, "stop": "stopped at c"},
+                             {"pairs": [1], "applications": 7, "stop": "stopped at a"},
+                             {"pairs": [2], "applications": 9, "stop": "stopped at b"}]
 
     @pytest.mark.parametrize("beyond, cut", [([0.5, 0.5 * (1 - 1e-10), 0.4, 0.0, -1.0], 2),
                                              ([0.5 * (1 - 1e-8)], 0), ([0.0, -1.0], 0)])
@@ -616,8 +623,11 @@ class TestSuccessive:
         import degeig.eigensolve as es
 
         pair = toy_pair(np.diag([1.0, 2.0, 4.0]), np.eye(3))
-        monkeypatch.setattr(es, "_maximize_quotient", lambda *a: (
-            [1.0, 0.5], np.eye(3)[:, :2], [(None, 2, "stopped")], [(0, None), (0, None)], beyond))
+        whole = es.Block(None, [(None, None)], None, None, scale=np.ones(3))
+        # the columns past the second stand for the vectors of beyond
+        vecs = np.column_stack([np.eye(3)[:, :2], np.zeros((3, len(beyond)))])
+        monkeypatch.setattr(es, "_maximize_quotient", lambda *a: [
+            (whole, [1.0, 0.5, *beyond], vecs, 2, "stopped")])
         seq = es.solve_successive(pair, SolverSettings(k=2))
         assert seq.clusters == [[0], [1]]
         assert seq.warnings == [f"k = 2 cuts a cluster: {cut} computed member(s) after pairs [2] "
@@ -631,23 +641,26 @@ class TestSuccessive:
 
         pair, settings = (_grid_pair(11), SolverSettings(k=1)) if grid else (
             gaussian_pair_512, SolverSettings(k=6))
-        assert es._maximize_quotient(pair, settings.k, settings, 42)[4] == []
+        calls = es._maximize_quotient(pair, settings.k, settings, 42)
+        assert sum(len(mu) * len(block.members) for block, mu, *_ in calls) == settings.k
         assert not any("cuts a cluster" in w for w in solve_successive(pair, settings).warnings)
 
     @pytest.mark.parametrize("grid", [False, True])
     def test_returned_mu_are_rayleigh_quotients(self, grid, gaussian_pair_512):
         # the mu each call returns (ARPACK's eigenvalues, LOBPCG's final
         # Rayleigh-Ritz values) are the quotients of the vectors it returns.
-        # Both geometries return one shape: mu non-increasing, equal mu (the
-        # grid's triple, one sector vector carried to three members) in the
-        # call's order, one record (block label, applications, stop) per
-        # call, per column the index of its call and one member label, None
-        # off the grid, and the mu computed past the fifth, none off the grid
+        # Both geometries return one shape: one record (block, mu, vectors,
+        # applications, stop) per call, merged (_merged) with mu
+        # non-increasing, equal mu (the grid's triple, one sector vector
+        # carried to three members) in the call's order, per column the index
+        # of its call and one member label, None off the grid, and the mu
+        # computed past the fifth, none off the grid
         import degeig.eigensolve as es
 
         pair = _grid_pair(11) if grid else gaussian_pair_512
-        mus, vecs, calls, sources, beyond = es._maximize_quotient(pair, 5, SolverSettings(k=5),
-                                                                  42)
+        calls = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        mus, vecs, sources = es._merged(pair, calls, 5)
+        mus, beyond = mus[:5], mus[5:]
         labels = [label for _, label in sources]
         quotients = (np.einsum("ij,ij->j", vecs, pair.B @ vecs)
                      / np.einsum("ij,ij->j", vecs, pair.A @ vecs))
@@ -656,16 +669,16 @@ class TestSuccessive:
         assert all(a >= b for a, b in zip(mus + beyond, (mus + beyond)[1:]))
         assert len(sources) == 5
         assert all(isinstance(a, int) and a > 0 and isinstance(stop, str)
-                   for _, a, stop in calls)
+                   for *_, a, stop in calls)
         if grid:
-            assert [label for label, *_ in calls] == ["eee", "oee", "ooe", "ooo"]
+            assert [block.label for block, *_ in calls] == ["eee", "oee", "ooe", "ooo"]
             assert [c for c, _ in sources] == [0, 0, 1, 1, 1]
             assert labels == ["eee", "eee", "oee", "eoe", "eeo"]
             assert mus[2] == mus[3] == mus[4]
             # eee asked for 5, each triple sector for 2 (3 members), ooo for 4
             assert len(beyond) == 5 + 6 + 6 + 4 - 5
         else:
-            assert [label for label, *_ in calls] == [None]
+            assert [block.label for block, *_ in calls] == [None]
             assert sources == [(0, None)] * 5
             assert len(set(mus)) == 5
             assert beyond == []
@@ -909,7 +922,8 @@ class TestParitySectors:
             return np.allclose(u, sign * v, rtol=4 * np.finfo(float).eps, atol=0.0)
 
         pair = _grid_pair(11)
-        _, vecs, _, sources, _ = es._maximize_quotient(pair, 5, SolverSettings(k=5), 42)
+        _, vecs, sources = es._merged(pair, es._maximize_quotient(pair, 5, SolverSettings(k=5),
+                                                                  42), 5)
         sectors = [label for _, label in sources]
         members = [vecs[:, j].reshape((9,) * 3) for j, s in enumerate(sectors) if s != "eee"]
         assert sorted(s for s in sectors if s != "eee") == ["eeo", "eoe", "oee"]
@@ -927,6 +941,20 @@ class TestParitySectors:
         assert seq.clusters == [[0], [1], [2, 3]]
         assert seq.warnings == ["k = 4 cuts a cluster: 1 computed member(s) after pairs [3, 4] "
                                 "(lambda 18.43487) not reported"]
+
+    @pytest.mark.parametrize("n", [11, 13])
+    def test_dense_reference_judged_as_successive(self, n):
+        # k = 4 cuts the octahedral triple after pairs 3 and 4. The dense
+        # reference's calls are finished by the same step as the successive
+        # solve's: the same clusters, the same cut warning, word for word, and
+        # the same sector per pair
+        pair = _grid_pair(n)
+        ref = solve_dense(pair, 4)
+        seq = solve_successive(pair, SolverSettings(k=4))
+        assert ref.clusters == seq.clusters == [[0], [1], [2, 3]]
+        assert len(seq.warnings) == 1 and "k = 4 cuts a cluster: 1 computed" in seq.warnings[0]
+        assert ref.warnings == seq.warnings
+        assert ref.sectors == seq.sectors == ["eee", "eee", "oee", "eoe"]
 
     @pytest.mark.parametrize("n, weight, k", [(11, gaussian_bump, 5), (13, sign_changing_ring, 6)])
     def test_triples_ordered_by_axis(self, n, weight, k):
@@ -979,16 +1007,18 @@ class TestPeakMemory:
 
         mesh = build_radial_mesh(6.0, 8192, grading_for_span(8192, 1e4))
         pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
-        mus, vecs, calls, sources, _ = _maximize_quotient(pair, 24, SolverSettings(k=24), 42)
 
-        def finalize():
-            return _finalize(pair, mus, vecs, 24, 24, "successive", tol=1e-9, calls=calls,
-                             sources=sources)
+        def finalize(calls):
+            return _finalize(pair, calls, 24, 24, "successive", tol=1e-9)
 
-        finalize()  # first-call caches stay out of the count
+        finalize(_maximize_quotient(pair, 24, SolverSettings(k=24), 42))  # first-call caches
+        # _finalize reorders and scales the call's vectors in place, so it is
+        # measured on calls of its own
+        calls = _maximize_quotient(pair, 24, SolverSettings(k=24), 42)
+        vecs = calls[0][2]
         tracemalloc.start()
         try:
-            finalize()
+            finalize(calls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1023,13 +1053,13 @@ class TestPeakMemory:
         # 8.25 MiB
         import tracemalloc
 
-        from degeig.eigensolve import _maximize_quotient
+        from degeig.eigensolve import _maximize_quotient, _merged
 
         pair = _grid_pair(41)
         _maximize_quotient(pair, 1, SolverSettings(k=1), 42)  # first-call caches stay out
         tracemalloc.start()
         try:
-            _, vecs, *_ = _maximize_quotient(pair, 1, SolverSettings(k=1), 42)
+            _, vecs, _ = _merged(pair, _maximize_quotient(pair, 1, SolverSettings(k=1), 42), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -12,10 +12,12 @@ ring-weight grid solves that reach the sector routes no workload case does
 (15^3 with k = 12, whose eee sector (343 dofs) is solved densely, and 9^3 with
 k = 40, whose sectors are capped by their positive B entries and which
 stops at 6 of 40 pairs), one radial solve of an inline, sign-changing
-tabulated weight, which no workload case uses, and two high-dimension radial
+tabulated weight, which no workload case uses, two high-dimension radial
 gaussian problems: `check` at N = 6, alpha = 1, whose near-optimizer
 integrands would overflow if formed from u^2 or u'^2, and `solve` at N = 9,
-alpha = 1.9 (M = 512, k = 6), whose energy diagonal spans 54 decades. Each
+alpha = 1.9 (M = 512, k = 6), whose energy diagonal spans 54 decades, and
+two solves of a weight with no positive part (g = -1, radial M = 64 and
+grid 15^3, k = 3), which have no positive eigenvalue and exit 2. Each
 command runs once against each tree, in its own process with one BLAS thread.
 The report's `meta` field (its only nondeterministic part) is dropped before
 comparing; every other file (CSV tables, .npy eigenvectors, matrix exports) is
@@ -88,6 +90,12 @@ def commands(workloads):
         problem = workloads.radial("gaussian", alpha, 512, 6, N=N)
         out.append((f"{command}-gaussian-n{N}-a{alpha}", {"problem": problem, "seed": SEED},
                     [command, "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
+    for name, problem, R in (("radial", workloads.radial("tabulated", 1.0, 64, 3), 6),
+                             ("grid15", workloads.grid(15, 3), 12)):
+        weight = {"kind": "tabulated", "radii": [0, 3, R], "values": [-1, -1, -1]}
+        out.append((f"solve-negative-{name}", {"problem": {**problem, "weight": weight},
+                                               "seed": SEED},
+                    ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
     return out
 
 
