@@ -83,7 +83,7 @@ class RunConfig:
     out_dir: str = "out"
     ladder: list = field(default_factory=list)     # [{'M':..., 'R':...}, ...] for converge
     golden_path: str = None                        # oracle golden file to compare against
-    export_matrices: bool = False
+    export_matrices: bool = False                  # set by --export-matrices
 
     def rungs(self):
         """The ladder's geometries: the problem's, with each rung's fields. A
@@ -114,10 +114,11 @@ def _reading(where):
 
 
 def _typed(types, what, convert=None):
-    """A converter that refuses a value not of `types` (a JSON true or false is
-    only a bool) and returns the value, passed through convert if given."""
+    """A converter that refuses a value not of `types` (a JSON true or false,
+    which Python reads as an int, is refused too) and returns the value,
+    passed through convert if given."""
     def check(value):
-        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+        if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"expected {what}, got {value!r}")
         return convert(value) if convert else value
     return check
@@ -138,7 +139,6 @@ _CONVERTERS = {
     Optional[float]: _typed((int, float, type(None)), "a number or null",
                             lambda value: None if value is None else _finite(value)),
     str: _typed((str,), "a string"),
-    bool: _typed((bool,), "true or false"),
     list: _typed((list,), "a list"),
 }
 
@@ -215,7 +215,7 @@ def problem_from_dict(d):
 
 def run_config_from_dict(d):
     d = _fields(d, "config", {"problem": object, "seed": int, "out": str, "ladder": list,
-                              "golden": str, "export_matrices": bool},
+                              "golden": str},
                 ("problem",))
     run = RunConfig(
         problem=problem_from_dict(d["problem"]),
@@ -225,7 +225,6 @@ def run_config_from_dict(d):
                         ("M",))
                 for i, rung in enumerate(d.get("ladder", []))],
         golden_path=d.get("golden"),
-        export_matrices=d.get("export_matrices", False),
     )
     return run.validate()
 

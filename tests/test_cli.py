@@ -147,8 +147,9 @@ class TestConfig:
                      "problem.weight.neg_amplitude", id="boolean-neg-amplitude"),
         pytest.param({"problem.weight": {"kind": "tabulated", "csv": 0}},
                      "problem.weight.csv", id="numeric-csv"),
-        pytest.param({"export_matrices": "false"}, "config.export_matrices",
-                     id="string-export-matrices"),
+        # the matrix export is set by --export-matrices only
+        pytest.param({"export_matrices": True}, "config: unknown fields ['export_matrices']",
+                     id="export-matrices-field"),
         pytest.param({"out": 5}, "config.out", id="numeric-out"),
         pytest.param({"golden": 5}, "config.golden", id="numeric-golden"),
         pytest.param({"ladder": {"M": 32}}, "config.ladder", id="object-ladder"),

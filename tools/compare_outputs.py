@@ -2,38 +2,51 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE [--work DIR]
 
-Each tree is a checkout with the package under src/. The commands are every
-case of NEW_TREE's perfbench/workloads.py, with the config and arguments the
-benchmark gives them and the seed every workload config carries, plus
-`catalogue --out`, `check` on the ring preset at alpha = 1.5 (a sign-changing
-weight and a second alpha next to the benchmark's gaussian check),
-`solve --export-matrices` on one radial and one grid 13^3 problem, two
-ring-weight grid solves that reach the sector routes no workload case does
-(15^3 with k = 12, whose eee sector (343 dofs) is solved densely, and 9^3 with
-k = 40, whose sectors are capped by their positive B entries and which
-stops at 6 of 40 pairs), one radial solve of an inline, sign-changing
-tabulated weight, which no workload case uses, two high-dimension radial
-gaussian problems: `check` at N = 6, alpha = 1, whose near-optimizer
-integrands would overflow if formed from u^2 or u'^2, and `solve` at N = 9,
-alpha = 1.9 (M = 512, k = 6), whose energy diagonal spans 54 decades, and
-two solves of a weight with no positive part (g = -1, radial M = 64 and
-grid 15^3, k = 3), which have no positive eigenvalue and exit 2. Each
-command runs once against each tree, in its own process with one BLAS thread.
-The report's `meta` field (its only nondeterministic part) is dropped before
-comparing; every other file (CSV tables, .npy eigenvectors, matrix exports) is
-compared as bytes.
+Each tree is a checkout with the package under src/. Every command runs once
+against each tree, as `python -W error -m degeig.cli ...` in its own process
+with one BLAS thread, so a warning from any command is an uncaught exception.
+The commands, in NEW_TREE's order:
+
+- every case of its perfbench/workloads.py, with the config and arguments the
+  benchmark gives them and the seed every workload config carries;
+- `catalogue --out`;
+- presets no workload case runs: `check` on the ring at alpha = 1.5 (a
+  sign-changing weight next to the benchmark's gaussian check), and `oracle`
+  on the ring, the bump and the ball at alpha = 1 (the bump's and the ball's
+  float radii go through the same mask arithmetic as an array);
+- `solve --export-matrices` on one radial and one grid 13^3 problem;
+- three ring-weight grid solves that reach the sector routes no workload case
+  does: 15^3 with k = 12, whose eee sector (343 dofs) is solved densely; 9^3
+  with k = 40, whose sectors are capped by their positive B entries and which
+  stops at 6 of 40 pairs; and 9^3 with k = 6 (order 343), whose dense
+  reference solves each sector by one generalized eigh and whose eee sector
+  (7 nonzero B entries for a block of 3) takes the rank-r route;
+- a radial solve of an inline, sign-changing tabulated weight, which no
+  workload case uses;
+- two high-dimension radial gaussian problems: `check` at N = 6, alpha = 1,
+  whose near-optimizer integrands would overflow if formed from u^2 or u'^2,
+  and `solve` at N = 9, alpha = 1.9 (M = 512, k = 6), whose energy diagonal
+  spans 54 decades;
+- two solves of a weight with no positive part (g = -1, radial M = 64 and grid
+  15^3, k = 3), which have no positive eigenvalue and exit 2.
+
+The outputs of a command are its stdout, its stderr and every file it writes.
+Before comparing, the run's own directory and the tree's absolute path in
+stdout and stderr become `<run>` and `<tree>`. The report's `meta` field (its
+only nondeterministic part) is dropped; every other file (CSV tables, .npy
+eigenvectors, matrix exports) is compared as bytes.
 
 Prints one line per command, with each tree's peak resident set (ru_maxrss
-from wait4), and one per output file or stdout that differs, or per run that
-ends in an uncaught exception (a warning turned into an error by
-PYTHONWARNINGS, say), then a summary with each tree's largest peak. A
-differing JSON report names its first differing key path with both values
+from wait4), and one per output that differs or per run that ends in an
+uncaught exception, then a summary with each tree's largest peak. A differing
+JSON report names its first differing key path with both values
 (`growth.ratios[1]: 1.5 -> 1.6`, `absent` where one side lacks it), and a
-differing stdout its first differing line. Exits 0 when every output is
-identical and no run raised, 1 otherwise.
+differing stdout or stderr its first differing line. Exits 0 when every output
+is identical and no run raised, 1 otherwise.
 """
 
 import argparse
+import collections
 import importlib.util
 import itertools
 import json
@@ -69,14 +82,16 @@ def commands(workloads):
             out.append((case.id, case.config(),
                         [case.command, *source, "--out", OUT, "--seed", str(SEED)]))
     out.append(("catalogue-out", None, ["catalogue", "--N", "3", "--alpha", "1.0", "--out", OUT]))
-    out.append(("check-ring-n3-a1.5", None,
-                ["check", "--preset", "ring-n3-a1.5", "--out", OUT, "--seed", str(SEED)]))
+    for command, preset in (("check", "ring-n3-a1.5"), ("oracle", "ring-n3-a1"),
+                            ("oracle", "bump-n3-a1"), ("oracle", "ball-n3-a1")):
+        out.append((f"{command}-{preset}", None,
+                    [command, "--preset", preset, "--out", OUT, "--seed", str(SEED)]))
     for name, problem in (("export-radial", workloads.radial("gaussian", 1.0, 512, 6)),
                           ("export-grid13", workloads.grid(13, 4))):
         out.append((name, {"problem": problem, "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED),
                      "--export-matrices"]))
-    for n, k in ((15, 12), (9, 40)):
+    for n, k in ((15, 12), (9, 40), (9, 6)):
         problem = {**workloads.grid(n, k), "weight": {"kind": "ring"}}
         out.append((f"solve-ring-grid{n}-k{k}", {"problem": problem, "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
@@ -99,10 +114,19 @@ def commands(workloads):
     return out
 
 
+class Run(collections.namedtuple("Run", "code stdout stderr out_dir rss")):
+    """One command's exit code, stdout and stderr (with <run> and <tree> for
+    its directory and the tree's path), output directory and peak resident
+    set in MB."""
+
+    @property
+    def raised(self):
+        return "Traceback (most recent call last)" in self.stderr
+
+
 def run(tree, base, doc, argv):
-    """Run one command against tree in the directory base; return
-    (returncode, stdout, output directory, whether it raised, peak resident
-    set in MB)."""
+    """Run one command against tree in the directory base, warnings as errors."""
+    base = os.path.abspath(base)  # the child runs in base and is given paths under it
     shutil.rmtree(base, ignore_errors=True)
     out_dir = os.path.join(base, "out")
     os.makedirs(out_dir)
@@ -111,20 +135,23 @@ def run(tree, base, doc, argv):
         with open(config, "w") as fh:
             json.dump(doc, fh, indent=1)
     args = [{CONFIG: config, OUT: out_dir}.get(a, a) for a in argv]
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src"),
+    tree = os.path.abspath(tree)
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     # output goes to files, not pipes, so that wait4 reaps the child and
     # reports its own rusage
     with open(os.path.join(base, "stdout"), "w+") as out, \
             open(os.path.join(base, "stderr"), "w+") as err:
-        proc = subprocess.Popen([sys.executable, "-m", "degeig.cli", *args], env=env, cwd=base,
-                                stdout=out, stderr=err, stdin=subprocess.DEVNULL)
+        proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "degeig.cli", *args],
+                                env=env, cwd=base, stdout=out, stderr=err,
+                                stdin=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         out.seek(0)
         err.seek(0)
-        stdout, raised = out.read(), "Traceback (most recent call last)" in err.read()
-    return (os.waitstatus_to_exitcode(status), stdout, out_dir, raised,
-            usage.ru_maxrss / 1024.0)
+        stdout, stderr = (f.read().replace(base, "<run>").replace(tree, "<tree>")
+                          for f in (out, err))
+    return Run(os.waitstatus_to_exitcode(status), stdout, stderr, out_dir,
+               usage.ru_maxrss / 1024.0)
 
 
 def without_meta(text):
@@ -188,6 +215,26 @@ def line_difference(old, new):
             return f"line {n}: {shown(a)} -> {shown(b)}"
 
 
+def compare(old, new):
+    """(number of outputs compared, differences) of two runs of one command."""
+    diffs = [f"uncaught exception in the {side} tree" for side, r in
+             (("old", old), ("new", new)) if r.raised]
+    if old.code != new.code:
+        diffs.append(f"exit code {old.code} -> {new.code}")
+    for stream in ("stdout", "stderr"):
+        a, b = getattr(old, stream), getattr(new, stream)
+        if a != b:
+            diffs.append(f"{stream} {line_difference(a, b)}")
+    files = sorted(set(os.listdir(old.out_dir)) | set(os.listdir(new.out_dir)))
+    for f in files:
+        a, b = os.path.join(old.out_dir, f), os.path.join(new.out_dir, f)
+        if not (os.path.exists(a) and os.path.exists(b)):
+            diffs.append(f"{f}: only in the {'old' if os.path.exists(a) else 'new'} tree")
+        elif read(a) != read(b):
+            diffs.append(f"{f}: {json_difference(a, b)}" if f.endswith(".json") else f)
+    return len(files) + 2, diffs
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
@@ -197,28 +244,14 @@ def main():
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
     differing, compared, peaks = [], 0, {"old": [], "new": []}
     for name, doc, argv in commands(load_workloads(args.new)):
-        (rc_old, out_old, dir_old, raised_old, rss_old), (rc_new, out_new, dir_new, raised_new,
-                                                          rss_new) = (
-            run(tree, os.path.join(work, side, name), doc, argv)
-            for side, tree in (("old", args.old), ("new", args.new)))
-        peaks["old"].append((rss_old, name))
-        peaks["new"].append((rss_new, name))
-        files = sorted(set(os.listdir(dir_old)) | set(os.listdir(dir_new)))
-        diffs = [f"uncaught exception in the {side} tree" for side, raised in
-                 (("old", raised_old), ("new", raised_new)) if raised]
-        if rc_old != rc_new:
-            diffs.append(f"exit code {rc_old} -> {rc_new}")
-        if out_old != out_new:
-            diffs.append(f"stdout {line_difference(out_old, out_new)}")
-        for f in files:
-            a, b = os.path.join(dir_old, f), os.path.join(dir_new, f)
-            if not (os.path.exists(a) and os.path.exists(b)):
-                diffs.append(f"{f}: only in the {'old' if os.path.exists(a) else 'new'} tree")
-            elif read(a) != read(b):
-                diffs.append(f"{f}: {json_difference(a, b)}" if f.endswith(".json") else f)
-        compared += len(files) + 1
-        print(f"{'DIFF' if diffs else 'same'} {name}: exit {rc_new}, stdout and {len(files)} "
-              f"files, ru_maxrss {rss_old:.1f} -> {rss_new:.1f} MB", flush=True)
+        old, new = (run(tree, os.path.join(work, side, name), doc, argv)
+                    for side, tree in (("old", args.old), ("new", args.new)))
+        peaks["old"].append((old.rss, name))
+        peaks["new"].append((new.rss, name))
+        outputs, diffs = compare(old, new)
+        compared += outputs
+        print(f"{'DIFF' if diffs else 'same'} {name}: exit {new.code}, stdout, stderr and "
+              f"{outputs - 2} files, ru_maxrss {old.rss:.1f} -> {new.rss:.1f} MB", flush=True)
         differing += [f"  {name}: {d}" for d in diffs]
     print("\n".join(differing))
     print(f"{compared - len(differing)} of {compared} outputs identical outside meta")
