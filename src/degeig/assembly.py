@@ -28,6 +28,13 @@ from .weights import WeightDomainError, weight_split
 
 MASS_GAUSS_ORDER = 4  # per-element rule for mass/Hardy/volume quadrature
 ELEMENT_BLOCK = 2048  # elements summed at a time by _hat_form and _at_gauss_points
+# min/max sorting networks by input count, their comparators (i, j) in order
+# (Knuth, The Art of Computer Programming 3, 5.3.4; six inputs in 12)
+SORTING_NETWORKS = {
+    3: ((0, 1), (1, 2), (0, 1)),
+    6: ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
+        (1, 2), (3, 4)),
+}
 
 
 class AssemblyError(RuntimeError):
@@ -376,12 +383,27 @@ def assemble_radial(mesh, N, alpha, spec):
     return pair
 
 
+def _sorted_sum(terms):
+    """The elementwise sum of the equal-shape arrays in terms, added in
+    ascending order of value, so invariant under any permutation of them.
+    One SORTING_NETWORKS pass orders each element's values with no
+    per-element sort, and the sum runs as numpy sums a short last axis, so it
+    equals np.sort(np.stack(terms, axis=-1), axis=-1).sum(axis=-1) bit for
+    bit."""
+    terms = list(terms)
+    for i, j in SORTING_NETWORKS[len(terms)]:
+        terms[i], terms[j] = np.minimum(terms[i], terms[j]), np.maximum(terms[i], terms[j])
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return total
+
+
 def _sym_norm(points):
     """Euclidean norms computed invariantly under coordinate permutations
-    (squares summed in sorted order), so symmetric grids assemble to exactly
-    symmetric matrices."""
-    sq = np.sort(points**2, axis=-1)
-    return np.sqrt(sq.sum(axis=-1))
+    (squares summed in sorted order, _sorted_sum), so symmetric grids
+    assemble to exactly symmetric matrices."""
+    return np.sqrt(_sorted_sum(points[..., i] ** 2 for i in range(points.shape[-1])))
 
 
 def origin_cell_kernel_integral(hs, alpha):
@@ -429,7 +451,7 @@ def _grid_stiffness(grid, alpha):
         upper.append(c[tuple(cut)])
     # sorted accumulation keeps the diagonal exactly symmetric under
     # coordinate permutations of the grid
-    diag = np.sort(np.stack(lower + upper, axis=-1), axis=-1).sum(axis=-1)
+    diag = _sorted_sum(lower + upper)
     # each row's seven slots in column order: -x0, -x1, -x2, the dof, +x2, +x1, +x0;
     # a neighbour on the boundary is no dof
     vals = np.stack([-lower[0], -lower[1], -lower[2], diag,

@@ -439,6 +439,33 @@ class TestDirectAssembly:
         assert _same_csr(pair.B, whole.B) and _same_csr(H_b, H)
         assert np.array_equal(w_b, w) and np.array_equal(gplus_b, gplus)
 
+    def test_sorting_networks_equal_the_sorted_sums(self, rng):
+        # _sym_norm's 3-input network and the stiffness diagonal's 6-input one
+        # give, bit for bit, the sort-based sums they replaced, on values with
+        # ties (c and -c square alike) and zeros; the data tells the orders
+        # apart, as the same sums taken in descending order differ
+        import itertools
+
+        from degeig.assembly import SORTING_NETWORKS, _sorted_sum, _sym_norm
+
+        for n, network in SORTING_NETWORKS.items():  # 0-1 principle: each sorts
+            for bits in itertools.product([0, 1], repeat=n):
+                values = list(bits)
+                for i, j in network:
+                    values[i], values[j] = min(values[i], values[j]), max(values[i], values[j])
+                assert values == sorted(bits)
+        pool = np.r_[0.0, rng.random(40) * 10.0 ** rng.integers(-6, 6, 40)]
+        points = rng.choice(pool, (20000, 3)) * rng.choice([-1.0, 1.0], (20000, 3))
+        squares = np.sort(points**2, axis=-1)
+        assert np.array_equal(_sym_norm(points), np.sqrt(squares.sum(axis=-1)))
+        assert not np.array_equal(squares.sum(axis=-1), squares[:, ::-1].sum(axis=-1))
+        faces = rng.choice(pool, (17, 19, 23, 6))
+        faces[rng.random(faces.shape) < 0.5] *= 3.0  # ties and near-ties across scales
+        ordered = np.sort(faces, axis=-1)
+        assert np.array_equal(_sorted_sum(faces[..., i] for i in range(6)),
+                              ordered.sum(axis=-1))
+        assert not np.array_equal(ordered.sum(axis=-1), ordered[..., ::-1].sum(axis=-1))
+
     def test_underflowed_stiffness_entry_not_stored(self):
         # N = 5 on a graded mesh: r^(alpha + N) underflows near r = 0; those
         # entries are left out, as the symmetrizing sum of the reference does

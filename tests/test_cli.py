@@ -257,6 +257,40 @@ class TestSolveCommand:
         dtype = np.load(os.path.join(out, "eigenvectors.npy")).dtype
         assert all(dtype[name].str == "<f8" for name in dtype.names)
 
+    @pytest.mark.parametrize("weight", ["ring", "gaussian"])
+    def test_arpack_basis_sized_only_for_indefinite_pencil(self, tmp_path, monkeypatch, weight):
+        # M = 2000, k = 24, solved with the basis _block_pairs picks and with
+        # ARPACK's default (eigsh's ncv dropped). The ring's B has negative
+        # diagonal entries, and its 72 vectors take about 100 applications of
+        # B where the default's 49 take 158; every claim holds, the dense
+        # reference's agreement among them. The gaussian's B is positive
+        # definite: it keeps the default basis, its 63 applications and
+        # every output bit
+        import scipy.sparse.linalg as spla
+
+        cfg = small_config(tmp_path, **{"problem.weight.kind": weight,
+                                        "problem.geometry.M": 2000, "problem.solver.k": 24})
+        reports, vectors = {}, {}
+        for basis in ("sized", "default"):
+            if basis == "default":
+                real = spla.eigsh
+                monkeypatch.setattr(spla, "eigsh", lambda *a, ncv=None, **kw: real(*a, **kw))
+            out = str(tmp_path / basis)
+            assert main(["solve", "--config", cfg, "--out", out]) == 0
+            reports[basis] = json.loads(open(os.path.join(out, "eigen_report.json")).read())
+            vectors[basis] = open(os.path.join(out, "eigenvectors.npy"), "rb").read()
+        sized, default = (reports[basis]["diagnostics"]["calls"][0]["applications"]
+                          for basis in ("sized", "default"))
+        if weight == "gaussian":
+            assert sized == default == 63
+            assert vectors["sized"] == vectors["default"]
+            del reports["sized"]["meta"], reports["default"]["meta"]
+            assert reports["sized"] == reports["default"]
+            return
+        assert default == 158 and sized <= 110
+        claims = reports["sized"]["claims"]
+        assert "dense_agreement_rel" in claims and all(c["ok"] for c in claims.values())
+
     def test_deterministic_reports(self, tmp_path):
         cfg = small_config(tmp_path)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

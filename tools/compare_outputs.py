@@ -21,6 +21,9 @@ The commands, in NEW_TREE's order:
   stops at 6 of 40 pairs; and 9^3 with k = 6 (order 343), whose dense
   reference solves each sector by one generalized eigh and whose eee sector
   (7 nonzero B entries for a block of 3) takes the rank-r route;
+- a ring solve at M = 2000 with k = 24, where the Lanczos basis ARPACK gets
+  for an indefinite pencil runs next to the dense reference (M8192, the
+  workload's ring at k = 24, is too large for it);
 - a radial solve of an inline, sign-changing tabulated weight, which no
   workload case uses;
 - two high-dimension radial gaussian problems: `check` at N = 6, alpha = 1,
@@ -95,6 +98,9 @@ def commands(workloads):
         problem = {**workloads.grid(n, k), "weight": {"kind": "ring"}}
         out.append((f"solve-ring-grid{n}-k{k}", {"problem": problem, "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
+    out.append(("solve-ring-M2000-k24",
+                {"problem": workloads.radial("ring", 1.0, 2000, 24), "seed": SEED},
+                ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
     table = {"kind": "tabulated", "radii": [0, 0.5, 1, 1.5, 2, 2.5, 3, 4, 6],
              "values": [1, 0.9, 0.6, 0.2, -0.1, -0.2, -0.1, 0, 0]}
     out.append(("solve-tabulated-inline",
