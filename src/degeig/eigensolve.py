@@ -31,22 +31,36 @@ each axis, one per orbit of the axis permutations (SECTORS: eee, oee, ooe
 and ooo, with 1, 3, 3 and 1 members, e.g. oee, eoe, eeo), each solved on
 S^T A S, S^T B S for an orthonormal basis S of it.
 
-For m = min(k, order - 1) the first block asks for m pairs and a block of
-w members for ceil((m - 1) / w), at most its count of positive mu
-(Block.positive), and a block asking for none is skipped. Together they
-hold the m largest mu, as lambda_1 is simple and lies in the first block:
-on the grid, A has nonpositive off-diagonals and B is diagonal, so A -
-lambda_1 B is a positive semidefinite irreducible Z-matrix, and by
-Perron-Frobenius its null vector is positive, hence even in every axis
-(eee). A block is solved by one call (_block_pairs): ARPACK with a sparse
-LU of A if unprojected; _low_rank_eigh, exact on B's rank, on a sector of
-at most DENSE_THRESHOLD dofs asking for more than a third of that rank;
-else block LOBPCG preconditioned by V-cycle-preconditioned CG, which,
-unlike single-vector Lanczos, keeps every member of a multiplicity. The
-pairs of all blocks are merged by mu, equal mu in the order the blocks and
-calls returned them (a triple reads oee, eoe, eeo), and each vector is
-carried to its members; a grid pair of either solver reports its member's
-label as sector. EigenSequence.calls records each call.
+The sectors are nested: as B is diagonal and A reaches one node per axis,
+oee's pencil is eee's on the coordinates j_x >= 1, ooe's is oee's on j_y >=
+1 and ooo's is ooe's on j_z >= 1, bit for bit, so eee alone is projected
+(_blocks). By Cauchy interlacing (Parlett, The Symmetric Eigenvalue
+Problem, SIAM 1998, 10.1) the j-th largest mu of a sector is then at most
+the j-th of the sector before it. For m = min(k, order - 1) a block of w
+members, W of them in it and the blocks before it, asks for floor((m - 1 +
+w) / W) pairs, at most its count of positive mu (Block.positive): m for a
+radial or explicit pencil, and on the cube grid m, floor((m + 2) / 4),
+floor((m + 2) / 7) and floor(m / 8). Together the asks hold the m largest
+mu: in the merged order below, the j-th mu of a block comes after the
+first j of every block before it and its own first j - 1, each once per
+member, j W - w entries, so it is among the m largest only if j W - w < m.
+Neither asks nor positive counts increase from a sector to the next (a
+sub-pencil's positive B entries are among its parent's), so the first
+block asking for none ends the calls, and k = 1 forms eee alone. The warning
+on a cluster that k cuts (_finalize) sees only the mu computed past the
+m-th. A later sector computes fewer of those than the first, so a cut
+member that only a later sector holds can go unwarned; a triple's members
+are carried from one computed pair, so a triple that k cuts is always seen.
+
+A block is solved by one call (_block_pairs): ARPACK with a sparse LU of A
+if unprojected; _low_rank_eigh, exact on B's rank, on a sector of at most
+DENSE_THRESHOLD dofs asking for more than a third of that rank; else block
+LOBPCG preconditioned by V-cycle-preconditioned CG, which, unlike
+single-vector Lanczos, keeps every member of a multiplicity. The pairs of
+all blocks are merged by mu, equal mu in the order the blocks and calls
+returned them (a triple reads oee, eoe, eeo), and each vector is carried
+to its members; a grid pair of either solver reports its member's label as
+sector. EigenSequence.calls records each call.
 
 ARPACK keeps its default Lanczos basis of max(2 m + 1, 20) vectors for m
 asked pairs unless B has a negative diagonal entry. Such a B is indefinite,
@@ -60,7 +74,7 @@ so no solve with m <= 6 changes.
 
 import ctypes
 from dataclasses import dataclass, field
-from itertools import islice, permutations
+from itertools import accumulate, permutations, takewhile
 from warnings import catch_warnings, simplefilter, warn_explicit
 
 import numpy as np
@@ -95,7 +109,8 @@ class SolverError(RuntimeError):
 @dataclass
 class SolverSettings:
     """Iteration controls for the successive solver; max_iter caps each block
-    call's ARPACK restarts or LOBPCG iterations, four calls on a cube grid."""
+    call's ARPACK restarts or LOBPCG iterations, at most four calls on a cube
+    grid, one per nested parity sector whose interlacing ask is not zero."""
 
     k: int = 6
     tol: float = 1e-9           # relative weak-form residual target
@@ -612,29 +627,51 @@ class Block:
     positive: int = None
 
 
+def _members(label):
+    """(axes, label) of each sector an axis permutation carries the sector
+    label to, label itself first with the identity."""
+    members = {}
+    for axes in permutations(range(3)):
+        members.setdefault("".join(label[a] for a in axes), axes)
+    return [(axes, name) for name, axes in members.items()]
+
+
 def _blocks(pair):
     """The pencil's invariant blocks, formed one at a time (module docstring),
     a sector's S the Kronecker product of the orthonormal 1-D mirror bases, so
     that an absolute tolerance means on it what it means on the full grid. A
     sector's positive mu are its positive B entries (Sylvester's law of
     inertia); the whole pencil has none when g^+ vanishes at every
-    quadrature point, as B is then negative semidefinite."""
+    quadrature point, as B is then negative semidefinite.
+
+    Only eee is projected (_project). Each later sector of SECTORS turns one
+    more axis odd, and its pencil is its predecessor's on the coordinates j
+    >= 1 of that axis, bit for bit: B is diagonal and A couples a node only
+    to nodes at most one step away per axis, so for j, j' >= 1 the nodes c +
+    j and c - j' never couple, and an even and an odd basis column of the
+    same j give the same products."""
     if pair.mode != "grid3d":
         scale = _equilibration(pair.A)
         yield Block(None, [(None, None)], _scaled(pair.A, scale), _scaled(pair.B, scale),
                     scale=scale, positive=0 if pair.gplus_vanishes else pair.order)
         return
     c = (pair.geometry.n - 3) // 2
+    A = B = None
     for label in SECTORS:
-        members = {}  # the sectors axis permutations carry label to, each with one of them
-        for axes in permutations(range(3)):
-            members.setdefault("".join(label[a] for a in axes), axes)
         bases = [_mirror_basis(c, parity) for parity in label]
         S = sp.kron(sp.kron(bases[0], bases[1]), bases[2], format="csr")
-        ST = S.T.tocsr()
-        B = _project(pair.B, ST)
-        yield Block(label, [(axes, name) for name, axes in members.items()],
-                    _project(pair.A, ST), B, S, (2 * c + 1,) * 3,
+        if A is None:
+            ST = S.T.tocsr()
+            A, B = _project(pair.A, ST), _project(pair.B, ST)
+        else:
+            # the axis that turned odd (x, y, then z) drops its coordinate j =
+            # 0 from the predecessor's dofs, in their Kronecker order
+            keep = np.ones(dofs, dtype=bool)
+            keep[(slice(None),) * label.rindex("o") + (0,)] = False
+            keep = keep.ravel()
+            A, B = A[keep][:, keep], B[keep][:, keep]
+        dofs = [c + (p == "e") for p in label]  # c + 1 per even axis, c per odd
+        yield Block(label, _members(label), A, B, S, (2 * c + 1,) * 3,
                     positive=int(np.count_nonzero(B.diagonal() > 0.0)))
 
 
@@ -714,7 +751,9 @@ def _block_pairs(block, ask, settings, seed, index):
     whose mu_24 = 1.3e-4 lies inside the negative mu -0.102, -0.011, ..., its
     72 vectors take 100 applications of B where the default's 49 take 170. On
     a gaussian weight, whose B is positive definite, they would cost more than
-    they save: 73 applications against 63."""
+    they save: 73 applications against 63. ARPACK stopped by max_iter keeps
+    its pairs when it holds all ask of them (its test passed for each), with
+    a stop naming the cap; holding fewer, it raises ArpackNoConvergence."""
     A, B = block.A, block.B
     if block.S is None:
         # ARPACK runs on the equilibrated pencil, as the dense route does: where
@@ -731,8 +770,16 @@ def _block_pairs(block, ask, settings, seed, index):
         # B indefinite: its negative end competes for the basis (module docstring)
         ncv = (min(max(NCV_PER_PAIR * ask, 20), A.shape[0])
                if np.any(B.diagonal() < 0.0) else None)
-        mus, vecs = spla.eigsh(op, ask, M=A, Minv=inv, which="LA", v0=v0, ncv=ncv,
-                               maxiter=settings.max_iter)
+        try:
+            mus, vecs = spla.eigsh(op, ask, M=A, Minv=inv, which="LA", v0=v0, ncv=ncv,
+                                   maxiter=settings.max_iter)
+        except spla.ArpackNoConvergence as exc:
+            # the restart cap can fall on the pass that converges the last asked pair
+            if len(exc.eigenvalues) < ask:
+                raise
+            return (exc.eigenvalues, exc.eigenvectors, op.applications,
+                    f"met ARPACK's tolerance, absolute in mu, at its cap of "
+                    f"{settings.max_iter} restarts and stopped")
         return mus, vecs, op.applications, "met ARPACK's tolerance, absolute in mu, and stopped"
     if 3 * ask > np.count_nonzero(B.diagonal()) and A.shape[0] <= DENSE_THRESHOLD:
         # the eigenvectors of the nonzero mu lie in A^{-1} range(B): past a
@@ -794,16 +841,27 @@ def _merged(pair, calls, m):
 
 
 def _maximize_quotient(pair, m, settings, seed):
-    """The m largest mu of the pencil (B, A): one call per invariant block
-    (module docstring), each a (block, mu, vectors, applications, stop)
-    record, in call order."""
+    """The m largest mu of the pencil (B, A): one call per invariant block,
+    each a (block, mu, vectors, applications, stop) record, in call order.
+
+    A block of w members, W of them in it and the blocks before it, asks for
+    floor((m - 1 + w) / W) pairs, at most Block.positive: by interlacing
+    along the nested sectors its j-th mu follows j W - w merged entries, so
+    it is among the m largest only if j W - w < m (module docstring). On the
+    cube grid the asks are m, floor((m + 2) / 4), floor((m + 2) / 7) and
+    floor(m / 8), at most four calls, and a later sector computes fewer mu
+    past the m-th for the cluster-cut warning to see. Neither asks nor
+    positive counts increase from a block to the next, so the first that
+    asks for none ends the loop, and no block after it is formed."""
+    widths = [len(_members(label)) for label in SECTORS] if pair.mode == "grid3d" else [1]
+    asks = takewhile(bool, ((m - 1 + w) // total for w, total in zip(widths, accumulate(widths))))
     calls = []
-    # a block after the first asks for ceil((m - 1) / w) pairs, none when m = 1,
-    # so then no further block is formed
-    for index, block in enumerate(islice(_blocks(pair), None if m > 1 else 1)):
-        ask = min(m if index == 0 else -(-(m - 1) // len(block.members)), block.positive)
-        if ask > 0:
-            calls.append((block, *_block_pairs(block, ask, settings, seed, index)))
+    # zip draws the ask first, so a block past the last ask is not formed
+    for index, (ask, block) in enumerate(zip(asks, _blocks(pair))):
+        ask = min(ask, block.positive)
+        if ask == 0:
+            break
+        calls.append((block, *_block_pairs(block, ask, settings, seed, index)))
     return calls
 
 

@@ -68,3 +68,6 @@ def test_commands_hold_the_warning_steps():
     ring_grid9 = {"problem": {**workloads.grid(9, 6), "weight": {"kind": "ring"}}, "seed": 42}
     assert (ring_grid9, ["solve", "--config", tool.CONFIG, "--out", tool.OUT,
                          "--seed", "42"]) in runs
+    # every nested parity sector asked for pairs, under -W error
+    grid11 = {"problem": workloads.grid(11, 24), "seed": 42}
+    assert (grid11, ["solve", "--config", tool.CONFIG, "--out", tool.OUT, "--seed", "42"]) in runs

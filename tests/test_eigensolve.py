@@ -510,6 +510,38 @@ class TestSuccessive:
         with pytest.raises(SolverError, match="did not converge within 1 restarts"):
             solve_successive(pair, SolverSettings(k=12, max_iter=1))
 
+    def test_arpack_short_of_the_ask_names_next_pair(self, monkeypatch):
+        # ARPACK stopped at its restart cap holding 1 of the 2 asked pairs:
+        # the solve fails, naming the pair it did not converge
+        import degeig.eigensolve as es
+
+        pair = assemble_radial(build_radial_mesh(6.0, 64, 1.0), 3, 1.0, gaussian_bump())
+
+        def one_converged(*args, **kwargs):
+            raise es.spla.ArpackNoConvergence("no convergence", np.ones(1),
+                                              np.ones((pair.order, 1)))
+
+        monkeypatch.setattr(es.spla, "eigsh", one_converged)
+        with pytest.raises(SolverError, match=r"^pair 2: ARPACK did not converge within 400 "
+                                              r"restarts \(1 of 2 pairs converged\)$"):
+            es.solve_successive(pair, SolverSettings(k=2))
+
+    @pytest.mark.parametrize("M", [1024, 2000])
+    def test_arpack_cap_on_the_converging_pass_keeps_the_pairs(self, M):
+        # one restart ends on the very pass that converges all 24 ring pairs:
+        # ARPACK raises at its cap holding every asked pair, and the solve
+        # returns them, the same pairs as without the cap, with its call's
+        # stop naming the cap
+        mesh = build_radial_mesh(6.0, M, grading_for_span(M, 1e4))
+        pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
+        capped = solve_successive(pair, SolverSettings(k=24, max_iter=1))
+        free = solve_successive(pair, SolverSettings(k=24))
+        assert capped.count == 24 and all(capped.converged) and not capped.warnings
+        assert_allclose(capped.lambdas, free.lambdas, rtol=1e-12)
+        assert capped.calls == [{"pairs": list(range(1, 25)), "applications": 99,
+                                 "stop": "met ARPACK's tolerance, absolute in mu, at its cap "
+                                         "of 1 restarts and stopped"}]
+
     @pytest.mark.parametrize("kind", ["radial", "grid"])
     def test_one_eigensolver_call_for_all_pairs(self, monkeypatch, kind):
         # radial: one ARPACK call returns every pair. Grid: one LOBPCG call
@@ -547,11 +579,12 @@ class TestSuccessive:
             es.solve_successive(small, SolverSettings(k=20))
             assert calls == [small.order] and asks == [small.order - 1]
             return
-        # k = 4 asks eee for 4 pairs, each other sector for ceil(3 / members),
-        # each on its own dofs: (c + 1) per even axis, c per odd, c = 4
-        assert calls == [125, 100, 80, 64]
+        # k = 4 asks eee for 4 pairs, oee for floor(6 / 4) = 1 and ooe for
+        # floor(6 / 7) = 0, which ends the calls; each sector is solved on its
+        # own dofs: (c + 1) per even axis, c per odd, c = 4
+        assert calls == [125, 100]
         assert seq.sectors[0] == "eee"
-        assert [c["block"] for c in seq.calls] == ["eee", "oee", "ooe", "ooo"]
+        assert [c["block"] for c in seq.calls] == ["eee", "oee"]
         assert sorted(n for c in seq.calls for n in c["pairs"]) == [1, 2, 3, 4]
         assert all(count > 0 for count in seq.iterations)
 
@@ -672,12 +705,12 @@ class TestSuccessive:
         assert all(isinstance(a, int) and a > 0 and isinstance(stop, str)
                    for *_, a, stop in calls)
         if grid:
-            assert [block.label for block, *_ in calls] == ["eee", "oee", "ooe", "ooo"]
+            assert [block.label for block, *_ in calls] == ["eee", "oee", "ooe"]
             assert [c for c, _ in sources] == [0, 0, 1, 1, 1]
             assert labels == ["eee", "eee", "oee", "eoe", "eeo"]
             assert mus[2] == mus[3] == mus[4]
-            # eee asked for 5, each triple sector for 2 (3 members), ooo for 4
-            assert len(beyond) == 5 + 6 + 6 + 4 - 5
+            # eee asked for 5, each triple sector for 1 (3 members), ooo for none
+            assert len(beyond) == 5 + 3 + 3 - 5
         else:
             assert [block.label for block, *_ in calls] == [None]
             assert sources == [(0, None)] * 5
@@ -695,8 +728,9 @@ class TestSuccessive:
 
     def test_route_chosen_by_geometry(self, monkeypatch):
         # radial and explicit pencils: one LU and one ARPACK call, whatever
-        # the order; cube grids: one LOBPCG call per parity sector (k = 2
-        # asks each of the four for a pair) and no factorization
+        # the order; cube grids: one LOBPCG call per parity sector asked for
+        # a pair (k = 2 asks eee for two, oee for one and ooe for none) and
+        # no factorization
         import degeig.eigensolve as es
 
         calls = []
@@ -707,7 +741,7 @@ class TestSuccessive:
         radial = assemble_radial(build_radial_mesh(6.0, 32768, 1.0), 3, 1.0, gaussian_bump())
         toy = toy_pair(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.eye(5))
         for pair, expected in ((radial, ["splu", "eigsh"]), (toy, ["splu", "eigsh"]),
-                               (_grid_pair(11), ["lobpcg"] * 4)):
+                               (_grid_pair(11), ["lobpcg"] * 2)):
             calls.clear()
             assert es.solve_successive(pair, SolverSettings(k=2)).count == 2
             assert calls == expected
@@ -792,17 +826,22 @@ class TestSuccessive:
         assert seq.sectors[:2] == ["eee", "eee"]
 
     def test_block_above_a_fifth_of_smallest_grid(self):
-        # grid 9^3 is the smallest (order 343): k = 70 asks each parity
-        # sector for a block above a third of its order (eee 64 of 64, oee
-        # and ooe 23 of 48 and 36, ooo 27 of 27), so every sector is solved
-        # densely, counted as one application of B per sector dof
+        # grid 9^3 is the smallest (order 343), and the gaussian's B has full
+        # rank. k = 70 asks eee for 64 of its 64 dofs and oee for 18 of 48,
+        # above a third of their rank, so both are solved densely, counted as
+        # one application of B per sector dof; ooe's 10 of 36 and ooo's 8 of
+        # 27 are not, and take LOBPCG
         pair = _grid_pair(9)
         ref = solve_dense(pair, 70)
         seq = solve_successive(pair, SolverSettings(k=70))
-        orders = {"eee": 64, "oee": 48, "ooe": 36, "ooo": 27}
-        assert [(c["block"], c["applications"]) for c in seq.calls] == list(orders.items())
-        assert all(c["stop"] == "was solved densely" for c in seq.calls)
-        assert set(map(_orbit, seq.sectors)) == set(orders)
+        sectors = {"eee": (64, 64), "oee": (48, 18), "ooe": (36, 10), "ooo": (27, 8)}
+        assert [c["block"] for c in seq.calls] == list(sectors)
+        for call, (order, ask) in zip(seq.calls, sectors.values()):
+            dense = 3 * ask > order  # _block_pairs' third-of-rank rule
+            assert (call["stop"] == "was solved densely") == dense
+            if dense:
+                assert call["applications"] == order
+        assert set(map(_orbit, seq.sectors)) == set(sectors)
         assert all(seq.converged)
         assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
         assert seq.clusters == ref.clusters
@@ -843,16 +882,93 @@ class TestParitySectors:
     @pytest.mark.parametrize("n", [9, 11, 13])
     @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
     def test_matches_full_grid_dense(self, n, weight):
-        # the sector route against the full-grid dense reference: the same
-        # lambda, the same clusters, the same exhaustion
+        # the sector route against the full-grid dense reference, which asks
+        # every sector for min(k, order) mu where the successive solve asks by
+        # interlacing: the same lambda, the same clusters, the same exhaustion
         pair = _grid_pair(n, weight())
-        for k in (1, 5, 6, 20):
+        for k in (1, 2, 5, 6, 8, 20, 24):
             ref = solve_dense(pair, k)
             seq = solve_successive(pair, SolverSettings(k=k))
             assert seq.count == ref.count and seq.exhausted == ref.exhausted
             assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
             assert seq.clusters == ref.clusters
             assert all(seq.converged)
+
+    @pytest.mark.parametrize("n", [13, 31])
+    @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
+    def test_odd_sectors_sliced_from_eee_keep_the_bits(self, n, weight):
+        # each odd sector's pencil is sliced from its predecessor's, which is
+        # eee's on the coordinates j >= 1 of its odd axes: the same data,
+        # indices and index pointers as projecting the whole pencil on it
+        import degeig.eigensolve as es
+
+        pair = _grid_pair(n, weight())
+        blocks = list(es._blocks(pair))
+        assert [b.label for b in blocks] == list(es.SECTORS)
+        for block in blocks[1:]:
+            ST = TestPeakMemory._sector_basis(pair, block.label).T.tocsr()
+            for got, M in ((block.A, pair.A), (block.B, pair.B)):
+                want = es._project(M, ST)
+                for f in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, f), getattr(want, f))
+
+    @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
+    def test_sector_mu_interlace(self, weight):
+        # each sector's pencil is its predecessor's restricted to a subspace,
+        # d dofs fewer, so by Cauchy interlacing its j-th largest mu lies
+        # between the predecessor's j-th and (j + d)-th
+        import scipy.linalg as sla
+
+        import degeig.eigensolve as es
+
+        mus = [sla.eigh(b.B.toarray(), b.A.toarray(), eigvals_only=True)[::-1]
+               for b in es._blocks(_grid_pair(13, weight()))]
+        assert [mu.size for mu in mus] == [216, 180, 150, 125]
+        for parent, child in zip(mus, mus[1:]):
+            slack = 1e-12 * parent[0]
+            d = parent.size - child.size
+            assert np.all(child <= parent[:child.size] + slack)
+            assert np.all(child >= parent[d:] - slack)
+
+    @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
+    def test_asks_follow_the_interlacing_rule(self, monkeypatch, weight):
+        # a sector of w members, W in it and the sectors before it, asks for
+        # floor((m - 1 + w) / W) pairs, at most its positive count, and the
+        # first that asks for none ends the calls; a sector past the last
+        # nonzero rule ask is never formed
+        import degeig.eigensolve as es
+
+        pair = _grid_pair(11, weight())
+        positive = {b.label: b.positive for b in es._blocks(pair)}
+        asked, formed = [], []
+        blocks = es._blocks
+
+        def recording_blocks(pair):
+            for block in blocks(pair):
+                formed.append(block.label)
+                yield block
+
+        def recording_pairs(block, ask, *args):
+            asked.append((block.label, ask))
+            return np.zeros(ask), np.zeros((block.A.shape[0], ask)), 0, "recorded"
+
+        monkeypatch.setattr(es, "_blocks", recording_blocks)
+        monkeypatch.setattr(es, "_block_pairs", recording_pairs)
+        for m in (1, 2, 4, 6, 8, 24, 70):
+            asked.clear()
+            formed.clear()
+            es._maximize_quotient(pair, m, SolverSettings(k=m), 42)
+            want, rule, total = [], [], 0
+            for label, w in zip(es.SECTORS, (1, 3, 3, 1)):
+                total += w
+                rule.append((m - 1 + w) // total)
+                if min(rule[-1], positive[label]) == 0:
+                    break
+                want.append((label, min(rule[-1], positive[label])))
+            assert asked == want
+            assert formed == list(es.SECTORS[:len(rule) - (rule[-1] == 0)])
+            if weight is gaussian_bump and m in (6, 24):
+                assert [a for _, a in asked] == {6: [6, 2, 1], 24: [24, 6, 3, 3]}[m]
 
     def test_sector_asks_at_most_its_positive_count(self, monkeypatch):
         # by Sylvester's law of inertia a sector has as many positive mu as

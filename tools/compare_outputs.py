@@ -21,6 +21,8 @@ The commands, in NEW_TREE's order:
   stops at 6 of 40 pairs; and 9^3 with k = 6 (order 343), whose dense
   reference solves each sector by one generalized eigh and whose eee sector
   (7 nonzero B entries for a block of 3) takes the rank-r route;
+- a gaussian grid 11^3 solve with k = 24, whose nested parity sectors are
+  asked for 24, 6, 3 and 3 pairs, each next to the dense reference's 24;
 - a ring solve at M = 2000 with k = 24, where the Lanczos basis ARPACK gets
   for an indefinite pencil runs next to the dense reference (M8192, the
   workload's ring at k = 24, is too large for it);
@@ -98,6 +100,8 @@ def commands(workloads):
         problem = {**workloads.grid(n, k), "weight": {"kind": "ring"}}
         out.append((f"solve-ring-grid{n}-k{k}", {"problem": problem, "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
+    out.append(("solve-grid11-k24", {"problem": workloads.grid(11, 24), "seed": SEED},
+                ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
     out.append(("solve-ring-M2000-k24",
                 {"problem": workloads.radial("ring", 1.0, 2000, 24), "seed": SEED},
                 ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
