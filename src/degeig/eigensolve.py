@@ -53,14 +53,18 @@ member that only a later sector holds can go unwarned; a triple's members
 are carried from one computed pair, so a triple that k cuts is always seen.
 
 A block is solved by one call (_block_pairs): ARPACK with a sparse LU of A
-if unprojected; _low_rank_eigh, exact on B's rank, on a sector of at most
-DENSE_THRESHOLD dofs asking for more than a third of that rank; else block
-LOBPCG preconditioned by V-cycle-preconditioned CG, which, unlike
-single-vector Lanczos, keeps every member of a multiplicity. The pairs of
-all blocks are merged by mu, equal mu in the order the blocks and calls
-returned them (a triple reads oee, eoe, eeo), and each vector is carried
-to its members; a grid pair of either solver reports its member's label as
-sector. EigenSequence.calls records each call.
+if unprojected. A sector takes block LOBPCG, preconditioned by
+V-cycle-preconditioned CG, wherever LOBPCG can iterate; unlike
+single-vector Lanczos it keeps every member of a multiplicity. Its basis of
+3 ask vectors lies in A^{-1} range(B) (Knyazev, SIAM J. Sci. Comput. 23,
+2001), and scipy's lobpcg iterates only on an order of at least 5 ask, so a
+sector of at most DENSE_THRESHOLD dofs whose B has rank r < 5 ask is solved
+by _low_rank_eigh, exact on that rank. As r <= order, every LOBPCG call
+then iterates unless it asks for more than DENSE_THRESHOLD / 5 pairs. The
+pairs of all blocks are merged by mu, equal mu in the order the blocks and
+calls returned them (a triple reads oee, eoe, eeo), and each vector is
+carried to its members; a grid pair of either solver reports its member's
+label as sector. EigenSequence.calls records each call.
 
 ARPACK keeps its default Lanczos basis of max(2 m + 1, 20) vectors for m
 asked pairs unless B has a negative diagonal entry. Such a B is indefinite,
@@ -86,10 +90,10 @@ from scipy.linalg import cython_lapack
 from .assembly import mass_plus_inner, volume_integral
 
 CLUSTER_RTOL = 1e-9  # eigenvalues closer than this (relatively) form a cluster
-# solve_dense refuses larger orders, and _block_pairs no larger sector for
-# _low_rank_eigh: it bounds the dense copies of a block's A and B that eigh
-# holds (the whole pencil's, if it is one block) and the rank-r solve's n x r
-# arrays; the tridiagonal route needs O(n) memory
+# solve_dense refuses larger orders, and _block_pairs solves no larger sector
+# on B's rank: it bounds the dense copies of a block's A and B that eigh holds
+# (the whole pencil's, if it is one block) and the rank-r solve's n x r arrays
+# and sparse LU; the tridiagonal route needs O(n) memory
 DENSE_THRESHOLD = 2000
 INVERSE_SHIFT = 1e-10  # inverse iteration runs at mu (1 + INVERSE_SHIFT)
 INVERSE_STEPS = 2  # inverse-iteration steps per vector
@@ -781,12 +785,9 @@ def _block_pairs(block, ask, settings, seed, index):
                     f"met ARPACK's tolerance, absolute in mu, at its cap of "
                     f"{settings.max_iter} restarts and stopped")
         return mus, vecs, op.applications, "met ARPACK's tolerance, absolute in mu, and stopped"
-    if 3 * ask > np.count_nonzero(B.diagonal()) and A.shape[0] <= DENSE_THRESHOLD:
-        # the eigenvectors of the nonzero mu lie in A^{-1} range(B): past a
-        # third of B's rank, LOBPCG's basis of the block, its preconditioned
-        # residuals and its search directions turns singular and the call
-        # breaks down (ring weight, grid 9^3). One application of B per dof is
-        # counted, as LOBPCG counts its own dense solve
+    if 5 * ask > np.count_nonzero(B.diagonal()) and A.shape[0] <= DENSE_THRESHOLD:
+        # LOBPCG iterates only where B's rank is at least 5 asks (module
+        # docstring); one application of B per dof is counted
         mus, vecs = _low_rank_eigh(A, B, ask)
         return mus, vecs, A.shape[0], "was solved densely"
     # a sector keeps c + 1 of an even axis's 2c + 1 nodes, c of an odd one's

@@ -1,12 +1,15 @@
 """Deterministic report and table emission.
 
 Reports are JSON documents written by a small serializer that prints every
-float with 17 significant digits, so two runs with the same configuration and
-seed produce byte-identical files. Wall-clock information lives in a separate
-'meta' field, the single nondeterministic part of a report. Small tables are
-CSV in the same format. Eigenvector tables are NumPy .npy files: the float64
-bits themselves behind a short text header, which write in about 1% of the
-time "%.17g" text takes and read back with np.load.
+float with 17 significant digits, so two runs with the same configuration,
+seed and OpenBLAS thread count produce byte-identical files. The thread count
+is part of that condition: cube-grid results move in their last digits with it
+(grid3d-gaussian-a1's lambda_1 is 4.6045914858047485 at one thread and
+4.6045914858047476 at two). Wall-clock information lives in a separate 'meta'
+field, the single nondeterministic part of a report. Small tables are CSV in
+the same format. Eigenvector tables are NumPy .npy files: the float64 bits
+themselves behind a short text header, which write in about 1% of the time
+"%.17g" text takes and read back with np.load.
 """
 
 import dataclasses

@@ -71,3 +71,9 @@ def test_commands_hold_the_warning_steps():
     # every nested parity sector asked for pairs, under -W error
     grid11 = {"problem": workloads.grid(11, 24), "seed": 42}
     assert (grid11, ["solve", "--config", tool.CONFIG, "--out", tool.OUT, "--seed", "42"]) in runs
+    # sectors whose B has rank under 5 asks, solved on that rank: all four of
+    # the gaussian's at 9^3, k = 70, and the ring's eee at 15^3, k = 8
+    solve = ["solve", "--config", tool.CONFIG, "--out", tool.OUT, "--seed", "42"]
+    assert ({"problem": workloads.grid(9, 70), "seed": 42}, solve) in runs
+    ring_grid15 = {"problem": {**workloads.grid(15, 8), "weight": {"kind": "ring"}}, "seed": 42}
+    assert (ring_grid15, solve) in runs

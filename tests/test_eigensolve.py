@@ -206,8 +206,8 @@ class TestDense:
         # arrays of one parity sector at a time (at most 125^2), eigh
         # overwriting them: 0.14 n^2 doubles, where one congruence of the
         # whole pencil held 1.17. The sector is the ring's eee on grid 21^3
-        # (order 1000, r = 83 nonzero B entries): a block of 28 spans more
-        # than a third of B's rank, so _block_pairs solves it on that rank in
+        # (order 1000, r = 83 nonzero B entries): 28 asked pairs are more
+        # than a fifth of B's rank, so _block_pairs solves it on that rank in
         # 2.0 n r doubles, where the congruence of the sector held 14.1
         import tracemalloc
         from functools import partial
@@ -291,7 +291,7 @@ class TestDense:
         A, B, _ = _eee_sector(n)
         b = B.diagonal()
         r = np.count_nonzero(b)
-        assert np.any(b < 0.0) and 3 * m > r
+        assert np.any(b < 0.0) and 5 * m > r
         ref = sla.eigh(B.toarray(), A.toarray(), eigvals_only=True)
         ref = np.sort(ref[np.argsort(np.abs(ref))[-r:]])  # the n - r zero mu dropped
         assert np.count_nonzero(ref < 0.0) > 0
@@ -827,24 +827,57 @@ class TestSuccessive:
 
     def test_block_above_a_fifth_of_smallest_grid(self):
         # grid 9^3 is the smallest (order 343), and the gaussian's B has full
-        # rank. k = 70 asks eee for 64 of its 64 dofs and oee for 18 of 48,
-        # above a third of their rank, so both are solved densely, counted as
-        # one application of B per sector dof; ooe's 10 of 36 and ooo's 8 of
-        # 27 are not, and take LOBPCG
+        # rank. k = 70 asks eee, oee, ooe and ooo for 64, 18, 10 and 8 pairs,
+        # each above a fifth of its 64, 48, 36 or 27 dofs, so all four are
+        # solved on that rank, counted as one application of B per sector dof
         pair = _grid_pair(9)
         ref = solve_dense(pair, 70)
         seq = solve_successive(pair, SolverSettings(k=70))
-        sectors = {"eee": (64, 64), "oee": (48, 18), "ooe": (36, 10), "ooo": (27, 8)}
+        sectors = {"eee": 64, "oee": 48, "ooe": 36, "ooo": 27}
         assert [c["block"] for c in seq.calls] == list(sectors)
-        for call, (order, ask) in zip(seq.calls, sectors.values()):
-            dense = 3 * ask > order  # _block_pairs' third-of-rank rule
-            assert (call["stop"] == "was solved densely") == dense
-            if dense:
-                assert call["applications"] == order
+        for call, order in zip(seq.calls, sectors.values()):
+            assert call["stop"] == "was solved densely"
+            assert call["applications"] == order
         assert set(map(_orbit, seq.sectors)) == set(sectors)
         assert all(seq.converged)
         assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
         assert seq.clusters == ref.clusters
+
+    @pytest.mark.parametrize("n", [9, 11, 15, 21])
+    @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
+    def test_lobpcg_runs_only_where_it_iterates(self, monkeypatch, n, weight):
+        # scipy's lobpcg solves an order under 5 times its block by one dense
+        # eigh and reports no iteration; a sector whose B has rank under 5
+        # asks is solved on that rank instead. So every LOBPCG call of the
+        # sweep has an order and a B rank of at least 5 blocks, no call stops
+        # "after 0 of" its iterations, and where the dense reference runs
+        # (n <= 13) each k agrees with it in lambda and clusters
+        import degeig.eigensolve as es
+
+        ranks, calls = [], []  # B's rank per counted operator; (order, block, rank) per call
+        counted, lobpcg = es._counted, es.spla.lobpcg
+
+        def recording_counted(B):
+            ranks.append(np.count_nonzero(B.diagonal()))
+            return counted(B)
+
+        def recording_lobpcg(op, X, *a, **kw):
+            calls.append((op.shape[0], X.shape[1], ranks[-1]))
+            return lobpcg(op, X, *a, **kw)
+
+        monkeypatch.setattr(es, "_counted", recording_counted)
+        monkeypatch.setattr(es.spla, "lobpcg", recording_lobpcg)
+        pair = _grid_pair(n, weight())
+        for k in (1, 3, 6, 8, 24, 40, 70):
+            seq = es.solve_successive(pair, SolverSettings(k=k))
+            assert not any("after 0 of" in c["stop"] for c in seq.calls)
+            if pair.order <= es.DENSE_THRESHOLD:
+                ref = solve_dense(pair, k)
+                assert seq.count == ref.count
+                assert_allclose(seq.lambdas, ref.lambdas, rtol=1e-8)
+                assert seq.clusters == ref.clusters
+        assert calls and all(order >= 5 * block and rank >= 5 * block
+                             for order, block, rank in calls)
 
     def test_stall_at_rounding_floor_named(self):
         # on the graded M=32768 mesh ARPACK pairs stop above tol at their
@@ -1003,10 +1036,13 @@ class TestParitySectors:
         # the ring on grid 9^3 leaves eee 7 nonzero B entries of 64, and a
         # block of 3 pairs there made LOBPCG break down after 2 iterations
         # on seeds 2, 4, 5 and 6 (pair 1 stopped at residual 6e-3 to 2e-2);
-        # such a sector is solved densely
+        # oee's B has rank 4 for 1 pair. Both ranks are under 5 asks, so both
+        # sectors are solved on B's rank and no LOBPCG call runs
         pair = _grid_pair(9, sign_changing_ring())
         seq = solve_successive(pair, SolverSettings(k=6), seed=seed)
         assert all(seq.converged) and not seq.warnings
+        assert [(c["block"], c["stop"]) for c in seq.calls] == [
+            ("eee", "was solved densely"), ("oee", "was solved densely")]
         assert_allclose(seq.lambdas, solve_dense(pair, 6).lambdas, rtol=1e-8)
 
     @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])

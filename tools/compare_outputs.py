@@ -15,14 +15,19 @@ The commands, in NEW_TREE's order:
   on the ring, the bump and the ball at alpha = 1 (the bump's and the ball's
   float radii go through the same mask arithmetic as an array);
 - `solve --export-matrices` on one radial and one grid 13^3 problem;
-- three ring-weight grid solves that reach the sector routes no workload case
-  does: 15^3 with k = 12, whose eee sector (343 dofs) is solved densely; 9^3
-  with k = 40, whose sectors are capped by their positive B entries and which
-  stops at 6 of 40 pairs; and 9^3 with k = 6 (order 343), whose dense
-  reference solves each sector by one generalized eigh and whose eee sector
-  (7 nonzero B entries for a block of 3) takes the rank-r route;
-- a gaussian grid 11^3 solve with k = 24, whose nested parity sectors are
-  asked for 24, 6, 3 and 3 pairs, each next to the dense reference's 24;
+- four ring-weight grid solves that reach the sector routes no workload case
+  does: 15^3 with k = 12, whose eee sector (343 dofs) is solved on B's rank;
+  9^3 with k = 40, whose sectors are capped by their positive B entries and
+  which stops at 6 of 40 pairs; 9^3 with k = 6 (order 343), whose dense
+  reference solves each sector by one generalized eigh and whose eee and oee
+  sectors (B of rank 7 for 3 pairs, and of rank 4 for 1) take the rank-r
+  route; and 15^3 with k = 8, whose eee sector (B of rank 35 for 8 pairs)
+  takes the rank-r route, with no dense reference at order 2197;
+- two gaussian grid solves next to the dense reference: 11^3 with k = 24,
+  whose nested parity sectors are asked for 24, 6, 3 and 3 pairs, each next
+  to the reference's 24; and 9^3 with k = 70, whose sectors are asked for 64,
+  18, 10 and 8 pairs, each more than a fifth of its 64, 48, 36 or 27 dofs, so
+  all four take the rank-r route;
 - a ring solve at M = 2000 with k = 24, where the Lanczos basis ARPACK gets
   for an indefinite pencil runs next to the dense reference (M8192, the
   workload's ring at k = 24, is too large for it);
@@ -96,12 +101,13 @@ def commands(workloads):
         out.append((name, {"problem": problem, "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED),
                      "--export-matrices"]))
-    for n, k in ((15, 12), (9, 40), (9, 6)):
+    for n, k in ((15, 12), (9, 40), (9, 6), (15, 8)):
         problem = {**workloads.grid(n, k), "weight": {"kind": "ring"}}
         out.append((f"solve-ring-grid{n}-k{k}", {"problem": problem, "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
-    out.append(("solve-grid11-k24", {"problem": workloads.grid(11, 24), "seed": SEED},
-                ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
+    for n, k in ((11, 24), (9, 70)):
+        out.append((f"solve-grid{n}-k{k}", {"problem": workloads.grid(n, k), "seed": SEED},
+                    ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
     out.append(("solve-ring-M2000-k24",
                 {"problem": workloads.radial("ring", 1.0, 2000, 24), "seed": SEED},
                 ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
