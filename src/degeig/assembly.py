@@ -510,6 +510,4 @@ def export_coo(mat, path):
     """Write a sparse matrix as sorted 0-based 'i j value' triples."""
     coo = sp.csr_matrix(mat).tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i} {j} {v:.17g}\n")
+    np.savetxt(path, np.column_stack((coo.row, coo.col, coo.data))[order], fmt="%d %d %.17g")

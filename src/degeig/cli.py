@@ -421,6 +421,8 @@ def _load_run(args):
         raise ConfigError("a configuration is required (--config PATH or --preset NAME)")
     if args.seed is not None:
         run.seed = args.seed
+    if run.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed: {run.seed} is negative; a seed must be an integer >= 0")
     if args.out is not None:
         run.out_dir = args.out
     if getattr(args, "export_matrices", False):

@@ -14,10 +14,10 @@ mu (_merged) and turns into pairs by one positivity cut, normalization,
 lambda rule and residual judgement, and one cluster rule (cluster_gaps,
 whose gaps the solve claim reads too), warning when k cuts a cluster that a
 call computed. solve_dense, the reference up to DENSE_THRESHOLD, asks every
-block for its top min(k, order) mu, whatever the successive ask rule below
-would ask: by _tridiagonal_eigh on an unprojected tridiagonal pencil (every
-radial one), else by one generalized eigh of the block's densified pencil;
-its records carry no applications or stop.
+block for k mu, whatever the successive ask rule below would ask, under the
+same cap and stop (_blocks): by _tridiagonal_eigh on an unprojected
+tridiagonal pencil (every radial one), else by one generalized eigh of the
+block's densified pencil; its records carry no applications or stop.
 
 An invariant block (Block) is a subspace that A and B map into itself, so
 a smaller pencil of the same kind (Bossavit, Symmetry, groups, and boundary
@@ -38,15 +38,20 @@ oee's pencil is eee's on the coordinates j_x >= 1, ooe's is oee's on j_y >=
 Problem, SIAM 1998, 10.1) the j-th largest mu of a sector is then at most
 the j-th of the sector before it. For m = min(k, order - 1) a block of w
 members, W of them in it and the blocks before it, asks for floor((m - 1 +
-w) / W) pairs, at most its count of positive mu (Block.positive): m for a
-radial or explicit pencil, and on the cube grid m, floor((m + 2) / 4),
-floor((m + 2) / 7) and floor(m / 8). Together the asks hold the m largest
-mu: in the merged order below, the j-th mu of a block comes after the
-first j of every block before it and its own first j - 1, each once per
-member, j W - w entries, so it is among the m largest only if j W - w < m.
-Neither asks nor positive counts increase from a sector to the next (a
-sub-pencil's positive B entries are among its parent's), so the first
-block asking for none ends the calls, and k = 1 forms eee alone. The warning
+w) / W) pairs: m for a radial or explicit pencil, and on the cube grid m,
+floor((m + 2) / 4), floor((m + 2) / 7) and floor(m / 8). Together the asks
+hold the m largest mu: in the merged order below, the j-th mu of a block
+comes after the first j of every block before it and its own first j - 1,
+each once per member, j W - w entries, so it is among the m largest only if
+j W - w < m. _blocks owns the chain: it reads each block's w from its
+members and asks a solver's rule (this one, or the dense reference's k)
+before forming the block, then caps the ask by the block's count of
+positive mu (Sylvester's law of inertia). Neither asks nor positive counts
+increase from a sector to the next (a sub-pencil's positive B entries are
+among its parent's), so the first zero ask, of the rule or the cap, ends
+the chain: k = 1 forms eee alone, and the dense reference solves no sector
+without a positive mu. A new block family joins the rule by adding its
+blocks to _blocks. The warning
 on a cluster that k cuts (_finalize) sees only the mu computed past the
 m-th. A later sector computes fewer of those than the first, so a cut
 member that only a later sector holds can go unwarned; a triple's members
@@ -78,7 +83,7 @@ so no solve with m <= 6 changes.
 
 import ctypes
 from dataclasses import dataclass, field
-from itertools import accumulate, permutations, takewhile
+from itertools import permutations
 from warnings import catch_warnings, simplefilter, warn_explicit
 
 import numpy as np
@@ -227,11 +232,7 @@ def residual(pair, lam, e):
 
 def _first_significant_index(e):
     mags = np.abs(e)
-    top = mags.max()
-    if top == 0.0:
-        return 0
-    idx = np.nonzero(mags > 1e-8 * top)[0]
-    return int(idx[0]) if idx.size else 0
+    return int(np.argmax(mags > 1e-8 * mags.max()))
 
 
 def _fix_sign(pair, e, first_mode):
@@ -477,29 +478,31 @@ def _tridiagonal_eigh(A, B, m):
 
 def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
     """Top-k reference solve of the pencil B v = mu A v of either geometry:
-    one direct call per invariant block (_blocks) for its top min(k, order)
-    mu, whose calls _finalize turns into pairs. An unprojected tridiagonal
-    pencil (every radial one) takes _tridiagonal_eigh; any other block (a
-    cube grid's sectors, a dense toy) one generalized eigh of its densified
-    pencil, LAPACK's Cholesky congruence, in O(order^3) work. Orders of the
-    whole pencil above dense_threshold are refused. Returns the k smallest
-    positive lambda; fewer when the pencil has fewer positive eigenvalues
-    (reported, not fatal).
+    one direct call per invariant block for its top k mu, whose calls
+    _finalize turns into pairs. _blocks caps each ask at the block's count
+    of positive mu and stops at the first block with none, as in the
+    successive solve, but the reference asks no interlacing rule. An
+    unprojected tridiagonal pencil (every radial one) takes
+    _tridiagonal_eigh; any other block (a cube grid's sectors, a dense toy)
+    one generalized eigh of its densified pencil, LAPACK's Cholesky
+    congruence, in O(order^3) work. Orders of the whole pencil above
+    dense_threshold are refused. Returns the k smallest positive lambda;
+    fewer when the pencil has fewer positive eigenvalues (reported, not
+    fatal).
     """
-    n = pair.order
-    if n > dense_threshold:
-        raise SolverError(f"dense solve refused at order {n} > {dense_threshold}")
+    if pair.order > dense_threshold:
+        raise SolverError(f"dense solve refused at order {pair.order} > {dense_threshold}")
     if k < 1:
         raise ValueError("k must be >= 1")
     calls = []
-    for block in _blocks(pair):
+    for block, ask in _blocks(pair, lambda w, W: k):
         A, B, order = block.A, block.B, block.A.shape[0]
         if block.S is None and max(_bandwidth(A), _bandwidth(B)) == 1:
-            mu, V = _tridiagonal_eigh(A, B, k)
+            mu, V = _tridiagonal_eigh(A, B, ask)
         else:
             try:
                 mu, V = sla.eigh(B.toarray(), A.toarray(), overwrite_a=True, overwrite_b=True,
-                                 check_finite=False, subset_by_index=[max(order - k, 0), order - 1])
+                                 check_finite=False, subset_by_index=[order - ask, order - 1])
             except sla.LinAlgError as exc:
                 raise SolverError(f"dense eigh failed (its B is the energy matrix): {exc}") from exc
         calls.append((block, mu, V, None, None))
@@ -618,8 +621,7 @@ class Block:
     orthonormal basis S, and a member's vector is S v on the full dof array
     (of this shape), its axes transposed to axes. If S is None the block is
     the whole pencil equilibrated, diag(scale) A diag(scale) and the same of
-    B (_equilibration), and its vector is scale v. positive bounds its count
-    of positive mu."""
+    B (_equilibration), and its vector is scale v."""
 
     label: str
     members: list
@@ -628,7 +630,6 @@ class Block:
     S: object = None
     shape: tuple = None
     scale: object = None
-    positive: int = None
 
 
 def _members(label):
@@ -640,13 +641,19 @@ def _members(label):
     return [(axes, name) for name, axes in members.items()]
 
 
-def _blocks(pair):
-    """The pencil's invariant blocks, formed one at a time (module docstring),
-    a sector's S the Kronecker product of the orthonormal 1-D mirror bases, so
-    that an absolute tolerance means on it what it means on the full grid. A
-    sector's positive mu are its positive B entries (Sylvester's law of
-    inertia); the whole pencil has none when g^+ vanishes at every
-    quadrature point, as B is then negative semidefinite.
+def _blocks(pair, rule):
+    """The pencil's invariant blocks, in chain order, each with its ask: the
+    one owner of the chain (module docstring). For each block, before it is
+    formed, rule(w, W) gives its ask from its w members and the W members of
+    it and the blocks before it; then the block is formed and its ask capped
+    by its count of positive mu. The first zero ask, of the rule or the cap,
+    ends the chain, and no block after it is formed. Yields (block, ask).
+
+    By Sylvester's law of inertia a sector's positive mu are its positive B
+    entries; the whole pencil has order of them, or none when g^+ vanishes at
+    every quadrature point, as B is then negative semidefinite. A sector's S
+    is the Kronecker product of the orthonormal 1-D mirror bases, so that an
+    absolute tolerance means on it what it means on the full grid.
 
     Only eee is projected (_project). Each later sector of SECTORS turns one
     more axis odd, and its pencil is its predecessor's on the coordinates j
@@ -654,29 +661,40 @@ def _blocks(pair):
     to nodes at most one step away per axis, so for j, j' >= 1 the nodes c +
     j and c - j' never couple, and an even and an odd basis column of the
     same j give the same products."""
-    if pair.mode != "grid3d":
-        scale = _equilibration(pair.A)
-        yield Block(None, [(None, None)], _scaled(pair.A, scale), _scaled(pair.B, scale),
-                    scale=scale, positive=0 if pair.gplus_vanishes else pair.order)
-        return
-    c = (pair.geometry.n - 3) // 2
-    A = B = None
-    for label in SECTORS:
-        bases = [_mirror_basis(c, parity) for parity in label]
-        S = sp.kron(sp.kron(bases[0], bases[1]), bases[2], format="csr")
-        if A is None:
-            ST = S.T.tocsr()
-            A, B = _project(pair.A, ST), _project(pair.B, ST)
+    grid = pair.mode == "grid3d"
+    total, A = 0, None
+    for label in SECTORS if grid else [None]:
+        members = _members(label) if grid else [(None, None)]
+        total += len(members)
+        ask = rule(len(members), total)
+        if ask == 0:
+            return
+        if not grid:
+            scale = _equilibration(pair.A)
+            block = Block(None, members, _scaled(pair.A, scale), _scaled(pair.B, scale),
+                          scale=scale)
+            positive = 0 if pair.gplus_vanishes else pair.order
         else:
-            # the axis that turned odd (x, y, then z) drops its coordinate j =
-            # 0 from the predecessor's dofs, in their Kronecker order
-            keep = np.ones(dofs, dtype=bool)
-            keep[(slice(None),) * label.rindex("o") + (0,)] = False
-            keep = keep.ravel()
-            A, B = A[keep][:, keep], B[keep][:, keep]
-        dofs = [c + (p == "e") for p in label]  # c + 1 per even axis, c per odd
-        yield Block(label, _members(label), A, B, S, (2 * c + 1,) * 3,
-                    positive=int(np.count_nonzero(B.diagonal() > 0.0)))
+            c = (pair.geometry.n - 3) // 2
+            bases = [_mirror_basis(c, parity) for parity in label]
+            S = sp.kron(sp.kron(bases[0], bases[1]), bases[2], format="csr")
+            if A is None:
+                ST = S.T.tocsr()
+                A, B = _project(pair.A, ST), _project(pair.B, ST)
+            else:
+                # the axis that turned odd (x, y, then z) drops its coordinate j =
+                # 0 from the predecessor's dofs, in their Kronecker order
+                keep = np.ones(dofs, dtype=bool)
+                keep[(slice(None),) * label.rindex("o") + (0,)] = False
+                keep = keep.ravel()
+                A, B = A[keep][:, keep], B[keep][:, keep]
+            dofs = [c + (p == "e") for p in label]  # c + 1 per even axis, c per odd
+            block = Block(label, members, A, B, S, (2 * c + 1,) * 3)
+            positive = int(np.count_nonzero(B.diagonal() > 0.0))
+        ask = min(ask, positive)
+        if ask == 0:
+            return
+        yield block, ask
 
 
 def _counted(B):
@@ -846,24 +864,15 @@ def _maximize_quotient(pair, m, settings, seed):
     each a (block, mu, vectors, applications, stop) record, in call order.
 
     A block of w members, W of them in it and the blocks before it, asks for
-    floor((m - 1 + w) / W) pairs, at most Block.positive: by interlacing
-    along the nested sectors its j-th mu follows j W - w merged entries, so
-    it is among the m largest only if j W - w < m (module docstring). On the
-    cube grid the asks are m, floor((m + 2) / 4), floor((m + 2) / 7) and
+    floor((m - 1 + w) / W) pairs: by interlacing along the nested sectors
+    its j-th mu follows j W - w merged entries, so it is among the m largest
+    only if j W - w < m (module docstring). _blocks caps each ask by the
+    block's positive count and forms no block after the first zero ask. On
+    the cube grid the asks are m, floor((m + 2) / 4), floor((m + 2) / 7) and
     floor(m / 8), at most four calls, and a later sector computes fewer mu
-    past the m-th for the cluster-cut warning to see. Neither asks nor
-    positive counts increase from a block to the next, so the first that
-    asks for none ends the loop, and no block after it is formed."""
-    widths = [len(_members(label)) for label in SECTORS] if pair.mode == "grid3d" else [1]
-    asks = takewhile(bool, ((m - 1 + w) // total for w, total in zip(widths, accumulate(widths))))
-    calls = []
-    # zip draws the ask first, so a block past the last ask is not formed
-    for index, (ask, block) in enumerate(zip(asks, _blocks(pair))):
-        ask = min(ask, block.positive)
-        if ask == 0:
-            break
-        calls.append((block, *_block_pairs(block, ask, settings, seed, index)))
-    return calls
+    past the m-th for the cluster-cut warning to see."""
+    return [(block, *_block_pairs(block, ask, settings, seed, index))
+            for index, (block, ask) in enumerate(_blocks(pair, lambda w, W: (m - 1 + w) // W))]
 
 
 def solve_successive(pair, settings=None, seed=42):

@@ -80,10 +80,8 @@ def write_csv(path, header, rows):
     The rows are converted to one float table, so an integral value such as a
     mesh size prints as an integer ("%.17g").
     """
-    table = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n" + line * len(table) % tuple(table.ravel().tolist()))
+    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def write_npy(path, names, columns):

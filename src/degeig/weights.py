@@ -227,7 +227,10 @@ def tabulated_from_csv(csv: str):
         header = next(lines, None)
         if header is None or [h.strip() for h in header[:2]] != ["r", "g"]:
             raise ValueError(f"{csv}: expected CSV header 'r,g'")
-        rows = [(float(row[0]), float(row[1])) for row in lines if row]
+        try:
+            rows = [(float(row[0]), float(row[1])) for row in lines if row]
+        except IndexError:  # a row of one field
+            raise ValueError(f"{csv}: line {lines.line_num}: expected two fields r,g") from None
     if len(rows) < 2:
         raise ValueError(f"{csv}: need at least two samples")
     radii, values = zip(*rows)

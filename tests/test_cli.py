@@ -162,6 +162,10 @@ class TestConfig:
         pytest.param({"problem.geometry.q": 1e400}, "problem.geometry.q", id="overflowing-q"),
         pytest.param({"problem.weight": {"kind": "tabulated", "csv": "nan-row.csv"}},
                      "problem.weight: tabulated values must be finite", id="nan-csv-row"),
+        # a row of one field was an uncaught IndexError
+        pytest.param({"problem.weight": {"kind": "tabulated", "csv": "short-row.csv"}},
+                     "problem.weight: short-row.csv: line 3: expected two fields r,g",
+                     id="one-field-csv-row"),
         pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, float("inf"), 6],
                                          "values": [1, 0.5, 0]}},
                      "problem.weight: tabulated radii must be finite", id="infinite-radius"),
@@ -177,12 +181,30 @@ class TestConfig:
         # failure before; now exit 1 naming the field
         monkeypatch.chdir(tmp_path)
         (tmp_path / "nan-row.csv").write_text("r,g\n0,1\n1,nan\n6,0\n")
+        (tmp_path / "short-row.csv").write_text("r,g\n0,1\n1\n2,0\n")
         cfg = small_config(tmp_path, **overrides)
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
         with pytest.raises(ConfigError, match=re.escape(named)):
             load_config(cfg)
+
+    @pytest.mark.parametrize("command, source", [
+        pytest.param("solve", ["--preset", "gaussian-n3-a1", "--seed", "-1"], id="solve-seed-arg"),
+        pytest.param("solve", ["--preset", "grid3d-gaussian-a1", "--seed", "-1"],
+                     id="grid-seed-arg"),
+        pytest.param("solve", ["--config", "<config>"], id="solve-config-seed"),
+        pytest.param("converge", ["--config", "<config>"], id="converge-config-seed"),
+    ])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command, source):
+        # numpy's generators take no negative seed: from --seed or from the
+        # config, it ended in a traceback from default_rng
+        cfg = small_config(tmp_path, seed=-1)
+        argv = [command, *[cfg if a == "<config>" else a for a in source],
+                "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: seed: -1 is negative; a seed must be an integer >= 0\n")
 
     def test_ladder_rungs_inherit_q_and_span(self, tmp_path):
         # the rung equal to the problem's mesh reproduces solve's lambda_1 bit for bit

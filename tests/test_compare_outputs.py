@@ -58,7 +58,7 @@ def test_deprecation_warning_is_uncaught_exception(tmp_path):
     assert diffs[:2] == ["uncaught exception in the new tree", "exit code 0 -> 1"]
 
 
-def test_commands_hold_the_warning_steps():
+def test_commands_hold_the_warning_steps(tmp_path):
     workloads = tool.load_workloads(str(REPO))
     listed = tool.commands(workloads)
     assert len({name for name, _, _ in listed}) == len(listed)
@@ -77,3 +77,12 @@ def test_commands_hold_the_warning_steps():
     assert ({"problem": workloads.grid(9, 70), "seed": 42}, solve) in runs
     ring_grid15 = {"problem": {**workloads.grid(15, 8), "weight": {"kind": "ring"}}, "seed": 42}
     assert (ring_grid15, solve) in runs
+    # a negative config seed, with no --seed to override it, is refused by
+    # exit 1 and one line, not a traceback under -W error
+    negative_seed = ("solve-negative-seed",
+                     {"problem": workloads.radial("gaussian", 1.0, 64, 3), "seed": -1},
+                     ["solve", "--config", tool.CONFIG, "--out", tool.OUT])
+    assert negative_seed in listed
+    refused = tool.run(str(REPO), str(tmp_path / "negative-seed"), *negative_seed[1:])
+    assert refused.code == 1 and not refused.raised
+    assert refused.stderr == "config error: seed: -1 is negative; a seed must be an integer >= 0\n"

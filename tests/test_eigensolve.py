@@ -936,7 +936,7 @@ class TestParitySectors:
         import degeig.eigensolve as es
 
         pair = _grid_pair(n, weight())
-        blocks = list(es._blocks(pair))
+        blocks = [block for block, _ in es._blocks(pair, lambda w, W: 1)]
         assert [b.label for b in blocks] == list(es.SECTORS)
         for block in blocks[1:]:
             ST = TestPeakMemory._sector_basis(pair, block.label).T.tocsr()
@@ -955,7 +955,7 @@ class TestParitySectors:
         import degeig.eigensolve as es
 
         mus = [sla.eigh(b.B.toarray(), b.A.toarray(), eigvals_only=True)[::-1]
-               for b in es._blocks(_grid_pair(13, weight()))]
+               for b, _ in es._blocks(_grid_pair(13, weight()), lambda w, W: 1)]
         assert [mu.size for mu in mus] == [216, 180, 150, 125]
         for parent, child in zip(mus, mus[1:]):
             slack = 1e-12 * parent[0]
@@ -966,26 +966,28 @@ class TestParitySectors:
     @pytest.mark.parametrize("weight", [gaussian_bump, sign_changing_ring])
     def test_asks_follow_the_interlacing_rule(self, monkeypatch, weight):
         # a sector of w members, W in it and the sectors before it, asks for
-        # floor((m - 1 + w) / W) pairs, at most its positive count, and the
+        # floor((m - 1 + w) / W) pairs, at most its positive count (its
+        # positive B entries, read here from its own projection), and the
         # first that asks for none ends the calls; a sector past the last
         # nonzero rule ask is never formed
         import degeig.eigensolve as es
 
         pair = _grid_pair(11, weight())
-        positive = {b.label: b.positive for b in es._blocks(pair)}
+        positive = {label: np.count_nonzero(es._project(
+            pair.B, TestPeakMemory._sector_basis(pair, label).T.tocsr()).diagonal() > 0.0)
+            for label in es.SECTORS}
         asked, formed = [], []
-        blocks = es._blocks
+        block_type = es.Block
 
-        def recording_blocks(pair):
-            for block in blocks(pair):
-                formed.append(block.label)
-                yield block
+        def recording_block(label, *args, **kwargs):
+            formed.append(label)
+            return block_type(label, *args, **kwargs)
 
         def recording_pairs(block, ask, *args):
             asked.append((block.label, ask))
             return np.zeros(ask), np.zeros((block.A.shape[0], ask)), 0, "recorded"
 
-        monkeypatch.setattr(es, "_blocks", recording_blocks)
+        monkeypatch.setattr(es, "Block", recording_block)
         monkeypatch.setattr(es, "_block_pairs", recording_pairs)
         for m in (1, 2, 4, 6, 8, 24, 70):
             asked.clear()
@@ -1002,6 +1004,62 @@ class TestParitySectors:
             assert formed == list(es.SECTORS[:len(rule) - (rule[-1] == 0)])
             if weight is gaussian_bump and m in (6, 24):
                 assert [a for _, a in asked] == {6: [6, 2, 1], 24: [24, 6, 3, 3]}[m]
+
+    def test_blocks_own_the_chain(self, monkeypatch):
+        # _blocks reads each block's width before forming it and asks the
+        # rule for (w, W), W counting the members of the blocks so far; then
+        # it forms the block and caps the ask by its positive count. The first
+        # zero ask, of the rule or of the cap, ends the chain, and no block
+        # after it is projected, sliced or equilibrated
+        import degeig.eigensolve as es
+
+        seen, formed, projected, equilibrated = [], [], [], []
+        block_type, project, equilibration = es.Block, es._project, es._equilibration
+        monkeypatch.setattr(es, "Block", lambda label, *a, **kw: (
+            formed.append(label) or block_type(label, *a, **kw)))
+        monkeypatch.setattr(es, "_project", lambda M, ST: projected.append(M) or project(M, ST))
+        monkeypatch.setattr(es, "_equilibration", lambda A: (
+            equilibrated.append(A) or equilibration(A)))
+
+        def chain(pair, rule):
+            for records in (seen, formed, projected, equilibrated):
+                records.clear()
+            return [(block.label, ask) for block, ask in
+                    es._blocks(pair, lambda w, W: seen.append((w, W)) or rule(w, W))]
+
+        grid = _grid_pair(11)
+        assert chain(grid, lambda w, W: 2) == [(label, 2) for label in es.SECTORS]
+        assert seen == [(1, 1), (3, 4), (3, 7), (1, 8)]
+        assert formed == list(es.SECTORS) and len(projected) == 2  # eee's A and B
+        assert chain(grid, lambda w, W: int(W == 1)) == [("eee", 1)]
+        assert seen == [(1, 1), (3, 4)] and formed == ["eee"] and len(projected) == 2
+        assert chain(grid, lambda w, W: 0) == []
+        assert seen == [(1, 1)] and formed == projected == []
+
+        radial = assemble_radial(build_radial_mesh(6.0, 64, 1.0), 3, 1.0, gaussian_bump())
+        assert chain(radial, lambda w, W: 2) == [(None, 2)]
+        assert seen == [(1, 1)] and len(equilibrated) == 1
+        assert chain(radial, lambda w, W: radial.order + 5) == [(None, radial.order)]
+        assert chain(radial, lambda w, W: 0) == []
+        assert formed == equilibrated == []
+
+        # ring 9^3 has 3, 1, 0 and 0 positive B entries in eee, oee, ooe and
+        # ooo: ooe is formed to read its count, which ends the chain, and ooo
+        # is never formed
+        ring = _grid_pair(9, sign_changing_ring())
+        assert chain(ring, lambda w, W: 5) == [("eee", 3), ("oee", 1)]
+        assert formed == ["eee", "oee", "ooe"]
+
+        # the dense reference asks every block for k under the same cap and
+        # stop, so it solves eee and oee alone, with the lambda and clusters
+        # it found when it also solved ooe and ooo for their top k mu
+        seq = solve_dense(ring, 6)
+        assert [call["block"] for call in seq.calls] == ["eee", "oee"]
+        assert_allclose(seq.lambdas, [2.9656825989023403, 3.796462093199152, 3.796462093199153,
+                                      3.7964620931991533, 4.004791593835777, 4.004791593835777],
+                        rtol=1e-14)
+        assert seq.clusters == [[0], [1, 2, 3], [4, 5]]
+        assert seq.sectors == ["eee", "oee", "eoe", "eeo", "eee", "eee"]
 
     def test_sector_asks_at_most_its_positive_count(self, monkeypatch):
         # by Sylvester's law of inertia a sector has as many positive mu as

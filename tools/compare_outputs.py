@@ -19,10 +19,11 @@ The commands, in NEW_TREE's order:
   does: 15^3 with k = 12, whose eee sector (343 dofs) is solved on B's rank;
   9^3 with k = 40, whose sectors are capped by their positive B entries and
   which stops at 6 of 40 pairs; 9^3 with k = 6 (order 343), whose dense
-  reference solves each sector by one generalized eigh and whose eee and oee
-  sectors (B of rank 7 for 3 pairs, and of rank 4 for 1) take the rank-r
-  route; and 15^3 with k = 8, whose eee sector (B of rank 35 for 8 pairs)
-  takes the rank-r route, with no dense reference at order 2197;
+  reference solves eee and oee by one generalized eigh each and stops at ooe,
+  which has no positive B entry, and whose eee and oee sectors (B of rank 7
+  for 3 pairs, and of rank 4 for 1) take the rank-r route; and 15^3 with
+  k = 8, whose eee sector (B of rank 35 for 8 pairs) takes the rank-r route,
+  with no dense reference at order 2197;
 - two gaussian grid solves next to the dense reference: 11^3 with k = 24,
   whose nested parity sectors are asked for 24, 6, 3 and 3 pairs, each next
   to the reference's 24; and 9^3 with k = 70, whose sectors are asked for 64,
@@ -38,7 +39,9 @@ The commands, in NEW_TREE's order:
   and `solve` at N = 9, alpha = 1.9 (M = 512, k = 6), whose energy diagonal
   spans 54 decades;
 - two solves of a weight with no positive part (g = -1, radial M = 64 and grid
-  15^3, k = 3), which have no positive eigenvalue and exit 2.
+  15^3, k = 3), which have no positive eigenvalue and exit 2;
+- a solve whose config's seed is -1, given no --seed, which is refused as a
+  configuration error and exits 1.
 
 The outputs of a command are its stdout, its stderr and every file it writes.
 Before comparing, the run's own directory and the tree's absolute path in
@@ -127,6 +130,9 @@ def commands(workloads):
         out.append((f"solve-negative-{name}", {"problem": {**problem, "weight": weight},
                                                "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
+    out.append(("solve-negative-seed",
+                {"problem": workloads.radial("gaussian", 1.0, 64, 3), "seed": -1},
+                ["solve", "--config", CONFIG, "--out", OUT]))
     return out
 
 
