@@ -63,12 +63,9 @@ def _increasing_across_clusters(seq, radial):
     lam = seq.lambdas
     gaps, _ = cluster_gaps(lam)
     between = gaps > CLUSTER_RTOL
-    return {
-        "value": float(min(lam.min(), gaps[between].min(initial=np.inf))),
-        "bound": CLUSTER_RTOL,
-        "ok": bool(np.all(lam > 0.0) and np.all(gaps >= -CLUSTER_RTOL)
-                   and (not radial or np.all(between))),
-    }
+    return _claim(min(lam.min(), gaps[between].min(initial=np.inf)), CLUSTER_RTOL,
+                  ok=np.all(lam > 0.0) and np.all(gaps >= -CLUSTER_RTOL)
+                  and (not radial or np.all(between)))
 
 
 def _solve_claims(seq, dense_seq, growth, radial):
@@ -88,11 +85,8 @@ def _solve_claims(seq, dense_seq, growth, radial):
         np.max(np.abs(growth.unit_energy - 1.0)), 1e-10
     )
     claims["mass_identity_gap"] = _claim(np.max(growth.identity_gaps), 1e-10)
-    claims["plus_bound_min_margin"] = {
-        "value": float(np.min(growth.bound_margins)),
-        "bound": -1e-12,
-        "ok": bool(np.min(growth.bound_margins) >= -1e-12),
-    }
+    margin = np.min(growth.bound_margins)
+    claims["plus_bound_min_margin"] = _claim(margin, -1e-12, ok=margin >= -1e-12)
     if dense_seq is not None and dense_seq.count and seq.count:
         m = min(dense_seq.count, seq.count)
         agree = np.max(

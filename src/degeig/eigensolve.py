@@ -15,9 +15,10 @@ lambda rule and residual judgement, and one cluster rule (cluster_gaps,
 whose gaps the solve claim reads too), warning when k cuts a cluster that a
 call computed. solve_dense, the reference up to DENSE_THRESHOLD, asks every
 block for k mu, whatever the successive ask rule below would ask, under the
-same cap and stop (_blocks): by _tridiagonal_eigh on an unprojected
-tridiagonal pencil (every radial one), else by one generalized eigh of the
-block's densified pencil; its records carry no applications or stop.
+same cap and stop (_blocks), each by one direct call (_dense_pairs):
+_tridiagonal_eigh on an unprojected tridiagonal pencil (every radial one),
+else one generalized eigh of the block's densified pencil; its records carry
+no applications or stop.
 
 An invariant block (Block) is a subspace that A and B map into itself, so
 a smaller pencil of the same kind (Bossavit, Symmetry, groups, and boundary
@@ -57,19 +58,27 @@ m-th. A later sector computes fewer of those than the first, so a cut
 member that only a later sector holds can go unwarned; a triple's members
 are carried from one computed pair, so a triple that k cuts is always seen.
 
-A block is solved by one call (_block_pairs): ARPACK with a sparse LU of A
-if unprojected. A sector takes block LOBPCG, preconditioned by
-V-cycle-preconditioned CG, wherever LOBPCG can iterate; unlike
-single-vector Lanczos it keeps every member of a multiplicity. Its basis of
-3 ask vectors lies in A^{-1} range(B) (Knyazev, SIAM J. Sci. Comput. 23,
-2001), and scipy's lobpcg iterates only on an order of at least 5 ask, so a
-sector of at most DENSE_THRESHOLD dofs whose B has rank r < 5 ask is solved
-by _low_rank_eigh, exact on that rank. As r <= order, every LOBPCG call
-then iterates unless it asks for more than DENSE_THRESHOLD / 5 pairs. The
-pairs of all blocks are merged by mu, equal mu in the order the blocks and
-calls returned them (a triple reads oee, eoe, eeo), and each vector is
-carried to its members; a grid pair of either solver reports its member's
-label as sector. EigenSequence.calls records each call.
+A block of the successive solve is solved by one call (_block_pairs):
+ARPACK with a sparse LU of A if unprojected. A sector takes block LOBPCG,
+preconditioned by V-cycle-preconditioned CG, wherever LOBPCG can iterate;
+unlike single-vector Lanczos it keeps every member of a multiplicity. Its
+basis of 3 ask vectors lies in A^{-1} range(B) (Knyazev, SIAM J. Sci.
+Comput. 23, 2001), and scipy's lobpcg iterates only on an order of at least
+5 ask, so a sector of at most DENSE_THRESHOLD dofs whose B has rank r < 5
+ask is solved by _low_rank_eigh, exact on that rank. As r <= order, every
+LOBPCG call then iterates unless it asks for more than DENSE_THRESHOLD / 5
+pairs. The pairs of all blocks are merged by mu, equal mu in the order the
+blocks and calls returned them (a triple reads oee, eoe, eeo), and each
+vector is carried to its members; a grid pair of either solver reports its
+member's label as sector. EigenSequence.calls records each call.
+
+Each route maps its own failures: the function that calls a library
+(_block_pairs for splu and ARPACK, _dense_pairs for eigh, and likewise
+_lobpcg, _tridiagonal_eigh and _low_rank_eigh) is the only place that turns
+that library's failure into a SolverError. An ARPACK call holding fewer
+pairs than it asked names the first pair it lacks; ARPACK's other errors
+and eigh's LinAlgError keep the library's message. So each solver is one
+pass over _blocks, one route call per block, with no try of its own.
 
 ARPACK keeps its default Lanczos basis of max(2 m + 1, 20) vectors for m
 asked pairs unless B has a negative diagonal entry. Such a B is indefinite,
@@ -478,34 +487,19 @@ def _tridiagonal_eigh(A, B, m):
 
 def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
     """Top-k reference solve of the pencil B v = mu A v of either geometry:
-    one direct call per invariant block for its top k mu, whose calls
-    _finalize turns into pairs. _blocks caps each ask at the block's count
-    of positive mu and stops at the first block with none, as in the
-    successive solve, but the reference asks no interlacing rule. An
-    unprojected tridiagonal pencil (every radial one) takes
-    _tridiagonal_eigh; any other block (a cube grid's sectors, a dense toy)
-    one generalized eigh of its densified pencil, LAPACK's Cholesky
-    congruence, in O(order^3) work. Orders of the whole pencil above
-    dense_threshold are refused. Returns the k smallest positive lambda;
-    fewer when the pencil has fewer positive eigenvalues (reported, not
-    fatal).
+    one pass over _blocks, one direct call (_dense_pairs) per invariant
+    block for its top k mu, whose calls _finalize turns into pairs. _blocks
+    caps each ask at the block's count of positive mu and stops at the first
+    block with none, as in the successive solve, but the reference asks no
+    interlacing rule. Orders of the whole pencil above dense_threshold are
+    refused, as is k < 1. Returns the k smallest positive lambda; fewer when
+    the pencil has fewer positive eigenvalues (reported, not fatal).
     """
     if pair.order > dense_threshold:
         raise SolverError(f"dense solve refused at order {pair.order} > {dense_threshold}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    calls = []
-    for block, ask in _blocks(pair, lambda w, W: k):
-        A, B, order = block.A, block.B, block.A.shape[0]
-        if block.S is None and max(_bandwidth(A), _bandwidth(B)) == 1:
-            mu, V = _tridiagonal_eigh(A, B, ask)
-        else:
-            try:
-                mu, V = sla.eigh(B.toarray(), A.toarray(), overwrite_a=True, overwrite_b=True,
-                                 check_finite=False, subset_by_index=[order - ask, order - 1])
-            except sla.LinAlgError as exc:
-                raise SolverError(f"dense eigh failed (its B is the energy matrix): {exc}") from exc
-        calls.append((block, mu, V, None, None))
+    calls = [(block, *_dense_pairs(block, ask)) for block, ask in _blocks(pair, lambda w, W: k)]
     return _finalize(pair, calls, requested=k, asked=k, method="dense")
 
 
@@ -775,7 +769,10 @@ def _block_pairs(block, ask, settings, seed, index):
     a gaussian weight, whose B is positive definite, they would cost more than
     they save: 73 applications against 63. ARPACK stopped by max_iter keeps
     its pairs when it holds all ask of them (its test passed for each), with
-    a stop naming the cap; holding fewer, it raises ArpackNoConvergence."""
+    a stop naming the cap. Holding done < ask of them, it raises a
+    SolverError naming pair done + 1 and counting done of ask (the whole
+    pencil is one block, so its ask is the solve's). ARPACK's other errors
+    are a SolverError with ARPACK's message."""
     A, B = block.A, block.B
     if block.S is None:
         # ARPACK runs on the equilibrated pencil, as the dense route does: where
@@ -797,11 +794,16 @@ def _block_pairs(block, ask, settings, seed, index):
                                    maxiter=settings.max_iter)
         except spla.ArpackNoConvergence as exc:
             # the restart cap can fall on the pass that converges the last asked pair
-            if len(exc.eigenvalues) < ask:
-                raise
+            done = len(exc.eigenvalues)
+            if done < ask:
+                raise SolverError(f"pair {done + 1}: ARPACK did not converge within "
+                                  f"{settings.max_iter} restarts ({done} of {ask} pairs "
+                                  "converged)") from exc
             return (exc.eigenvalues, exc.eigenvectors, op.applications,
                     f"met ARPACK's tolerance, absolute in mu, at its cap of "
                     f"{settings.max_iter} restarts and stopped")
+        except spla.ArpackError as exc:
+            raise SolverError(f"ARPACK failed: {exc}") from exc
         return mus, vecs, op.applications, "met ARPACK's tolerance, absolute in mu, and stopped"
     if 5 * ask > np.count_nonzero(B.diagonal()) and A.shape[0] <= DENSE_THRESHOLD:
         # LOBPCG iterates only where B's rank is at least 5 asks (module
@@ -811,6 +813,25 @@ def _block_pairs(block, ask, settings, seed, index):
     # a sector keeps c + 1 of an even axis's 2c + 1 nodes, c of an odd one's
     dofs = tuple(s // 2 + (p == "e") for s, p in zip(block.shape, block.label))
     return _lobpcg(A, B, dofs, [p == "e" for p in block.label], ask, settings, seed, index)
+
+
+def _dense_pairs(block, ask):
+    """One direct call for the ask largest mu of a block, the dense
+    reference's route: _tridiagonal_eigh on an unprojected tridiagonal
+    pencil (every radial one), else one generalized eigh of the block's
+    densified pencil (a cube grid's sectors, a dense toy), LAPACK's
+    Cholesky congruence, in O(order^3) work. Returns the mu ascending, their
+    vectors as columns, and None for the applications and the stop. eigh's
+    LinAlgError (A not positive definite) is a SolverError here."""
+    A, B, order = block.A, block.B, block.A.shape[0]
+    if block.S is None and max(_bandwidth(A), _bandwidth(B)) == 1:
+        return (*_tridiagonal_eigh(A, B, ask), None, None)
+    try:
+        mu, V = sla.eigh(B.toarray(), A.toarray(), overwrite_a=True, overwrite_b=True,
+                         check_finite=False, subset_by_index=[order - ask, order - 1])
+    except sla.LinAlgError as exc:
+        raise SolverError(f"dense eigh failed (its B is the energy matrix): {exc}") from exc
+    return mu, V, None, None
 
 
 def _low_rank_eigh(A, B, m):
@@ -885,18 +906,8 @@ def solve_successive(pair, settings=None, seed=42):
     m = min(settings.k, pair.order - 1)
     if m < 1:
         raise SolverError("the successive solve needs an order of at least 2")
-    try:
-        calls = _maximize_quotient(pair, m, settings, seed)
-    except spla.ArpackNoConvergence as exc:
-        done = len(exc.eigenvalues)
-        raise SolverError(
-            f"pair {done + 1}: ARPACK did not converge within {settings.max_iter} "
-            f"restarts ({done} of {m} pairs converged)"
-        ) from exc
-    except spla.ArpackError as exc:
-        raise SolverError(f"ARPACK failed: {exc}") from exc
-    return _finalize(pair, calls, requested=settings.k, asked=m, method="successive",
-                     tol=settings.tol)
+    return _finalize(pair, _maximize_quotient(pair, m, settings, seed), requested=settings.k,
+                     asked=m, method="successive", tol=settings.tol)
 
 
 @dataclass

@@ -221,16 +221,22 @@ def tabulated(radii, values):
 
 
 def tabulated_from_csv(csv: str):
-    """Load a tabulated weight from the two-column CSV file csv, header 'r,g'."""
+    """Load a tabulated weight from the two-column CSV file csv, header 'r,g'.
+    A row without exactly two fields, or with a field that is not a number,
+    is a ValueError naming the file and the line."""
     with open(csv, newline="") as fh:
         lines = reader(fh)
         header = next(lines, None)
         if header is None or [h.strip() for h in header[:2]] != ["r", "g"]:
             raise ValueError(f"{csv}: expected CSV header 'r,g'")
-        try:
-            rows = [(float(row[0]), float(row[1])) for row in lines if row]
-        except IndexError:  # a row of one field
-            raise ValueError(f"{csv}: line {lines.line_num}: expected two fields r,g") from None
+        rows = []
+        for row in filter(None, lines):
+            try:
+                if len(row) != 2:
+                    raise ValueError("expected two fields r,g")
+                rows.append((float(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise ValueError(f"{csv}: line {lines.line_num}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{csv}: need at least two samples")
     radii, values = zip(*rows)

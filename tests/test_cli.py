@@ -166,6 +166,14 @@ class TestConfig:
         pytest.param({"problem.weight": {"kind": "tabulated", "csv": "short-row.csv"}},
                      "problem.weight: short-row.csv: line 3: expected two fields r,g",
                      id="one-field-csv-row"),
+        # a row of three fields was cut to its first two, and a field that is
+        # no number was reported without its file and line
+        pytest.param({"problem.weight": {"kind": "tabulated", "csv": "long-row.csv"}},
+                     "problem.weight: long-row.csv: line 2: expected two fields r,g",
+                     id="three-field-csv-row"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "csv": "word-row.csv"}},
+                     "problem.weight: word-row.csv: line 3: could not convert string to "
+                     "float: 'x'", id="non-number-csv-value"),
         pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, float("inf"), 6],
                                          "values": [1, 0.5, 0]}},
                      "problem.weight: tabulated radii must be finite", id="infinite-radius"),
@@ -182,6 +190,8 @@ class TestConfig:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "nan-row.csv").write_text("r,g\n0,1\n1,nan\n6,0\n")
         (tmp_path / "short-row.csv").write_text("r,g\n0,1\n1\n2,0\n")
+        (tmp_path / "long-row.csv").write_text("r,g\n0,1,9\n1,0.5,9\n6,0,9\n")
+        (tmp_path / "word-row.csv").write_text("r,g\n0,1\n1,x\n6,0\n")
         cfg = small_config(tmp_path, **overrides)
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err

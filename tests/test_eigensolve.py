@@ -526,6 +526,26 @@ class TestSuccessive:
                                               r"restarts \(1 of 2 pairs converged\)$"):
             es.solve_successive(pair, SolverSettings(k=2))
 
+    def test_arpack_route_maps_its_own_failures(self, monkeypatch):
+        # the ARPACK route turns each ARPACK exception into a SolverError
+        # itself, so none leaves the block calls of _maximize_quotient
+        import degeig.eigensolve as es
+
+        pair = assemble_radial(build_radial_mesh(6.0, 64, 1.0), 3, 1.0, gaussian_bump())
+        failures = [
+            (es.spla.ArpackNoConvergence("no convergence", np.ones(1), np.ones((pair.order, 1))),
+             "pair 2: ARPACK did not converge within 400 restarts (1 of 2 pairs converged)"),
+            (es.spla.ArpackError(-9999), "ARPACK failed: ARPACK error -9999: Unknown error"),
+        ]
+        for failure, message in failures:
+            def failing(*args, **kwargs):
+                raise failure
+
+            monkeypatch.setattr(es.spla, "eigsh", failing)
+            with pytest.raises(SolverError) as raised:
+                es._maximize_quotient(pair, 2, SolverSettings(k=2), 42)
+            assert str(raised.value) == message and raised.value.__cause__ is failure
+
     @pytest.mark.parametrize("M", [1024, 2000])
     def test_arpack_cap_on_the_converging_pass_keeps_the_pairs(self, M):
         # one restart ends on the very pass that converges all 24 ring pairs:
