@@ -51,6 +51,15 @@ def _claim(value, bound, ok=None):
     return {"value": float(value), "bound": float(bound), "ok": ok}
 
 
+def _verdict(claims):
+    """EXIT_OK, or EXIT_NUMERICAL after naming on stderr every claim whose
+    "ok" is False; an entry without "ok" records a value and never fails."""
+    bad = [name for name, claim in claims.items() if not claim.get("ok", True)]
+    if bad:
+        print(f"invariant violation: {', '.join(bad)}", file=sys.stderr)
+    return EXIT_NUMERICAL if bad else EXIT_OK
+
+
 def _increasing_across_clusters(seq, radial):
     """Positive, and increasing from each cluster of the sequence to the next.
 
@@ -192,11 +201,7 @@ def cmd_solve(run, out_dir):
         print(f"lambda_{i + 1} = {FMT % lam}   residual = {FMT % seq.residuals[i]}")
     for w in seq.warnings:
         print(f"warning: {w}")
-    if not all(c["ok"] for c in claims.values()):
-        bad = [k for k, c in claims.items() if not c["ok"]]
-        print(f"invariant violation: {', '.join(bad)}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _verdict(claims)
 
 
 def _hardy_slack(pair, n_vectors, seed):
@@ -310,11 +315,10 @@ def cmd_check(run, out_dir):
         "meta": run_meta(),
     }
     write_json(os.path.join(out_dir, "inequality_report.json"), report)
-    ok = all(c.get("ok", True) for c in claims.values())
     print(f"hardy constant = {FMT % const}")
     print(f"critical exponent = {FMT % critical_exponent(N, alpha)}")
     print(f"dilation spread = {FMT % spread['spread']}")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return _verdict(claims)
 
 
 def cmd_oracle(run, out_dir):

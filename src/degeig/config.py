@@ -109,7 +109,7 @@ def _reading(where):
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError, OSError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -176,7 +176,7 @@ def weight_from_dict(d, N, alpha):
         raise ConfigError("problem.weight: expected an object with a 'kind' field")
     if not isinstance(kind, str) or kind not in W.WEIGHTS:
         raise ConfigError(f"problem.weight.kind: unknown weight '{kind}'")
-    builder = W.weight_builder(d)
+    builder = W.WEIGHTS[kind]
     params = inspect.signature(builder).parameters
     problem = {name: value for name, value in (("N", N), ("alpha", alpha)) if name in params}
     own = [name for name in params if name not in problem]

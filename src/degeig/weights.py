@@ -19,7 +19,6 @@ decade-sampled tail, and the norm verdicts compare per-decade increments of
 the quadrature estimate.
 """
 
-from csv import reader
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -187,7 +186,7 @@ def borderline_log(N, alpha):
     return WeightSpec(name="borderline-log", g_decaying=g2)
 
 
-def tabulated(radii, values):
+def tabulated(radii: list, values: list):
     """Weight interpolated from (radius, value) samples.
 
     The sign split is taken pointwise from the interpolated value and is
@@ -220,33 +219,10 @@ def tabulated(radii, values):
     )
 
 
-def tabulated_from_csv(csv: str):
-    """Load a tabulated weight from the two-column CSV file csv, header 'r,g'.
-    A row without exactly two fields, or with a field that is not a number,
-    is a ValueError naming the file and the line."""
-    with open(csv, newline="") as fh:
-        lines = reader(fh)
-        header = next(lines, None)
-        if header is None or [h.strip() for h in header[:2]] != ["r", "g"]:
-            raise ValueError(f"{csv}: expected CSV header 'r,g'")
-        rows = []
-        for row in filter(None, lines):
-            try:
-                if len(row) != 2:
-                    raise ValueError("expected two fields r,g")
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise ValueError(f"{csv}: line {lines.line_num}: {exc}") from None
-    if len(rows) < 2:
-        raise ValueError(f"{csv}: need at least two samples")
-    radii, values = zip(*rows)
-    return tabulated(np.array(radii), np.array(values))
-
-
 # The weight kinds of a configuration document and their builders. A
 # builder's keyword parameters are the fields of the weight document, except
-# N and alpha, which come from the problem; a parameter annotated float or
-# str takes only a value of that type.
+# N and alpha, which come from the problem; a parameter annotated float, str
+# or list takes only a value of that type.
 WEIGHTS = {
     "gaussian": gaussian_bump,
     "compact-bump": compact_bump,
@@ -258,14 +234,6 @@ WEIGHTS = {
 
 # The builtin weights: every kind built from its defaults alone
 CATALOGUE = tuple(kind for kind in WEIGHTS if kind != "tabulated")
-
-
-def weight_builder(doc):
-    """The builder of the weight document doc, a dict with a known "kind"; a
-    tabulated weight given by a "csv" field is read by tabulated_from_csv."""
-    if doc["kind"] == "tabulated" and "csv" in doc:
-        return tabulated_from_csv
-    return WEIGHTS[doc["kind"]]
 
 
 @dataclass

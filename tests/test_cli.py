@@ -145,8 +145,9 @@ class TestConfig:
                      "problem.weight.amplitude", id="boolean-amplitude"),
         pytest.param({"problem.weight": {"kind": "ring", "neg_amplitude": True}},
                      "problem.weight.neg_amplitude", id="boolean-neg-amplitude"),
-        pytest.param({"problem.weight": {"kind": "tabulated", "csv": 0}},
-                     "problem.weight.csv", id="numeric-csv"),
+        # a tabulated weight is given inline only
+        pytest.param({"problem.weight": {"kind": "tabulated", "csv": "w.csv"}},
+                     "problem.weight: unknown fields ['csv']", id="csv-field"),
         # the matrix export is set by --export-matrices only
         pytest.param({"export_matrices": True}, "config: unknown fields ['export_matrices']",
                      id="export-matrices-field"),
@@ -160,20 +161,27 @@ class TestConfig:
         pytest.param({"problem.geometry": {"mode": "grid3d", "L": float("inf"), "n": 9}},
                      "problem.geometry.L", id="infinite-L"),
         pytest.param({"problem.geometry.q": 1e400}, "problem.geometry.q", id="overflowing-q"),
-        pytest.param({"problem.weight": {"kind": "tabulated", "csv": "nan-row.csv"}},
-                     "problem.weight: tabulated values must be finite", id="nan-csv-row"),
-        # a row of one field was an uncaught IndexError
-        pytest.param({"problem.weight": {"kind": "tabulated", "csv": "short-row.csv"}},
-                     "problem.weight: short-row.csv: line 3: expected two fields r,g",
-                     id="one-field-csv-row"),
-        # a row of three fields was cut to its first two, and a field that is
-        # no number was reported without its file and line
-        pytest.param({"problem.weight": {"kind": "tabulated", "csv": "long-row.csv"}},
-                     "problem.weight: long-row.csv: line 2: expected two fields r,g",
-                     id="three-field-csv-row"),
-        pytest.param({"problem.weight": {"kind": "tabulated", "csv": "word-row.csv"}},
-                     "problem.weight: word-row.csv: line 3: could not convert string to "
-                     "float: 'x'", id="non-number-csv-value"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 1, 6],
+                                         "values": [1, float("nan"), 0]}},
+                     "problem.weight: tabulated values must be finite", id="nan-value"),
+        # a string was reported as a float conversion, and a number as an
+        # array of the wrong shape, without naming the field
+        pytest.param({"problem.weight": {"kind": "tabulated", "radii": "abc",
+                                         "values": [1, 0]}},
+                     "problem.weight.radii: expected a list, got 'abc'", id="string-radii"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 6], "values": 5}},
+                     "problem.weight.values: expected a list, got 5", id="number-values"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 2, 1],
+                                         "values": [1, 0.5, 0]}},
+                     "problem.weight: tabulated radii must be strictly increasing",
+                     id="unsorted-radii"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0], "values": [1]}},
+                     "problem.weight: tabulated needs matching 1-d radius/value arrays, "
+                     ">= 2 samples", id="one-sample"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 1, 6],
+                                         "values": [1, 0]}},
+                     "problem.weight: tabulated needs matching 1-d radius/value arrays, "
+                     ">= 2 samples", id="mismatched-lengths"),
         pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, float("inf"), 6],
                                          "values": [1, 0.5, 0]}},
                      "problem.weight: tabulated radii must be finite", id="infinite-radius"),
@@ -183,15 +191,9 @@ class TestConfig:
         pytest.param({"problem.geometry.R": Digits(5001)}, "config.json: Exceeds the limit",
                      id="5001-digit-R"),
     ])
-    def test_malformed_value_is_config_error(self, tmp_path, capsys, monkeypatch, overrides,
-                                             named):
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides, named):
         # each was a traceback, a silent default or a misleading numerical
         # failure before; now exit 1 naming the field
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "nan-row.csv").write_text("r,g\n0,1\n1,nan\n6,0\n")
-        (tmp_path / "short-row.csv").write_text("r,g\n0,1\n1\n2,0\n")
-        (tmp_path / "long-row.csv").write_text("r,g\n0,1,9\n1,0.5,9\n6,0,9\n")
-        (tmp_path / "word-row.csv").write_text("r,g\n0,1\n1,x\n6,0\n")
         cfg = small_config(tmp_path, **overrides)
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
@@ -642,6 +644,17 @@ class TestOtherCommands:
         assert report["claims"]["near_optimizer_monotone_below_constant"]["ok"]
         assert report["claims"]["ckn_hardy_reduction"]["ok"]
         assert report["claims"]["ckn_sobolev_reduction"]["ok"]
+
+    def test_check_names_failed_claim(self, tmp_path, capsys, monkeypatch):
+        # a failed check claim was exit 2 with nothing on stderr
+        import degeig.cli as cli
+
+        real = cli.check_hardy
+        monkeypatch.setattr(cli, "check_hardy",
+                            lambda *a, **kw: {**real(*a, **kw), "passed": False})
+        cfg = small_config(tmp_path, **{"problem.geometry.M": 128})
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "chk")]) == 2
+        assert capsys.readouterr().err == "invariant violation: hardy_all_pass\n"
 
     @pytest.mark.parametrize("command", ["converge", "check", "oracle"])
     def test_radial_only_command_refuses_grid(self, tmp_path, capsys, command):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from degeig.config import ConfigError, weight_from_dict
+from degeig.config import weight_from_dict
 from degeig.oracle import radial_weight_callable
 from degeig.reports import dumps
 from degeig.weights import (
@@ -21,7 +21,6 @@ from degeig.weights import (
     indicator_ball,
     sign_changing_ring,
     tabulated,
-    tabulated_from_csv,
     verify_weight_split,
     weight_split,
     weight_value,
@@ -99,27 +98,6 @@ class TestTabulated:
         spec = tabulated([0.5, 1.0, 2.0], [1.0, 1.0, 1.0])
         with pytest.raises(WeightDomainError):
             weight_value(spec, 3.0)
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "w.csv"
-        path.write_text("r,g\n0,1.5\n1,0.5\n2,-0.25\n")
-        spec = tabulated_from_csv(path)
-        assert_allclose(weight_value(spec, 2.0), -0.25)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("radius,value\n0,1\n1,2\n")
-        with pytest.raises(ValueError):
-            tabulated_from_csv(bad)
-
-    def test_document_given_by_csv_or_inline(self, tmp_path):
-        path = tmp_path / "w.csv"
-        path.write_text("r,g\n0,1.5\n1,0.5\n2,-0.25\n")
-        from_csv = weight_from_dict({"kind": "tabulated", "csv": str(path)}, 3, 1.0)
-        inline = weight_from_dict(
-            {"kind": "tabulated", "radii": [0, 1, 2], "values": [1.5, 0.5, -0.25]}, 3, 1.0)
-        r = np.linspace(0.0, 2.0, 9)
-        assert np.array_equal(weight_value(from_csv, r), weight_value(inline, r))
-        with pytest.raises(ConfigError, match="unknown fields"):  # csv and inline are exclusive
-            weight_from_dict({"kind": "tabulated", "csv": str(path), "radii": [0, 1]}, 3, 1.0)
 
 
 class TestVerifySplit:
