@@ -9,11 +9,15 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 """
 
 import argparse
+import ctypes
 import gc
+import glob
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
+import scipy
 
 from .assembly import (AssemblyError, assemble_grid3d, assemble_radial,
                        energy_inner, export_coo, hardy_inner)
@@ -93,8 +97,10 @@ def _solve_claims(seq, dense_seq, growth, radial):
     claims["unit_energy_gap"] = _claim(
         np.max(np.abs(growth.unit_energy - 1.0)), 1e-10
     )
-    claims["mass_identity_gap"] = _claim(np.max(growth.identity_gaps), 1e-10)
-    margin = np.min(growth.bound_margins)
+    # growth's gaps are in units of 1/lambda_n; times lambda_n they read
+    # |1 - lambda_n int g f_n^2| and lambda_n int g^+ f_n^2 - 1 at any scale of g
+    claims["mass_identity_gap"] = _claim(np.max(lam * growth.identity_gaps), 1e-10)
+    margin = np.min(lam * growth.bound_margins)
     claims["plus_bound_min_margin"] = _claim(margin, -1e-12, ok=margin >= -1e-12)
     if dense_seq is not None and dense_seq.count and seq.count:
         m = min(dense_seq.count, seq.count)
@@ -428,34 +434,65 @@ def _load_run(args):
     return run
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one thread of each OpenBLAS that numpy and scipy ship
+    in their wheels' .libs folders, then give each its thread count back.
+
+    ARPACK on large radial pencils and LOBPCG on the cube grid give other
+    bits at other thread counts; on one thread every output is the same
+    whatever OPENBLAS_NUM_THREADS says. A library without the setters, or an
+    install without the folders, is left as it is.
+    """
+    restore = []
+    for package in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            lib = ctypes.CDLL(path)
+            for symbol in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                           "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+                get, put = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
+                if get is not None and put is not None:
+                    restore.append((put, get()))
+                    put(1)
+                    break
+    try:
+        yield
+    finally:
+        for put, threads in restore:
+            put(threads)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "catalogue":
-            if args.N < 3:
-                raise ConfigError(f"--N {args.N}: the catalogue needs N >= 3")
-            if not 0.0 < args.alpha < 2.0:
-                raise ConfigError(f"--alpha {args.alpha}: the catalogue needs alpha in (0, 2)")
-            if args.out:
-                os.makedirs(args.out, exist_ok=True)
-            return cmd_catalogue(args.N, args.alpha, args.out)
-        run = _load_run(args)
-        mode = run.problem.geometry.mode
-        if args.command != "solve" and mode != "radial":
-            raise ConfigError(f"{args.command} runs on radial geometry only, "
-                              f"and this config's geometry is {mode}")
-        os.makedirs(run.out_dir, exist_ok=True)
-        return COMMANDS[args.command](run, run.out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SolverError, AssemblyError, OracleError, WeightDomainError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _one_blas_thread():
+        try:
+            if args.command == "catalogue":
+                if args.N < 3:
+                    raise ConfigError(f"--N {args.N}: the catalogue needs N >= 3")
+                if not 0.0 < args.alpha < 2.0:
+                    raise ConfigError(f"--alpha {args.alpha}: the catalogue needs alpha in (0, 2)")
+                if args.out:
+                    os.makedirs(args.out, exist_ok=True)
+                return cmd_catalogue(args.N, args.alpha, args.out)
+            run = _load_run(args)
+            mode = run.problem.geometry.mode
+            if args.command != "solve" and mode != "radial":
+                raise ConfigError(f"{args.command} runs on radial geometry only, "
+                                  f"and this config's geometry is {mode}")
+            os.makedirs(run.out_dir, exist_ok=True)
+            return COMMANDS[args.command](run, run.out_dir)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (SolverError, AssemblyError, OracleError, WeightDomainError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 def run():

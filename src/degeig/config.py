@@ -12,7 +12,6 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Optional
 
 from . import weights as W
 from .eigensolve import SolverSettings
@@ -30,7 +29,7 @@ DEFAULT_GRADING_SPAN = 1e4  # element dynamic range h_max / h_1 of graded meshes
 class RadialGeometry:
     R: float
     M: int
-    q: Optional[float] = None  # explicit grading factor; wins over span
+    q: float = None  # explicit grading factor; a document gives q or span, not both
     span: float = DEFAULT_GRADING_SPAN
 
     mode = "radial"
@@ -86,10 +85,8 @@ class RunConfig:
     export_matrices: bool = False                  # set by --export-matrices
 
     def rungs(self):
-        """The ladder's geometries: the problem's, with each rung's fields. A
-        rung that sets span but not q is graded by its span."""
-        return [replace(self.problem.geometry, **({"q": None, **rung} if "span" in rung else rung))
-                for rung in self.ladder]
+        """The ladder's geometries: the problem's, with each rung's M and R."""
+        return [replace(self.problem.geometry, **rung) for rung in self.ladder]
 
     def validate(self):
         sizes = [rung["M"] for rung in self.ladder]
@@ -136,10 +133,9 @@ _CONVERTERS = {
     object: lambda value: value,
     int: _typed((int,), "an integer"),
     float: _typed((int, float), "a number", _finite),
-    Optional[float]: _typed((int, float, type(None)), "a number or null",
-                            lambda value: None if value is None else _finite(value)),
     str: _typed((str,), "a string"),
     list: _typed((list,), "a list"),
+    list[float]: _typed((list,), "a list"),  # of numbers, checked by _fields
 }
 
 
@@ -147,7 +143,8 @@ def _fields(d, where, types, required=()):
     """The fields of section `where`, each converted by the converter of its type.
 
     An unknown field, a missing required one or a value its converter refuses
-    is a ConfigError naming the field.
+    is a ConfigError naming the field; an element of a list[float] that is not
+    a number is named with its index.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -161,6 +158,9 @@ def _fields(d, where, types, required=()):
     for name, value in d.items():
         with _reading(f"{where}.{name}"):
             converted[name] = _CONVERTERS[types[name]](value)
+        for i, item in enumerate(value if types[name] == list[float] else ()):
+            with _reading(f"{where}.{name}[{i}]"):  # its finiteness is the builder's check
+                _typed((int, float), "a number")(item)
     return converted
 
 
@@ -170,18 +170,23 @@ def _settings(cls, d, where):
     return cls(**_fields(d, where, {f.name: f.type for f in fields(cls)}, required))
 
 
+def _chosen(d, where, key, table, what):
+    """The entry of table that field `key` of section `where` names; a section
+    that is no object with that field, or a name not in table, is a ConfigError."""
+    name = d.get(key) if isinstance(d, dict) else None
+    if name is None:
+        raise ConfigError(f"{where}: expected an object with a '{key}' field")
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{where}.{key}: unknown {what} '{name}'")
+    return table[name]
+
+
 def weight_from_dict(d, N, alpha):
-    kind = d.get("kind") if isinstance(d, dict) else None
-    if kind is None:
-        raise ConfigError("problem.weight: expected an object with a 'kind' field")
-    if not isinstance(kind, str) or kind not in W.WEIGHTS:
-        raise ConfigError(f"problem.weight.kind: unknown weight '{kind}'")
-    builder = W.WEIGHTS[kind]
+    builder = _chosen(d, "problem.weight", "kind", W.WEIGHTS, "weight")
     params = inspect.signature(builder).parameters
     problem = {name: value for name, value in (("N", N), ("alpha", alpha)) if name in params}
     own = [name for name in params if name not in problem]
-    types = {name: object if params[name].annotation is params[name].empty
-             else params[name].annotation for name in own}
+    types = {name: params[name].annotation for name in own}
     values = _fields(d, "problem.weight", {"kind": object, **types},
                      [name for name in own if params[name].default is params[name].empty])
     del values["kind"]
@@ -191,13 +196,11 @@ def weight_from_dict(d, N, alpha):
 
 def geometry_from_dict(d):
     modes = {cls.mode: cls for cls in (RadialGeometry, Grid3DGeometry)}
-    mode = d.get("mode") if isinstance(d, dict) else None
-    if mode is None:
-        raise ConfigError("problem.geometry: expected an object with a 'mode' field")
-    if not isinstance(mode, str) or mode not in modes:
-        raise ConfigError(f"problem.geometry.mode: unknown mode '{mode}'")
-    return _settings(modes[mode], {k: v for k, v in d.items() if k != "mode"},
-                     "problem.geometry")
+    geometry = _settings(_chosen(d, "problem.geometry", "mode", modes, "mode"),
+                         {k: v for k, v in d.items() if k != "mode"}, "problem.geometry")
+    if "q" in d and "span" in d:
+        raise ConfigError("problem.geometry: give q or span, not both")
+    return geometry
 
 
 def problem_from_dict(d):
@@ -221,8 +224,7 @@ def run_config_from_dict(d):
         problem=problem_from_dict(d["problem"]),
         seed=d.get("seed", 42),
         out_dir=d.get("out", "out"),
-        ladder=[_fields(rung, f"ladder[{i}]", {f.name: f.type for f in fields(RadialGeometry)},
-                        ("M",))
+        ladder=[_fields(rung, f"ladder[{i}]", {"M": int, "R": float}, ("M",))
                 for i, rung in enumerate(d.get("ladder", []))],
         golden_path=d.get("golden"),
     )

@@ -186,7 +186,7 @@ def borderline_log(N, alpha):
     return WeightSpec(name="borderline-log", g_decaying=g2)
 
 
-def tabulated(radii: list, values: list):
+def tabulated(radii: list[float], values: list[float]):
     """Weight interpolated from (radius, value) samples.
 
     The sign split is taken pointwise from the interpolated value and is
@@ -221,8 +221,8 @@ def tabulated(radii: list, values: list):
 
 # The weight kinds of a configuration document and their builders. A
 # builder's keyword parameters are the fields of the weight document, except
-# N and alpha, which come from the problem; a parameter annotated float, str
-# or list takes only a value of that type.
+# N and alpha, which come from the problem. Each is annotated float or
+# list[float] and takes only a value of that type (a list of numbers).
 WEIGHTS = {
     "gaussian": gaussian_bump,
     "compact-bump": compact_bump,

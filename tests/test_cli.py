@@ -161,6 +161,15 @@ class TestConfig:
         pytest.param({"problem.geometry": {"mode": "grid3d", "L": float("inf"), "n": 9}},
                      "problem.geometry.L", id="infinite-L"),
         pytest.param({"problem.geometry.q": 1e400}, "problem.geometry.q", id="overflowing-q"),
+        # the grading is one setting: q or span, and a rung inherits it
+        pytest.param({"problem.geometry.q": None},
+                     "problem.geometry.q: expected a number, got None", id="null-q"),
+        pytest.param({"problem.geometry.q": 1.0, "problem.geometry.span": 100.0},
+                     "problem.geometry: give q or span, not both", id="q-and-span"),
+        pytest.param({"ladder": [{"M": 32}, {"M": 64, "q": 1.0}, {"M": 96}]},
+                     "ladder[1]: unknown fields ['q']", id="rung-q"),
+        pytest.param({"ladder": [{"M": 32}, {"M": 64}, {"M": 96, "span": 100.0}]},
+                     "ladder[2]: unknown fields ['span']", id="rung-span"),
         pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 1, 6],
                                          "values": [1, float("nan"), 0]}},
                      "problem.weight: tabulated values must be finite", id="nan-value"),
@@ -171,6 +180,10 @@ class TestConfig:
                      "problem.weight.radii: expected a list, got 'abc'", id="string-radii"),
         pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 6], "values": 5}},
                      "problem.weight.values: expected a list, got 5", id="number-values"),
+        pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 1, "x"],
+                                         "values": [1, 0.5, 0]}},
+                     "problem.weight.radii[2]: expected a number, got 'x'",
+                     id="string-radius"),
         pytest.param({"problem.weight": {"kind": "tabulated", "radii": [0, 2, 1],
                                          "values": [1, 0.5, 0]}},
                      "problem.weight: tabulated radii must be strictly increasing",
@@ -232,19 +245,14 @@ class TestConfig:
         rung = rows[2].split(",")
         assert rung[0] == "64"
         assert float(rung[2]) == report["eigen"]["pairs"][0]["lambda"]
-        # a rung that sets span but not q is graded by its span
+        # every rung is graded as the problem's geometry is, at the rung's M and R
         doc = json.loads(open(cfg).read())
-        doc["ladder"] = [{"M": 32}, {"M": 64, "span": 100.0}, {"M": 96, "q": 1.01, "span": 100.0},
-                         {"M": 128, "q": None}]
+        doc["problem"]["geometry"] = {"mode": "radial", "R": 6.0, "M": 64, "span": 100.0}
+        doc["ladder"] = [{"M": 32}, {"M": 64, "R": 4.0}, {"M": 96}]
         rungs = run_config_from_dict(doc).rungs()
-        assert [(g.q, g.span) for g in rungs] == [
-            (1.0, 1e4), (None, 100.0), (1.01, 100.0), (None, 1e4)]
+        assert [(g.M, g.R, g.q, g.span) for g in rungs] == [
+            (32, 6.0, None, 100.0), (64, 4.0, None, 100.0), (96, 6.0, None, 100.0)]
         assert rungs[1].grading() == grading_for_span(64, 100.0) != 1.0
-
-    def test_null_q_means_span(self, tmp_path):
-        cfg = small_config(tmp_path, **{"problem.geometry.q": None})
-        geometry = run_config_from_dict(json.loads(open(cfg).read())).problem.geometry
-        assert geometry.q is None and geometry.grading() == grading_for_span(96, 1e4)
 
 
 class TestSolveCommand:
@@ -262,8 +270,8 @@ class TestSolveCommand:
 
     def test_grid_vectors_equal_the_solver_bits(self, tmp_path):
         # the .npy fields are the dof positions and solve_successive's vectors
-        # at the same seed, bit for bit
-        from degeig.cli import _assemble
+        # at the same seed and on one BLAS thread, as main runs, bit for bit
+        from degeig.cli import _assemble, _one_blas_thread
         from degeig.eigensolve import solve_successive
 
         cfg = small_config(tmp_path, **{"problem.geometry": {"mode": "grid3d", "L": 6.0, "n": 13},
@@ -274,7 +282,8 @@ class TestSolveCommand:
         assert vectors.dtype.names == ("x", "y", "z", "e1", "e2", "e3", "e4")
         problem = run_config_from_dict(json.loads(open(cfg).read())).problem
         pair = _assemble(problem)
-        seq = solve_successive(pair, settings=problem.solver, seed=5)
+        with _one_blas_thread():
+            seq = solve_successive(pair, settings=problem.solver, seed=5)
         for j, axis in enumerate("xyz"):
             assert np.array_equal(vectors[axis], pair.dof_positions[:, j])
         for i in range(seq.count):
@@ -336,7 +345,8 @@ class TestSolveCommand:
 
     def test_deterministic_reports_across_processes(self, tmp_path):
         # ring M=8192 k=24, each run in its own interpreter: the reports must
-        # agree outside meta, which a per-pair ARPACK loop did not achieve
+        # agree outside meta, which a per-pair ARPACK loop did not achieve,
+        # and the vector files too, at one and at two OpenBLAS threads
         import subprocess
         import sys
 
@@ -346,13 +356,27 @@ class TestSolveCommand:
             "problem.weight.kind": "ring", "problem.geometry.M": 8192,
             "problem.solver.k": 24})
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(degeig.__file__))}
-        reports = []
-        for run in ("a", "b"):
-            out = str(tmp_path / run)
+        outputs = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / threads)
             subprocess.run([sys.executable, "-m", "degeig.cli", "solve", "--config", cfg,
-                            "--out", out], env=env, check=True, capture_output=True)
-            reports.append(strip_meta(os.path.join(out, "eigen_report.json")))
-        assert reports[0] == reports[1]
+                            "--out", out], env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           check=True, capture_output=True)
+            outputs.append((strip_meta(os.path.join(out, "eigen_report.json")),
+                            open(os.path.join(out, "eigenvectors.npy"), "rb").read()))
+        assert outputs[0] == outputs[1]
+
+    def test_claims_hold_at_any_weight_scale(self, tmp_path):
+        # amplitude 1e8 divides every lambda by 1e8; the mass identity and the
+        # g^+ bound hold relative to 1/lambda_n, so at rounding level still
+        cfg = small_config(tmp_path, **{
+            "problem.weight.amplitude": 1e8, "problem.geometry.M": 512,
+            "problem.solver.k": 6})
+        out = str(tmp_path / "run")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        claims = json.loads(open(os.path.join(out, "eigen_report.json")).read())["claims"]
+        assert claims["mass_identity_gap"]["value"] < 1e-13
+        assert claims["plus_bound_min_margin"]["value"] > -1e-13
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = small_config(tmp_path, **{"problem.alpha": 2.5})
