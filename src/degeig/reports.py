@@ -4,8 +4,8 @@ Reports are JSON documents written by a small serializer that prints every
 float with 17 significant digits, so two runs with the same configuration and
 seed produce byte-identical files; the command line runs on one OpenBLAS
 thread, so OPENBLAS_NUM_THREADS moves no digit. Wall-clock information lives
-in a separate 'meta' field, the single nondeterministic part of a report. Small tables are CSV in
-the same format. Eigenvector tables are NumPy .npy files: the float64 bits
+in a separate 'meta' field, the single nondeterministic part of a report.
+Small tables are CSV in the same format. Eigenvector tables are NumPy .npy files: the float64 bits
 themselves behind a short text header, which write in about 1% of the time
 "%.17g" text takes and read back with np.load.
 """
