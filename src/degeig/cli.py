@@ -12,6 +12,7 @@ import argparse
 import ctypes
 import gc
 import glob
+import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -24,8 +25,8 @@ from .assembly import (AssemblyError, assemble_grid3d, assemble_radial,
 from .config import ConfigError, PRESETS, load_config, load_preset, weight_from_dict
 from .eigensolve import (CLUSTER_RTOL, DENSE_THRESHOLD, SolverError, cluster_gaps,
                          growth_diagnostics, solve_dense, solve_successive)
-from .inequalities import (CknParams, check_ckn_radial, check_hardy,
-                           check_sobolev, critical_exponent,
+from .inequalities import (HARDY_SLACK, REDUCTION_RTOL, CknParams, check_ckn_radial,
+                           check_hardy, check_sobolev, critical_exponent,
                            dilation_quotient_spread, gaussian_profile,
                            hardy_constant, hardy_near_optimizer,
                            hardy_quotient_radial, poly_bump, smooth_bump)
@@ -50,9 +51,10 @@ def _assemble(problem):
     return assemble_grid3d(mesh, problem.alpha, problem.weight)
 
 
-def _claim(value, bound, ok=None):
-    ok = bool(value <= bound) if ok is None else bool(ok)
-    return {"value": float(value), "bound": float(bound), "ok": ok}
+def _claim(value, bound, holds=operator.le):
+    """A checked claim: its value, its bound, and ok = holds(value, bound),
+    value <= bound unless a floor claim passes operator.ge or operator.gt."""
+    return {"value": float(value), "bound": float(bound), "ok": bool(holds(value, bound))}
 
 
 def _verdict(claims):
@@ -67,18 +69,19 @@ def _verdict(claims):
 def _increasing_across_clusters(seq, radial):
     """Positive, and increasing from each cluster of the sequence to the next.
 
-    Clusters are cut where a relative gap exceeds CLUSTER_RTOL (cluster_gaps),
-    so only a gap inside one can fail: it may be a rounding-level negative (a
-    symmetry-forced multiplicity on the cube grid), no more, and a radial (1-D
-    Sturm-Liouville) run, whose eigenvalues are simple, may have no cluster of
-    two. The value is the smallest of lambda_1 and the gaps between clusters.
+    The value is the smallest of sign(lambda_i) and the relative gaps of
+    cluster_gaps, so it does not move with the scale of the weight. Clusters
+    are cut where a gap exceeds CLUSTER_RTOL, so only a gap inside one can
+    fail: on the cube grid it may be a rounding-level negative (a
+    symmetry-forced multiplicity), so the value must be at least
+    -CLUSTER_RTOL; a radial (1-D Sturm-Liouville) run, whose eigenvalues are
+    simple, may have no cluster of two, so its value must exceed CLUSTER_RTOL.
     """
-    lam = seq.lambdas
-    gaps, _ = cluster_gaps(lam)
-    between = gaps > CLUSTER_RTOL
-    return _claim(min(lam.min(), gaps[between].min(initial=np.inf)), CLUSTER_RTOL,
-                  ok=np.all(lam > 0.0) and np.all(gaps >= -CLUSTER_RTOL)
-                  and (not radial or np.all(between)))
+    gaps, _ = cluster_gaps(seq.lambdas)
+    value = np.minimum(np.sign(seq.lambdas).min(), gaps.min(initial=np.inf))
+    if radial:
+        return _claim(value, CLUSTER_RTOL, operator.gt)
+    return _claim(value, -CLUSTER_RTOL, operator.ge)
 
 
 def _solve_claims(seq, dense_seq, growth, radial):
@@ -100,8 +103,8 @@ def _solve_claims(seq, dense_seq, growth, radial):
     # growth's gaps are in units of 1/lambda_n; times lambda_n they read
     # |1 - lambda_n int g f_n^2| and lambda_n int g^+ f_n^2 - 1 at any scale of g
     claims["mass_identity_gap"] = _claim(np.max(lam * growth.identity_gaps), 1e-10)
-    margin = np.min(lam * growth.bound_margins)
-    claims["plus_bound_min_margin"] = _claim(margin, -1e-12, ok=margin >= -1e-12)
+    claims["plus_bound_min_margin"] = _claim(np.min(lam * growth.bound_margins), -1e-12,
+                                             operator.ge)
     if dense_seq is not None and dense_seq.count and seq.count:
         m = min(dense_seq.count, seq.count)
         agree = np.max(
@@ -114,7 +117,8 @@ def _solve_claims(seq, dense_seq, growth, radial):
 def _golden_claim(path, seq, problem):
     """Compare the computed sequence against a shooting-oracle golden file.
 
-    The claim fails when no certified entry was compared, or when a certified
+    The value is the largest relative lambda error over the certified entries,
+    and +inf, which fails, when no certified entry was compared or a certified
     entry was computed for another N, alpha, weight or R than this run. An
     entry that is not an object, whose n is not an integer >= 1 or whose
     lambda is not a positive finite number is a ConfigError.
@@ -142,8 +146,7 @@ def _golden_claim(path, seq, problem):
     )
     errors = [abs(seq.lambdas[e["n"] - 1] - e["lambda"]) / e["lambda"]
               for e in entries if e["n"] <= seq.count]
-    worst = max(errors, default=0.0)
-    return _claim(worst, GOLDEN_RTOL, ok=bool(errors) and same_problem and worst <= GOLDEN_RTOL)
+    return _claim(np.max(errors) if errors and same_problem else np.inf, GOLDEN_RTOL)
 
 
 def _write_vectors(path, pair, seq):
@@ -280,10 +283,10 @@ def cmd_check(run, out_dir):
     spread = dilation_quotient_spread(pair, profiles[0])
 
     eps_ladder = [0.4, 0.2, 0.1, 0.05]
-    near_quotients = [
+    near_quotients = np.array([
         hardy_quotient_radial(hardy_near_optimizer(N, alpha, eps), N, alpha)
         for eps in eps_ladder
-    ]
+    ])
     const = hardy_constant(N, alpha)
 
     hardy_point = CknParams(N, 2.0, -alpha / 2.0, (2.0 - alpha) / 2.0)
@@ -291,19 +294,17 @@ def cmd_check(run, out_dir):
     ckn_hardy = [check_ckn_radial(hardy_point, p) for p in profiles]
     ckn_sobolev = [check_ckn_radial(sobolev_point, p) for p in profiles]
 
+    # an undefined quotient (zero right side) counts as +inf, which fails
+    hardy_quotients = [np.inf if r["quotient"] is None else r["quotient"] for r in hardy_reports]
     claims = {
-        "hardy_all_pass": {"ok": all(r["passed"] for r in hardy_reports)},
-        "near_optimizer_monotone_below_constant": {
-            "ok": bool(
-                np.all(np.diff(near_quotients) > 0.0)
-                and np.all(np.array(near_quotients) <= const * (1.0 + 1e-6))
-            ),
-            "quotients": [float(qv) for qv in near_quotients],
-            "constant": const,
-        },
+        "hardy_all_pass": _claim(np.max(hardy_quotients), 1.0 + HARDY_SLACK),
+        "near_optimizer_increasing": _claim(np.diff(near_quotients).min(), 0.0, operator.gt),
+        "near_optimizer_below_constant": _claim(near_quotients.max() / const, 1.0 + 1e-6),
         "dilation_spread": _claim(spread["spread"], 2e-2),
-        "ckn_hardy_reduction": {"ok": all(r["passed"] for r in ckn_hardy)},
-        "ckn_sobolev_reduction": {"ok": all(r["passed"] for r in ckn_sobolev)},
+        "ckn_hardy_reduction": _claim(np.max([r["agreement"] for r in ckn_hardy]),
+                                      REDUCTION_RTOL),
+        "ckn_sobolev_reduction": _claim(np.max([r["agreement"] for r in ckn_sobolev]),
+                                        REDUCTION_RTOL),
         "critical_exponent": {"value": critical_exponent(N, alpha)},
         "hardy_constant": {"value": const},
     }
@@ -316,6 +317,7 @@ def cmd_check(run, out_dir):
             "quotients": {str(t): float(q) for t, q in spread["quotients"].items()},
             "spread": spread["spread"],
         },
+        "near_optimizer": {"eps": eps_ladder, "quotients": near_quotients.tolist()},
         "ckn_hardy_point": ckn_hardy,
         "ckn_sobolev_point": ckn_sobolev,
         "meta": run_meta(),

@@ -7,7 +7,8 @@ and its Sobolev instance with the critical exponent 2N/(N-2+alpha). The Hardy
 and Sobolev checkers also run against assembled matrices, where discrete
 functions only approximate the continuum class and a small quadrature slack
 applies. check_hardy, check_sobolev and check_ckn_radial each return the
-plain-dict record of one checked quotient, as inequality_report.json holds it.
+flat plain-dict record of one checked quotient, as inequality_report.json
+holds it.
 """
 
 from dataclasses import dataclass
@@ -200,23 +201,16 @@ def ckn_sides_radial(params, profile):
     return left ** (p / q), right
 
 
-def _record(kind, label, left, right, verdict, margin=None, reference_constant=None,
-            notes=()):
-    """The record of one checked quotient left/right: a list of entries, here one, with
-    their min and max quotient. A zero right side leaves quotient and margin null."""
+def _record(label, left, right, verdict, margin=None, reference_constant=None, notes=()):
+    """The flat record of one checked quotient left/right. A zero right side
+    leaves quotient and margin null."""
     quotient = float(left / right) if right != 0.0 else None
     if quotient is None:
         margin, verdict = None, "undefined quotient"
-    return {
-        "kind": kind,
-        "reference_constant": reference_constant,
-        "entries": [{"label": label, "left": float(left), "right": float(right),
-                     "quotient": quotient, "margin": margin, "verdict": verdict}],
-        "min_quotient": quotient,
-        "max_quotient": quotient,
-        "passed": verdict in ("pass", "finite quotient recorded"),
-        "notes": list(notes),
-    }
+    return {"label": label, "left": float(left), "right": float(right), "quotient": quotient,
+            "margin": margin, "verdict": verdict,
+            "passed": verdict in ("pass", "finite quotient recorded"),
+            "notes": list(notes), "reference_constant": reference_constant}
 
 
 def check_hardy(pair, u, label="vector"):
@@ -225,14 +219,14 @@ def check_hardy(pair, u, label="vector"):
     left = hardy_inner(pair, u)
     right = const * energy_inner(pair, u)
     bound = right * (1.0 + HARDY_SLACK)
-    return _record("hardy", label, left, right, "pass" if left <= bound else "fail",
+    return _record(label, left, right, "pass" if left <= bound else "fail",
                    margin=float(bound - left), reference_constant=const)
 
 
 def check_sobolev(pair, u, label="vector"):
     """Discrete Sobolev quotient: no reference constant, the quotient is recorded."""
     ts = critical_exponent(pair.N, pair.alpha)
-    return _record("sobolev", label, lp_norm(pair, u, ts) ** 2, energy_inner(pair, u),
+    return _record(label, lp_norm(pair, u, ts) ** 2, energy_inner(pair, u),
                    "finite quotient recorded")
 
 
@@ -267,14 +261,15 @@ def check_ckn_radial(params, profile):
 
     When the parameters sit at the Hardy point (p = 2, b = a + 1, so q = 2) or the
     Sobolev point (p = 2, b = 0) with alpha = -2a in [0, 2), the specialized
-    checker is rerun on the same profile and the verdict is whether the two
-    quotients agree to REDUCTION_RTOL; the general and specialized integrands
-    follow different code paths, so this validates the parameter mapping.
+    checker is rerun on the same profile, the record's `agreement` is the two
+    quotients' relative difference (null elsewhere) and the verdict is whether it
+    is at most REDUCTION_RTOL; the general and specialized integrands follow
+    different code paths, so this validates the parameter mapping.
     At the Hardy point the record carries the Hardy constant.
     """
     left, right = ckn_sides_radial(params, profile)
     quotient = left / right
-    verdict, notes = "finite quotient recorded", []
+    verdict, notes, agreement = "finite quotient recorded", [], None
     alpha = -2.0 * params.a
     at_p2 = abs(params.p - 2.0) < 1e-14 and 0.0 <= alpha < 2.0
     at_hardy = at_p2 and abs(params.b - (params.a + 1.0)) < 1e-14
@@ -282,9 +277,9 @@ def check_ckn_radial(params, profile):
         kind, specialized = (("hardy", hardy_quotient_radial) if at_hardy
                              else ("sobolev", sobolev_quotient_radial))
         reference = specialized(profile, params.N, alpha)
-        agreement = abs(quotient - reference) / reference
+        agreement = float(abs(quotient - reference) / reference)
         verdict = "pass" if agreement <= REDUCTION_RTOL else "fail"
         notes.append(f"{kind} reduction agreement {agreement:.3e}")
     const = hardy_constant(params.N, alpha) if at_hardy else None
-    return _record("ckn", profile.name, left, right, verdict, reference_constant=const,
-                   notes=notes)
+    return {**_record(profile.name, left, right, verdict, reference_constant=const,
+                      notes=notes), "agreement": agreement}

@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 import re
 
@@ -46,6 +47,19 @@ def small_config(tmp_path, **overrides):
     text = json.dumps(cfg, default=lambda digits: f"<{digits.count} digits>")
     path.write_text(re.sub(r'"<(\d+) digits>"', lambda m: "9" * int(m.group(1)), text))
     return str(path)
+
+
+def assert_ok_is_value_against_bound(claims, radial=True):
+    """Every claim that has an ok has it as its value against its bound: at
+    most the bound, at least it for plus_bound_min_margin and the grid's
+    cluster claim, above it for the radial cluster claim and the
+    near-optimizer steps."""
+    floors = {"plus_bound_min_margin": operator.ge, "near_optimizer_increasing": operator.gt,
+              "positive_increasing_across_clusters": operator.gt if radial else operator.ge}
+    for name, claim in claims.items():
+        if "ok" in claim:
+            holds = floors.get(name, operator.le)
+            assert claim["ok"] == holds(float(claim["value"]), float(claim["bound"])), name
 
 
 def strip_meta(path):
@@ -367,16 +381,23 @@ class TestSolveCommand:
         assert outputs[0] == outputs[1]
 
     def test_claims_hold_at_any_weight_scale(self, tmp_path):
-        # amplitude 1e8 divides every lambda by 1e8; the mass identity and the
-        # g^+ bound hold relative to 1/lambda_n, so at rounding level still
-        cfg = small_config(tmp_path, **{
-            "problem.weight.amplitude": 1e8, "problem.geometry.M": 512,
-            "problem.solver.k": 6})
-        out = str(tmp_path / "run")
-        assert main(["solve", "--config", cfg, "--out", out]) == 0
-        claims = json.loads(open(os.path.join(out, "eigen_report.json")).read())["claims"]
-        assert claims["mass_identity_gap"]["value"] < 1e-13
-        assert claims["plus_bound_min_margin"]["value"] > -1e-13
+        # an amplitude a divides every lambda by a; the mass identity and the
+        # g^+ bound hold relative to 1/lambda_n, so at rounding level still,
+        # and the cluster claim reads relative gaps, which a does not move
+        # (its value was once lambda_1 = 4.8e-10 at a = 1e10, under ok: true)
+        cluster = []
+        for amplitude in (1.0, 1e8, 1e10):
+            cfg = small_config(tmp_path, **{
+                "problem.weight.amplitude": amplitude, "problem.geometry.M": 512,
+                "problem.solver.k": 6})
+            out = str(tmp_path / f"run-{amplitude:g}")
+            assert main(["solve", "--config", cfg, "--out", out]) == 0
+            claims = json.loads(open(os.path.join(out, "eigen_report.json")).read())["claims"]
+            assert_ok_is_value_against_bound(claims)
+            assert claims["mass_identity_gap"]["value"] < 1e-13
+            assert claims["plus_bound_min_margin"]["value"] > -1e-13
+            cluster.append(claims["positive_increasing_across_clusters"]["value"])
+        assert cluster[2] == pytest.approx(cluster[0], rel=1e-9)
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = small_config(tmp_path, **{"problem.alpha": 2.5})
@@ -496,7 +517,7 @@ class TestSolveCommand:
                  "lambda": 4.78, "certified": False}
         code, claim = self._solve_with_golden(tmp_path, [entry])
         assert code == 2
-        assert not claim["ok"]
+        assert claim["value"] == "inf" and not claim["ok"]
 
     def test_golden_claim_fails_for_another_problem(self, tmp_path):
         # lambda_1 of this run, but recorded for R = 5
@@ -509,8 +530,8 @@ class TestSolveCommand:
                  "lambda": lam1, "certified": True}
         code, claim = self._solve_with_golden(tmp_path, [entry])
         assert code == 2
-        assert not claim["ok"]
-        assert claim["value"] == 0.0
+        # lambda_1 agrees exactly, but with another problem: no agreement at all
+        assert claim["value"] == "inf" and not claim["ok"]
 
     def test_grid_triple_passes_cluster_claim(self, tmp_path):
         # the octahedral triple on the cube grid is one cluster whose members
@@ -526,6 +547,7 @@ class TestSolveCommand:
         assert [2, 3, 4] in report["eigen"]["clusters"]
         claim = report["claims"]["positive_increasing_across_clusters"]
         assert claim["ok"] and claim["value"] > claim["bound"]
+        assert_ok_is_value_against_bound(report["claims"], radial=False)
 
     def test_grid_cut_cluster_warned(self, tmp_path, capsys):
         # k = 6 on grid 31^3 reports one member of the E_g double at 15.19507;
@@ -582,10 +604,17 @@ class TestSolveCommand:
 
         from degeig.cli import _increasing_across_clusters
 
-        # the claim reads its clusters from the sequence alone (cluster_gaps)
+        # the claim reads its clusters from the sequence alone (cluster_gaps);
+        # its value, sign(lambda_i) and relative gaps, does not move when every
+        # lambda is scaled, and ok is that value against the bound
         def claim(lams, radial):
-            seq = SimpleNamespace(lambdas=np.array(lams))
-            return _increasing_across_clusters(seq, radial)["ok"]
+            results = [_increasing_across_clusters(SimpleNamespace(lambdas=scale * np.array(lams)),
+                                                   radial) for scale in (1.0, 1e-10)]
+            assert results[1]["value"] == pytest.approx(results[0]["value"], rel=1e-6)
+            assert_ok_is_value_against_bound(
+                {"positive_increasing_across_clusters": results[0]}, radial)
+            assert results[1]["ok"] == results[0]["ok"]
+            return results[0]["ok"]
 
         triple = [1.0, 2.0, 2.0 * (1.0 - 2e-16), 2.0, 3.0]
         assert claim(triple, radial=False)
@@ -647,14 +676,26 @@ class TestOtherCommands:
         out = str(tmp_path / "chk")
         assert main(["check", "--config", cfg, "--out", out]) == 0
         report = json.loads(open(os.path.join(out, "inequality_report.json")).read())
-        assert report["claims"]["hardy_all_pass"]["ok"]
-        assert report["claims"]["dilation_spread"]["ok"]
-        # one record per checked quotient: one entry, which is its min and max
+        claims = report["claims"]
+        assert all(claims[name]["ok"] for name in (
+            "hardy_all_pass", "near_optimizer_increasing", "near_optimizer_below_constant",
+            "dilation_spread", "ckn_hardy_reduction", "ckn_sobolev_reduction"))
+        assert_ok_is_value_against_bound(claims)
+        # one flat record per checked quotient, three profiles per check
+        fields = ["label", "left", "right", "quotient", "margin", "verdict", "passed", "notes",
+                  "reference_constant"]
         for key in ("hardy", "sobolev", "ckn_hardy_point", "ckn_sobolev_point"):
             assert len(report[key]) == 3
             for record in report[key]:
-                (entry,) = record["entries"]
-                assert record["min_quotient"] == record["max_quotient"] == entry["quotient"]
+                assert list(record) == fields + (["agreement"] if key.startswith("ckn") else [])
+                assert record["quotient"] == record["left"] / record["right"]
+        # each claim's value is read from the records it summarizes
+        assert claims["hardy_all_pass"]["value"] == max(r["quotient"] for r in report["hardy"])
+        assert claims["ckn_sobolev_reduction"]["value"] == max(
+            r["agreement"] for r in report["ckn_sobolev_point"])
+        quotients = report["near_optimizer"]["quotients"]
+        assert claims["near_optimizer_below_constant"]["value"] == (
+            max(quotients) / claims["hardy_constant"]["value"])
 
     def test_check_sign_changing_weight(self, tmp_path):
         cfg = small_config(
@@ -665,17 +706,20 @@ class TestOtherCommands:
         out = str(tmp_path / "chk_ring")
         assert main(["check", "--config", cfg, "--out", out]) == 0
         report = json.loads(open(os.path.join(out, "inequality_report.json")).read())
-        assert report["claims"]["near_optimizer_monotone_below_constant"]["ok"]
+        assert report["claims"]["near_optimizer_increasing"]["ok"]
+        assert report["claims"]["near_optimizer_below_constant"]["ok"]
         assert report["claims"]["ckn_hardy_reduction"]["ok"]
         assert report["claims"]["ckn_sobolev_reduction"]["ok"]
+        assert_ok_is_value_against_bound(report["claims"])
 
     def test_check_names_failed_claim(self, tmp_path, capsys, monkeypatch):
-        # a failed check claim was exit 2 with nothing on stderr
+        # a failed check claim was exit 2 with nothing on stderr; a Hardy
+        # quotient of 2 lies above the claim's bound 1 + HARDY_SLACK
         import degeig.cli as cli
 
         real = cli.check_hardy
-        monkeypatch.setattr(cli, "check_hardy",
-                            lambda *a, **kw: {**real(*a, **kw), "passed": False})
+        monkeypatch.setattr(cli, "check_hardy", lambda *a, **kw: {
+            **real(*a, **kw), "quotient": 2.0, "verdict": "fail", "passed": False})
         cfg = small_config(tmp_path, **{"problem.geometry.M": 128})
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "chk")]) == 2
         assert capsys.readouterr().err == "invariant violation: hardy_all_pass\n"

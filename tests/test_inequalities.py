@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from degeig.assembly import energy_inner, hardy_inner
 from degeig.inequalities import (
+    REDUCTION_RTOL,
     CknParams,
     check_ckn_radial,
     check_hardy,
@@ -144,14 +145,18 @@ class TestCknReductions:
         params = CknParams(3, 2.0, 0.0, 1.0)
         assert_allclose(params.q, 2.0, rtol=1e-15)
         rep = check_ckn_radial(params, smooth_bump(1.0))
-        assert rep["entries"][0]["verdict"] == "pass"
+        assert rep["verdict"] == "pass"
         assert rep["reference_constant"] == hardy_constant(3, 0.0)
 
     def test_report_verdicts(self):
         params = CknParams(3, 2.0, -0.5, 0.5)
         rep = check_ckn_radial(params, smooth_bump(1.0))
-        assert rep["entries"][0]["verdict"] == "pass"
+        assert rep["verdict"] == "pass"
         assert any("hardy reduction" in n for n in rep["notes"])
+        assert 0.0 <= rep["agreement"] <= REDUCTION_RTOL
+        # away from the Hardy and Sobolev points nothing is compared
+        rep = check_ckn_radial(CknParams(3, 2.0, -0.5, 0.25), smooth_bump(1.0))
+        assert rep["agreement"] is None and rep["verdict"] == "finite quotient recorded"
 
 
 class TestDiscreteChecks:
@@ -160,18 +165,17 @@ class TestDiscreteChecks:
         for _ in range(20):
             u = rng.standard_normal(pair.order)
             rep = check_hardy(pair, u)
-            assert rep["entries"][0]["verdict"] == "pass"
+            assert rep["verdict"] == "pass"
             assert rep["passed"]
 
     def test_zero_vector_undefined(self, gaussian_pair_512):
         # a zero right side: no quotient, no margin, and the record does not pass
         for check in (check_hardy, check_sobolev):
             rep = check(gaussian_pair_512, np.zeros(gaussian_pair_512.order))
-            entry = rep["entries"][0]
-            assert entry["verdict"] == "undefined quotient"
-            assert entry["right"] == 0.0
-            assert entry["quotient"] is None and entry["margin"] is None
-            assert rep["min_quotient"] is None and not rep["passed"]
+            assert rep["verdict"] == "undefined quotient"
+            assert rep["right"] == 0.0
+            assert rep["quotient"] is None and rep["margin"] is None
+            assert not rep["passed"]
 
     def test_near_optimizer_family_discrete(self, gaussian_pair_512):
         # interpolants of the capped power family push the ratio toward 1
