@@ -16,12 +16,12 @@ import operator
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import scipy
 
-from .assembly import (AssemblyError, assemble_grid3d, assemble_radial,
-                       energy_inner, export_coo, hardy_inner)
+from .assembly import AssemblyError, assemble_grid3d, assemble_radial, export_coo
 from .config import ConfigError, PRESETS, load_config, load_preset, weight_from_dict
 from .eigensolve import (CLUSTER_RTOL, DENSE_THRESHOLD, SolverError, cluster_gaps,
                          growth_diagnostics, solve_dense, solve_successive)
@@ -213,17 +213,6 @@ def cmd_solve(run, out_dir):
     return _verdict(claims)
 
 
-def _hardy_slack(pair, n_vectors, seed):
-    """Largest Hardy-over-bound ratio across random boundary-vanishing vectors."""
-    rng = np.random.default_rng([seed, pair.order])
-    const = hardy_constant(pair.N, pair.alpha)
-    worst = 0.0
-    for _ in range(n_vectors):
-        u = rng.standard_normal(pair.order)
-        worst = max(worst, hardy_inner(pair, u) / (const * energy_inner(pair, u)))
-    return worst
-
-
 def cmd_converge(run, out_dir):
     if len(run.ladder) < 3:
         raise ConfigError("ladder: a convergence study needs at least 3 rungs")
@@ -233,10 +222,14 @@ def cmd_converge(run, out_dir):
     lambdas = []
     slacks = []
     for geom in run.rungs():
-        pair = assemble_radial(geom.build(problem.N), problem.N, problem.alpha, problem.weight)
+        pair = _assemble(replace(problem, geometry=geom))
         seq = _positive_pairs(pair, run)
         lambdas.append(seq.lambdas[:k])
-        slacks.append(max(0.0, _hardy_slack(pair, 50, run.seed) - 1.0))
+        # the largest Hardy quotient of 50 random boundary-vanishing vectors
+        rng = np.random.default_rng([run.seed, pair.order])
+        worst = max(check_hardy(pair, rng.standard_normal(pair.order))["quotient"]
+                    for _ in range(50))
+        slacks.append(max(0.0, worst - 1.0))
         rungs.append([geom.M, geom.R])
     # a coarse rung may exhaust the positive spectrum first: every row and
     # order covers the eigenvalues all rungs found

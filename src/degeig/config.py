@@ -2,7 +2,8 @@
 
 A configuration document is a nested key-value JSON file with a 'problem'
 section (dimension, exponent, weight, geometry, solver) and optional
-command sections (refinement ladder, golden file, output directory, seed).
+command sections (refinement ladder, golden file, seed); the output
+directory is the command line's --out.
 Every preset is defined here in code so the full acceptance surface runs
 offline.
 """
@@ -79,7 +80,7 @@ class ProblemConfig:
 class RunConfig:
     problem: ProblemConfig
     seed: int = 42
-    out_dir: str = "out"
+    out_dir: str = "out"                           # set by --out
     ladder: list = field(default_factory=list)     # [{'M':..., 'R':...}, ...] for converge
     golden_path: str = None                        # oracle golden file to compare against
     export_matrices: bool = False                  # set by --export-matrices
@@ -217,13 +218,11 @@ def problem_from_dict(d):
 
 
 def run_config_from_dict(d):
-    d = _fields(d, "config", {"problem": object, "seed": int, "out": str, "ladder": list,
-                              "golden": str},
+    d = _fields(d, "config", {"problem": object, "seed": int, "ladder": list, "golden": str},
                 ("problem",))
     run = RunConfig(
         problem=problem_from_dict(d["problem"]),
         seed=d.get("seed", 42),
-        out_dir=d.get("out", "out"),
         ladder=[_fields(rung, f"ladder[{i}]", {"M": int, "R": float}, ("M",))
                 for i, rung in enumerate(d.get("ladder", []))],
         golden_path=d.get("golden"),
@@ -244,16 +243,16 @@ def load_config(path):
     return run_config_from_dict(doc)
 
 
-def _radial_preset(weight, alpha, M=512, R=6.0, k=6):
+def _radial_preset(weight, alpha):
     return {
         "problem": {
             "N": 3,
             "alpha": alpha,
             "weight": weight,
-            "geometry": {"mode": "radial", "R": R, "M": M},
-            "solver": {"k": k, "tol": 1e-9},
+            "geometry": {"mode": "radial", "R": 6.0, "M": 512},
+            "solver": {"k": 6, "tol": 1e-9},
         },
-        "ladder": [{"M": 128, "R": R}, {"M": 256, "R": R}, {"M": 512, "R": R}],
+        "ladder": [{"M": 128}, {"M": 256}, {"M": 512}],  # each rung at the problem's R
         "seed": 42,
     }
 

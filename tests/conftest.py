@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from degeig.assembly import assemble_radial
+from degeig.config import DEFAULT_GRADING_SPAN
 from degeig.eigensolve import SolverSettings, solve_dense, solve_successive
 from degeig.mesh import build_radial_mesh, grading_for_span
 from degeig.weights import gaussian_bump, sign_changing_ring
 
 R_PRESET = 6.0
 ALPHAS = (0.5, 1.0, 1.5)
-GRADING_SPAN = 1e4
 
 
 def preset_mesh(M, R=R_PRESET):
-    return build_radial_mesh(R, M, grading_for_span(M, GRADING_SPAN))
+    return build_radial_mesh(R, M, grading_for_span(M, DEFAULT_GRADING_SPAN))
 
 
 def preset_pair(weight_name, alpha, M, R=R_PRESET):

@@ -165,7 +165,8 @@ class TestConfig:
         # the matrix export is set by --export-matrices only
         pytest.param({"export_matrices": True}, "config: unknown fields ['export_matrices']",
                      id="export-matrices-field"),
-        pytest.param({"out": 5}, "config.out", id="numeric-out"),
+        # the output directory is set by --out only
+        pytest.param({"out": "elsewhere"}, "config: unknown fields ['out']", id="out-field"),
         pytest.param({"golden": 5}, "config.golden", id="numeric-golden"),
         pytest.param({"ladder": {"M": 32}}, "config.ladder", id="object-ladder"),
         # json reads NaN and Infinity, and an integer of any length
@@ -723,6 +724,18 @@ class TestOtherCommands:
         cfg = small_config(tmp_path, **{"problem.geometry.M": 128})
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "chk")]) == 2
         assert capsys.readouterr().err == "invariant violation: hardy_all_pass\n"
+
+    @pytest.mark.parametrize("command, report", [("check", "inequality_report.json"),
+                                                 ("oracle", "golden.json")])
+    def test_report_does_not_depend_on_seed(self, tmp_path, command, report):
+        # neither command draws a random number: --seed 1 and 2 write one report
+        cfg = small_config(tmp_path, **{"problem.geometry.M": 128, "problem.solver.k": 2})
+        texts = []
+        for seed in ("1", "2"):
+            out = str(tmp_path / seed)
+            assert main([command, "--config", cfg, "--out", out, "--seed", seed]) == 0
+            texts.append(strip_meta(os.path.join(out, report)))
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("command", ["converge", "check", "oracle"])
     def test_radial_only_command_refuses_grid(self, tmp_path, capsys, command):

@@ -3,6 +3,10 @@ only prints and exits, and on this repository's command list."""
 
 import importlib.util
 import pathlib
+import sys
+import tempfile
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("compare_outputs",
@@ -56,6 +60,28 @@ def test_deprecation_warning_is_uncaught_exception(tmp_path):
     outputs, diffs = tool.compare(old, new)
     assert outputs == 2
     assert diffs[:2] == ["uncaught exception in the new tree", "exit code 0 -> 1"]
+
+
+@pytest.mark.parametrize("new_line, code", [("same", 0), ("other", 1)])
+def test_temporary_work_directory_kept_only_on_a_difference(tmp_path, monkeypatch, capsys,
+                                                            new_line, code):
+    # each run without --work left its directory, some 20 MB, in the temp folder
+    trees = [stub_tree(tmp_path / side, STUB.format(line=line))
+             for side, line in (("old", "same"), ("new", new_line))]
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(tool, "load_workloads", lambda tree: None)
+    monkeypatch.setattr(tool, "commands", lambda workloads: [
+        ("stub", None, ["solve", "--out", tool.OUT])])
+    monkeypatch.setattr(sys, "argv", ["compare_outputs.py", *trees])
+    assert tool.main() == code
+    kept = list(temp.iterdir())
+    if code == 0:
+        assert kept == []
+    else:
+        assert len(kept) == 1 and kept[0].name.startswith("compare_outputs_")
+        assert capsys.readouterr().out.endswith(f"runs kept in {kept[0]}\n")
 
 
 def test_commands_hold_the_warning_steps(tmp_path):

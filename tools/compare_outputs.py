@@ -55,7 +55,9 @@ uncaught exception, then a summary with each tree's largest peak. A differing
 JSON report names its first differing key path with both values
 (`growth.ratios[1]: 1.5 -> 1.6`, `absent` where one side lacks it), and a
 differing stdout or stderr its first differing line. Exits 0 when every output
-is identical and no run raised, 1 otherwise.
+is identical and no run raised, 1 otherwise. Without --work the runs go to a
+temporary directory, removed when the exit is 0 and kept, with its path
+printed, when it is 1.
 """
 
 import argparse
@@ -280,7 +282,12 @@ def main():
     for side in ("old", "new"):
         rss, name = max(peaks[side])
         print(f"largest ru_maxrss in the {side} tree: {rss:.1f} MB ({name})")
-    return 1 if differing else 0
+    if differing:
+        print(f"runs kept in {work}")
+        return 1
+    if not args.work:
+        shutil.rmtree(work)
+    return 0
 
 
 if __name__ == "__main__":
