@@ -68,7 +68,9 @@ def _csr(vals, base, offsets, shape, keep):
 class DiscreteOperatorPair:
     """Assembled operators sharing one degree-of-freedom numbering.
 
-    A pair is built with A, B and the dof positions. The Hardy matrix H
+    A pair is built with A, B and the dof positions: on a radial mesh the
+    view nodes[:-1] of its mesh's nodes, all but the Dirichlet node at R.
+    The Hardy matrix H
     (read by check, converge's Hardy slack and --export-matrices) is built on
     first read, and so are a radial mesh's quad_weights and gplus_quad (read
     once the eigensolver has returned); a cube grid's quadrature comes with B,
@@ -378,7 +380,7 @@ def assemble_radial(mesh, N, alpha, spec):
         return g
 
     B = _mass(spec, lambda: _hat_form(mesh, mass_weight))
-    pair = DiscreteOperatorPair(A, B, mesh, N, alpha, "radial", nodes[:-1].copy(), spec)
+    pair = DiscreteOperatorPair(A, B, mesh, N, alpha, "radial", nodes[:-1], spec)
     pair.gplus_vanishes = gplus_vanishes
     return pair
 

@@ -2,8 +2,12 @@
 
 Reports separate 'claims' (checked invariants with their bounds) from
 'diagnostics' (solver internals); acceptance tooling reads the former.
-`solve` writes its eigenvectors as one float64 field per column to
-eigenvectors.npy (see reports.write_npy); `converge` writes a CSV table.
+main checks the command line and loads its RunConfig (_load_run), makes
+the --out directory once, and calls the command's COMMANDS entry with the
+RunConfig (None for catalogue) and the parsed command line, which alone
+carries --out and --export-matrices. `solve` writes its eigenvectors as
+one float64 field per column to eigenvectors.npy (see reports.write_npy);
+`converge` writes a CSV table.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O error.
 """
@@ -170,7 +174,7 @@ def _positive_pairs(pair, run):
     return seq
 
 
-def cmd_solve(run, out_dir):
+def cmd_solve(run, args):
     pair = _assemble(run.problem)
     settings = run.problem.solver
     seq = _positive_pairs(pair, run)
@@ -201,11 +205,11 @@ def cmd_solve(run, out_dir):
         },
         "meta": run_meta(),
     }
-    write_json(os.path.join(out_dir, "eigen_report.json"), report)
-    _write_vectors(os.path.join(out_dir, "eigenvectors.npy"), pair, seq)
-    if run.export_matrices:
+    write_json(os.path.join(args.out, "eigen_report.json"), report)
+    _write_vectors(os.path.join(args.out, "eigenvectors.npy"), pair, seq)
+    if args.export_matrices:
         for name, mat in (("A", pair.A), ("B", pair.B), ("H", pair.H)):
-            export_coo(mat, os.path.join(out_dir, f"{name}.txt"))
+            export_coo(mat, os.path.join(args.out, f"{name}.txt"))
     for i, lam in enumerate(seq.lambdas):
         print(f"lambda_{i + 1} = {FMT % lam}   residual = {FMT % seq.residuals[i]}")
     for w in seq.warnings:
@@ -213,7 +217,7 @@ def cmd_solve(run, out_dir):
     return _verdict(claims)
 
 
-def cmd_converge(run, out_dir):
+def cmd_converge(run, args):
     if len(run.ladder) < 3:
         raise ConfigError("ladder: a convergence study needs at least 3 rungs")
     problem = run.problem
@@ -247,7 +251,7 @@ def cmd_converge(run, out_dir):
         orders[f"lambda_{n + 1}"] = [float(o) for o in ords]
         diffs_decreasing[f"lambda_{n + 1}"] = bool(np.all(np.diff(diffs) < 0.0))
     header = ["M", "R"] + [f"lambda_{i + 1}" for i in range(counts)] + ["hardy_slack"]
-    write_csv(os.path.join(out_dir, "converge.csv"), header, rows)
+    write_csv(os.path.join(args.out, "converge.csv"), header, rows)
     report = {
         "command": "converge",
         "claims": {
@@ -258,13 +262,13 @@ def cmd_converge(run, out_dir):
         "diagnostics": {"rungs": rungs, "seed": run.seed},
         "meta": run_meta(),
     }
-    write_json(os.path.join(out_dir, "converge_report.json"), report)
+    write_json(os.path.join(args.out, "converge_report.json"), report)
     for row in rows:
         print(" ".join(FMT % v if isinstance(v, float) else str(v) for v in row))
     return EXIT_OK
 
 
-def cmd_check(run, out_dir):
+def cmd_check(run, args):
     problem = run.problem
     pair = _assemble(problem)
     N, alpha = problem.N, problem.alpha
@@ -315,14 +319,14 @@ def cmd_check(run, out_dir):
         "ckn_sobolev_point": ckn_sobolev,
         "meta": run_meta(),
     }
-    write_json(os.path.join(out_dir, "inequality_report.json"), report)
+    write_json(os.path.join(args.out, "inequality_report.json"), report)
     print(f"hardy constant = {FMT % const}")
     print(f"critical exponent = {FMT % critical_exponent(N, alpha)}")
     print(f"dilation spread = {FMT % spread['spread']}")
     return _verdict(claims)
 
 
-def cmd_oracle(run, out_dir):
+def cmd_oracle(run, args):
     problem = run.problem
     g = radial_weight_callable(problem.weight)
     R = problem.geometry.R
@@ -345,13 +349,14 @@ def cmd_oracle(run, out_dir):
         )
         print(f"lambda_{n} = {FMT % res.lam}  certified = {res.certified}")
     golden = {"entries": entries, "meta": run_meta()}
-    write_json(os.path.join(out_dir, "golden.json"), golden)
+    write_json(os.path.join(args.out, "golden.json"), golden)
     if any(not e["certified"] for e in entries):
         print("warning: some eigenvalues are uncertified (partial list)")
     return EXIT_OK
 
 
-def cmd_catalogue(N, alpha, out_dir=None):
+def cmd_catalogue(run, args):
+    N, alpha = args.N, args.alpha
     rows = []
     for name in CATALOGUE:
         spec = weight_from_dict({"kind": name}, N, alpha)
@@ -372,14 +377,14 @@ def cmd_catalogue(N, alpha, out_dir=None):
         )
         print(line)
         rows.append(rep)
-    if out_dir:
-        write_json(os.path.join(out_dir, "catalogue.json"),
+    if args.out is not None:
+        write_json(os.path.join(args.out, "catalogue.json"),
                    {"N": N, "alpha": alpha, "weights": rows, "meta": run_meta()})
     return EXIT_OK
 
 
 COMMANDS = {"solve": cmd_solve, "converge": cmd_converge, "check": cmd_check,
-            "oracle": cmd_oracle}
+            "oracle": cmd_oracle, "catalogue": cmd_catalogue}
 
 
 def build_parser():
@@ -397,7 +402,7 @@ def build_parser():
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--preset", help=f"builtin preset ({', '.join(sorted(PRESETS))})")
-        p.add_argument("--out", default=None, help="output directory (default ./out)")
+        p.add_argument("--out", default="out", help="output directory (default ./out)")
         p.add_argument("--seed", type=int, default=None, help="deterministic seed (default 42)")
         if name == "solve":
             p.add_argument("--export-matrices", action="store_true",
@@ -410,6 +415,15 @@ def build_parser():
 
 
 def _load_run(args):
+    """The RunConfig the command line names, with --seed applied, or None
+    for catalogue once its --N and --alpha are checked; every refusal is a
+    ConfigError, raised before any output directory is made."""
+    if args.command == "catalogue":
+        if args.N < 3:
+            raise ConfigError(f"--N {args.N}: the catalogue needs N >= 3")
+        if not 0.0 < args.alpha < 2.0:
+            raise ConfigError(f"--alpha {args.alpha}: the catalogue needs alpha in (0, 2)")
+        return None
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
@@ -422,10 +436,10 @@ def _load_run(args):
         run.seed = args.seed
     if run.seed < 0:  # numpy's generators take no negative seed
         raise ConfigError(f"seed: {run.seed} is negative; a seed must be an integer >= 0")
-    if args.out is not None:
-        run.out_dir = args.out
-    if getattr(args, "export_matrices", False):
-        run.export_matrices = True
+    mode = run.problem.geometry.mode
+    if args.command != "solve" and mode != "radial":
+        raise ConfigError(f"{args.command} runs on radial geometry only, "
+                          f"and this config's geometry is {mode}")
     return run
 
 
@@ -464,21 +478,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with _one_blas_thread():
         try:
-            if args.command == "catalogue":
-                if args.N < 3:
-                    raise ConfigError(f"--N {args.N}: the catalogue needs N >= 3")
-                if not 0.0 < args.alpha < 2.0:
-                    raise ConfigError(f"--alpha {args.alpha}: the catalogue needs alpha in (0, 2)")
-                if args.out:
-                    os.makedirs(args.out, exist_ok=True)
-                return cmd_catalogue(args.N, args.alpha, args.out)
             run = _load_run(args)
-            mode = run.problem.geometry.mode
-            if args.command != "solve" and mode != "radial":
-                raise ConfigError(f"{args.command} runs on radial geometry only, "
-                                  f"and this config's geometry is {mode}")
-            os.makedirs(run.out_dir, exist_ok=True)
-            return COMMANDS[args.command](run, run.out_dir)
+            if args.out is not None:
+                os.makedirs(args.out, exist_ok=True)
+            return COMMANDS[args.command](run, args)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -2,8 +2,9 @@
 
 A configuration document is a nested key-value JSON file with a 'problem'
 section (dimension, exponent, weight, geometry, solver) and optional
-command sections (refinement ladder, golden file, seed); the output
-directory is the command line's --out.
+command sections (refinement ladder, golden file, seed), read into one
+RunConfig; the output directory and the matrix export are the command
+line's --out and --export-matrices, never fields of the document.
 Every preset is defined here in code so the full acceptance surface runs
 offline.
 """
@@ -80,10 +81,8 @@ class ProblemConfig:
 class RunConfig:
     problem: ProblemConfig
     seed: int = 42
-    out_dir: str = "out"                           # set by --out
     ladder: list = field(default_factory=list)     # [{'M':..., 'R':...}, ...] for converge
     golden_path: str = None                        # oracle golden file to compare against
-    export_matrices: bool = False                  # set by --export-matrices
 
     def rungs(self):
         """The ladder's geometries: the problem's, with each rung's M and R."""

@@ -50,9 +50,9 @@ before forming the block, then caps the ask by the block's count of
 positive mu (Sylvester's law of inertia). Neither asks nor positive counts
 increase from a sector to the next (a sub-pencil's positive B entries are
 among its parent's), so the first zero ask, of the rule or the cap, ends
-the chain: k = 1 forms eee alone, and the dense reference solves no sector
-without a positive mu. A new block family joins the rule by adding its
-blocks to _blocks. The warning
+the chain, and no block after it is formed: k = 1 forms eee alone, and
+the dense reference solves no sector without a positive mu. A new block
+family joins the rule by adding its blocks to _blocks. The warning
 on a cluster that k cuts (_finalize) sees only the mu computed past the
 m-th. A later sector computes fewer of those than the first, so a cut
 member that only a later sector holds can go unwarned; a triple's members
@@ -487,13 +487,12 @@ def _tridiagonal_eigh(A, B, m):
 
 def solve_dense(pair, k, dense_threshold=DENSE_THRESHOLD):
     """Top-k reference solve of the pencil B v = mu A v of either geometry:
-    one pass over _blocks, one direct call (_dense_pairs) per invariant
-    block for its top k mu, whose calls _finalize turns into pairs. _blocks
-    caps each ask at the block's count of positive mu and stops at the first
-    block with none, as in the successive solve, but the reference asks no
-    interlacing rule. Orders of the whole pencil above dense_threshold are
-    refused, as is k < 1. Returns the k smallest positive lambda; fewer when
-    the pencil has fewer positive eigenvalues (reported, not fatal).
+    one pass over _blocks with the ask k for every block under the chain's
+    cap and stop (module docstring), one direct call (_dense_pairs) per
+    block, whose calls _finalize turns into pairs. Orders of the whole
+    pencil above dense_threshold are refused, as is k < 1. Returns the k
+    smallest positive lambda; fewer when the pencil has fewer positive
+    eigenvalues (reported, not fatal).
     """
     if pair.order > dense_threshold:
         raise SolverError(f"dense solve refused at order {pair.order} > {dense_threshold}")
@@ -636,12 +635,9 @@ def _members(label):
 
 
 def _blocks(pair, rule):
-    """The pencil's invariant blocks, in chain order, each with its ask: the
-    one owner of the chain (module docstring). For each block, before it is
-    formed, rule(w, W) gives its ask from its w members and the W members of
-    it and the blocks before it; then the block is formed and its ask capped
-    by its count of positive mu. The first zero ask, of the rule or the cap,
-    ends the chain, and no block after it is formed. Yields (block, ask).
+    """Yields (block, ask) for the pencil's invariant blocks in chain order:
+    the one owner of the chain's cap and stop (module docstring), with
+    rule(w, W) as the ask before the cap.
 
     By Sylvester's law of inertia a sector's positive mu are its positive B
     entries; the whole pencil has order of them, or none when g^+ vanishes at
@@ -881,17 +877,10 @@ def _merged(pair, calls, m):
 
 
 def _maximize_quotient(pair, m, settings, seed):
-    """The m largest mu of the pencil (B, A): one call per invariant block,
-    each a (block, mu, vectors, applications, stop) record, in call order.
-
-    A block of w members, W of them in it and the blocks before it, asks for
-    floor((m - 1 + w) / W) pairs: by interlacing along the nested sectors
-    its j-th mu follows j W - w merged entries, so it is among the m largest
-    only if j W - w < m (module docstring). _blocks caps each ask by the
-    block's positive count and forms no block after the first zero ask. On
-    the cube grid the asks are m, floor((m + 2) / 4), floor((m + 2) / 7) and
-    floor(m / 8), at most four calls, and a later sector computes fewer mu
-    past the m-th for the cluster-cut warning to see."""
+    """The m largest mu of the pencil (B, A): one _block_pairs call per
+    block of _blocks, asked by the interlacing rule floor((m - 1 + w) / W)
+    under the chain's cap and stop (module docstring), each a (block, mu,
+    vectors, applications, stop) record, in call order."""
     return [(block, *_block_pairs(block, ask, settings, seed, index))
             for index, (block, ask) in enumerate(_blocks(pair, lambda w, W: (m - 1 + w) // W))]
 

@@ -230,11 +230,6 @@ def check_sobolev(pair, u, label="vector"):
                    "finite quotient recorded")
 
 
-def sobolev_quotient_discrete(pair, u):
-    ts = critical_exponent(pair.N, pair.alpha)
-    return lp_norm(pair, u, ts) ** 2 / energy_inner(pair, u)
-
-
 def dilation_quotient_spread(pair, profile):
     """Sobolev quotients of the dilated family u_t(x) = u(t x) on one mesh, t = 0.5, 1, 2.
 
@@ -250,7 +245,7 @@ def dilation_quotient_spread(pair, profile):
             f"profile support {profile.support:g}/0.5 exceeds the domain R = {pair.geometry.R:g}"
         )
     radii = pair.dof_positions
-    quotients = {t: sobolev_quotient_discrete(pair, profile.value(t * radii))
+    quotients = {t: check_sobolev(pair, profile.value(t * radii))["quotient"]
                  for t in (0.5, 1.0, 2.0)}
     vals = np.array(list(quotients.values()))
     return {"quotients": quotients, "spread": float((vals.max() - vals.min()) / quotients[1.0])}

@@ -142,7 +142,9 @@ def shooting_eigenvalue(N, alpha, g, R, n, breakpoints=(), shots=None):
 
     shots memoizes shoot() by lambda for one problem (the same N, alpha, g,
     R and breakpoints): calls for n = 1..k that share the dict share
-    one sweep, each reporting in steps only the evaluations it made.
+    one sweep, each reporting in steps only the evaluations it made. The
+    bracket is its two ends lo and hi alone; the miss and count at each end
+    are read from shots.
     """
     if n < 1:
         raise ValueError("mode number n must be >= 1")
@@ -169,28 +171,27 @@ def shooting_eigenvalue(N, alpha, g, R, n, breakpoints=(), shots=None):
 
     notes = []
     lam = lam_start
-    miss, zeros = at(lam)
+    zeros = at(lam)[1]
     sweep_counts = [zeros]
     # ensure the start is below the target count
     shrink = 0
     while zeros >= n and shrink < SWEEP_CAP:
         lam /= SWEEP_GROWTH**2
-        miss, zeros = at(lam)
+        zeros = at(lam)[1]
         shrink += 1
     if zeros >= n:
         raise NoBracketError(
             f"could not get below {n} zeros while shrinking lambda to {lam:g}"
         )
-    lo, miss_lo, count_lo = lam, miss, zeros
-    hi = None
+    lo, hi = lam, None
     for _ in range(SWEEP_CAP):
         lam *= SWEEP_GROWTH
-        miss, zeros = at(lam)
+        zeros = at(lam)[1]
         sweep_counts.append(zeros)
         if zeros >= n:
-            hi, miss_hi, count_hi = lam, miss, zeros
+            hi = lam
             break
-        lo, miss_lo, count_lo = lam, miss, zeros
+        lo = lam
     if hi is None:
         raise NoBracketError(
             f"sweep over [{lam_start:g}, {lam:g}] never reached {n} interior zeros"
@@ -199,7 +200,7 @@ def shooting_eigenvalue(N, alpha, g, R, n, breakpoints=(), shots=None):
         notes.append("zero count non-monotone along the sweep (sign-changing weight?)")
 
     def certifiable():
-        return count_lo == n - 1 and count_hi == n and miss_lo * miss_hi < 0.0
+        return (shots[lo][1], shots[hi][1]) == (n - 1, n) and shots[lo][0] * shots[hi][0] < 0.0
 
     brent = True
     while (hi - lo) > REL_WIDTH * hi:
@@ -210,25 +211,23 @@ def shooting_eigenvalue(N, alpha, g, R, n, breakpoints=(), shots=None):
             inside = [lam for lam in shots if lo <= lam <= hi]
             lo = max(lam for lam in inside if lam <= root and shots[lam][1] == n - 1)
             hi = min(lam for lam in inside if lam >= root and shots[lam][1] == n)
-            (miss_lo, count_lo), (miss_hi, count_hi) = shots[lo], shots[hi]
             continue
         lam = 0.5 * (lo + hi)
-        miss, zeros = at(lam)
-        if zeros >= n:
-            hi, miss_hi, count_hi = lam, miss, zeros
+        if at(lam)[1] >= n:
+            hi = lam
         else:
-            lo, miss_lo, count_lo = lam, miss, zeros
+            lo = lam
 
     certified = certifiable()
     if not certified:
         notes.append(
-            f"bracket uncertified: counts ({count_lo}, {count_hi}), "
-            f"miss product {miss_lo * miss_hi:g}"
+            f"bracket uncertified: counts ({shots[lo][1]}, {shots[hi][1]}), "
+            f"miss product {shots[lo][0] * shots[hi][0]:g}"
         )
     lam_n = 0.5 * (lo + hi)
     return ShootingResult(
         lam=float(lam_n),
-        index=int(count_lo),
+        index=int(shots[lo][1]),
         bracket=(float(lo), float(hi)),
         steps=int(steps),
         certified=bool(certified),

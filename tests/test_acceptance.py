@@ -18,6 +18,7 @@ from degeig.eigensolve import (
 )
 from degeig.inequalities import (
     CknParams,
+    check_sobolev,
     ckn_sides_radial,
     critical_exponent,
     dilation_quotient_spread,
@@ -25,7 +26,6 @@ from degeig.inequalities import (
     hardy_quotient_radial,
     poly_bump,
     smooth_bump,
-    sobolev_quotient_discrete,
     sobolev_quotient_radial,
 )
 from degeig.mesh import build_grid3d
@@ -174,9 +174,9 @@ def test_criterion_08_hardy_inequality(pairs_512, pairs_128):
 def test_criterion_09_sobolev_structure(pairs_512, rng):
     pair = pairs_512[("gaussian", 1.0)]
     u = rng.standard_normal(pair.order)
-    q0 = sobolev_quotient_discrete(pair, u)
+    q0 = check_sobolev(pair, u)["quotient"]
     scale_ok = all(
-        abs(sobolev_quotient_discrete(pair, c * u) - q0) <= 1e-12 * q0
+        abs(check_sobolev(pair, c * u)["quotient"] - q0) <= 1e-12 * q0
         for c in (1e-3, 5.0, -40.0)
     )
     spread = dilation_quotient_spread(pair, smooth_bump(1.5))["spread"]

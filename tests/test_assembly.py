@@ -383,6 +383,12 @@ def _same_csr(X, Y):
 
 
 class TestDirectAssembly:
+    def test_radial_dof_positions_view_the_mesh_nodes(self, gaussian_pair_512):
+        # every node but the Dirichlet one at R, read in place, not copied
+        pair = gaussian_pair_512
+        assert np.shares_memory(pair.dof_positions, pair.geometry.nodes)
+        assert np.array_equal(pair.dof_positions, pair.geometry.nodes[:-1])
+
     @pytest.mark.parametrize("kind, n", [("grid", 15), ("ring", 512), ("gaussian", 512)])
     def test_stiffness_symmetric_as_built(self, monkeypatch, kind, n):
         # A, B and H are exactly symmetric without the (A + A^T) / 2 pass,

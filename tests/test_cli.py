@@ -844,6 +844,15 @@ class TestOtherCommands:
         assert captured.err.startswith(f"config error: {flag} ")
         assert not os.path.exists(os.path.join(out, "catalogue.json"))
 
+    def test_out_defaults_to_out_except_for_catalogue(self, tmp_path, monkeypatch):
+        # without --out, solve writes to ./out; catalogue only prints
+        monkeypatch.chdir(tmp_path)
+        assert main(["catalogue"]) == 0
+        assert os.listdir(tmp_path) == []
+        assert main(["solve", "--preset", "gaussian-n3-a1"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["out"]
+        assert sorted(os.listdir(tmp_path / "out")) == ["eigen_report.json", "eigenvectors.npy"]
+
     def test_preset_solves(self, tmp_path):
         # preset geometry reduced through --config is not possible; use a real preset
         out = str(tmp_path / "preset")

@@ -2,6 +2,7 @@
 only prints and exits, and on this repository's command list."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 import tempfile
@@ -112,3 +113,22 @@ def test_commands_hold_the_warning_steps(tmp_path):
     refused = tool.run(str(REPO), str(tmp_path / "negative-seed"), *negative_seed[1:])
     assert refused.code == 1 and not refused.raised
     assert refused.stderr == "config error: seed: -1 is negative; a seed must be an integer >= 0\n"
+
+
+def test_golden_commands_run_the_golden_claim(tmp_path):
+    # the oracle's own lambdas pass the claim; the same entries labelled for
+    # another alpha compare nothing, so the claim reads inf and fails
+    listed = {name: (doc, argv) for name, doc, argv in tool.commands(tool.load_workloads(str(REPO)))
+              if name.startswith("solve-gaussian-golden")}
+    claims = {}
+    for name, (doc, argv) in listed.items():
+        run = tool.run(str(REPO), str(tmp_path / name), doc, argv)
+        config = json.loads((tmp_path / name / "config.json").read_text())
+        assert config["golden"] == str(tmp_path / name / "golden.json")
+        report = json.loads((tmp_path / name / "out" / "eigen_report.json").read_text())
+        claims[name] = (run.code, run.stderr, report["claims"]["golden_agreement_rel"])
+    code, stderr, claim = claims["solve-gaussian-golden"]
+    assert (code, stderr, claim["ok"]) == (0, "", True) and claim["value"] < 1e-3
+    assert claims["solve-gaussian-golden-a1.5"] == (
+        2, "invariant violation: golden_agreement_rel\n",
+        {"value": "inf", "bound": 0.01, "ok": False})

@@ -41,7 +41,12 @@ The commands, in NEW_TREE's order:
 - two solves of a weight with no positive part (g = -1, radial M = 64 and grid
   15^3, k = 3), which have no positive eigenvalue and exit 2;
 - a solve whose config's seed is -1, given no --seed, which is refused as a
-  configuration error and exits 1.
+  configuration error and exits 1;
+- two solves of the gaussian at N = 3, alpha = 1, R = 6, M = 512, k = 3
+  against a golden document written beside the config: `solve-gaussian-golden`,
+  whose entries are the shooting oracle's certified lambda_1..3 of that
+  problem and which exits 0, and `solve-gaussian-golden-a1.5`, the same
+  entries labelled alpha = 1.5, whose golden claim reads inf and which exits 2.
 
 The outputs of a command are its stdout, its stderr and every file it writes.
 Before comparing, the run's own directory and the tree's absolute path in
@@ -73,6 +78,9 @@ import tempfile
 
 CONFIG, OUT = "<config>", "<out>"  # placeholders in a command's argv
 SEED = 42  # the seed of every workload config
+# the shooting oracle's certified lambda_1..3 of the gaussian at N = 3,
+# alpha = 1, R = 6: the entries of the golden documents
+GOLDEN_LAMBDAS = (4.7831738784475082, 13.511979183052672, 26.462792789125032)
 ABSENT = object()  # stands for a key, index or line that one side lacks
 
 
@@ -86,7 +94,9 @@ def load_workloads(tree):
 
 def commands(workloads):
     """[(name, config document or None, argv)] for every command; argv holds
-    CONFIG and OUT where the config path and the output directory go."""
+    CONFIG and OUT where the config path and the output directory go. A
+    config whose golden field is a document, not a path, has it written
+    beside the config (run)."""
     out = []
     for cases in workloads.WORKLOADS.values():
         for case in cases:
@@ -135,6 +145,14 @@ def commands(workloads):
     out.append(("solve-negative-seed",
                 {"problem": workloads.radial("gaussian", 1.0, 64, 3), "seed": -1},
                 ["solve", "--config", CONFIG, "--out", OUT]))
+    for name, alpha in (("golden", 1.0), ("golden-a1.5", 1.5)):
+        entries = [{"N": 3, "alpha": alpha, "weight": "gaussian", "R": 6.0, "n": n,
+                    "lambda": lam, "certified": True}
+                   for n, lam in enumerate(GOLDEN_LAMBDAS, 1)]
+        out.append((f"solve-gaussian-{name}",
+                    {"problem": workloads.radial("gaussian", 1.0, 512, 3), "seed": SEED,
+                     "golden": {"entries": entries}},
+                    ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
     return out
 
 
@@ -149,13 +167,21 @@ class Run(collections.namedtuple("Run", "code stdout stderr out_dir rss")):
 
 
 def run(tree, base, doc, argv):
-    """Run one command against tree in the directory base, warnings as errors."""
+    """Run one command against tree in the directory base, warnings as errors.
+
+    The config document goes to base/config.json; a golden document in its
+    golden field goes to base/golden.json, and the field becomes that path."""
     base = os.path.abspath(base)  # the child runs in base and is given paths under it
     shutil.rmtree(base, ignore_errors=True)
     out_dir = os.path.join(base, "out")
     os.makedirs(out_dir)
     config = os.path.join(base, "config.json")
     if doc is not None:
+        if isinstance(doc.get("golden"), dict):
+            golden = os.path.join(base, "golden.json")
+            with open(golden, "w") as fh:
+                json.dump(doc["golden"], fh, indent=1)
+            doc = {**doc, "golden": golden}
         with open(config, "w") as fh:
             json.dump(doc, fh, indent=1)
     args = [{CONFIG: config, OUT: out_dir}.get(a, a) for a in argv]
