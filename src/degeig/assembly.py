@@ -70,11 +70,11 @@ class DiscreteOperatorPair:
 
     A pair is built with A, B and the dof positions: on a radial mesh the
     view nodes[:-1] of its mesh's nodes, all but the Dirichlet node at R.
-    The Hardy matrix H
-    (read by check, converge's Hardy slack and --export-matrices) is built on
-    first read, and so are a radial mesh's quad_weights and gplus_quad (read
-    once the eigensolver has returned); a cube grid's quadrature comes with B,
-    from the same weight values, and a pair from_matrices is given all three.
+    The Hardy matrix H (read by check, converge's Hardy slack and
+    --export-matrices) is built on first read, and so are a radial mesh's
+    quad_weights and gplus_quad (read once the eigensolver has returned); a
+    cube grid's quadrature comes with B, from the same weight values, and a
+    pair from_matrices is given all three.
 
     quad_weights are volume weights (measure included) at the quadrature
     points and gplus_quad the weight's positive part there, one entry per
