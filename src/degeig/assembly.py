@@ -11,10 +11,11 @@ as CSR directly, exactly symmetric, with no COO staging. A pair stores no
 interpolation matrix: point values come from the hat functions on a radial
 mesh and are the nodal values on the cube (_point_values).
 
-Assembly builds A, B and the dof positions. H, and on a radial mesh the
-volume quadrature, are built on first read (DiscreteOperatorPair), from the
-same expressions, so solve's eigensolver runs without them. A weight whose
-finite values overflow B is refused here, before any solver runs.
+Assembly builds A and B. H, the cube grid's dof positions and a radial
+mesh's volume quadrature are built on first read (DiscreteOperatorPair),
+from the same expressions, so solve's eigensolver runs without them. A
+weight whose finite values overflow B is refused here, before any solver
+runs.
 """
 
 import math
@@ -68,21 +69,24 @@ def _csr(vals, base, offsets, shape, keep):
 class DiscreteOperatorPair:
     """Assembled operators sharing one degree-of-freedom numbering.
 
-    A pair is built with A, B and the dof positions: on a radial mesh the
-    view nodes[:-1] of its mesh's nodes, all but the Dirichlet node at R.
-    The Hardy matrix H (read by check, converge's Hardy slack and
+    A pair is built with A and B. Its dof_positions are, on a radial mesh,
+    the view nodes[:-1] of its mesh's nodes, all but the Dirichlet node at
+    R; a cube grid's, its interior points, are built on first read. The
+    Hardy matrix H (read by check, converge's Hardy slack and
     --export-matrices) is built on first read, and so are a radial mesh's
     quad_weights and gplus_quad (read once the eigensolver has returned); a
     cube grid's quadrature comes with B, from the same weight values, and a
-    pair from_matrices is given all three.
+    pair from_matrices is given all of them.
 
     quad_weights are volume weights (measure included) at the quadrature
     points and gplus_quad the weight's positive part there, one entry per
-    point. On a radial mesh the points are the MASS_GAUSS_ORDER Gauss points
-    of each element in turn, and a nodal vector's value at one is the sum of
-    its element's two hat functions (_point_values); elsewhere the points are
-    the dofs, and a nodal vector is its own point values. So every integral
-    of a nodal function runs through the same quadrature path.
+    point; on the cube grid every weight is the cell volume, so quad_weights
+    is that one scalar, which broadcasts in the same products. On a radial
+    mesh the points are the MASS_GAUSS_ORDER Gauss points of each element in
+    turn, and a nodal vector's value at one is the sum of its element's two
+    hat functions (_point_values); elsewhere the points are the dofs, and a
+    nodal vector is its own point values. So every integral of a nodal
+    function runs through the same quadrature path.
 
     gplus_vanishes is True for a radial pair whose weight's positive part is
     0 at every quadrature point, so that B is negative semidefinite and the
@@ -92,14 +96,13 @@ class DiscreteOperatorPair:
 
     gplus_vanishes = False
 
-    def __init__(self, A, B, geometry, N, alpha, mode, dof_positions, spec=None):
+    def __init__(self, A, B, geometry, N, alpha, mode, spec=None):
         self.A = A
         self.B = B
         self.geometry = geometry
         self.N = N
         self.alpha = alpha
         self.mode = mode
-        self.dof_positions = dof_positions
         self.spec = spec
 
     @property
@@ -107,10 +110,14 @@ class DiscreteOperatorPair:
         return self.A.shape[0]
 
     @cached_property
+    def dof_positions(self):
+        return self.geometry.interior_points()
+
+    @cached_property
     def H(self):
         if self.mode == "radial":
             return _radial_hardy(self.geometry, self.N, self.alpha)
-        return _grid_hardy(self.geometry, self.alpha, self.dof_positions)
+        return _grid_hardy(self.geometry, self.alpha)
 
     @cached_property
     def quad_weights(self):
@@ -134,8 +141,8 @@ class DiscreteOperatorPair:
         n = A.shape[0]
         if B.shape != A.shape:
             raise ValueError("A and B must share their order")
-        pair = cls(A, B, None, None, None, "matrices", np.arange(n, dtype=float))
-        pair.H = sp.csr_matrix((n, n))
+        pair = cls(A, B, None, None, None, "matrices")
+        pair.dof_positions, pair.H = np.arange(n, dtype=float), sp.csr_matrix((n, n))
         pair.quad_weights = np.ones(n)
         pair.gplus_quad = None
         return pair
@@ -380,8 +387,8 @@ def assemble_radial(mesh, N, alpha, spec):
         return g
 
     B = _mass(spec, lambda: _hat_form(mesh, mass_weight))
-    pair = DiscreteOperatorPair(A, B, mesh, N, alpha, "radial", nodes[:-1], spec)
-    pair.gplus_vanishes = gplus_vanishes
+    pair = DiscreteOperatorPair(A, B, mesh, N, alpha, "radial", spec)
+    pair.dof_positions, pair.gplus_vanishes = nodes[:-1], gplus_vanishes
     return pair
 
 
@@ -475,32 +482,31 @@ def assemble_grid3d(grid, alpha, spec):
     midpoint; the six faces of the origin-centered cell instead use the exact
     radial average of the power over [0, hs], which keeps the conservation
     form nondegenerate at the singular node. B and H are lumped diagonal;
-    the origin's Hardy weight is the exact cell integral of the kernel. H is
-    built on first read (_grid_hardy); the quadrature comes with B.
+    the origin's Hardy weight is the exact cell integral of the kernel. H
+    and the dof positions are built on first read; the quadrature comes with
+    B, its weight the one cell volume.
     """
     if not 0.0 < alpha < 2.0:
         raise AssemblyError("alpha must lie in (0, 2)")
     A = _grid_stiffness(grid, alpha)
 
-    hs = grid.hs
-    pts = grid.interior_points()
-    cell = hs**3
+    cell = np.float64(grid.hs**3)
     try:
-        gi, gd, gm = weight_split(spec, _sym_norm(pts))
+        gi, gd, gm = weight_split(spec, _sym_norm(grid.interior_points()))
     except WeightDomainError as exc:
         raise AssemblyError(f"weight evaluation failed on the grid: {exc}") from exc
     gplus_nodes = gi + gd
     B = _mass(spec, lambda: sp.diags(cell * (gplus_nodes - gm), format="csr"))
 
-    pair = DiscreteOperatorPair(A, B, grid, 3, alpha, "grid3d", pts, spec)
-    pair.quad_weights, pair.gplus_quad = np.full(grid.num_interior, cell), gplus_nodes
+    pair = DiscreteOperatorPair(A, B, grid, 3, alpha, "grid3d", spec)
+    pair.quad_weights, pair.gplus_quad = cell, gplus_nodes
     return pair
 
 
-def _grid_hardy(grid, alpha, pts):
+def _grid_hardy(grid, alpha):
     """H of assemble_grid3d: lumped, the kernel |x|^(alpha - 2) times the cell
     volume at each dof, and its exact cell integral at the origin."""
-    radii = _sym_norm(pts)
+    radii = _sym_norm(grid.interior_points())
     hardy = np.zeros_like(radii)
     nz = radii > 0.0
     hardy[nz] = radii[nz] ** (alpha - 2.0) * grid.hs**3

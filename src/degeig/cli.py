@@ -156,12 +156,16 @@ def _golden_claim(path, seq, problem):
 def _write_vectors(path, pair, seq):
     """eigenvectors.npy: the dof coordinates (r, or x, y, z) and e1..ek, one
     float64 field each; the radial Dirichlet node at R is the last row, zero
-    in every e field."""
+    in every e field. A grid coordinate is its interior axis broadcast over
+    the dofs' C order, so no n x 3 positions array is formed."""
     names = ["e%d" % (i + 1) for i in range(seq.count)]
     if pair.mode == "radial":
         names, coords = ["r"] + names, [pair.geometry.nodes]
     else:
-        names, coords = ["x", "y", "z"] + names, list(pair.dof_positions.T)
+        ax = pair.geometry.axis[1:-1]
+        coords = [np.broadcast_to(ax.reshape(shape), (ax.size,) * 3)
+                  for shape in ((-1, 1, 1), (-1, 1), -1)]
+        names = ["x", "y", "z"] + names
     write_npy(path, names, coords + list(seq.vectors.T))
 
 

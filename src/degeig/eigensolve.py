@@ -24,13 +24,16 @@ An invariant block (Block) is a subspace that A and B map into itself, so
 a smaller pencil of the same kind (Bossavit, Symmetry, groups, and boundary
 value problems, CMAME 56, 1986); its members are the blocks an axis
 permutation carries it to, with the same mu. A radial or explicit pencil
-is one block of one member, handed out equilibrated (_equilibration), its
-vectors scaled back by _merged. On the cube grid every weight is radial and
-the grid centered, so A and B commute with the mirrors (x, y, z) -> (+-x,
-+-y, +-z): the blocks are the sectors of vectors even (e) or odd (o) in
-each axis, one per orbit of the axis permutations (SECTORS: eee, oee, ooe
-and ooo, with 1, 3, 3 and 1 members, e.g. oee, eoe, eeo), each solved on
-S^T A S, S^T B S for an orthonormal basis S of it.
+is one block of one member, solved equilibrated (_equilibration): its
+routes form the equilibrated A and B only to factor or densify them, and
+ARPACK applies them without a copy (_equilibrated), so no equilibrated
+copy of the whole pencil is alive through ARPACK. _merged scales the
+vectors back. On the cube grid every weight is radial and the grid
+centered, so A and B commute with the mirrors (x, y, z) -> (+-x, +-y,
++-z): the blocks are the sectors of vectors even (e) or odd (o) in each
+axis, one per orbit of the axis permutations (SECTORS: eee, oee, ooe and
+ooo, with 1, 3, 3 and 1 members, e.g. oee, eoe, eeo), each solved on S^T
+A S, S^T B S for an orthonormal basis S of it.
 
 The sectors are nested: as B is diagonal and A reaches one node per axis,
 oee's pencil is eee's on the coordinates j_x >= 1, ooe's is oee's on j_y >=
@@ -80,17 +83,26 @@ pairs than it asked names the first pair it lacks; ARPACK's other errors
 and eigh's LinAlgError keep the library's message. So each solver is one
 pass over _blocks, one route call per block, with no try of its own.
 
-ARPACK keeps its default Lanczos basis of max(2 m + 1, 20) vectors for m
-asked pairs unless B has a negative diagonal entry. Such a B is indefinite,
-and Lanczos converges to both ends of the spectrum: on the ring the negative
-mu lie farther out than the m-th positive one and crowd the default basis,
-so its implicit restarts (Lehoucq, Sorensen and Yang, ARPACK Users' Guide,
-SIAM 1998) take up to 1.8 times the B applications (m = 8 to 64). There
-the basis holds NCV_PER_PAIR * m vectors, at least 20 and at most the order,
-so no solve with m <= 6 changes.
+ARPACK's Lanczos basis holds 2 m + 1 vectors for m asked pairs, at most
+the order: the least its users' guide advises (Lehoucq, Sorensen and Yang,
+ARPACK Users' Guide, SIAM 1998), where scipy's default holds at least 20,
+so only m < 10 sees a smaller basis. B with a negative diagonal entry is
+the exception. Such a B is indefinite, and Lanczos converges to both ends
+of the spectrum: on the ring the negative mu lie farther out than the m-th
+positive one and crowd the basis, so its implicit restarts take up to 1.8
+times the B applications (m = 8 to 64). There the basis holds NCV_PER_PAIR
+* m vectors, at least 20 and at most the order. SuperLU factors A with
+panel_size=1 and relax=1, which set only its working storage (Demmel et
+al., SIAM J. Matrix Anal. Appl. 20, 1999): a tridiagonal A has no
+supernode to gain from them. ARPACK's n x (2 m + 1) arrays and SuperLU's
+transient set the peak memory of a large radial solve together, so the two
+cut it together (gaussian M32768, k = 6, on a 2-core x86_64 machine:
+ru_maxrss 101.7 to 98.9 MB, and to 97.4 MB with the equilibrated pencil
+applied without a copy).
 """
 
 import ctypes
+import weakref
 from dataclasses import dataclass, field
 from itertools import permutations
 from warnings import catch_warnings, simplefilter, warn_explicit
@@ -297,7 +309,8 @@ def _residual_floors(pair, lambdas, vectors, AV):
 
 def _finalize(pair, calls, requested, asked, method, tol=None):
     """The pairs of a solve's block calls, one (block, mu, vectors,
-    applications, stop) each, asked for `asked` of `requested` pairs.
+    applications, stop) each, asked for `asked` of `requested` pairs. Once
+    merged, each record in calls is cut to (label, applications, stop).
 
     _merged orders the calls' mu, and pairs go by that order. A mu at or
     below EXHAUSTION_RTOL * mu_1 (mu <= 0 for the first) proves the positive
@@ -314,11 +327,15 @@ def _finalize(pair, calls, requested, asked, method, tol=None):
     / mu_n), then on exhaustion or on the order - 1 cap.
     """
     mus, vecs, sources = _merged(pair, calls, asked)
+    # the records are cut to what the sequence reads, so each block's pencil
+    # and basis and each call's vectors are freed with the merged ones
+    calls[:] = [(block.label, applications, stop) for block, _, _, applications, stop in calls]
     floor = max(EXHAUSTION_RTOL * mus[0], 0.0) if mus else 0.0
     k = int(sum(mu > floor for mu in mus[:asked]))
     kept = vecs[:, :k]
     masses = [u @ b for u, b in zip(kept.T, (pair.B @ kept).T)]
     vectors = kept.copy(order="F")
+    del vecs, kept
     vectors /= np.sqrt(masses)
     for i in range(k):
         vectors[:, i] = _fix_sign(pair, vectors[:, i], first_mode=(i == 0))
@@ -337,7 +354,7 @@ def _finalize(pair, calls, requested, asked, method, tol=None):
         f"pair {i + 1} is at its rounding floor: residual {resid[i]:.3e} is "
         f"{resid[i] / floors[i]:.1f} times the floor {floors[i]:.3e} (tol {tol:.0e})"
         if resid[i] <= FLOOR_MARGIN * floors[i] else
-        f"pair {i + 1} {calls[sources[i][0]][4]} at residual {resid[i]:.3e} "
+        f"pair {i + 1} {calls[sources[i][0]][2]} at residual {resid[i]:.3e} "
         f"(tol {tol:.0e}, mu_n / mu_1 = {mus[i] / mus[0]:.1e})"
         for i in range(k) if not converged[i]
     ]
@@ -370,10 +387,10 @@ def _finalize(pair, calls, requested, asked, method, tol=None):
         warnings=warnings,
         residual_floors=floors,
         sectors=[label for _, label in sources[:k]],
-        calls=[{**({} if block.label is None else {"block": block.label}),
+        calls=[{**({} if label is None else {"block": label}),
                 "pairs": [i + 1 for i in range(k) if sources[i][0] == index],
                 "applications": applications, "stop": stop}
-               for index, (block, _, _, applications, stop) in enumerate(calls)],
+               for index, (label, applications, stop) in enumerate(calls)],
     )
 
 
@@ -427,6 +444,13 @@ def _scaled(M, scale):
     return sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
 
 
+def _equilibrated(M, scale):
+    """diag(scale) M diag(scale) as a LinearOperator, applied as scale (M (scale
+    x)) without a copy of M: powers of two scale without rounding, so each
+    product is _scaled(M, scale)'s."""
+    return spla.LinearOperator(M.shape, matvec=lambda x: scale * (M @ (scale * x)), dtype=float)
+
+
 def _band_rows(M):
     """The tridiagonal M in LAPACK band storage with one super- and one
     subdiagonal: rows superdiagonal, diagonal, subdiagonal, each entry in
@@ -452,7 +476,7 @@ def _tridiagonal_eigh(A, B, m):
     Eigenvalue Problem, ch. 4) by solve_banded, shifted to mu (1 +
     INVERSE_SHIFT), the j-th started from default_rng([0, j]); the shift
     keeps an exact mu from making the shifted pencil singular. The pencil is
-    the equilibrated one of _blocks, which keeps the vectors accurate where
+    equilibrated (_dense_pairs), which keeps the vectors accurate where
     diag(A) spans many decades (N = 5: 1e-22 to 1e7). One Rayleigh-Ritz eigh
     call on the span of the vectors makes those of a cluster A-orthogonal.
     Returns the Ritz values ascending and their vectors as columns.
@@ -548,20 +572,23 @@ def _vcycle(A, shape, mirrored):
         A = (P.T @ A @ P).tocsr()
     inv = np.linalg.inv(A.toarray())
     inv = 0.5 * (inv + inv.T)
+    return spla.LinearOperator((order, order), matvec=lambda b: _cycle(levels, inv, b),
+                               dtype=float)
 
-    def cycle(b, level=0):
-        if level == len(levels):
-            return inv @ b
-        A, d, P, R = levels[level]
-        x = d * b
-        for _ in range(SMOOTHING_SWEEPS - 1):
-            x += d * (b - A @ x)
-        x += P @ cycle(R @ (b - A @ x), level + 1)
-        for _ in range(SMOOTHING_SWEEPS):
-            x += d * (b - A @ x)
-        return x
 
-    return spla.LinearOperator((order, order), matvec=cycle, dtype=float)
+def _cycle(levels, inv, b, level=0):
+    """The V-cycle of _vcycle on b from this level down. A module function,
+    so the hierarchy is in no reference cycle and is freed with its operator."""
+    if level == len(levels):
+        return inv @ b
+    A, d, P, R = levels[level]
+    x = d * b
+    for _ in range(SMOOTHING_SWEEPS - 1):
+        x += d * (b - A @ x)
+    x += P @ _cycle(levels, inv, R @ (b - A @ x), level + 1)
+    for _ in range(SMOOTHING_SWEEPS):
+        x += d * (b - A @ x)
+    return x
 
 
 COARSEST_ORDER = 200  # the multigrid hierarchy solves this order and below densely
@@ -613,8 +640,9 @@ class Block:
     (axes, label) per member, itself first; A, B is S^T A S, S^T B S for its
     orthonormal basis S, and a member's vector is S v on the full dof array
     (of this shape), its axes transposed to axes. If S is None the block is
-    the whole pencil equilibrated, diag(scale) A diag(scale) and the same of
-    B (_equilibration), and its vector is scale v."""
+    the whole pencil as given, solved equilibrated, diag(scale) A
+    diag(scale) and the same of B (_equilibration), and its vector is scale
+    v."""
 
     label: str
     members: list
@@ -660,9 +688,7 @@ def _blocks(pair, rule):
         if ask == 0:
             return
         if not grid:
-            scale = _equilibration(pair.A)
-            block = Block(None, members, _scaled(pair.A, scale), _scaled(pair.B, scale),
-                          scale=scale)
+            block = Block(None, members, pair.A, pair.B, scale=_equilibration(pair.A))
             positive = 0 if pair.gplus_vanishes else pair.order
         else:
             c = (pair.geometry.n - 3) // 2
@@ -688,13 +714,15 @@ def _blocks(pair, rule):
 
 
 def _counted(B):
-    """B as a LinearOperator counting in .applications the vectors it is applied to."""
+    """B as a LinearOperator counting in .applications the vectors it is
+    applied to. Its function reaches it by a weak reference, so B is in no
+    reference cycle and is freed with the operator."""
     def apply(X):
-        op.applications += 1 if X.ndim == 1 else X.shape[1]
+        counter().applications += 1 if X.ndim == 1 else X.shape[1]
         return B @ X
 
     op = spla.LinearOperator(B.shape, matvec=apply, matmat=apply, dtype=float)
-    op.applications = 0
+    op.applications, counter = 0, weakref.ref(op)
     return op
 
 
@@ -757,37 +785,42 @@ def _lobpcg(A, B, shape, mirrored, m, settings, seed, sector):
 def _block_pairs(block, ask, settings, seed, index):
     """One call for the ask largest mu of a block, the index-th, by its route
     (module docstring) from a start drawn from seed: the mu, their vectors as
-    columns, its applications of B and its stop. ARPACK's basis is its default
-    unless B has a negative diagonal entry, and then NCV_PER_PAIR * ask
-    vectors, at least 20 and at most the order. On ring M8192 with ask = 24,
-    whose mu_24 = 1.3e-4 lies inside the negative mu -0.102, -0.011, ..., its
-    72 vectors take 100 applications of B where the default's 49 take 170. On
-    a gaussian weight, whose B is positive definite, they would cost more than
-    they save: 73 applications against 63. ARPACK stopped by max_iter keeps
-    its pairs when it holds all ask of them (its test passed for each), with
-    a stop naming the cap. Holding done < ask of them, it raises a
-    SolverError naming pair done + 1 and counting done of ask (the whole
-    pencil is one block, so its ask is the solve's). ARPACK's other errors
-    are a SolverError with ARPACK's message."""
+    columns, its applications of B and its stop. ARPACK's basis holds 2 ask +
+    1 vectors unless B has a negative diagonal entry, and then NCV_PER_PAIR *
+    ask, at least 20; at most the order either way. SuperLU factors A with
+    panel_size=1 and relax=1 (module docstring). On gaussian M512, M8192 and
+    M32768 at seed 1, ask = 1, 2, 3, 6 and 12 take 17-18, 23-25, 25-26, 32
+    and 40-47 applications of B, against 21, 21, 21, 31-32 and 40-47 with
+    scipy's basis of at least 20. On ring M8192 with ask = 24, whose mu_24 =
+    1.3e-4 lies inside the negative mu -0.102, -0.011, ..., its 72 vectors
+    take 100 applications of B where 49 take 170. On a gaussian weight,
+    whose B is positive definite, they would cost more than they save: 73
+    applications against 63. ARPACK stopped by max_iter keeps its pairs
+    when it holds all ask of them (its test passed for each), with a stop
+    naming the cap. Holding done < ask of them, it raises a SolverError
+    naming pair done + 1 and counting done of ask (the whole pencil is one
+    block, so its ask is the solve's). ARPACK's other errors are a
+    SolverError with ARPACK's message."""
     A, B = block.A, block.B
     if block.S is None:
         # ARPACK runs on the equilibrated pencil, as the dense route does: where
         # diag(A) spans many decades (N = 9: 1e-44 to 1e10) the LU of A itself
         # gives pairs far from converged that ARPACK's test in mu accepts
         try:
-            # A is exactly symmetric, so its CSR arrays are its CSC ones
-            lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape))
+            # the equilibrated A is formed for the LU alone; it is exactly
+            # symmetric, so its transpose's CSC arrays are its CSR ones
+            lu = spla.splu(_scaled(A, block.scale).T, panel_size=1, relax=1)
         except RuntimeError as exc:
             raise SolverError(f"factorization of the energy matrix failed: {exc}") from exc
-        op = _counted(B)
+        op = _counted(_equilibrated(B, block.scale))
         inv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=float)
         v0 = np.random.default_rng([seed, 0, index]).standard_normal(A.shape[0])
         # B indefinite: its negative end competes for the basis (module docstring)
-        ncv = (min(max(NCV_PER_PAIR * ask, 20), A.shape[0])
-               if np.any(B.diagonal() < 0.0) else None)
+        ncv = min(max(NCV_PER_PAIR * ask, 20) if np.any(B.diagonal() < 0.0) else 2 * ask + 1,
+                  A.shape[0])
         try:
-            mus, vecs = spla.eigsh(op, ask, M=A, Minv=inv, which="LA", v0=v0, ncv=ncv,
-                                   maxiter=settings.max_iter)
+            mus, vecs = spla.eigsh(op, ask, M=_equilibrated(A, block.scale), Minv=inv,
+                                   which="LA", v0=v0, ncv=ncv, maxiter=settings.max_iter)
         except spla.ArpackNoConvergence as exc:
             # the restart cap can fall on the pass that converges the last asked pair
             done = len(exc.eigenvalues)
@@ -817,11 +850,14 @@ def _dense_pairs(block, ask):
     pencil (every radial one), else one generalized eigh of the block's
     densified pencil (a cube grid's sectors, a dense toy), LAPACK's
     Cholesky congruence, in O(order^3) work. Returns the mu ascending, their
-    vectors as columns, and None for the applications and the stop. eigh's
-    LinAlgError (A not positive definite) is a SolverError here."""
+    vectors as columns, and None for the applications and the stop. The
+    whole pencil is equilibrated first (_scaled). eigh's LinAlgError (A not
+    positive definite) is a SolverError here."""
     A, B, order = block.A, block.B, block.A.shape[0]
-    if block.S is None and max(_bandwidth(A), _bandwidth(B)) == 1:
-        return (*_tridiagonal_eigh(A, B, ask), None, None)
+    if block.S is None:
+        A, B = _scaled(A, block.scale), _scaled(B, block.scale)
+        if max(_bandwidth(A), _bandwidth(B)) == 1:
+            return (*_tridiagonal_eigh(A, B, ask), None, None)
     try:
         mu, V = sla.eigh(B.toarray(), A.toarray(), overwrite_a=True, overwrite_b=True,
                          check_finite=False, subset_by_index=[order - ask, order - 1])

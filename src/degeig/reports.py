@@ -86,14 +86,16 @@ def write_npy(path, names, columns):
     """One .npy file holding a structured array with a little-endian float64
     field per name, filled from the matching column.
 
-    The table has as many rows as the longest column; a shorter column fills
-    the leading rows of its field and leaves the rest zero. The array is
-    allocated once and each column is copied into its field, so no other
-    table-sized array is made. Read a field back with np.load(path)[name].
+    The table has as many rows as the largest column; a smaller column fills
+    the leading rows of its field and leaves the rest zero. A column of more
+    than one axis fills them in C order, so a broadcast view is written
+    without a copy. The array is allocated once and each column is copied
+    into its field, so no other table-sized array is made. Read a field back
+    with np.load(path)[name].
     """
-    rows = max(len(c) for c in columns)
+    rows = max(c.size for c in columns)
     table = np.zeros(rows, dtype=[(name, "<f8") for name in names])
     for name, column in zip(names, columns, strict=True):
-        table[name][:len(column)] = column
+        table[name][:column.size].reshape(column.shape)[...] = column
     with open(path, "wb") as fh:
         np.save(fh, table, allow_pickle=False)

@@ -304,6 +304,33 @@ class TestSolveCommand:
         for i in range(seq.count):
             assert np.array_equal(vectors[f"e{i + 1}"], seq.vectors[:, i])
 
+    def test_grid_vector_file_forms_no_positions(self, tmp_path):
+        # the grid's x, y and z fields are broadcast from its axis into the
+        # table: writing 21^3 peaks at the table plus one column, and the pair
+        # builds no n x 3 positions array (three more columns)
+        import tracemalloc
+        from types import SimpleNamespace
+
+        from degeig.assembly import assemble_grid3d
+        from degeig.cli import _write_vectors
+        from degeig.mesh import build_grid3d
+        from degeig.weights import gaussian_bump
+
+        pair = assemble_grid3d(build_grid3d(6.0, 21), 1.0, gaussian_bump())
+        seq = SimpleNamespace(count=2, vectors=np.ones((pair.order, 2), order="F"))
+        path = str(tmp_path / "eigenvectors.npy")
+        _write_vectors(path, pair, seq)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            _write_vectors(path, pair, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column = 8 * pair.order
+        assert peak <= (3 + seq.count) * column + column
+        assert "dof_positions" not in vars(pair)
+        assert np.array_equal(np.load(path)["y"], pair.dof_positions[:, 1])
+
     def test_vector_file_repeats_as_float64(self, tmp_path):
         cfg = small_config(tmp_path)
         files = []

@@ -380,6 +380,36 @@ class TestSuccessive:
         assert_allclose(it.lambdas, de.lambdas, rtol=1e-6)
         assert np.all(it.residuals <= 1e-8)
 
+    @pytest.mark.parametrize("weight, k, ncv", [
+        ("gaussian", 1, 3), ("gaussian", 6, 13), ("gaussian", 12, 25), ("ring", 6, 20),
+        ("ring", 24, 72), (None, 3, 4),
+    ])
+    def test_arpack_basis_rule(self, monkeypatch, weight, k, ncv):
+        # a definite pencil gets 2 m + 1 vectors and an indefinite one
+        # NCV_PER_PAIR m, at least 20; at most the order either way (a toy
+        # pencil of order 4 asked for 3 pairs)
+        import degeig.eigensolve as es
+        from conftest import preset_pair
+
+        seen, real = [], es.spla.eigsh
+
+        def spy(*args, ncv=None, **kwargs):
+            seen.append(ncv)
+            return real(*args, ncv=ncv, **kwargs)
+
+        monkeypatch.setattr(es.spla, "eigsh", spy)
+        pair = (preset_pair(weight, 1.0, 512) if weight else
+                toy_pair(np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([4.0, 3.0, 2.0, 1.0])))
+        solve_successive(pair, SolverSettings(k=k))
+        assert seen == [ncv]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_smallest_bases_converge(self, gaussian_pair_512, k):
+        # the 3-, 5- and 7-vector bases meet tol and agree with the reference
+        seq = solve_successive(gaussian_pair_512, SolverSettings(k=k))
+        assert seq.count == k and all(seq.converged)
+        assert_allclose(seq.lambdas, solve_dense(gaussian_pair_512, k).lambdas, rtol=1e-10)
+
     def test_indefinite_matches_dense(self):
         mesh = build_radial_mesh(6.0, 96, 1.09)
         pair = assemble_radial(mesh, 3, 1.0, sign_changing_ring())
@@ -1304,6 +1334,32 @@ class TestPeakMemory:
         bases = [_mirror_basis((pair.geometry.n - 3) // 2, parity) for parity in label]
         return sp.kron(sp.kron(bases[0], bases[1]), bases[2], format="csr")
 
+    def test_solve_keeps_no_sector_pencil(self, monkeypatch):
+        # with the cyclic collector off, the eee block's A and B are freed by
+        # the time solve_successive returns: _finalize cuts the call records to
+        # what the sequence reads, and neither the V-cycle hierarchy nor the
+        # counted B operator is in a reference cycle
+        import gc
+        import weakref
+
+        import degeig.eigensolve as es
+
+        refs, real = [], es._block_pairs
+
+        def spy(block, *args):
+            refs.extend(weakref.ref(mat) for mat in (block.A, block.B))
+            return real(block, *args)
+
+        monkeypatch.setattr(es, "_block_pairs", spy)
+        pair = _grid_pair(21)
+        gc.disable()
+        try:
+            seq = solve_successive(pair, SolverSettings(k=1))
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+        assert [call["block"] for call in seq.calls] == ["eee"]
+
     def test_sector_projection_copies_no_operator(self):
         # S^T A S formed PROJECTION_ROWS rows at a time peaks at 0.6 of A's
         # bytes on the eee sector of 41^3; the whole product, which copies A
@@ -1386,6 +1442,31 @@ class TestMultigrid:
         dense = np.column_stack([M.matvec(e) for e in np.eye(pair.order)])
         assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
         assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+
+    def test_hierarchy_freed_when_lobpcg_returns(self, monkeypatch):
+        # the V-cycle recurses through a module function, so its levels are in
+        # no reference cycle: with the cyclic collector off, every level's
+        # interpolation (19^3: two levels) is freed when _lobpcg returns
+        import gc
+        import weakref
+
+        import degeig.eigensolve as es
+
+        refs, real = [], es._interpolation
+
+        def spy(*args):
+            P, shape = real(*args)
+            refs.append(weakref.ref(P))
+            return P, shape
+
+        monkeypatch.setattr(es, "_interpolation", spy)
+        pair = _grid_pair(21)
+        gc.disable()
+        try:
+            es._lobpcg(pair.A, pair.B, (19,) * 3, (False,) * 3, 1, SolverSettings(k=1), 42, 0)
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n, k", [(21, 6), (31, 2), (41, 1)])
     def test_cg_iterations_per_inner_solve_flat(self, monkeypatch, n, k):

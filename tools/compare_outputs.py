@@ -32,6 +32,10 @@ The commands, in NEW_TREE's order:
 - a ring solve at M = 2000 with k = 24, where the Lanczos basis ARPACK gets
   for an indefinite pencil runs next to the dense reference (M8192, the
   workload's ring at k = 24, is too large for it);
+- two gaussian solves at N = 3, alpha = 1, R = 6, M = 2000, with k = 1 and
+  k = 3, where ARPACK's smallest bases for a definite pencil, 3 and 7
+  vectors, run next to the dense reference (no workload case asks a radial
+  definite pencil for fewer than 6 pairs);
 - a radial solve of an inline, sign-changing tabulated weight, which no
   workload case uses;
 - two high-dimension radial gaussian problems: `check` at N = 6, alpha = 1,
@@ -123,9 +127,10 @@ def commands(workloads):
     for n, k in ((11, 24), (9, 70)):
         out.append((f"solve-grid{n}-k{k}", {"problem": workloads.grid(n, k), "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
-    out.append(("solve-ring-M2000-k24",
-                {"problem": workloads.radial("ring", 1.0, 2000, 24), "seed": SEED},
-                ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
+    for weight, k in (("ring", 24), ("gaussian", 1), ("gaussian", 3)):
+        out.append((f"solve-{weight}-M2000-k{k}",
+                    {"problem": workloads.radial(weight, 1.0, 2000, k), "seed": SEED},
+                    ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED)]))
     table = {"kind": "tabulated", "radii": [0, 0.5, 1, 1.5, 2, 2.5, 3, 4, 6],
              "values": [1, 0.9, 0.6, 0.2, -0.1, -0.2, -0.1, 0, 0]}
     out.append(("solve-tabulated-inline",
