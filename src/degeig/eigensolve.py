@@ -640,9 +640,9 @@ class Block:
     (axes, label) per member, itself first; A, B is S^T A S, S^T B S for its
     orthonormal basis S, and a member's vector is S v on the full dof array
     (of this shape), its axes transposed to axes. If S is None the block is
-    the whole pencil as given, solved equilibrated, diag(scale) A
-    diag(scale) and the same of B (_equilibration), and its vector is scale
-    v."""
+    the whole pencil as given, which its routes solve equilibrated as
+    diag(scale) A diag(scale) and the same of B (_equilibration), and its
+    vector is scale v."""
 
     label: str
     members: list
