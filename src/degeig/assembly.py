@@ -6,8 +6,9 @@ B (integral of g u v), and the Hardy matrix H (integral of u v / |x|^(2-alpha)),
 plus a shared volume quadrature used for L^p norms. Radial mode uses P1
 elements with closed-form stiffness integrals, and B and H are tridiagonals
 summed ELEMENT_BLOCK elements at a time (_hat_form); 3-d mode uses a conservative
-7-point flux discretization with lumped B and H. Every matrix is written
-as CSR directly, exactly symmetric, with no COO staging. A pair stores no
+7-point flux discretization with lumped B and H. One writer,
+_symmetric_csr, writes every matrix of both geometries as CSR at its final
+size, exactly symmetric, with no COO staging. A pair stores no
 interpolation matrix: point values come from the hat functions on a radial
 mesh and are the nodal values on the cube (_point_values).
 
@@ -52,18 +53,40 @@ def _symmetrized(mat):
     return ((mat + mat.T) * 0.5).tocsr()
 
 
-def _csr(vals, base, offsets, shape, keep):
-    """CSR matrix from fixed per-row slots, with no COO staging.
+def _symmetric_csr(diag, uppers):
+    """The exactly symmetric CSR matrix of order diag.size with this diagonal
+    and, for each upper slot (offset, values, stored), values[i] in row i,
+    column i + offset and in its mirror (i + offset, i), both where stored[i]
+    holds; a zero diagonal entry is not stored. The slots come in increasing
+    offset, 0 < offset <= order, and their entries past the matrix
+    (i + offset >= order) are ignored.
 
-    Slot j of row i holds vals[i, j] in column base[i] + offsets[j]; slots
-    outside keep or outside the column range are dropped. The offsets
-    increase, so every row comes out sorted. base is int32 (orders below
-    2^31), which scipy keeps without a copy.
+    The CSR arrays are written once, at their final size, with int32 indices.
+    Row i holds its mirror entries, farthest first, then (i, i), then its
+    upper entries, nearest first, so its columns increase.
     """
-    cols = base[:, None] + np.asarray(offsets, dtype=np.int32)
-    keep = keep & (cols >= 0) & (cols < shape[1])
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=shape)
+    n = diag.size
+    # (rows, columns, values, stored) of each slot, in the order a row holds them
+    slots = [(slice(None), slice(None), diag, diag != 0.0)]
+    for offset, values, stored in uppers:
+        head, tail = slice(None, n - offset), slice(offset, None)
+        values, stored = values[head], stored[head]
+        slots.insert(0, (tail, head, values, stored))  # (i + offset, i)
+        slots.append((head, tail, values, stored))  # (i, i + offset)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    free = indptr[1:]  # each row's count, then its next free position
+    for rows, _, _, stored in slots:
+        free[rows] += stored
+    np.cumsum(indptr, out=indptr)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    free[:] = indptr[:-1]  # each row starts where the one before it ends
+    columns = np.arange(n, dtype=np.int32)
+    for rows, cols, values, stored in slots:
+        at = free[rows][stored]
+        data[at] = values[stored]
+        indices[at] = columns[cols][stored]
+        free[rows] += stored
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 class DiscreteOperatorPair:
@@ -244,7 +267,9 @@ def _hat_form(mesh, weight):
     each sum runs over the points in their order, so a diagonal entry takes
     its left element's points before its right one's, each term is phi_b
     (phi_a w), an off-diagonal entry averages the sums of its two triangles,
-    and an entry whose sum is 0 is not stored.
+    and an entry whose sum is 0 is not stored. _symmetric_csr writes it from
+    the diagonal and one upper slot at offset 1, whose entry and mirror take
+    the one halved sum.
     """
     M = mesh.num_elements
     diag, upper, lower = np.zeros(M), np.zeros(M), np.zeros(M)
@@ -263,43 +288,7 @@ def _hat_form(mesh, weight):
     # a sum is stored when nonzero before halving, which may underflow to 0
     stored = upper != 0.0
     upper *= 0.5
-    return _tridiagonal(diag, upper, stored)
-
-
-def _tridiagonal(diag, upper, stored):
-    """The symmetric tridiagonal CSR matrix with this diagonal and with upper[i]
-    in row i, column i + 1 and in its mirror, storing the nonzero diagonal
-    entries and the off-diagonal ones where stored holds (upper[-1] and
-    stored[-1] lie past the matrix).
-
-    The CSR arrays are written at their final size. Row i holds (i, i - 1),
-    (i, i) and (i, i + 1), each if stored, in that order, so (i, i + 1) is
-    the last slot of row i and its mirror (i + 1, i) the first of row i + 1.
-    """
-    M = diag.size
-    up = stored.copy()
-    up[-1] = False
-    nonzero = diag != 0.0
-    counts = nonzero.astype(np.int32)
-    counts += up
-    counts[1:] += up[:-1]
-    indptr = np.zeros(M + 1, dtype=np.int32)
-    np.cumsum(counts, dtype=np.int32, out=indptr[1:])
-    del counts
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    ends, rows = indptr[1:], np.arange(M, dtype=np.int32)
-    vals, cols, at = upper[up], rows[up], ends[up]
-    data[at], indices[at] = vals, cols  # (i + 1, i)
-    at -= 1
-    cols += 1
-    data[at], indices[at] = vals, cols  # (i, i + 1)
-    del vals, cols
-    at = ends[nonzero]
-    at -= 1
-    at -= up[nonzero]
-    data[at], indices[at] = diag[nonzero], rows[nonzero]  # (i, i)
-    return sp.csr_matrix((data, indices, indptr), shape=(M, M))
+    return _symmetric_csr(diag, [(1, upper, stored)])
 
 
 def _volume_weight(N, j, r, h):
@@ -370,7 +359,7 @@ def assemble_radial(mesh, N, alpha, spec):
     # element i couples node i to node i + 1, which is a dof unless i = M - 1,
     # so A is tridiagonal and exactly symmetric as built; s underflows to 0
     # near r = 0 on steeply graded meshes, and such entries are not stored
-    A = _tridiagonal(s + np.r_[0.0, s[:-1]], -s, s != 0.0)
+    A = _symmetric_csr(s + np.r_[0.0, s[:-1]], [(1, -s, s != 0.0)])
     del h, moment, s
 
     gplus_vanishes = True
@@ -435,8 +424,11 @@ def origin_cell_kernel_integral(hs, alpha):
 def _grid_stiffness(grid, alpha):
     """The 7-point flux matrix of assemble_grid3d, exactly symmetric as built.
 
-    A function of its own so that its face and slot arrays are freed before
-    the rest of the pair is built.
+    _symmetric_csr writes it from the diagonal, the sorted sum of each dof's
+    six faces, and three upper slots, each dof's +x_axis face at offset
+    m^(2 - axis), so a face's entry and its mirror take the one value. A
+    function of its own so that its face arrays are freed before the rest of
+    the pair is built.
     """
     n = grid.n
     m = n - 2  # interior nodes per axis; dofs ravel the m^3 of them in C order
@@ -461,18 +453,17 @@ def _grid_stiffness(grid, alpha):
     # sorted accumulation keeps the diagonal exactly symmetric under
     # coordinate permutations of the grid
     diag = _sorted_sum(lower + upper)
-    # each row's seven slots in column order: -x0, -x1, -x2, the dof, +x2, +x1, +x0;
-    # a neighbour on the boundary is no dof
-    vals = np.stack([-lower[0], -lower[1], -lower[2], diag,
-                     -upper[2], -upper[1], -upper[0]], axis=-1).reshape(-1, 7)
-    del lower, upper, diag
-    keep = np.ones((m, m, m, 7), dtype=bool)
-    keep[0, :, :, 0] = keep[:, 0, :, 1] = keep[:, :, 0, 2] = False
-    keep[:, :, -1, 4] = keep[:, -1, :, 5] = keep[-1, :, :, 6] = False
-    A = _csr(vals, np.arange(m**3, dtype=np.int32), [-m * m, -m, -1, 0, 1, m, m * m],
-             (m**3, m**3), keep.reshape(-1, 7))
-    A.eliminate_zeros()  # hs^(1 + alpha) underflows for a tiny L; such entries are not stored
-    return A
+    del lower
+    uppers = []
+    while upper:  # the +x2, +x1 and +x0 faces: offsets 1, m and m^2
+        axis = len(upper) - 1
+        face = -upper.pop()  # a C-order copy; the face array it viewed is freed
+        # hs^(1 + alpha) underflows for a tiny L, and a neighbour on the
+        # boundary is no dof: neither entry is stored
+        stored = face != 0.0
+        stored[(slice(None),) * axis + (-1,)] = False
+        uppers.append((m ** (2 - axis), face.ravel(), stored.ravel()))
+    return _symmetric_csr(diag.ravel(), uppers)
 
 
 def assemble_grid3d(grid, alpha, spec):
@@ -481,10 +472,11 @@ def assemble_grid3d(grid, alpha, spec):
     The face coefficient between two adjacent nodes is |x|^alpha at the face
     midpoint; the six faces of the origin-centered cell instead use the exact
     radial average of the power over [0, hs], which keeps the conservation
-    form nondegenerate at the singular node. B and H are lumped diagonal;
-    the origin's Hardy weight is the exact cell integral of the kernel. H
-    and the dof positions are built on first read; the quadrature comes with
-    B, its weight the one cell volume.
+    form nondegenerate at the singular node. B and H are lumped diagonal,
+    written by _symmetric_csr with no upper slot, so a zero entry is not
+    stored; the origin's Hardy weight is the exact cell integral of the
+    kernel. H and the dof positions are built on first read; the quadrature
+    comes with B, its weight the one cell volume.
     """
     if not 0.0 < alpha < 2.0:
         raise AssemblyError("alpha must lie in (0, 2)")
@@ -496,7 +488,7 @@ def assemble_grid3d(grid, alpha, spec):
     except WeightDomainError as exc:
         raise AssemblyError(f"weight evaluation failed on the grid: {exc}") from exc
     gplus_nodes = gi + gd
-    B = _mass(spec, lambda: sp.diags(cell * (gplus_nodes - gm), format="csr"))
+    B = _mass(spec, lambda: _symmetric_csr(cell * (gplus_nodes - gm), []))
 
     pair = DiscreteOperatorPair(A, B, grid, 3, alpha, "grid3d", spec)
     pair.quad_weights, pair.gplus_quad = cell, gplus_nodes
@@ -511,7 +503,7 @@ def _grid_hardy(grid, alpha):
     nz = radii > 0.0
     hardy[nz] = radii[nz] ** (alpha - 2.0) * grid.hs**3
     hardy[~nz] = origin_cell_kernel_integral(grid.hs, alpha)
-    return sp.diags(hardy, format="csr")
+    return _symmetric_csr(hardy, [])
 
 
 def export_coo(mat, path):

@@ -301,6 +301,8 @@ def _radial_pair_bytes(pair):
 def _assemble(kind, n):
     if kind == "grid":
         return assemble_grid3d(build_grid3d(6.0, n), 1.0, gaussian_bump())
+    if kind == "tiny-grid":  # hs^(1 + alpha) subnormal: some faces underflow to 0
+        return assemble_grid3d(build_grid3d(1e-129, n), 1.5, gaussian_bump())
     spec = sign_changing_ring() if kind == "ring" else gaussian_bump()
     return assemble_radial(build_radial_mesh(6.0, n, 1.0), 3, 1.0, spec)
 
@@ -380,6 +382,13 @@ def _same_csr(X, Y):
     return all(np.array_equal(getattr(X, f), getattr(Y, f)) for f in ("data", "indices", "indptr"))
 
 
+def _same_bits(X, Y):
+    """The CSR arrays of X and Y hold the same bytes in the same dtypes."""
+    return all(getattr(X, f).dtype == getattr(Y, f).dtype
+               and getattr(X, f).tobytes() == getattr(Y, f).tobytes()
+               for f in ("data", "indices", "indptr"))
+
+
 class TestDirectAssembly:
     def test_radial_dof_positions_view_the_mesh_nodes(self, gaussian_pair_512):
         # every node but the Dirichlet one at R, read in place, not copied
@@ -387,10 +396,13 @@ class TestDirectAssembly:
         assert np.shares_memory(pair.dof_positions, pair.geometry.nodes)
         assert np.array_equal(pair.dof_positions, pair.geometry.nodes[:-1])
 
-    @pytest.mark.parametrize("kind, n", [("grid", 15), ("ring", 512), ("gaussian", 512)])
+    @pytest.mark.parametrize("kind, n", [("grid", 15), ("ring", 512), ("gaussian", 512),
+                                         ("tiny-grid", 11)])
     def test_stiffness_symmetric_as_built(self, monkeypatch, kind, n):
         # A, B and H are exactly symmetric without the (A + A^T) / 2 pass,
-        # and A equals, bit for bit, its COO-staged and symmetrized reference
+        # and A equals, bit for bit, its COO-staged and symmetrized reference.
+        # On the tiny grid (L = 1e-129, alpha = 1.5, found by a scan of L)
+        # some faces and diagonal entries underflow to 0 and others do not
         import degeig.assembly as assembly
 
         symmetrized = []
@@ -403,18 +415,21 @@ class TestDirectAssembly:
         assert not symmetrized
         monkeypatch.undo()
         assert _same_csr(pair.A, _coo_reference(pair))
+        if kind == "tiny-grid":
+            assert 0 < pair.A.nnz < _assemble("grid", n).A.nnz
+            assert np.count_nonzero(pair.A.diagonal()) < pair.order
 
-    @pytest.mark.parametrize("kind, n, bound", [("grid", 31, 2.4), ("ring", 8192, 1.95)])
+    @pytest.mark.parametrize("kind, n, bound", [("grid", 31, 2.0), ("ring", 8192, 1.95)])
     def test_assembly_peak_near_live_size(self, kind, n, bound):
         # No COO staging and no symmetrizing copy of A. The grid's peak is
-        # A's CSR staging (_csr), before B exists, so it is measured against
-        # A's bytes: 2.39x at 31^3 (4.98 MB). Against everything the pair
-        # held it was 4.3x with COO staging, and 1.53x while the pair also
-        # stored the dof positions and a quadrature array per dof, which it
-        # no longer does. The radial peak (M = 8192) is 1.87x what assembly
-        # builds, with B's Gauss-point temporaries held for ELEMENT_BLOCK
-        # elements at a time; held for every element it was 2.65x, and
-        # staged tridiagonals, an eager H and an eager quadrature made it 5.0x
+        # A's writing (_symmetric_csr), before B exists, so it is measured
+        # against A's bytes: 1.89x at 31^3 (3.94 MB). Staging seven slots per
+        # row as (m^3, 7) arrays and masks took 2.39x; against everything the
+        # pair held it was 4.3x with COO staging. The radial peak (M = 8192)
+        # is 1.80x what assembly builds, with B's Gauss-point temporaries held
+        # for ELEMENT_BLOCK elements at a time; held for every element it was
+        # 2.65x, and staged tridiagonals, an eager H and an eager quadrature
+        # made it 5.0x
         import tracemalloc
 
         _assemble(kind, n)  # first-call caches stay out of the count
@@ -426,6 +441,49 @@ class TestDirectAssembly:
             tracemalloc.stop()
         live = _csr_bytes(pair.A) if kind == "grid" else _radial_pair_bytes(pair)
         assert peak <= bound * live
+
+    def test_symmetric_csr_equals_the_symmetrized_coo_reference(self, rng):
+        # _symmetric_csr against the same matrix staged through COO triples
+        # and (X + X^T) / 2, X holding each upper sum t once: sums of either
+        # sign across scales, zeros, and the smallest subnormal, whose half
+        # underflows to a stored 0; stored masks that leave out nonzero sums;
+        # entries past the matrix; zero diagonal entries; an order-1 matrix,
+        # one with no slot, and one with nothing stored
+        import scipy.sparse as sp
+
+        from degeig.assembly import _symmetric_csr, _symmetrized
+
+        def case(n, offsets):
+            diag = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+            diag[rng.random(n) < 0.3] = 0.0
+            slots = []
+            for offset in offsets:
+                t = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+                t[rng.random(n) < 0.2] = 0.0
+                t[rng.random(n) < 0.1] = rng.choice([-5e-324, 5e-324])
+                slots.append((offset, t, (t != 0.0) & (rng.random(n) < 0.8)))
+            return diag, slots
+
+        cases = [case(60, [1, 2, 7, 59, 60]), case(60, [3, 11]), case(1, [1]), case(25, []),
+                 (np.zeros(40), [(1, np.ones(40), np.zeros(40, dtype=bool)),
+                                 (5, np.ones(40), np.zeros(40, dtype=bool))])]
+        for diag, slots in cases:
+            n = diag.size
+            S = _symmetric_csr(diag, [(offset, 0.5 * t, stored) for offset, t, stored in slots])
+            rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
+            for offset, t, stored in slots:
+                i = np.flatnonzero(stored[:n - offset])
+                rows.append(i)
+                cols.append(i + offset)
+                vals.append(t[i])
+            X = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                              shape=(n, n))
+            assert _same_bits(S, _symmetrized(X))
+            assert _same_bits(S, S.T.tocsr())
+            assert S.indices.dtype == S.indptr.dtype == np.int32
+        assert S.nnz == 0
+        assert np.count_nonzero(cases[0][0]) < 60 and any(
+            np.any(stored & (0.5 * t == 0.0)) for _, t, stored in cases[0][1])
 
     @pytest.mark.parametrize("block", [7, 2048])
     def test_element_blocks_keep_the_bits(self, monkeypatch, block):

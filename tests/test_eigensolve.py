@@ -1286,21 +1286,21 @@ class TestPeakMemory:
         assert peak <= 3.5 * vecs.nbytes
 
     def test_tridiagonal_written_at_final_size(self):
-        # _tridiagonal writes its CSR arrays at their final size: at M = 8192
-        # it peaks at 1.76x the bytes of the matrix it returns, where staging
-        # each row's three slots as (M, 3) arrays and their masked copies took
-        # 2.36x
+        # _symmetric_csr writes its CSR arrays at their final size: on a
+        # tridiagonal of order M = 8192 it peaks at 1.64x the bytes of the
+        # matrix it returns, where staging each row's three slots as (M, 3)
+        # arrays and their masked copies took 2.36x
         import tracemalloc
 
-        from degeig.assembly import _tridiagonal
+        from degeig.assembly import _symmetric_csr
 
         rng = np.random.default_rng(3)
         diag, upper = rng.standard_normal(8192), rng.standard_normal(8192)
         stored = np.ones(8192, dtype=bool)
-        _tridiagonal(diag, upper, stored)  # first-call caches stay out of the count
+        _symmetric_csr(diag, [(1, upper, stored)])  # first-call caches stay out of the count
         tracemalloc.start()
         try:
-            T = _tridiagonal(diag, upper, stored)
+            T = _symmetric_csr(diag, [(1, upper, stored)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

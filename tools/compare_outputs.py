@@ -14,7 +14,9 @@ The commands, in NEW_TREE's order:
   sign-changing weight next to the benchmark's gaussian check), and `oracle`
   on the ring, the bump and the ball at alpha = 1 (the bump's and the ball's
   float radii go through the same mask arithmetic as an array);
-- `solve --export-matrices` on one radial and one grid 13^3 problem;
+- `solve --export-matrices` on one radial and one grid 13^3 problem, and on
+  the ring weight on grid 9^3 with k = 4, whose B is zero at 317 of its 343
+  dofs, so its B.txt shows which zero entries are left out;
 - four ring-weight grid solves that reach the sector routes no workload case
   does: 15^3 with k = 12, whose eee sector (343 dofs) is solved on B's rank;
   9^3 with k = 40, whose sectors are capped by their positive B entries and
@@ -115,8 +117,10 @@ def commands(workloads):
                             ("oracle", "bump-n3-a1"), ("oracle", "ball-n3-a1")):
         out.append((f"{command}-{preset}", None,
                     [command, "--preset", preset, "--out", OUT, "--seed", str(SEED)]))
+    ring_grid9 = {**workloads.grid(9, 4), "weight": {"kind": "ring"}}
     for name, problem in (("export-radial", workloads.radial("gaussian", 1.0, 512, 6)),
-                          ("export-grid13", workloads.grid(13, 4))):
+                          ("export-grid13", workloads.grid(13, 4)),
+                          ("export-ring-grid9", ring_grid9)):
         out.append((name, {"problem": problem, "seed": SEED},
                     ["solve", "--config", CONFIG, "--out", OUT, "--seed", str(SEED),
                      "--export-matrices"]))
