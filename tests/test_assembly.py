@@ -481,7 +481,8 @@ class TestDirectAssembly:
             assert _same_bits(S, _symmetrized(X))
             assert _same_bits(S, S.T.tocsr())
             assert S.indices.dtype == S.indptr.dtype == np.int32
-        assert S.nnz == 0
+        assert S.nnz == 0  # the last case stores nothing
+        # the first holds zero diagonal entries and stored zeros
         assert np.count_nonzero(cases[0][0]) < 60 and any(
             np.any(stored & (0.5 * t == 0.0)) for _, t, stored in cases[0][1])
 
